@@ -13,35 +13,24 @@
 //   flat  — play_flat(): CSR candidate spans, decide() into a reusable
 //           buffer, allocation-free validation, single thread;
 //   block — play_flat_blocks(): decide_batch() over whole CSR arrival
-//           blocks (one virtual call per block, SoA selection kernel),
-//           single thread;
+//           blocks (one virtual call per block, one scalar pass per row
+//           that also fills the fused got-histogram), single thread;
 //   batch — the same block-stepped trials fanned across the BatchRunner's
 //           workers.
 //
-// The block mode runs on whatever ISA tier the runtime dispatcher picked
-// (OSP_FORCE_ISA included) and every row records it in the "isa" field;
-// a fifth measurement pins the dispatcher to the scalar tier so the
-// per-row "simd_vs_scalar" factor isolates the vector kernel's gain from
-// the batching gain.  `bench_perf --isa-sweep` instead measures the block
-// mode once per AVAILABLE ISA over the same ladder and writes one row per
-// shape x tier to BENCH_engine_isa.json, so the perf trajectory records
-// scalar vs vector per shape rather than one aggregate number.
-//
 // Per-trial Rng streams are identical across modes and every trial's
-// outcome is checksummed, so the modes (and the ISA tiers) are proven to
-// compute the same thing.  Results go to stdout and BENCH_engine.json;
-// the acceptance targets on the largest workload are batch >= 5x seed
+// outcome is checksummed, so the modes are proven to compute the same
+// thing.  Results go to stdout and BENCH_engine.json; the acceptance
+// targets on the largest workload are batch >= 5x seed
 // (the flat gain times the worker count — on a single-core container the
 // second factor is 1x, which the JSON records via "threads") and block
 // >= 1.3x flat single-thread (the decide_batch amortization gate,
 // checked per row with per-workload floors by check_bench_json.py).
 #include <algorithm>
 #include <chrono>
-#include <cstring>
 #include <iostream>
 
 #include "bench_common.hpp"
-#include "core/cpu_features.hpp"
 #include "core/game.hpp"
 #include "core/rand_pr.hpp"
 #include "engine/batch_runner.hpp"
@@ -68,7 +57,7 @@ struct WorkloadResult {
   std::size_t m = 0;
   std::size_t n = 0;
   int trials = 0;
-  ModeResult seed, flat, block, block_scalar, batch;
+  ModeResult seed, flat, block, batch;
 };
 
 // Number of interleaved measurement passes per workload.  Each pass times
@@ -126,8 +115,7 @@ WorkloadResult measure_workload(const std::string& label, std::size_t m,
                                          total_elements / seconds_since(t0));
     }
 
-    {  // block mode, single thread: decide_batch() per arrival block,
-       // on the ISA the runtime dispatcher selected
+    {  // block mode, single thread: decide_batch() per arrival block
       auto t0 = Clock::now();
       for (int t = 0; t < r.trials; ++t) {
         RandPr alg(rngs[static_cast<std::size_t>(t)]);
@@ -135,21 +123,6 @@ WorkloadResult measure_workload(const std::string& label, std::size_t m,
       }
       r.block.elements_per_sec = std::max(r.block.elements_per_sec,
                                           total_elements / seconds_since(t0));
-    }
-
-    double block_scalar_sum = 0;
-    {  // block mode pinned to the scalar tier: the simd_vs_scalar baseline
-      simd::set_active_isa(simd::Isa::kScalar);
-      auto t0 = Clock::now();
-      for (int t = 0; t < r.trials; ++t) {
-        RandPr alg(rngs[static_cast<std::size_t>(t)]);
-        block_scalar_sum +=
-            play_flat_blocks(inst, alg, block_scratch).benefit;
-      }
-      r.block_scalar.elements_per_sec =
-          std::max(r.block_scalar.elements_per_sec,
-                   total_elements / seconds_since(t0));
-      simd::refresh_active_isa();  // restore auto/forced selection
     }
 
     {  // batch mode: block-stepped trials across all workers
@@ -165,16 +138,13 @@ WorkloadResult measure_workload(const std::string& label, std::size_t m,
       for (Weight b : benefits) batch_sum += b;
     }
 
-    // All modes — the scalar-pinned tier included — must agree on every
-    // trial's outcome, in every pass.
+    // All modes must agree on every trial's outcome, in every pass.
     OSP_REQUIRE(seed_sum == flat_sum);
     OSP_REQUIRE(seed_sum == block_sum);
-    OSP_REQUIRE(seed_sum == block_scalar_sum);
     OSP_REQUIRE(seed_sum == batch_sum);
     r.seed.checksum = seed_sum;
     r.flat.checksum = flat_sum;
     r.block.checksum = block_sum;
-    r.block_scalar.checksum = block_scalar_sum;
     r.batch.checksum = batch_sum;
   }
   return r;
@@ -182,88 +152,11 @@ WorkloadResult measure_workload(const std::string& label, std::size_t m,
 
 std::string fmt_meps(double eps) { return fmt(eps / 1e6, 2) + "M"; }
 
-/// --isa-sweep: block-mode throughput of every available ISA tier over
-/// the same ladder, one BENCH_engine_isa.json row per shape x tier.
-/// Checksums must match across tiers — the decision-equivalence contract,
-/// re-proven on the bench workloads themselves.
-int run_isa_sweep() {
-  using namespace osp;
-  bench::banner(
-      "E9b / block kernel throughput per ISA tier",
-      "Elements/sec of block-batched randPr trials with the dispatcher "
-      "pinned to each ISA the CPU can run.  vs_scalar isolates the "
-      "vector kernel's gain; checksums prove every tier decides "
-      "identically.");
-
-  const std::vector<simd::Isa> isas = simd::available_isas();
-  Table table({"workload", "m", "n", "trials", "isa", "block el/s",
-               "vs scalar"});
-  api::JsonSink json("engine_isa", bench::session().threads());
-
-  for (const api::ScenarioSpec& s : api::engine_shapes()) {
-    Rng gen(42);
-    Instance inst = random_instance(s.m, s.n, s.k, WeightModel::unit(), gen);
-    const std::size_t n = inst.num_elements();
-    const int trials = static_cast<int>(
-        std::max<std::size_t>(6, 1'500'000 / std::max<std::size_t>(n, 1)));
-    Rng master(1);
-    std::vector<Rng> rngs;
-    for (int t = 0; t < trials; ++t)
-      rngs.push_back(master.split(static_cast<std::uint64_t>(t)));
-    const double total_elements =
-        static_cast<double>(n) * static_cast<double>(trials);
-
-    PlayScratch scratch;
-    double scalar_eps = 0;
-    double ref_checksum = 0;
-    for (simd::Isa isa : isas) {
-      simd::set_active_isa(isa);
-      double eps = 0;
-      double checksum = 0;
-      for (int pass = 0; pass < kPasses; ++pass) {
-        checksum = 0;
-        auto t0 = Clock::now();
-        for (int t = 0; t < trials; ++t) {
-          RandPr alg(rngs[static_cast<std::size_t>(t)]);
-          checksum += play_flat_blocks(inst, alg, scratch).benefit;
-        }
-        eps = std::max(eps, total_elements / seconds_since(t0));
-      }
-      if (isa == simd::Isa::kScalar) {
-        scalar_eps = eps;
-        ref_checksum = checksum;
-      }
-      OSP_REQUIRE_MSG(checksum == ref_checksum,
-                      "ISA " << simd::isa_name(isa)
-                             << " diverged from the scalar tier");
-      const double vs_scalar = eps / scalar_eps;
-      table.row({s.display_label(), fmt(s.m), fmt(n), fmt(trials),
-                 simd::isa_name(isa), fmt_meps(eps), fmt_ratio(vs_scalar)});
-      json.write(api::Row{}
-                     .add("workload", s.display_label())
-                     .add("m", s.m)
-                     .add("n", n)
-                     .add("trials", trials)
-                     .add("isa", simd::isa_name(isa))
-                     .add("block_elements_per_sec", eps)
-                     .add("vs_scalar", vs_scalar)
-                     .add("cross_check", "pass"));
-    }
-    simd::refresh_active_isa();
-  }
-  table.print(std::cout);
-  json.close();
-  std::cerr << "wrote BENCH_engine_isa.json\n";
-  return 0;
-}
-
 }  // namespace
 }  // namespace osp
 
-int main(int argc, char** argv) {
+int main() {
   using namespace osp;
-  if (argc > 1 && std::strcmp(argv[1], "--isa-sweep") == 0)
-    return run_isa_sweep();
   bench::banner(
       "E9 / engine throughput (flat + block engines vs seed engine)",
       "Elements/sec of randPr trials: seed on_element path vs the "
@@ -272,12 +165,11 @@ int main(int argc, char** argv) {
       "modes produce identical outcomes.");
 
   const std::size_t threads = engine::shared_runner().num_threads();
-  std::cout << "batch runner threads: " << threads << "\n"
-            << "block kernel isa: " << simd::isa_selection_note() << "\n\n";
+  std::cout << "batch runner threads: " << threads << "\n\n";
 
   Table table({"workload", "m", "n", "trials", "seed el/s", "flat el/s",
                "block el/s", "batch el/s", "flat/seed", "block/flat",
-               "simd/scalar", "batch/seed"});
+               "batch/seed"});
   api::JsonSink json("engine", bench::session().threads());
 
   WorkloadResult largest;
@@ -292,8 +184,6 @@ int main(int argc, char** argv) {
         r.block.elements_per_sec / r.seed.elements_per_sec;
     double block_vs_flat =
         r.block.elements_per_sec / r.flat.elements_per_sec;
-    double simd_vs_scalar =
-        r.block.elements_per_sec / r.block_scalar.elements_per_sec;
     double batch_speedup = r.batch.elements_per_sec / r.seed.elements_per_sec;
     table.row({r.label, fmt(r.m), fmt(r.n), fmt(r.trials),
                fmt_meps(r.seed.elements_per_sec),
@@ -301,23 +191,19 @@ int main(int argc, char** argv) {
                fmt_meps(r.block.elements_per_sec),
                fmt_meps(r.batch.elements_per_sec),
                fmt_ratio(flat_speedup), fmt_ratio(block_vs_flat),
-               fmt_ratio(simd_vs_scalar), fmt_ratio(batch_speedup)});
+               fmt_ratio(batch_speedup)});
     json.write(api::Row{}
                    .add("workload", r.label)
                    .add("m", r.m)
                    .add("n", r.n)
                    .add("trials", r.trials)
-                   .add("isa", simd::active_isa_name())
                    .add("seed_elements_per_sec", r.seed.elements_per_sec)
                    .add("flat_elements_per_sec", r.flat.elements_per_sec)
                    .add("block_elements_per_sec", r.block.elements_per_sec)
-                   .add("block_scalar_elements_per_sec",
-                        r.block_scalar.elements_per_sec)
                    .add("batch_elements_per_sec", r.batch.elements_per_sec)
                    .add("flat_speedup", flat_speedup)
                    .add("block_speedup", block_speedup)
                    .add("block_vs_flat", block_vs_flat)
-                   .add("simd_vs_scalar", simd_vs_scalar)
                    .add("batch_speedup", batch_speedup));
   }
   table.print(std::cout);
@@ -326,8 +212,6 @@ int main(int argc, char** argv) {
       largest.batch.elements_per_sec / largest.seed.elements_per_sec;
   const double final_block_vs_flat =
       largest.block.elements_per_sec / largest.flat.elements_per_sec;
-  const double final_simd_vs_scalar =
-      largest.block.elements_per_sec / largest.block_scalar.elements_per_sec;
   std::cout << "\nlargest workload (" << largest.label
             << "): batch engine is " << fmt_ratio(final_speedup)
             << " the seed path ("
@@ -342,11 +226,6 @@ int main(int argc, char** argv) {
             << fmt_meps(largest.flat.elements_per_sec)
             << " elements/sec); target >= 1.3x: "
             << (final_block_vs_flat >= 1.3 ? "MET" : "NOT MET") << "\n";
-  std::cout << "largest workload " << simd::active_isa_name()
-            << " kernel vs scalar tier: " << fmt_ratio(final_simd_vs_scalar)
-            << " (" << fmt_meps(largest.block.elements_per_sec) << " vs "
-            << fmt_meps(largest.block_scalar.elements_per_sec)
-            << " elements/sec)\n";
   if (threads == 1 && final_speedup < 5.0)
     std::cout << "note: single hardware thread — the batch multiplier is "
                  "1x here; the flat/seed column is the per-core gain and "
@@ -359,8 +238,6 @@ int main(int argc, char** argv) {
           .add("m", largest.m)
           .add("n", largest.n)
           .add("threads", threads)
-          .add("isa", simd::active_isa_name())
-          .add("simd_vs_scalar", final_simd_vs_scalar)
           .add("flat_speedup_vs_seed",
                largest.flat.elements_per_sec / largest.seed.elements_per_sec)
           .add("block_speedup_vs_seed",

@@ -41,7 +41,6 @@
 
 #include "api/ranker_registry.hpp"
 #include "bench_common.hpp"
-#include "core/cpu_features.hpp"
 #include "engine/batch_runner.hpp"
 #include "gen/traffic.hpp"
 #include "gen/video.hpp"
@@ -526,7 +525,6 @@ void throughput_section(api::JsonSink& json, bool smoke) {
           api::Row{}
               .add("sweep", "throughput")
               .add("path", path)
-              .add("isa", simd::active_isa_name())
               .add("buffer", buffer)
               .add("slots", slots)
               .add("packets", packets)

@@ -52,7 +52,6 @@
 #include "engine/batch_runner.hpp"
 #include "net/serve.hpp"
 #include "core/bounds.hpp"
-#include "core/cpu_features.hpp"
 #include "core/game.hpp"
 #include "core/io.hpp"
 #include "engine/trial.hpp"
@@ -750,9 +749,8 @@ int cmd_merge(const Args& args) {
 
 int cmd_version(const Args&) {
   // Perf artifacts from heterogeneous runners are only comparable when
-  // the build flavor, the CPU's capabilities, and the ISA the dispatcher
-  // actually picked are all on record; this prints the three in a stable
-  // `key: value` layout scripts can grep (check.sh parses isa.available).
+  // the build flavor is on record; this prints it in a stable
+  // `key: value` layout scripts can grep.
   std::cout << "osp_cli version\n";
 #if defined(__VERSION__)
   std::cout << "build.compiler: " << __VERSION__ << "\n";
@@ -781,20 +779,6 @@ int cmd_version(const Args&) {
 #else
   std::cout << "build.sanitizers: none\n";
 #endif
-
-  const simd::CpuFeatures& f = simd::detect_cpu_features();
-  std::cout << "cpu.sse2: " << (f.sse2 ? "yes" : "no") << "\n"
-            << "cpu.avx2: " << (f.avx2 ? "yes" : "no") << "\n"
-            << "cpu.neon: " << (f.neon ? "yes" : "no") << "\n";
-
-  std::string available;
-  for (simd::Isa isa : simd::available_isas()) {
-    if (!available.empty()) available += " ";
-    available += simd::isa_name(isa);
-  }
-  std::cout << "isa.available: " << available << "\n"
-            << "isa.active: " << simd::active_isa_name() << "\n"
-            << "isa.selection: " << simd::isa_selection_note() << "\n";
   return 0;
 }
 

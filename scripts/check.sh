@@ -20,7 +20,7 @@
 #      identically, re-passes the paper's-bounds gates, and the theorem3
 #      smoke grid shards/merges bit-identically;
 #   8. ASan/UBSan build of the engine-critical tests plus a sanitized
-#      `bench_router --smoke`, and the forced-ISA equivalence sweep;
+#      `bench_router --smoke`;
 #   9. TSan: a -DOSP_SANITIZE=thread build of the threaded suites
 #      (test_engine's 1/2/5-thread batch determinism, test_serve's
 #      workers-1/2/4 equivalence) and the sustained serving smoke at
@@ -75,7 +75,7 @@ if [[ "${mode}" == "quick" ]]; then
   echo "   - clang-tidy baseline (scripts/run_tidy.sh; or check.sh --tidy)"
   echo "   - examples smoke (osp_cli + quickstart)"
   echo "   - shard smoke (bench --shard / merge bit-identity)"
-  echo "   - ASan/UBSan suites + forced-ISA sweep + bench_router --smoke"
+  echo "   - ASan/UBSan suites + bench_router --smoke"
   echo "   - TSan threaded suites + sustained smoke"
   echo "== all quick checks passed =="
   exit 0
@@ -170,26 +170,8 @@ rm -f BENCH_advsmoke.json build/advsmoke_*.part build/advsmoke_merged.json
 echo
 echo "== sanitizers: ASan/UBSan build of fuzz + engine + queue tests =="
 cmake -B build-asan -S . -DOSP_SANITIZE=ON
-cmake --build build-asan -j "${jobs}" --target test_fuzz test_engine test_game test_instance test_rand_pr test_net test_queue test_serve test_simd bench_router
-(cd build-asan && ctest --output-on-failure -R 'test_(fuzz|engine|game|instance|rand_pr|net|queue|serve|simd)')
-
-echo
-echo "== sanitizers: forced-ISA decision equivalence smoke =="
-# Every ISA tier this CPU can run must produce identical decisions under
-# ASan/UBSan; the available set comes from the version subcommand so the
-# loop adapts to the host (scalar-only, x86, aarch64) automatically.
-isas="$(./build/osp_cli version | sed -n 's/^isa\.available: //p')"
-echo "available tiers: ${isas}"
-for isa in ${isas}; do
-  echo "-- OSP_FORCE_ISA=${isa}"
-  (cd build-asan && OSP_FORCE_ISA="${isa}" \
-    ctest --output-on-failure -R 'test_(simd|engine)' > /dev/null)
-done
-# Forcing an unknown ISA must fail loudly — never fall back silently.
-if OSP_FORCE_ISA=bogus ./build/osp_cli version > /dev/null 2>&1; then
-  echo "OSP_FORCE_ISA=bogus unexpectedly succeeded" >&2
-  exit 1
-fi
+cmake --build build-asan -j "${jobs}" --target test_fuzz test_engine test_game test_instance test_rand_pr test_net test_queue test_serve bench_router
+(cd build-asan && ctest --output-on-failure -R 'test_(fuzz|engine|game|instance|rand_pr|net|queue|serve)')
 
 echo
 echo "== sanitizers: bench_router --smoke (heap vs sort cross-check) =="

@@ -11,19 +11,14 @@ validates, with the standard library only:
     "results": [<object>, ...]} with a non-empty results array;
   * bench-specific invariants:
       - engine:  per-workload rows carry the mode throughputs and factors
-                 (seed/flat/block/block-scalar/batch elements-per-sec,
-                 flat_speedup, block_vs_flat, simd_vs_scalar,
-                 batch_speedup) plus the ISA tier the block kernel ran on;
-                 the block-vs-flat gate is checked PER ROW against a
-                 per-workload floor (the old single-gate-on-the-largest-
-                 workload check was blind to sigma-dependent regressions
-                 on the smaller shapes); the largest_summary row carries
-                 threads, the ISA, and the gate fields;
-      - engine_isa: one row per workload x ISA tier from
-                 `bench_perf --isa-sweep`, each with a passing cross_check
-                 and a scalar row to anchor vs_scalar;
-      - router:  "throughput" sweep rows carry speedup_vs_sort,
-                 cross_check, and the ISA tier; "sustained" rows (the
+                 (seed/flat/block/batch elements-per-sec, flat_speedup,
+                 block_vs_flat, batch_speedup); the block-vs-flat gate is
+                 checked PER ROW against a per-workload floor (the old
+                 single-gate-on-the-largest-workload check was blind to
+                 sigma-dependent regressions on the smaller shapes); the
+                 largest_summary row carries threads and the gate fields;
+      - router:  "throughput" sweep rows carry speedup_vs_sort and
+                 cross_check; "sustained" rows (the
                  multi-link serving runtime) carry the full steady-state
                  counter set — drop taxonomy summing to the drop total,
                  window-goodput aggregates, serve/drop latency
@@ -40,7 +35,6 @@ validates, with the standard library only:
                  tracking the t/ln t and ell^3/polylog envelopes; opt
                  never drops below the witness, lp_upper (when computed)
                  dominates opt, and the three summary rows all gate MET;
-  * ISA names are one of scalar/sse2/avx2/neon;
   * every numeric value is finite.
 
 Files beginning with the "osp-shard 1" magic are validated as sharded
@@ -68,25 +62,18 @@ import re
 import sys
 
 ENGINE_WORKLOAD_KEYS = (
-    "workload", "m", "n", "trials", "isa",
+    "workload", "m", "n", "trials",
     "seed_elements_per_sec", "flat_elements_per_sec",
-    "block_elements_per_sec", "block_scalar_elements_per_sec",
-    "batch_elements_per_sec",
-    "flat_speedup", "block_speedup", "block_vs_flat", "simd_vs_scalar",
-    "batch_speedup",
+    "block_elements_per_sec", "batch_elements_per_sec",
+    "flat_speedup", "block_speedup", "block_vs_flat", "batch_speedup",
 )
 ENGINE_SUMMARY_KEYS = (
-    "label", "threads", "isa", "flat_speedup_vs_seed",
-    "block_speedup_vs_seed", "block_vs_flat", "simd_vs_scalar",
-    "speedup_vs_seed",
-)
-ENGINE_ISA_KEYS = (
-    "workload", "m", "n", "trials", "isa",
-    "block_elements_per_sec", "vs_scalar", "cross_check",
+    "label", "threads", "flat_speedup_vs_seed",
+    "block_speedup_vs_seed", "block_vs_flat", "speedup_vs_seed",
 )
 ROUTER_THROUGHPUT_KEYS = (
     "path", "buffer", "slots", "packets", "seconds", "slots_per_sec",
-    "speedup_vs_sort", "cross_check", "isa",
+    "speedup_vs_sort", "cross_check",
 )
 ROUTER_SUSTAINED_KEYS = (
     "scenario", "ranker", "links", "workers", "streams", "service_rate",
@@ -116,18 +103,16 @@ ADVERSARIAL_SUMMARY_KEYS = (
     "det_ratio_min", "randpr_margin_min", "gate",
 )
 
-VALID_ISAS = ("scalar", "sse2", "avx2", "neon")
-
 # Per-workload floors for the block-vs-flat factor, sized ~30-40%% below
 # the values measured on the reference container so scheduler noise
-# cannot flap CI while a real kernel regression (or a silently-scalar
-# build) still trips them.  The old gate checked only the largest
-# workload, whose sigma~16 rows vectorize best -- a regression confined
-# to the small-sigma shapes was invisible.  Workloads not listed get
+# cannot flap CI while a real kernel regression still trips them.  The
+# old gate checked only the largest workload, whose sigma~16 rows gain
+# most from block batching -- a regression confined to the small-sigma
+# shapes was invisible.  Workloads not listed get
 # BLOCK_VS_FLAT_DEFAULT_FLOOR, which just catches "block path slower
 # than flat".
 BLOCK_VS_FLAT_FLOORS = {
-    # reference run (fused histogram + batched kernel): 1.37 / 1.75 /
+    # reference run (fused-histogram block kernel): 1.37 / 1.75 /
     # 1.65 / 2.07 / 2.11 / 2.22 in the order below
     "legacy/64": 1.0,
     "legacy/1024": 1.2,
@@ -186,12 +171,6 @@ def check_finite(path, value, context):
             check_finite(path, v, f"{context}[{i}]")
 
 
-def check_isa(path, row, context):
-    if row.get("isa") not in VALID_ISAS:
-        fail(path, f"{context} has unknown isa {row.get('isa')!r} "
-                   f"(valid: {', '.join(VALID_ISAS)})")
-
-
 def check_engine(path, results):
     summaries = [r for r in results if r.get("workload") == "largest_summary"]
     workloads = [r for r in results if r.get("workload") != "largest_summary"]
@@ -200,7 +179,6 @@ def check_engine(path, results):
     for row in workloads:
         context = f"workload row {row.get('workload')!r}"
         require_keys(path, row, ENGINE_WORKLOAD_KEYS, context)
-        check_isa(path, row, context)
         floor = BLOCK_VS_FLAT_FLOORS.get(row["workload"],
                                          BLOCK_VS_FLAT_DEFAULT_FLOOR)
         if row["block_vs_flat"] < floor:
@@ -211,32 +189,9 @@ def check_engine(path, results):
                    f"found {len(summaries)}")
     require_keys(path, summaries[0], ENGINE_SUMMARY_KEYS,
                  "largest_summary row")
-    check_isa(path, summaries[0], "largest_summary row")
     labels = {r["workload"] for r in workloads}
     if summaries[0]["label"] not in labels:
         fail(path, "largest_summary.label names no measured workload")
-
-
-def check_engine_isa(path, results):
-    by_workload = {}
-    for row in results:
-        context = (f"engine_isa row {row.get('workload')!r}"
-                   f"/{row.get('isa')!r}")
-        require_keys(path, row, ENGINE_ISA_KEYS, context)
-        check_isa(path, row, context)
-        if row["cross_check"] != "pass":
-            fail(path, f"{context} records a failed cross-tier cross_check")
-        by_workload.setdefault(row["workload"], []).append(row)
-    for workload, rows in by_workload.items():
-        isas = [r["isa"] for r in rows]
-        if len(set(isas)) != len(isas):
-            fail(path, f"workload {workload!r} lists a duplicate ISA row")
-        scalar = [r for r in rows if r["isa"] == "scalar"]
-        if len(scalar) != 1:
-            fail(path, f"workload {workload!r} has no scalar anchor row")
-        if abs(scalar[0]["vs_scalar"] - 1.0) > 1e-9:
-            fail(path, f"workload {workload!r}: scalar row's vs_scalar "
-                       f"is {scalar[0]['vs_scalar']!r}, expected 1.0")
 
 
 def check_router(path, results):
@@ -245,7 +200,6 @@ def check_router(path, results):
         fail(path, "router bench has no throughput sweep rows")
     for row in throughput:
         require_keys(path, row, ROUTER_THROUGHPUT_KEYS, "throughput row")
-        check_isa(path, row, "throughput row")
         if row["path"] not in ("sort", "heap"):
             fail(path, f"throughput row has unknown path {row['path']!r}")
         if not row["cross_check"]:
@@ -404,8 +358,8 @@ def check_adversarial(path, results):
                    f"{sorted(families)}")
 
 
-BENCH_CHECKS = {"engine": check_engine, "engine_isa": check_engine_isa,
-                "router": check_router, "adversarial": check_adversarial}
+BENCH_CHECKS = {"engine": check_engine, "router": check_router,
+                "adversarial": check_adversarial}
 
 
 def reject_constant(value):
@@ -570,7 +524,6 @@ def describe():
     print("  engine workload row keys: " + ", ".join(ENGINE_WORKLOAD_KEYS))
     print("  engine largest_summary row keys: "
           + ", ".join(ENGINE_SUMMARY_KEYS))
-    print("  engine_isa row keys: " + ", ".join(ENGINE_ISA_KEYS))
     print("  router throughput row keys: " + ", ".join(ROUTER_THROUGHPUT_KEYS))
     print("  router sustained row keys: " + ", ".join(ROUTER_SUSTAINED_KEYS))
     print("  router sustained_summary row keys: "
@@ -586,7 +539,6 @@ def describe():
     print("  lemma9 per-ell ratio floors (ell^3/polylog envelope):")
     for ell, floor in sorted(LEMMA9_RATIO_FLOORS.items()):
         print(f"    ell={ell}: >= {floor}")
-    print("  valid isa values: " + ", ".join(VALID_ISAS))
     print("  block_vs_flat per-workload floors "
           "(default %s):" % BLOCK_VS_FLAT_DEFAULT_FLOOR)
     for workload, floor in sorted(BLOCK_VS_FLAT_FLOORS.items()):

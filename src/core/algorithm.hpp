@@ -63,16 +63,11 @@ struct BlockScratch {
   std::vector<SetId> topk;
   std::uint32_t* got = nullptr;
   bool hist_applied = false;
-  // Workspace for the vector block kernel's deferred unit-capacity rows:
-  // (block row, output slot) pairs plus the per-row collision flags the
-  // batched kernel reports back.  Grow-only; unused on the scalar tier.
-  std::vector<std::uint32_t> unit_rows;
-  std::vector<std::uint8_t> row_coll;
 };
 
 /// Arrivals per decide_batch call when a block-stepped caller does not
-/// choose its own size: large enough to amortize the per-block dispatch
-/// and keep the kernel's inner loops streaming, small enough that a
+/// choose its own size: large enough to amortize the virtual call per
+/// block and keep the kernel's inner loop streaming, small enough that a
 /// block's packed choices and offsets stay L1-resident (measured best in
 /// the 1k-4k range on the router workloads; see bench_perf).
 inline constexpr std::size_t kDefaultDecideBlock = 2048;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "core/simd.hpp"
 #include "util/require.hpp"
 
 namespace osp {
@@ -59,8 +58,7 @@ namespace {
 /// drops to the exact (key, tie) order only when two ranks collide
 /// (quantization, or genuinely equal keys from boundary-clamped hashes).
 /// Because quantized_key_rank is monotone, the result IS the exact-order
-/// maximum of the row; the vector kernels in core/simd.hpp reproduce it
-/// bit for bit, rescanning through this loop on any rank collision.
+/// maximum of the row, bit-identical to top_by_priority_soa's.
 inline SetId exact_row_argmax(const SetId* c, std::size_t n,
                               const double* keys, const std::uint64_t* ties,
                               const std::uint32_t* qranks) {
@@ -91,23 +89,11 @@ void top_by_priority_soa_block(const ArrivalBlock& block, const double* keys,
   const std::size_t* off = block.offsets;
   const SetId* cands = block.candidates;
   const Capacity* caps = block.capacities;
-
-  // Dispatch is hoisted per block: one cached active_isa() read and one
-  // table lookup amortized over every row.  rowsfn == nullptr is the
-  // scalar tier, whose rows resolve inline below.  On vector tiers the
-  // unit-capacity rows long enough for the lane-parallel kernel are
-  // DEFERRED — recorded as (row, slot) pairs and resolved in one batched
-  // call after the walk — so the dispatch indirection costs one call per
-  // block instead of one per row (which at sigma ~16 candidates/row would
-  // eat the lane-parallel win whole).
-  const simd::UnitRowsFn rowsfn =
-      simd::unit_rank_argmax_rows_fn(simd::active_isa());
   std::uint32_t* const got = scratch.got;
 
   prepare_block_output(block, out);
 
   SetId* dst = out.ids.data();
-  scratch.unit_rows.clear();
   std::size_t written = 0;
   for (std::size_t i = 0; i < count; ++i) {
     const SetId* c = cands + off[i];
@@ -121,15 +107,9 @@ void top_by_priority_soa_block(const ArrivalBlock& block, const double* keys,
       // The hot row shape: a unit-capacity argmax over the record's
       // candidates.  The capacity dispatch is per row, so mixed-capacity
       // blocks still take this path for their unit-capacity records.
-      if (rowsfn != nullptr && n >= simd::kUnitArgmaxMinRow) {
-        scratch.unit_rows.push_back(static_cast<std::uint32_t>(i));
-        scratch.unit_rows.push_back(static_cast<std::uint32_t>(written));
-        ++written;  // slot reserved; filled by the batched kernel
-      } else {
-        const SetId best = exact_row_argmax(c, n, keys, ties, qranks);
-        dst[written++] = best;
-        if (got != nullptr) ++got[best];
-      }
+      const SetId best = exact_row_argmax(c, n, keys, ties, qranks);
+      dst[written++] = best;
+      if (got != nullptr) ++got[best];
     } else {
       const std::size_t chosen = top_by_priority_soa(
           c, n, keys, ties, cap, dst + written, scratch.topk);
@@ -139,28 +119,8 @@ void top_by_priority_soa_block(const ArrivalBlock& block, const double* keys,
     }
     out.offsets[i + 1] = static_cast<std::uint32_t>(written);
   }
-
-  if (!scratch.unit_rows.empty()) {
-    const std::size_t tasks = scratch.unit_rows.size() / 2;
-    scratch.row_coll.assign(tasks, 0);
-    rowsfn(cands, off, scratch.unit_rows.data(), tasks, qranks, dst,
-           scratch.row_coll.data());
-    // A reported rank collision (the row's max quantized rank may be
-    // shared) falls back to the exact scalar rescan, so decisions are
-    // bit-identical across every ISA tier.
-    for (std::size_t t = 0; t < tasks; ++t) {
-      const std::uint32_t slot = scratch.unit_rows[2 * t + 1];
-      if (scratch.row_coll[t]) {
-        const std::uint32_t row = scratch.unit_rows[2 * t];
-        dst[slot] = exact_row_argmax(cands + off[row],
-                                     off[row + 1] - off[row], keys, ties,
-                                     qranks);
-      }
-      if (got != nullptr) ++got[dst[slot]];
-    }
-  }
   // Fused segmented reduce complete: every chosen set's histogram slot
-  // was bumped in the same pass that wrote (or patched) its row.
+  // was bumped in the same pass that wrote its row.
   if (got != nullptr) scratch.hist_applied = true;
 }
 

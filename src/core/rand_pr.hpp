@@ -186,13 +186,12 @@ std::size_t top_by_priority_soa(const SetId* candidates, std::size_t n,
 /// Whole-block form of top_by_priority_soa: runs the same selection over
 /// every record of `block` in one pass, writing the CSR-shaped result into
 /// `out`.  `qranks` must hold quantized_key_rank(keys[s]) for every set.
-/// Unit-capacity rows run an argmax-only scan over the L1-resident u32
-/// ranks — lane-parallel via the vector kernel the runtime ISA dispatcher
-/// selected (core/simd.hpp, core/cpu_features.hpp), scalar otherwise —
-/// touching the exact (keys, ties) order only on rank collisions; general
-/// capacities run the per-record nth_element selection.  Decision-identical,
-/// record for record and on every ISA tier, to calling top_by_priority_soa
-/// per element (fuzzed in test_engine, forced-ISA variants included).
+/// Unit-capacity rows run a conditional-move argmax over the L1-resident
+/// u32 ranks, touching the exact (keys, ties) order only on rank
+/// collisions; general capacities run the per-record nth_element
+/// selection.  Decision-identical, record for record, to calling
+/// top_by_priority_soa per element (checked row by row in test_rand_pr
+/// and through the engines in test_engine).
 /// Participates in the fused-histogram channel: when scratch.got is set,
 /// every chosen set's counter is bumped in the writing pass and
 /// scratch.hist_applied is reported (see BlockScratch).

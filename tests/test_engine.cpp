@@ -11,12 +11,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
 #include <memory>
 
 #include "algos/baselines.hpp"
 #include "api/policy_registry.hpp"
-#include "core/cpu_features.hpp"
 #include "core/game.hpp"
 #include "core/priority.hpp"
 #include "core/rand_pr.hpp"
@@ -381,20 +379,51 @@ TEST(GoldenEquivalence, TopByPriorityMatchesPartialSortReference) {
 // ---------------------------------------------------------------------
 // Block-batched decisions: decide_batch vs the per-element decide path.
 
+/// Wider instances than fuzz_instance (k up to 24 candidates per element)
+/// so unit-capacity rows are long enough to hold several rank collisions.
+Instance wide_instance(std::size_t round, Rng& gen) {
+  const std::size_t m = 26 + gen.below(30);
+  const std::size_t n = 30 + gen.below(60);
+  const std::size_t k = std::vector<std::size_t>{2, 8, 17, 24}[round % 4];
+  const WeightModel wm =
+      round % 2 == 0 ? WeightModel::unit() : WeightModel::zipf(1.3);
+  return round % 2 == 0 ? random_instance(m, n, k, wm, gen)
+                        : random_capacity_instance(m, n, k, 3, wm, gen);
+}
+
 TEST(GoldenEquivalence, DecideBatchMatchesPerElementDecideForAllPolicies) {
   // The decide_batch contract: consuming a CSR arrival block must be
   // decision-identical to per-element decide() calls in arrival order —
   // proven here for every policy (block kernels and fallbacks alike), at
   // block sizes that split instances unevenly, including single-element
-  // blocks, with full decision traces compared.
+  // blocks, with full decision traces compared.  The last rounds use
+  // wide_instance rows, and the population adds a nearly-equal-keys hash
+  // whose quantized ranks collide while the exact keys differ, so the
+  // block kernel's exact (key, tie) fallback decides many rows.
+  std::vector<Maker> makers = all_policy_makers();
+  makers.push_back(
+      {"hashPr/nearly-equal", [](Rng) {
+         // Hash outputs 2^-50 apart: far below the u32 rank resolution
+         // (~2^-32 relative), so ranks collide while the doubles differ.
+         return std::make_unique<HashedRandPr>(
+             [](std::uint64_t key) {
+               return 0.5 + static_cast<double>(key % 64) * 0x1p-50;
+             },
+             "hashPr/nearly-equal");
+       }});
+
+  constexpr std::size_t kFuzzRounds = 16;
+  constexpr std::size_t kWideRounds = 6;
   Rng master(0xb10c);
   PlayScratch flat_scratch;
   PlayScratch block_scratch;  // deliberately shared across all runs
-  for (std::size_t round = 0; round < 16; ++round) {
+  for (std::size_t round = 0; round < kFuzzRounds + kWideRounds; ++round) {
     Rng gen = master.split(round);
-    Instance inst = fuzz_instance(round, gen);
+    Instance inst = round < kFuzzRounds
+                        ? fuzz_instance(round, gen)
+                        : wide_instance(round - kFuzzRounds, gen);
 
-    for (const Maker& mk : all_policy_makers()) {
+    for (const Maker& mk : makers) {
       for (std::size_t block_size :
            {std::size_t{1}, std::size_t{3}, std::size_t{64},
             inst.num_elements()}) {
@@ -416,88 +445,6 @@ TEST(GoldenEquivalence, DecideBatchMatchesPerElementDecideForAllPolicies) {
       }
     }
   }
-}
-
-TEST(GoldenEquivalence, DecideBatchIsaTiersMatchScalarForAllPolicies) {
-  // The dispatch contract of core/cpu_features.hpp: every ISA tier of
-  // the block kernel is decision-identical to the scalar path.  Each
-  // available ISA is forced exactly the way a fresh process would see it
-  // (OSP_FORCE_ISA in the environment, then the startup selection re-run)
-  // and swept over every policy × block sizes 1/3/64/whole, comparing
-  // outcomes AND full decision traces against the flat per-element
-  // engine.  Instances here are wider than the generic fuzz (k up to 24
-  // candidates per element) so rows actually reach the lane-parallel
-  // kernel, and the policy population includes hashPr/const — all keys
-  // equal, every comparison a rank collision — plus a nearly-equal-keys
-  // hash whose ranks collide while the exact keys differ, forcing the
-  // exact (key, tie) fallback on both of its flavors.
-  std::vector<Maker> makers = all_policy_makers();
-  makers.push_back(
-      {"hashPr/nearly-equal", [](Rng) {
-         // Hash outputs 2^-50 apart: far below the u32 rank resolution
-         // (~2^-32 relative), so quantized ranks collide in droves while
-         // the doubles stay distinct — the vector kernels must report
-         // the collision and the caller must rescan exactly.
-         return std::make_unique<HashedRandPr>(
-             [](std::uint64_t key) {
-               return 0.5 + static_cast<double>(key % 64) * 0x1p-50;
-             },
-             "hashPr/nearly-equal");
-       }});
-
-  const char* prev_force = std::getenv("OSP_FORCE_ISA");
-  const std::string saved = prev_force != nullptr ? prev_force : "";
-
-  Rng master(0x15a);
-  PlayScratch flat_scratch;
-  PlayScratch block_scratch;
-  for (std::size_t round = 0; round < 6; ++round) {
-    Rng gen = master.split(round);
-    const std::size_t m = 26 + gen.below(30);
-    const std::size_t n = 30 + gen.below(60);
-    const std::size_t k = std::vector<std::size_t>{2, 8, 17, 24}[round % 4];
-    const WeightModel wm =
-        round % 2 == 0 ? WeightModel::unit() : WeightModel::zipf(1.3);
-    Instance inst = round % 2 == 0
-                        ? random_instance(m, n, k, wm, gen)
-                        : random_capacity_instance(m, n, k, 3, wm, gen);
-
-    for (const Maker& mk : makers) {
-      // Scalar flat reference: the per-element path never dispatches, so
-      // one trace serves as the golden answer for every tier.
-      Rng seed_rng = master.split(9000 + round);
-      auto flat_alg = mk.make(seed_rng);
-      Recording flat_rec(*flat_alg);
-      Outcome flat = play_flat(inst, flat_rec, flat_scratch);
-
-      for (simd::Isa isa : simd::available_isas()) {
-        setenv("OSP_FORCE_ISA", simd::isa_name(isa), /*overwrite=*/1);
-        simd::refresh_active_isa();
-        ASSERT_EQ(simd::active_isa(), isa);
-
-        for (std::size_t block_size :
-             {std::size_t{1}, std::size_t{3}, std::size_t{64},
-              inst.num_elements()}) {
-          auto block_alg = mk.make(seed_rng);
-          Recording block_rec(*block_alg);
-          Outcome block =
-              play_flat_blocks(inst, block_rec, block_scratch, block_size);
-          const std::string what =
-              mk.label + " isa " + simd::isa_name(isa) + " round " +
-              std::to_string(round) + " block_size " +
-              std::to_string(block_size);
-          expect_same_outcome(flat, block, what);
-          EXPECT_EQ(flat_rec.trace, block_rec.trace) << what << " trace";
-        }
-      }
-    }
-  }
-
-  if (prev_force != nullptr)
-    setenv("OSP_FORCE_ISA", saved.c_str(), /*overwrite=*/1);
-  else
-    unsetenv("OSP_FORCE_ISA");
-  simd::refresh_active_isa();
 }
 
 TEST(DecideBatch, EmptyAndDegenerateBlocksMatchScalarAndDoNotAllocate) {

@@ -1,13 +1,17 @@
 // Tests for randPr: Lemma 1 (survival probability = w(S)/w(N[S])),
 // the Theorem 1 / Corollary 6 guarantees as statistical properties over
-// random instance families, and the hashed (distributed) variant.
+// random instance families, the hashed (distributed) variant, and the
+// block selection kernel against per-row selection.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "algos/offline.hpp"
 #include "core/bounds.hpp"
+#include "core/csr.hpp"
 #include "core/game.hpp"
+#include "core/priority.hpp"
 #include "core/rand_pr.hpp"
 #include "gen/random_instances.hpp"
 #include "stats/summary.hpp"
@@ -345,6 +349,122 @@ TEST(RandPr, FreshPrioritiesBreakConsistency) {
   }
   // Pr[win all 6 coin flips] = 2 * (1/2)^6 ≈ 0.031 per trial.
   EXPECT_LT(completions, trials / 10);
+}
+
+// ------------------------------------------------------------------
+// Block selection kernel
+
+/// Key spacing below the quantized rank's resolution: the rank keeps the
+/// top 32 bits of the order-preserving u64 image, so keys a few of these
+/// apart share a rank yet stay distinct doubles.
+constexpr double kSubRankStep = 0x1p-40;
+
+/// A random mixed-capacity arrival block over SoA priorities.
+struct BlockCase {
+  std::vector<Capacity> caps;
+  std::vector<std::size_t> offsets;
+  std::vector<SetId> cands;
+  std::vector<double> keys;
+  std::vector<std::uint64_t> ties;
+  std::vector<std::uint32_t> qranks;
+
+  ArrivalBlock block() const {
+    ArrivalBlock b;
+    b.first = 0;
+    b.count = caps.size();
+    b.capacities = caps.data();
+    b.candidates = cands.data();
+    b.offsets = offsets.data();
+    return b;
+  }
+};
+
+BlockCase random_block_case(Rng& rng, bool craft_collisions) {
+  BlockCase c;
+  const std::size_t num_sets = 32 + rng.below(256);
+  c.keys.resize(num_sets);
+  c.ties.resize(num_sets);
+  c.qranks.resize(num_sets);
+  for (SetId s = 0; s < num_sets; ++s) {
+    if (craft_collisions) {
+      // A handful of base keys, each shifted below rank resolution:
+      // equal ranks, distinct keys — the exact-fallback shape.
+      const double base = -1.0 - static_cast<double>(rng.below(4));
+      c.keys[s] = base - static_cast<double>(rng.below(16)) * kSubRankStep;
+    } else {
+      c.keys[s] = -1.0 - rng.uniform();
+    }
+    c.ties[s] = rng();
+    c.qranks[s] = quantized_key_rank(c.keys[s]);
+  }
+  const std::size_t count = 1 + rng.below(40);
+  c.offsets.push_back(0);
+  for (std::size_t i = 0; i < count; ++i) {
+    c.caps.push_back(static_cast<Capacity>(rng.below(4)));  // incl. cap 0
+    const std::size_t n = rng.below(30);                    // incl. empty rows
+    // Sorted distinct candidates, as the engine guarantees.
+    std::vector<bool> used(num_sets, false);
+    std::vector<SetId> row;
+    for (std::size_t j = 0; j < n; ++j) {
+      const SetId s = static_cast<SetId>(rng.below(num_sets));
+      if (!used[s]) {
+        used[s] = true;
+        row.push_back(s);
+      }
+    }
+    std::sort(row.begin(), row.end());
+    c.cands.insert(c.cands.end(), row.begin(), row.end());
+    c.offsets.push_back(c.cands.size());
+  }
+  return c;
+}
+
+TEST(BlockKernel, MatchesPerRowSelectionWithFusedHistogram) {
+  // The crafted cases below only exercise the exact fallback if their
+  // keys really share a rank while staying distinct.
+  ASSERT_EQ(quantized_key_rank(-1.0),
+            quantized_key_rank(-1.0 - 15 * kSubRankStep));
+  ASSERT_NE(-1.0, -1.0 - kSubRankStep);
+
+  Rng rng(77);
+  std::vector<SetId> expected;
+  std::vector<SetId> topk;
+  for (int it = 0; it < 300; ++it) {
+    const BlockCase c = random_block_case(rng, it % 3 == 0);
+    BlockScratch scratch;
+    std::vector<std::uint32_t> hist(c.keys.size(), 0);
+    scratch.got = hist.data();
+    BlockChoices out;
+    top_by_priority_soa_block(c.block(), c.keys.data(), c.ties.data(),
+                              c.qranks.data(), scratch, out);
+    EXPECT_TRUE(scratch.hist_applied);
+
+    // Row by row against the per-element selection, order included.
+    ASSERT_EQ(out.offsets.size(), c.caps.size() + 1);
+    for (std::size_t i = 0; i < c.caps.size(); ++i) {
+      const std::size_t n = c.offsets[i + 1] - c.offsets[i];
+      expected.resize(n);
+      expected.resize(top_by_priority_soa(
+          c.cands.data() + c.offsets[i], n, c.keys.data(), c.ties.data(),
+          c.caps[i], expected.data(), topk));
+      EXPECT_EQ(out.row(i).to_vector(), expected)
+          << "iteration " << it << " row " << i << " capacity " << c.caps[i];
+    }
+    // The fused histogram equals a recount over the written rows.
+    std::vector<std::uint32_t> recount(c.keys.size(), 0);
+    for (std::size_t j = 0; j < out.offsets.back(); ++j) ++recount[out.ids[j]];
+    EXPECT_EQ(hist, recount);
+  }
+}
+
+TEST(BlockKernel, HistogramChannelStaysOffWithoutOptIn) {
+  Rng rng(5);
+  const BlockCase c = random_block_case(rng, false);
+  BlockScratch scratch;  // got stays nullptr
+  BlockChoices out;
+  top_by_priority_soa_block(c.block(), c.keys.data(), c.ties.data(),
+                            c.qranks.data(), scratch, out);
+  EXPECT_FALSE(scratch.hist_applied);
 }
 
 }  // namespace
