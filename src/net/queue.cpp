@@ -10,23 +10,14 @@ void PacketQueue::reset(std::size_t num_frames) {
   evict_.clear();
   frame_.clear();
   rank_.clear();
-  seq_.clear();
+  key_.clear();
   free_.clear();
   dead_.assign(num_frames, 0);
   live_count_.assign(num_frames, 0);
   stale_ = 0;
 }
 
-void PacketQueue::reserve(std::size_t packets) {
-  frame_.reserve(packets);
-  rank_.reserve(packets);
-  seq_.reserve(packets);
-  free_.reserve(packets);
-  serve_.reserve(packets);
-  evict_.reserve(packets);
-}
-
-std::uint32_t PacketQueue::push(SetId frame, double rank, std::uint64_t seq) {
+void PacketQueue::push(SetId frame, double rank, std::uint64_t key) {
   OSP_REQUIRE_MSG(frame < dead_.size(), "unknown frame " << frame);
   std::uint32_t id;
   if (!free_.empty()) {
@@ -34,12 +25,12 @@ std::uint32_t PacketQueue::push(SetId frame, double rank, std::uint64_t seq) {
     free_.pop_back();
     frame_[id] = frame;
     rank_[id] = rank;
-    seq_[id] = seq;
+    key_[id] = key;
   } else {
     id = static_cast<std::uint32_t>(frame_.size());
     frame_.push_back(frame);
     rank_.push_back(rank);
-    seq_.push_back(seq);
+    key_.push_back(key);
   }
   serve_.push(id);
   evict_.push(id);
@@ -48,17 +39,16 @@ std::uint32_t PacketQueue::push(SetId frame, double rank, std::uint64_t seq) {
   } else {
     ++live_count_[frame];
   }
-  return id;
 }
 
 template <class Primary, class Secondary>
 bool PacketQueue::pop_from(Primary& primary, Secondary& secondary,
-                           SetId* frame, std::uint64_t* seq) {
+                           SetId* frame, std::uint64_t* key) {
   while (!primary.empty()) {
     const std::uint32_t id = primary.pop();
     secondary.erase(id);
     const SetId f = frame_[id];
-    const std::uint64_t s = seq_[id];
+    const std::uint64_t k = key_[id];
     release(id);
     if (dead_[f]) {  // lazy deletion: already written off by kill_frame
       --stale_;
@@ -66,18 +56,18 @@ bool PacketQueue::pop_from(Primary& primary, Secondary& secondary,
     }
     --live_count_[f];
     *frame = f;
-    if (seq != nullptr) *seq = s;
+    if (key != nullptr) *key = k;
     return true;
   }
   return false;
 }
 
-bool PacketQueue::pop_best(SetId* frame, std::uint64_t* seq) {
-  return pop_from(serve_, evict_, frame, seq);
+bool PacketQueue::pop_best(SetId* frame, std::uint64_t* key) {
+  return pop_from(serve_, evict_, frame, key);
 }
 
-bool PacketQueue::pop_worst(SetId* frame, std::uint64_t* seq) {
-  return pop_from(evict_, serve_, frame, seq);
+bool PacketQueue::pop_worst(SetId* frame, std::uint64_t* key) {
+  return pop_from(evict_, serve_, frame, key);
 }
 
 std::size_t PacketQueue::kill_frame(SetId frame) {
@@ -88,14 +78,6 @@ std::size_t PacketQueue::kill_frame(SetId frame) {
   live_count_[frame] = 0;
   stale_ += queued;
   return queued;
-}
-
-void PacketQueue::update_rank(std::uint32_t handle, double rank) {
-  OSP_REQUIRE_MSG(serve_.contains(handle),
-                  "updating absent packet handle " << handle);
-  rank_[handle] = rank;
-  serve_.update(handle);
-  evict_.update(handle);
 }
 
 }  // namespace osp

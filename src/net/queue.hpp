@@ -5,26 +5,29 @@
 // O((arrivals + served + dropped) · log Q):
 //
 //   * IndexedDaryHeap — a position-indexed d-ary heap over small integer
-//     entry ids.  The position index is what turns the classic heap into a
-//     mutable one: erase-by-id and re-sift after an external key change
-//     (decrease-key / increase-key) are O(d·log_d n) instead of O(n).
-//     Keys live outside the heap (structure-of-arrays), so sift moves are
+//     entry ids.  The position index is what makes erase-by-id O(d·log_d n)
+//     instead of O(n), so one entry can sit in two heaps at once.  Keys
+//     live outside the heap (structure-of-arrays), so sift moves are
 //     4-byte id shuffles.
 //
 //   * PacketQueue — the router's double-ended queue of waiting packets,
 //     built from two IndexedDaryHeaps over one slot pool: a serve heap
-//     ordered (rank desc, seq asc) — who gets the link next — and an evict
-//     heap ordered (rank asc, seq desc) — who is pushed out when the
-//     buffer overflows.  Killing a frame is O(1): packets of dead frames
-//     are deleted lazily, i.e. counted out of live_size() immediately but
-//     physically discarded only when a pop meets them, so a frame death
-//     never walks the heap.  All storage is reused across reset() calls,
-//     making repeated router trials allocation-free in steady state.
+//     ordered (rank desc, key asc) — who gets the link next — and an evict
+//     heap ordered (rank asc, key desc) — who is pushed out when the
+//     buffer overflows.  The key is the FIFO tie-break: any value unique
+//     among the queue's packets that grows with arrival order (the
+//     buffered router passes the global arrival index, the sustained
+//     runtime the link's (arrival slot, link-local frame id) pair).
+//     Killing a frame is O(1): packets of dead frames are deleted lazily,
+//     i.e. counted out of live_size() immediately but physically discarded
+//     only when a pop meets them, so a frame death never walks the heap.
+//     All storage is reused across reset() calls, making repeated router
+//     trials allocation-free in steady state.
 //
-// The (live, rank, seq) key of the router's service order is represented
-// as rank/seq in the heaps plus the lazy dead marking: a dead packet is
-// by definition below every live packet, and the lazy skip realizes
-// exactly that order without re-keying.
+// The (live, rank, key) order of the router's service is represented as
+// rank/key in the heaps plus the lazy dead marking: a dead packet is by
+// definition below every live packet, and the lazy skip realizes exactly
+// that order without re-keying.
 #pragma once
 
 #include <algorithm>
@@ -54,11 +57,6 @@ class IndexedDaryHeap {
 
   std::size_t size() const { return heap_.size(); }
   bool empty() const { return heap_.empty(); }
-
-  void reserve(std::size_t n) {
-    heap_.reserve(n);
-    pos_.reserve(n);
-  }
 
   /// Forgets every entry (O(size)); keeps allocated storage.
   void clear() {
@@ -96,14 +94,6 @@ class IndexedDaryHeap {
   void erase(std::uint32_t id) {
     OSP_REQUIRE_MSG(contains(id), "erasing absent heap entry " << id);
     remove_at(pos_[id]);
-  }
-
-  /// Restores the heap property after the caller changed id's key in
-  /// either direction (decrease-key / increase-key).  O(d·log_d n).
-  void update(std::uint32_t id) {
-    OSP_REQUIRE_MSG(contains(id), "updating absent heap entry " << id);
-    std::size_t i = pos_[id];
-    if (!sift_up(i)) sift_down(pos_[id]);
   }
 
  private:
@@ -175,9 +165,6 @@ class PacketQueue {
   /// allocated storage.
   void reset(std::size_t num_frames);
 
-  /// Pre-sizes internal storage for an expected peak packet population.
-  void reserve(std::size_t packets);
-
   /// Packets whose frame is still live (dead packets awaiting lazy
   /// deletion are already counted out).
   std::size_t live_size() const { return serve_.size() - stale_; }
@@ -187,26 +174,22 @@ class PacketQueue {
 
   bool is_dead(SetId frame) const { return dead_[frame] != 0; }
 
-  /// Enqueues a packet; returns its handle (stable until the packet is
-  /// popped or lazily discarded).  O(log Q).
-  std::uint32_t push(SetId frame, double rank, std::uint64_t seq);
+  /// Enqueues a packet of `frame` with FIFO key `key` (unique among the
+  /// queued packets; smaller = earlier).  O(log Q).
+  void push(SetId frame, double rank, std::uint64_t key);
 
-  /// Pops the highest-priority live packet — (rank desc, seq asc) — into
-  /// *frame/*seq; false when no live packet remains.  Dead packets met on
+  /// Pops the highest-priority live packet — (rank desc, key asc) — into
+  /// *frame/*key; false when no live packet remains.  Dead packets met on
   /// the way are discarded without being reported (their drop was already
   /// accounted when their frame died).  Amortized O(log Q).
-  bool pop_best(SetId* frame, std::uint64_t* seq = nullptr);
+  bool pop_best(SetId* frame, std::uint64_t* key = nullptr);
 
-  /// Pops the lowest-priority live packet — (rank asc, seq desc).
-  bool pop_worst(SetId* frame, std::uint64_t* seq = nullptr);
+  /// Pops the lowest-priority live packet — (rank asc, key desc).
+  bool pop_worst(SetId* frame, std::uint64_t* key = nullptr);
 
   /// Marks a frame dead; its queued packets become lazily deleted.
   /// Returns how many queued packets were newly written off.  O(1).
   std::size_t kill_frame(SetId frame);
-
-  /// Re-keys a queued packet (decrease- or increase-key) after a rank
-  /// change.  O(log Q).
-  void update_rank(std::uint32_t handle, double rank);
 
  private:
   // Comparators index the queue's key arrays, so heaps stay id-only.
@@ -214,29 +197,29 @@ class PacketQueue {
     const PacketQueue* q;
     bool operator()(std::uint32_t a, std::uint32_t b) const {
       if (q->rank_[a] != q->rank_[b]) return q->rank_[a] > q->rank_[b];
-      return q->seq_[a] < q->seq_[b];
+      return q->key_[a] < q->key_[b];
     }
   };
   struct EvictOrder {
     const PacketQueue* q;
     bool operator()(std::uint32_t a, std::uint32_t b) const {
       if (q->rank_[a] != q->rank_[b]) return q->rank_[a] < q->rank_[b];
-      return q->seq_[a] > q->seq_[b];
+      return q->key_[a] > q->key_[b];
     }
   };
 
   // Pops from `primary`, erases from `secondary`, skipping stale entries.
   template <class Primary, class Secondary>
   bool pop_from(Primary& primary, Secondary& secondary, SetId* frame,
-                std::uint64_t* seq);
+                std::uint64_t* key);
 
   void release(std::uint32_t id) { free_.push_back(id); }
 
-  // Packet slot pool, structure-of-arrays; indexed by handle.
+  // Packet slot pool, structure-of-arrays; indexed by pool id.
   std::vector<SetId> frame_;
   std::vector<double> rank_;
-  std::vector<std::uint64_t> seq_;
-  std::vector<std::uint32_t> free_;  // recycled handles
+  std::vector<std::uint64_t> key_;
+  std::vector<std::uint32_t> free_;  // recycled pool ids
 
   IndexedDaryHeap<ServeOrder> serve_;
   IndexedDaryHeap<EvictOrder> evict_;

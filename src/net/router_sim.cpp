@@ -8,8 +8,6 @@
 
 namespace osp {
 
-namespace {
-
 void frame_metas(const FrameSchedule& schedule, std::vector<SetMeta>& metas) {
   metas.clear();
   metas.reserve(schedule.frames.size());
@@ -23,38 +21,18 @@ std::vector<SetMeta> frame_metas(const FrameSchedule& schedule) {
   return metas;
 }
 
-// Packs every slot's arrival burst into one CSR row (ascending frame id,
-// matching arrival order): a counting pass sizes the rows in place, then a
-// scatter pass fills them — two contiguous sweeps, no per-slot vectors,
-// and zero allocations when the scratch is warm.
 void build_slot_frames(const FrameSchedule& schedule,
                        CsrArray<SetId>& slot_frames,
-                       std::vector<std::size_t>& sizes,
-                       std::vector<std::size_t>& fill) {
-  sizes.assign(schedule.horizon, 0);
+                       std::vector<std::size_t>& cursor) {
+  cursor.assign(schedule.horizon, 0);
   for (const Frame& f : schedule.frames)
-    for (std::size_t slot : f.packet_slots) ++sizes[slot];
-  slot_frames.assign_sizes(sizes.data(), sizes.size());
-  fill.assign(schedule.horizon, 0);
+    for (std::size_t slot : f.packet_slots) ++cursor[slot];
+  slot_frames.assign_sizes(cursor.data(), cursor.size());
+  std::fill(cursor.begin(), cursor.end(), 0);
   for (std::size_t fi = 0; fi < schedule.frames.size(); ++fi)
     for (std::size_t slot : schedule.frames[fi].packet_slots)
-      slot_frames.mutable_row(slot)[fill[slot]++] = static_cast<SetId>(fi);
+      slot_frames.mutable_row(slot)[cursor[slot]++] = static_cast<SetId>(fi);
 }
-
-void tally_frames(const FrameSchedule& schedule,
-                  const std::vector<std::size_t>& served_per_frame,
-                  RouterStats& stats) {
-  stats.frames_total = schedule.frames.size();
-  for (std::size_t fi = 0; fi < schedule.frames.size(); ++fi) {
-    stats.value_total += schedule.frames[fi].weight;
-    if (served_per_frame[fi] == schedule.frames[fi].packet_slots.size()) {
-      ++stats.frames_delivered;
-      stats.value_delivered += schedule.frames[fi].weight;
-    }
-  }
-}
-
-}  // namespace
 
 RouterStats simulate_router(const FrameSchedule& schedule,
                             OnlineAlgorithm& alg, Capacity service_rate) {
@@ -122,7 +100,7 @@ RouterStats simulate_router(const FrameSchedule& schedule,
       stats.packets_dropped += burst.size() - n;
     }
   }
-  tally_frames(schedule, served, stats);
+  tally_frames(schedule, [&](std::size_t fi) { return served[fi]; }, stats);
   return stats;
 }
 
@@ -159,7 +137,7 @@ RouterStats simulate_buffered_router(const FrameSchedule& schedule,
   BufferedRouterScratch& s = scratch != nullptr ? *scratch : local;
   frame_metas(schedule, s.metas);
   ranker.start(s.metas);
-  build_slot_frames(schedule, s.slot_frames, s.burst_sizes, s.fill);
+  build_slot_frames(schedule, s.slot_frames, s.cursor);
   s.served.assign(schedule.frames.size(), 0);
   PacketQueue& queue = s.queue;
   queue.reset(schedule.frames.size());
@@ -210,7 +188,8 @@ RouterStats simulate_buffered_router(const FrameSchedule& schedule,
   // (lazily deleted ones were already counted when their frame died).
   stats.packets_dropped += queue.live_size();
 
-  tally_frames(schedule, s.served, stats);
+  tally_frames(schedule, [&](std::size_t fi) { return s.served[fi]; },
+               stats);
   return stats;
 }
 
@@ -223,8 +202,8 @@ RouterStats simulate_buffered_router_reference(
   ranker.start(frame_metas(schedule));
 
   CsrArray<SetId> slot_frames;
-  std::vector<std::size_t> sizes, fill;
-  build_slot_frames(schedule, slot_frames, sizes, fill);
+  std::vector<std::size_t> cursor;
+  build_slot_frames(schedule, slot_frames, cursor);
 
   struct QueuedPacket {
     SetId frame;
@@ -294,7 +273,7 @@ RouterStats simulate_buffered_router_reference(
   stats.packets_dropped += queue.size();
   queue.clear();
 
-  tally_frames(schedule, served, stats);
+  tally_frames(schedule, [&](std::size_t fi) { return served[fi]; }, stats);
   return stats;
 }
 

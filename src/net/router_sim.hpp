@@ -153,6 +153,41 @@ struct RouterTrace {
   std::vector<Served> served;
 };
 
+// Schedule helpers shared by the buffered router, its reference and the
+// sustained runtime.
+
+/// Each frame's (weight, packet count) in frame id order: what
+/// FrameRanker::start takes.  The in-place form reuses `metas`' storage.
+void frame_metas(const FrameSchedule& schedule, std::vector<SetMeta>& metas);
+std::vector<SetMeta> frame_metas(const FrameSchedule& schedule);
+
+/// Packs every slot's arrival burst into one CSR row in ascending frame id
+/// — the canonical arrival order, so the packet of frame f in slot t has
+/// global seq offsets()[t] + (position of f in row t).  A counting pass
+/// sizes the rows, a scatter pass fills them; `cursor` is scratch, and
+/// warm storage makes the build allocation-free.
+void build_slot_frames(const FrameSchedule& schedule,
+                       CsrArray<SetId>& slot_frames,
+                       std::vector<std::size_t>& cursor);
+
+/// Adds the frame totals to `stats`: frames_total, value_total, and the
+/// frames (and value) delivered intact.  served(fi) is the number of frame
+/// fi's packets served; it is called once per frame, in ascending frame
+/// id, which is also the order the weights are summed in.
+template <class ServedOf>
+void tally_frames(const FrameSchedule& schedule, ServedOf&& served,
+                  RouterStats& stats) {
+  stats.frames_total = schedule.frames.size();
+  for (std::size_t fi = 0; fi < schedule.frames.size(); ++fi) {
+    const Frame& f = schedule.frames[fi];
+    stats.value_total += f.weight;
+    if (served(fi) == f.packet_slots.size()) {
+      ++stats.frames_delivered;
+      stats.value_delivered += f.weight;
+    }
+  }
+}
+
 /// Reusable working state for simulate_buffered_router; pass the same
 /// scratch to successive runs (one per worker thread) and the steady
 /// state performs no heap allocations.  Per-slot arrival bursts are
@@ -161,8 +196,7 @@ struct RouterTrace {
 struct BufferedRouterScratch {
   PacketQueue queue;
   CsrArray<SetId> slot_frames;          // row = slot's burst, ascending ids
-  std::vector<std::size_t> burst_sizes; // counting-pass scratch
-  std::vector<std::size_t> fill;        // scatter-pass cursors
+  std::vector<std::size_t> cursor;      // build_slot_frames scratch
   std::vector<SetMeta> metas;
   std::vector<std::size_t> served;
 };

@@ -15,113 +15,127 @@ namespace osp {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Serial precompute: everything that consumes randomness or assigns global
-// identifiers happens here, before any worker exists, so the parallel phase
-// is a pure function of this structure.
+// Input checks and the per-run figures both implementations derive the
+// same way before slot 0.
 
-struct PacketArrival {
-  SetId frame = 0;
-  std::uint64_t seq = 0;  // global arrival index, canonical order
+// Frame -> stream; an empty map makes every frame its own stream.
+struct StreamMap {
+  const std::vector<std::size_t>& ids;
+  std::size_t operator()(std::size_t frame) const {
+    return ids.empty() ? frame : ids[frame];
+  }
 };
 
-struct Prepared {
-  std::vector<SetMeta> metas;
-  std::vector<std::size_t> stream_of;       // frame -> stream (resolved)
-  std::vector<std::size_t> link_of_frame;   // frame -> link
-  std::vector<std::vector<std::size_t>> link_streams;  // link -> its streams
-  std::vector<CsrArray<PacketArrival>> arrivals;  // per link, one row per slot
-  std::vector<std::uint32_t> arrival_slot;  // seq -> slot
-  std::vector<double> window_offered;       // per window
+struct RunShape {
   std::size_t num_streams = 0;
-  std::size_t num_windows = 0;
+  std::vector<double> window_offered;  // per window
 };
 
-Prepared prepare(const FrameSchedule& schedule,
-                 const std::vector<std::size_t>& stream_of,
-                 const ServeSpec& spec) {
+RunShape check_inputs(const FrameSchedule& schedule, const StreamMap& stream,
+                      const ServeSpec& spec) {
   OSP_REQUIRE(spec.links >= 1);
   OSP_REQUIRE(spec.service_rate >= 1);
   OSP_REQUIRE(spec.workers >= 1);
   OSP_REQUIRE(spec.window >= 1);
   schedule.validate();
   const std::size_t num_frames = schedule.frames.size();
-  OSP_REQUIRE_MSG(stream_of.empty() || stream_of.size() == num_frames,
+  OSP_REQUIRE_MSG(stream.ids.empty() || stream.ids.size() == num_frames,
                   "stream_of must be empty or map every frame");
 
-  Prepared prep;
-  prep.metas.reserve(num_frames);
-  for (const Frame& f : schedule.frames) {
-    OSP_REQUIRE_MSG(!f.packet_slots.empty(),
-                    "sustained serving requires every frame to carry a packet");
-    prep.metas.push_back(SetMeta{f.weight, f.packet_slots.size()});
-  }
-
-  // Resolve streams (identity when unspecified) and the static
-  // stream -> link partition.
-  prep.stream_of.resize(num_frames);
+  RunShape shape;
   for (std::size_t f = 0; f < num_frames; ++f) {
-    const std::size_t s = stream_of.empty() ? f : stream_of[f];
+    OSP_REQUIRE_MSG(!schedule.frames[f].packet_slots.empty(),
+                    "sustained serving requires every frame to carry a packet");
+    const std::size_t s = stream(f);
     OSP_REQUIRE_MSG(s < num_frames, "stream id " << s << " out of range");
-    prep.stream_of[f] = s;
-    prep.num_streams = std::max(prep.num_streams, s + 1);
-  }
-  prep.link_of_frame.resize(num_frames);
-  for (std::size_t f = 0; f < num_frames; ++f)
-    prep.link_of_frame[f] = prep.stream_of[f] % spec.links;
-  prep.link_streams.resize(spec.links);
-  for (std::size_t s = 0; s < prep.num_streams; ++s)
-    prep.link_streams[s % spec.links].push_back(s);
-
-  // Global canonical arrival order: slot-major, frame id ascending within
-  // a slot — exactly the order the single-link buffered router assigns
-  // seqs in (build_slot_frames in router_sim.cpp), so a links=1 run is
-  // packet-for-packet the same process.
-  const std::size_t horizon = schedule.horizon;
-  CsrArray<SetId> slot_frames;
-  {
-    std::vector<std::size_t> sizes(horizon, 0);
-    for (const Frame& f : schedule.frames)
-      for (std::size_t slot : f.packet_slots) ++sizes[slot];
-    slot_frames.assign_sizes(sizes.data(), sizes.size());
-    std::vector<std::size_t> fill(horizon, 0);
-    for (std::size_t fi = 0; fi < num_frames; ++fi)
-      for (std::size_t slot : schedule.frames[fi].packet_slots)
-        slot_frames.mutable_row(slot)[fill[slot]++] = static_cast<SetId>(fi);
-  }
-
-  // Scatter the canonical stream into per-link arrival CSRs, tagging each
-  // packet with its global seq and remembering its arrival slot.
-  prep.arrivals.resize(spec.links);
-  {
-    std::vector<std::vector<std::size_t>> sizes(
-        spec.links, std::vector<std::size_t>(horizon, 0));
-    for (std::size_t fi = 0; fi < num_frames; ++fi)
-      for (std::size_t slot : schedule.frames[fi].packet_slots)
-        ++sizes[prep.link_of_frame[fi]][slot];
-    for (std::size_t l = 0; l < spec.links; ++l)
-      prep.arrivals[l].assign_sizes(sizes[l].data(), sizes[l].size());
-    std::vector<std::vector<std::size_t>> fill(
-        spec.links, std::vector<std::size_t>(horizon, 0));
-    prep.arrival_slot.resize(schedule.total_packets());
-    std::uint64_t seq = 0;
-    for (std::size_t slot = 0; slot < horizon; ++slot)
-      for (SetId f : slot_frames.row(slot)) {
-        const std::size_t l = prep.link_of_frame[f];
-        prep.arrivals[l].mutable_row(slot)[fill[l][slot]++] =
-            PacketArrival{f, seq};
-        prep.arrival_slot[seq] = static_cast<std::uint32_t>(slot);
-        ++seq;
-      }
+    shape.num_streams = std::max(shape.num_streams, s + 1);
   }
 
   // Offered value per window: a frame is offered in the window its last
   // packet arrives in (the earliest slot it could complete).
-  prep.num_windows = (horizon + spec.window - 1) / spec.window;
-  prep.window_offered.assign(prep.num_windows, 0.0);
-  for (std::size_t fi = 0; fi < num_frames; ++fi)
-    prep.window_offered[schedule.frames[fi].packet_slots.back() /
-                        spec.window] += schedule.frames[fi].weight;
-  return prep;
+  shape.window_offered.assign(
+      (schedule.horizon + spec.window - 1) / spec.window, 0.0);
+  for (const Frame& f : schedule.frames)
+    shape.window_offered[f.packet_slots.back() / spec.window] += f.weight;
+  return shape;
+}
+
+// ---------------------------------------------------------------------------
+// The runtime's set-up: link-owned arrival rows.  Each link renumbers its
+// frames 0.. in ascending global frame id and gets one row per slot of the
+// link-local ids arriving there, so the only per-packet state is a 4-byte
+// row entry and a worker reads only its own links' rows.
+//
+// A frame has at most one packet per slot, so (arrival slot, local id)
+// names a packet uniquely, and because local ids ascend with global ids it
+// orders a link's packets exactly as the canonical (slot, global frame id)
+// arrival order does.  It is therefore the queue's FIFO key: every
+// tie-break, and so every decision, is the one a global seq would give.
+
+struct LinkState {
+  std::vector<SetId> frames;          // local id -> global frame id
+  CsrArray<SetId> arrivals;           // slot -> local ids, ascending
+  std::vector<std::uint32_t> served;  // local id -> packets served
+  PacketQueue queue;                  // frames by local id, packet_key keys
+};
+
+std::uint64_t packet_key(std::size_t slot, SetId local) {
+  return std::uint64_t{slot} << 32 | local;
+}
+
+std::size_t arrival_slot(std::uint64_t key) {
+  return static_cast<std::size_t>(key >> 32);
+}
+
+// One counting pass sizes every link's rows; one scatter pass in ascending
+// global frame id assigns the local ids and fills the rows in order.
+void build_links(const FrameSchedule& schedule, const StreamMap& stream,
+                 std::vector<LinkState>& links) {
+  const std::size_t K = links.size();
+  const std::size_t H = schedule.horizon;
+  OSP_REQUIRE_MSG(H <= (std::uint64_t{1} << 32) &&
+                      schedule.frames.size() <= (std::uint64_t{1} << 32),
+                  "sustained serving keys packets by 32-bit slot and frame");
+  std::vector<std::size_t> cursor(K * H, 0);  // (link, slot) -> row fill
+  std::vector<std::size_t> num_frames(K, 0);
+  for (std::size_t f = 0; f < schedule.frames.size(); ++f) {
+    const std::size_t l = stream(f) % K;
+    ++num_frames[l];
+    for (std::size_t slot : schedule.frames[f].packet_slots)
+      ++cursor[l * H + slot];
+  }
+  for (std::size_t l = 0; l < K; ++l) {
+    links[l].frames.reserve(num_frames[l]);
+    links[l].arrivals.assign_sizes(cursor.data() + l * H, H);
+    links[l].served.assign(num_frames[l], 0);
+    links[l].queue.reset(num_frames[l]);
+  }
+  std::fill(cursor.begin(), cursor.end(), 0);
+  for (std::size_t f = 0; f < schedule.frames.size(); ++f) {
+    const std::size_t l = stream(f) % K;
+    LinkState& link = links[l];
+    const auto local = static_cast<SetId>(link.frames.size());
+    link.frames.push_back(static_cast<SetId>(f));
+    for (std::size_t slot : schedule.frames[f].packet_slots)
+      link.arrivals.mutable_row(slot)[cursor[l * H + slot]++] = local;
+  }
+}
+
+// Tracing only: replaces each served packet's queue key with its global
+// seq — the packets of every earlier slot plus the frames ahead of it in
+// its slot's ascending frame ids.
+void rebuild_trace_seqs(const FrameSchedule& schedule, ServeTrace& trace) {
+  CsrArray<SetId> slot_frames;
+  std::vector<std::size_t> cursor;
+  build_slot_frames(schedule, slot_frames, cursor);
+  for (ServeTrace::Served& p : trace.served) {
+    const std::size_t slot = arrival_slot(p.seq);
+    const Span<SetId> row = slot_frames.row(slot);
+    p.seq = slot_frames.offsets()[slot] +
+            static_cast<std::uint64_t>(
+                std::lower_bound(row.begin(), row.end(), p.frame) -
+                row.begin());
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -172,30 +186,19 @@ void compute_alloc(const ServeSpec& spec,
   }
 }
 
-void tally_frames(const FrameSchedule& schedule,
-                  const std::vector<std::size_t>& served_per_frame,
-                  RouterStats& stats) {
-  stats.frames_total = schedule.frames.size();
-  for (std::size_t fi = 0; fi < schedule.frames.size(); ++fi) {
-    stats.value_total += schedule.frames[fi].weight;
-    if (served_per_frame[fi] == schedule.frames[fi].packet_slots.size()) {
-      ++stats.frames_delivered;
-      stats.value_delivered += schedule.frames[fi].weight;
-    }
-  }
-}
-
 // Merges the per-link tallies in link order into the run's stats and
 // (when tracing) the canonical trace — shared by the runtime and the
-// reference so the accumulation order is identical.
-SustainedStats finalize(const FrameSchedule& schedule, const Prepared& prep,
-                        const std::vector<std::size_t>& served_per_frame,
-                        std::vector<LinkTally>& tallies,
+// reference so the accumulation order is identical.  The frame totals
+// (tally_frames) are the caller's: each keeps its served counts its own
+// way.
+SustainedStats finalize(const FrameSchedule& schedule, RunShape&& shape,
+                        const std::vector<LinkTally>& tallies,
                         std::vector<std::uint64_t>&& starved,
                         ServeTrace* trace) {
   SustainedStats out;
-  out.window_offered = prep.window_offered;
-  out.window_delivered.assign(prep.num_windows, 0.0);
+  const std::size_t num_windows = shape.window_offered.size();
+  out.window_offered = std::move(shape.window_offered);
+  out.window_delivered.assign(num_windows, 0.0);
   out.starved_slots = std::move(starved);
   for (std::size_t l = 0; l < tallies.size(); ++l) {
     const LinkTally& t = tallies[l];
@@ -208,10 +211,9 @@ SustainedStats finalize(const FrameSchedule& schedule, const Prepared& prep,
     out.leftover += t.leftover;
     out.serve_latency.merge(t.serve_latency);
     out.drop_latency.merge(t.drop_latency);
-    for (std::size_t w = 0; w < prep.num_windows; ++w)
+    for (std::size_t w = 0; w < num_windows; ++w)
       out.window_delivered[w] += t.window_delivered[w];
   }
-  tally_frames(schedule, served_per_frame, out.router);
 
   if (trace != nullptr) {
     trace->served.clear();
@@ -337,92 +339,97 @@ SustainedStats serve_sustained(const FrameSchedule& schedule,
                                const std::vector<std::size_t>& stream_of,
                                FrameRanker& ranker, const ServeSpec& spec,
                                ServeTrace* trace) {
-  const Prepared prep = prepare(schedule, stream_of, spec);
-  ranker.start(prep.metas);
+  const StreamMap stream{stream_of};
+  RunShape shape = check_inputs(schedule, stream, spec);
+  ranker.start(frame_metas(schedule));  // the metas die with this statement
 
   const std::size_t K = spec.links;
   const std::size_t horizon = schedule.horizon;
+  const std::size_t num_streams = shape.num_streams;
   const bool tracing = trace != nullptr;
 
-  // Shared state.  Each element is written by exactly one worker: queues
-  // and tallies are per link, the per-frame and per-stream arrays are
-  // only touched through the owning link, and backlog[l] is written in
-  // the ingest phase and read (by everyone) only after the barrier.
-  std::vector<PacketQueue> queues(K);
+  // Shared state.  Each element is written by exactly one worker: link
+  // state and tallies are per link, the per-stream arrays are only touched
+  // through the owning link, and backlog[l] is written in the ingest phase
+  // and read (by everyone) only after the barrier.
+  std::vector<LinkState> links(K);
+  build_links(schedule, stream, links);
   std::vector<LinkTally> tallies(K);
   std::vector<std::size_t> backlog(K, 0);
-  std::vector<std::size_t> served_per_frame(schedule.frames.size(), 0);
-  std::vector<std::size_t> stream_live(prep.num_streams, 0);
+  std::vector<std::size_t> stream_live(num_streams, 0);
   std::vector<std::size_t> last_served_slot(
-      prep.num_streams, std::numeric_limits<std::size_t>::max());
-  std::vector<std::uint64_t> starved(prep.num_streams, 0);
-  for (std::size_t l = 0; l < K; ++l) {
-    queues[l].reset(schedule.frames.size());
-    tallies[l].window_delivered.assign(prep.num_windows, 0.0);
+      num_streams, std::numeric_limits<std::size_t>::max());
+  std::vector<std::uint64_t> starved(num_streams, 0);
+  for (LinkTally& t : tallies) {
+    t.window_delivered.assign(shape.window_offered.size(), 0.0);
     if (tracing) {
-      tallies[l].slot_backlog.assign(horizon, 0);
-      tallies[l].slot_served.assign(horizon, 0);
+      t.slot_backlog.assign(horizon, 0);
+      t.slot_served.assign(horizon, 0);
     }
   }
 
-  const std::size_t W = std::min(spec.workers, std::max<std::size_t>(K, 1));
+  const std::size_t W = std::min(spec.workers, K);
 
   auto ingest = [&](std::size_t l, std::size_t slot) {
-    PacketQueue& q = queues[l];
+    LinkState& link = links[l];
     LinkTally& t = tallies[l];
-    for (const PacketArrival& a : prep.arrivals[l].row(slot)) {
+    for (SetId local : link.arrivals.row(slot)) {
       ++t.arrived;
-      if (spec.drop_dead_frames && q.is_dead(a.frame)) {
+      if (spec.drop_dead_frames && link.queue.is_dead(local)) {
         ++t.dropped;
         ++t.refused_dead;
         continue;
       }
-      q.push(a.frame, ranker.rank(a.frame), a.seq);
-      ++stream_live[prep.stream_of[a.frame]];
+      const SetId f = link.frames[local];
+      link.queue.push(local, ranker.rank(f), packet_key(slot, local));
+      ++stream_live[stream(f)];
     }
-    backlog[l] = q.live_size();
+    backlog[l] = link.queue.live_size();
     if (tracing) t.slot_backlog[slot] = backlog[l];
   };
 
   auto serve_and_trim = [&](std::size_t l, std::size_t slot,
                             std::size_t grant) {
-    PacketQueue& q = queues[l];
+    LinkState& link = links[l];
+    PacketQueue& q = link.queue;
     LinkTally& t = tallies[l];
     for (std::size_t i = 0; i < grant; ++i) {
-      SetId f;
-      std::uint64_t seq;
-      const bool ok = q.pop_best(&f, &seq);
+      SetId local;
+      std::uint64_t key;
+      const bool ok = q.pop_best(&local, &key);
       OSP_REQUIRE_MSG(ok, "allocation exceeded live backlog");
-      ++served_per_frame[f];
+      const SetId f = link.frames[local];
       ++t.served;
-      t.serve_latency.add(slot - prep.arrival_slot[seq]);
-      const std::size_t s = prep.stream_of[f];
+      t.serve_latency.add(slot - arrival_slot(key));
+      const std::size_t s = stream(f);
       --stream_live[s];
       last_served_slot[s] = slot;
-      if (served_per_frame[f] == prep.metas[f].size)
-        t.window_delivered[slot / spec.window] += prep.metas[f].weight;
-      if (tracing)
-        t.trace.push_back(ServeTrace::Served{slot, l, f, seq});
+      const Frame& frame = schedule.frames[f];
+      if (++link.served[local] == frame.packet_slots.size())
+        t.window_delivered[slot / spec.window] += frame.weight;
+      if (tracing)  // seq holds the key until rebuild_trace_seqs
+        t.trace.push_back(ServeTrace::Served{slot, l, f, key});
     }
     if (tracing) t.slot_served[slot] = grant;
 
     while (q.live_size() > spec.buffer) {
-      SetId f;
-      std::uint64_t seq;
-      q.pop_worst(&f, &seq);
+      SetId local;
+      std::uint64_t key;
+      q.pop_worst(&local, &key);
       ++t.dropped;
       ++t.evictions;
-      t.drop_latency.add(slot - prep.arrival_slot[seq]);
-      --stream_live[prep.stream_of[f]];
+      t.drop_latency.add(slot - arrival_slot(key));
+      const std::size_t s = stream(link.frames[local]);
+      --stream_live[s];
       if (spec.drop_dead_frames) {
-        const std::size_t killed = q.kill_frame(f);
+        const std::size_t killed = q.kill_frame(local);
         t.dropped += killed;
         t.cascade_drops += killed;
-        stream_live[prep.stream_of[f]] -= killed;
+        stream_live[s] -= killed;
       }
     }
 
-    for (std::size_t s : prep.link_streams[l])
+    for (std::size_t s = l; s < num_streams; s += K)  // link l's streams
       if (stream_live[s] > 0 && last_served_slot[s] != slot) ++starved[s];
   };
 
@@ -438,7 +445,7 @@ SustainedStats serve_sustained(const FrameSchedule& schedule,
       if (barrier != nullptr) barrier->arrive_and_wait();
     }
     for (std::size_t l = lo; l < hi; ++l) {
-      tallies[l].leftover = queues[l].live_size();
+      tallies[l].leftover = links[l].queue.live_size();
       tallies[l].dropped += tallies[l].leftover;
     }
   };
@@ -466,23 +473,43 @@ SustainedStats serve_sustained(const FrameSchedule& schedule,
       if (e) std::rethrow_exception(e);
   }
 
-  return finalize(schedule, prep, served_per_frame, tallies,
-                  std::move(starved), trace);
+  SustainedStats out = finalize(schedule, std::move(shape), tallies,
+                                std::move(starved), trace);
+  // Ascending global frame ids visit each link's local ids in order.
+  std::vector<std::size_t> next_local(K, 0);
+  tally_frames(
+      schedule,
+      [&](std::size_t f) {
+        const std::size_t l = stream(f) % K;
+        return links[l].served[next_local[l]++];
+      },
+      out.router);
+  if (tracing) rebuild_trace_seqs(schedule, *trace);
+  return out;
 }
 
 SustainedStats serve_sustained_reference(
     const FrameSchedule& schedule, const std::vector<std::size_t>& stream_of,
     FrameRanker& ranker, const ServeSpec& spec, ServeTrace* trace) {
-  const Prepared prep = prepare(schedule, stream_of, spec);
-  ranker.start(prep.metas);
+  const StreamMap stream{stream_of};
+  RunShape shape = check_inputs(schedule, stream, spec);
+  ranker.start(frame_metas(schedule));
 
   const std::size_t K = spec.links;
   const bool tracing = trace != nullptr;
+
+  // Independent per-packet preparation: every packet carries its global
+  // seq from the canonical slot-major order and its arrival slot, and is
+  // routed to its frame's link as it arrives.
+  CsrArray<SetId> slot_frames;
+  std::vector<std::size_t> cursor;
+  build_slot_frames(schedule, slot_frames, cursor);
 
   struct QueuedPacket {
     SetId frame;
     double rank;
     std::uint64_t seq;
+    std::size_t slot;  // arrival slot
   };
 
   std::vector<std::vector<QueuedPacket>> queues(K);
@@ -491,38 +518,40 @@ SustainedStats serve_sustained_reference(
   std::vector<std::size_t> alloc(K, 0);
   std::vector<std::size_t> served_per_frame(schedule.frames.size(), 0);
   std::vector<bool> dead(schedule.frames.size(), false);
-  std::vector<std::size_t> stream_live(prep.num_streams, 0);
+  std::vector<std::size_t> stream_live(shape.num_streams, 0);
   std::vector<std::size_t> last_served_slot(
-      prep.num_streams, std::numeric_limits<std::size_t>::max());
-  std::vector<std::uint64_t> starved(prep.num_streams, 0);
-  for (std::size_t l = 0; l < K; ++l) {
-    tallies[l].window_delivered.assign(prep.num_windows, 0.0);
+      shape.num_streams, std::numeric_limits<std::size_t>::max());
+  std::vector<std::uint64_t> starved(shape.num_streams, 0);
+  for (LinkTally& t : tallies) {
+    t.window_delivered.assign(shape.window_offered.size(), 0.0);
     if (tracing) {
-      tallies[l].slot_backlog.assign(schedule.horizon, 0);
-      tallies[l].slot_served.assign(schedule.horizon, 0);
+      t.slot_backlog.assign(schedule.horizon, 0);
+      t.slot_served.assign(schedule.horizon, 0);
     }
   }
 
+  std::uint64_t seq = 0;
   for (std::size_t slot = 0; slot < schedule.horizon; ++slot) {
     // Ingest every link, then allocate, then serve — the same phase
     // structure as the runtime, realized serially.  The vector queue
     // never holds a dead packet (arrivals refused, cascades removed
     // eagerly), so queue.size() is the live backlog.
-    for (std::size_t l = 0; l < K; ++l) {
+    for (SetId f : slot_frames.row(slot)) {
+      const std::uint64_t arrival = seq++;
+      const std::size_t l = stream(f) % K;
       LinkTally& t = tallies[l];
-      for (const PacketArrival& a : prep.arrivals[l].row(slot)) {
-        ++t.arrived;
-        if (spec.drop_dead_frames && dead[a.frame]) {
-          ++t.dropped;
-          ++t.refused_dead;
-          continue;
-        }
-        queues[l].push_back(
-            QueuedPacket{a.frame, ranker.rank(a.frame), a.seq});
-        ++stream_live[prep.stream_of[a.frame]];
+      ++t.arrived;
+      if (spec.drop_dead_frames && dead[f]) {
+        ++t.dropped;
+        ++t.refused_dead;
+        continue;
       }
+      queues[l].push_back(QueuedPacket{f, ranker.rank(f), arrival, slot});
+      ++stream_live[stream(f)];
+    }
+    for (std::size_t l = 0; l < K; ++l) {
       backlog[l] = queues[l].size();
-      if (tracing) t.slot_backlog[slot] = backlog[l];
+      if (tracing) tallies[l].slot_backlog[slot] = backlog[l];
     }
 
     compute_alloc(spec, backlog, alloc);
@@ -543,13 +572,13 @@ SustainedStats serve_sustained_reference(
         const QueuedPacket& p = q[i];
         ++served_per_frame[p.frame];
         ++t.served;
-        t.serve_latency.add(slot - prep.arrival_slot[p.seq]);
-        const std::size_t s = prep.stream_of[p.frame];
+        t.serve_latency.add(slot - p.slot);
+        const std::size_t s = stream(p.frame);
         --stream_live[s];
         last_served_slot[s] = slot;
-        if (served_per_frame[p.frame] == prep.metas[p.frame].size)
-          t.window_delivered[slot / spec.window] +=
-              prep.metas[p.frame].weight;
+        const Frame& frame = schedule.frames[p.frame];
+        if (served_per_frame[p.frame] == frame.packet_slots.size())
+          t.window_delivered[slot / spec.window] += frame.weight;
         if (tracing)
           t.trace.push_back(ServeTrace::Served{slot, l, p.frame, p.seq});
       }
@@ -562,8 +591,8 @@ SustainedStats serve_sustained_reference(
         q.pop_back();
         ++t.dropped;
         ++t.evictions;
-        t.drop_latency.add(slot - prep.arrival_slot[worst.seq]);
-        --stream_live[prep.stream_of[worst.frame]];
+        t.drop_latency.add(slot - worst.slot);
+        --stream_live[stream(worst.frame)];
         if (!spec.drop_dead_frames) continue;
         dead[worst.frame] = true;
         auto doomed = std::remove_if(q.begin(), q.end(),
@@ -574,11 +603,11 @@ SustainedStats serve_sustained_reference(
             static_cast<std::size_t>(q.end() - doomed);
         t.dropped += killed;
         t.cascade_drops += killed;
-        stream_live[prep.stream_of[worst.frame]] -= killed;
+        stream_live[stream(worst.frame)] -= killed;
         q.erase(doomed, q.end());
       }
 
-      for (std::size_t s : prep.link_streams[l])
+      for (std::size_t s = l; s < shape.num_streams; s += K)
         if (stream_live[s] > 0 && last_served_slot[s] != slot) ++starved[s];
     }
   }
@@ -588,8 +617,12 @@ SustainedStats serve_sustained_reference(
     tallies[l].dropped += tallies[l].leftover;
   }
 
-  return finalize(schedule, prep, served_per_frame, tallies,
-                  std::move(starved), trace);
+  SustainedStats out = finalize(schedule, std::move(shape), tallies,
+                                std::move(starved), trace);
+  tally_frames(
+      schedule, [&](std::size_t f) { return served_per_frame[f]; },
+      out.router);
+  return out;
 }
 
 }  // namespace osp

@@ -13,18 +13,22 @@
 //
 // Determinism contract (the shard/merge discipline, applied to threads):
 // all randomness is consumed serially before workers start — the ranker
-// is started once on the frame metas, packet seq numbers are assigned in
-// canonical arrival order (slot-major, frame id ascending — the same
-// global order the single-link router uses), and the spare-capacity
-// allocation is a pure function of the per-link backlog vector.  Workers
+// is started once on the frame metas — and the spare-capacity allocation
+// is a pure function of the per-link backlog vector.  The canonical
+// arrival order is slot-major, frame id ascending (the global order the
+// single-link router numbers packets in).  No global seq is assigned up
+// front: each link's queue breaks ties by (arrival slot, link-local frame
+// id), and local ids ascend with global ids, so within a link that key
+// is exactly the canonical order.  The global seqs of ServeTrace are
+// rebuilt after the run, and only when a trace is requested.  Workers
 // only ever touch the links (and therefore streams) they own, and they
 // synchronise on a per-slot barrier between the ingest and serve phases,
 // so the run's decisions depend on (seed, spec) alone — not on the worker
 // count and not on thread scheduling.  serve_sustained_reference is the
-// independent sorted-vector implementation of the same semantics; stats
-// and trace identity against it across worker counts is the equivalence
-// oracle (test_serve.cpp), mirroring the heap-vs-sort cross-check of the
-// batch router.
+// independent sorted-vector implementation of the same semantics, keyed
+// by global seq; stats and trace identity against it across worker
+// counts is the equivalence oracle (test_serve.cpp), mirroring the
+// heap-vs-sort cross-check of the batch router.
 //
 // FrameRanker::rank() is called concurrently from workers after the
 // serial start(); every registered ranker satisfies this (rank() is a

@@ -2,14 +2,17 @@
 // the LatencyHistogram percentile estimator against a sorted-vector
 // nearest-rank oracle, multi-worker runs against the serial reference
 // (stats + trace identity — the equivalence oracle of the determinism
-// contract), the links=1 degenerate case against the single-link
-// buffered router, the work-conservation trace invariant, starvation
-// counters, and the window-ledger conservation laws.
+// contract) on video workloads and on random schedules with gaps, empty
+// slots, identity streams and both dead-frame modes, the links=1
+// degenerate case against the single-link buffered router, the
+// work-conservation trace invariant, starvation counters, and the
+// window-ledger conservation laws.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
+#include <string>
 #include <vector>
 
 #include "gen/video.hpp"
@@ -91,6 +94,34 @@ VideoWorkload small_workload(Rng& rng, std::size_t streams,
   return make_video_workload(vp, rng);
 }
 
+// Runs the reference once and the runtime at workers 1, 2 and 4, re-arming
+// the ranker from `rk_rng` before each run; stats and the whole trace must
+// match the reference's.
+void expect_matches_reference(const FrameSchedule& schedule,
+                              const std::vector<std::size_t>& stream_of,
+                              FrameRanker& ranker, Rng rk_rng, ServeSpec spec,
+                              const std::string& label) {
+  ranker.reseed(rk_rng);
+  ServeTrace ref_trace;
+  const SustainedStats ref = serve_sustained_reference(
+      schedule, stream_of, ranker, spec, &ref_trace);
+  for (std::size_t workers : {1u, 2u, 4u}) {
+    spec.workers = workers;
+    ranker.reseed(rk_rng);
+    ServeTrace trace;
+    const SustainedStats st =
+        serve_sustained(schedule, stream_of, ranker, spec, &trace);
+    EXPECT_TRUE(st == ref) << label << " ranker " << ranker.name()
+                           << " workers " << workers;
+    EXPECT_EQ(trace.served.size(), ref_trace.served.size()) << label;
+    EXPECT_TRUE(std::equal(trace.served.begin(), trace.served.end(),
+                           ref_trace.served.begin(), ref_trace.served.end()))
+        << "trace diverged: " << label << " workers " << workers;
+    EXPECT_EQ(trace.slot_backlog, ref_trace.slot_backlog) << label;
+    EXPECT_EQ(trace.slot_served, ref_trace.slot_served) << label;
+  }
+}
+
 TEST(ServeSustained, WorkerCountsMatchSerialReference) {
   Rng master(101);
   for (std::size_t trial = 0; trial < 10; ++trial) {
@@ -113,29 +144,69 @@ TEST(ServeSustained, WorkerCountsMatchSerialReference) {
     FifoRanker fifo;
     WeightRanker by_weight;
     FrameRanker* rankers[] = {&rand_pr, &fifo, &by_weight};
-    FrameRanker& ranker = *rankers[trial % 3];
+    expect_matches_reference(vw.schedule, vw.stream_of, *rankers[trial % 3],
+                             rk_rng, spec, "trial " + std::to_string(trial));
+  }
+}
 
-    rand_pr.reseed(rk_rng);
-    ServeTrace ref_trace;
-    const SustainedStats ref = serve_sustained_reference(
-        vw.schedule, vw.stream_of, ranker, spec, &ref_trace);
+// A schedule the video generator never makes: frames with gaps between
+// their packets, slots no packet arrives in, and tied weights.
+FrameSchedule random_schedule(Rng& rng) {
+  FrameSchedule schedule;
+  schedule.horizon = 1 + rng.below(40);
+  std::vector<bool> quiet(schedule.horizon);
+  for (std::size_t slot = 0; slot < schedule.horizon; ++slot)
+    quiet[slot] = rng.chance(0.3);
+  const std::size_t num_frames = 1 + rng.below(30);
+  for (std::size_t f = 0; f < num_frames; ++f) {
+    Frame frame;
+    frame.weight = 0.5 + static_cast<double>(rng.below(4));
+    for (std::size_t slot = 0; slot < schedule.horizon; ++slot)
+      if (!quiet[slot] && rng.chance(0.3)) frame.packet_slots.push_back(slot);
+    if (frame.packet_slots.empty())
+      frame.packet_slots.push_back(rng.below(schedule.horizon));
+    schedule.frames.push_back(frame);
+  }
+  return schedule;
+}
 
-    for (std::size_t workers : {1u, 2u, 4u}) {
-      spec.workers = workers;
-      rand_pr.reseed(rk_rng);
-      ServeTrace trace;
-      const SustainedStats st =
-          serve_sustained(vw.schedule, vw.stream_of, ranker, spec, &trace);
-      EXPECT_TRUE(st == ref) << "trial " << trial << " ranker "
-                             << ranker.name() << " workers " << workers;
-      EXPECT_EQ(trace.served.size(), ref_trace.served.size());
-      EXPECT_TRUE(std::equal(trace.served.begin(), trace.served.end(),
-                             ref_trace.served.begin(),
-                             ref_trace.served.end()))
-          << "trace diverged: trial " << trial << " workers " << workers;
-      EXPECT_EQ(trace.slot_backlog, ref_trace.slot_backlog);
-      EXPECT_EQ(trace.slot_served, ref_trace.slot_served);
+// The modes the video fuzz above never reaches: every combination of
+// dead-frame mode, stream map (identity or random) and ranker, on random
+// schedules with gaps and empty slots.
+TEST(ServeSustained, RandomSchedulesMatchSerialReference) {
+  Rng master(707);
+  for (std::size_t trial = 0; trial < 48; ++trial) {
+    Rng trial_rng = master.split(trial);
+    Rng wl_rng = trial_rng.split(0);
+    const Rng rk_rng = trial_rng.split(1);
+    const FrameSchedule schedule = random_schedule(wl_rng);
+
+    const bool identity_streams = (trial / 2) % 2 == 0;
+    std::vector<std::size_t> stream_of;
+    if (!identity_streams) {
+      const std::size_t num_streams = 1 + wl_rng.below(schedule.frames.size());
+      for (std::size_t f = 0; f < schedule.frames.size(); ++f)
+        stream_of.push_back(wl_rng.below(num_streams));
     }
+
+    ServeSpec spec;
+    spec.links = 1 + wl_rng.below(4);
+    spec.service_rate = static_cast<Capacity>(1 + wl_rng.below(3));
+    spec.buffer = wl_rng.below(12);
+    spec.work_conserving = wl_rng.chance(0.5);
+    spec.drop_dead_frames = trial % 2 == 0;
+    spec.window = 1 + wl_rng.below(16);
+
+    RandPrRanker rand_pr{rk_rng};
+    FifoRanker fifo;
+    WeightRanker by_weight;
+    RandomRanker random_drop{rk_rng};
+    FrameRanker* rankers[] = {&rand_pr, &fifo, &by_weight, &random_drop};
+    expect_matches_reference(
+        schedule, stream_of, *rankers[(trial / 4) % 4], rk_rng, spec,
+        "trial " + std::to_string(trial) +
+            (spec.drop_dead_frames ? " drop-dead" : " keep-dead") +
+            (identity_streams ? " identity-streams" : " mapped-streams"));
   }
 }
 
