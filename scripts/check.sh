@@ -16,9 +16,10 @@
 #      registries (list, gen | run pipe, a small bench grid) plus
 #      quickstart, so the examples cannot silently rot;
 #   6. shard smoke: bench --shard / merge bit-identity round trip;
-#   7. adversarial dashboard: BENCH_adversarial.json regenerates byte-
-#      identically, re-passes the paper's-bounds gates, and the theorem3
-#      smoke grid shards/merges bit-identically;
+#   7. deterministic artifacts: BENCH_adversarial/uniform/capacity.json
+#      regenerate byte-identically and re-pass their gates (the paper's
+#      bounds included), and the theorem3 smoke grid shards/merges
+#      bit-identically;
 #   8. ASan/UBSan build of the engine-critical tests plus a sanitized
 #      `bench_router --smoke`;
 #   9. TSan: a -DOSP_SANITIZE=thread build of the threaded suites
@@ -143,17 +144,22 @@ rm -f BENCH_shardsmoke.json build/shardsmoke_*.part \
   build/shardsmoke_merged.json build/shardsmoke_err.txt
 
 echo
-echo "== adversarial dashboard: regenerate + gates + shard smoke =="
-# BENCH_adversarial.json has no wall-clock fields: regenerating it must
-# reproduce the committed artifact byte for byte and re-pass the
-# paper's-bounds gates in check_bench_json.py.  The theorem3 smoke grid
-# then exercises the adversarial families through the generic shard
+echo "== deterministic artifacts: regenerate + gates + shard smoke =="
+# BENCH_adversarial/uniform/capacity.json have no wall-clock fields:
+# regenerating them must reproduce the committed artifacts byte for byte
+# (which pins every Rng stream the grids draw) and re-pass the gates in
+# check_bench_json.py, the paper's bounds included.  The theorem3 smoke
+# grid then exercises the adversarial families through the generic shard
 # pipeline (CI's examples job runs the same probe at N in {1, 2}).
 # The results are thread-count-independent; OSP_THREADS pins only the
 # preamble's recorded worker count to the committed value.
-OSP_THREADS=1 ./build/bench_adversarial > /dev/null
-git diff --exit-code BENCH_adversarial.json
-python3 scripts/check_bench_json.py BENCH_adversarial.json
+for bench in adversarial uniform capacity; do
+  OSP_THREADS=1 "./build/bench_$bench" > /dev/null
+done
+git diff --exit-code BENCH_adversarial.json BENCH_uniform.json \
+  BENCH_capacity.json
+python3 scripts/check_bench_json.py BENCH_adversarial.json \
+  BENCH_uniform.json BENCH_capacity.json
 rm -f BENCH_advsmoke.json build/advsmoke_*.part build/advsmoke_merged.json
 ./build/osp_cli bench --scenario adversarial/theorem3-smoke \
   --alg randpr,greedy:first --trials 25 --seed 11 --json advsmoke > /dev/null

@@ -13,9 +13,13 @@ style of check_bench_json.py.
 Rules (scripts/osp_lint.py --describe prints this table from the same
 registry the checks run from, so it can never drift):
 
-  raw-random          no rand()/srand()/std::random_device/time()/clock()
-                      outside src/util — all randomness must flow through
-                      util/rng so trial seeds stay grid-coordinate pure.
+  raw-random          no rand()/srand()/std::random_device/time()/clock(),
+                      std::seed_seq or standard engine (mt19937*,
+                      minstd_rand*, ranlux*, knuth_b,
+                      default_random_engine) outside src/util — all
+                      randomness must flow through util/rng, the one place
+                      an engine is seeded, so trial seeds stay
+                      grid-coordinate pure.
   unordered-iteration no iteration over std::unordered_* in src/core,
                       src/engine, src/net — hash-order leaking into a
                       decision breaks trace determinism.
@@ -212,6 +216,9 @@ def outside_dirs(*prefixes):
 RAW_RANDOM_PATTERNS = (
     (re.compile(r"(?<![\w.])s?rand\s*\("), "rand()/srand()"),
     (re.compile(r"\brandom_device\b"), "std::random_device"),
+    (re.compile(r"\bseed_seq\b"), "std::seed_seq"),
+    (re.compile(r"\b(?:mt19937|minstd_rand|ranlux)\w*|\bknuth_b\b|"
+                r"\bdefault_random_engine\b"), "a standard random engine"),
     (re.compile(r"(?<![\w.])time\s*\("), "time()"),
     (re.compile(r"(?<![\w.])clock\s*\("), "clock()"),
     (re.compile(r"\bgettimeofday\b"), "gettimeofday()"),
@@ -432,9 +439,10 @@ def rule_nolint_justification(src, findings):
 
 RULES = (
     ("raw-random", outside_dirs("src/util/"), rule_raw_random,
-     "no rand()/srand()/std::random_device/time()/clock()/chrono clocks "
-     "outside src/util — randomness and wall time must not reach decision "
-     "paths"),
+     "no rand()/srand()/std::random_device/time()/clock()/chrono clocks, "
+     "std::seed_seq or standard engines outside src/util — randomness and "
+     "wall time must not reach decision paths, and only util/rng seeds an "
+     "engine"),
     ("unordered-iteration",
      in_dirs("src/core/", "src/engine/", "src/net/"),
      rule_unordered_iteration,

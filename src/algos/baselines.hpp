@@ -9,7 +9,8 @@
 // a set that already lost an element can never increase the benefit.
 //
 // Every baseline implements the flat decide() path with reusable internal
-// scratch, so batch trials run allocation-free in steady state; the
+// scratch and re-arms in place, so in a steady-state batch trial a
+// baseline allocates nothing (the engine's Outcome vectors still do); the
 // allocating on_element() entry point is inherited from the base class.
 #pragma once
 

@@ -113,9 +113,9 @@ class OnlineAlgorithm {
   /// Contract: when reseedable() is true, `alg.reseed(rng); alg.start(s);`
   /// must be decision-identical to a freshly constructed algorithm built
   /// from the same rng — the batch runner relies on this to reuse one
-  /// algorithm object per worker across all trials of a grid cell, making
-  /// steady-state trials allocation-free.  Default: no-op, for policies
-  /// whose start() already resets every decision-relevant bit of state.
+  /// algorithm object per worker across all trials of a grid cell instead
+  /// of rebuilding it per trial.  Default: no-op, for policies whose
+  /// start() already resets every decision-relevant bit of state.
   virtual void reseed(Rng /*rng*/) {}
 
   /// True when reseed() fully re-arms this algorithm (see contract

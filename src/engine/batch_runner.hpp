@@ -6,8 +6,9 @@
 // vector, so the output is bit-identical for any thread count (results
 // never depend on scheduling, and all randomness is seeded per trial from
 // grid coordinates — see trial.hpp).  Each worker owns a TrialContext
-// whose engine scratch persists across trials, keeping the steady state
-// allocation-free; the trial bodies drive the block-stepped engine
+// whose engine scratch persists across trials, so a steady-state trial
+// allocates only its Outcome and what a policy's reseed() rebuilds (see
+// run_play_trial_cached); the trial bodies drive the block-stepped engine
 // (decide_batch over CSR arrival blocks), so each worker amortizes the
 // decision dispatch over whole blocks as well.
 #pragma once

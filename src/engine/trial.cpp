@@ -40,7 +40,9 @@ TrialResult run_play_trial_cached(const Instance& inst, const AlgSpec& alg,
   if (policy != nullptr && policy->reseedable()) {
     // Decision-identical to fresh construction (reseed() contract), but
     // the policy's internal arrays survive — the engine's start() resizes
-    // them in place, so the whole trial allocates nothing.
+    // them in place.  The Rng allocates nothing and seeds no engine until
+    // the policy's first draw, so a deterministic policy never pays for
+    // it.
     policy->reseed(Rng(seed));
   } else {
     policy = alg.make(Rng(seed));

@@ -5,8 +5,9 @@
 // from thread ids or scheduling order — so every result is bit-identical
 // regardless of how many workers execute the batch.  Per-thread state
 // (engine scratch, decision buffers) lives in TrialContext and is reused
-// across all trials a worker executes, keeping the steady state
-// allocation-free.
+// across all trials a worker executes, so a steady-state trial allocates
+// only its Outcome and what a policy's reseed() rebuilds (see
+// run_play_trial_cached).
 #pragma once
 
 #include <cstdint>
@@ -30,8 +31,8 @@ struct TrialContext {
   std::size_t thread_index = 0;
   /// One cached algorithm per grid column (run_grid's reseed path): a
   /// reseedable policy is constructed once per worker and re-armed with
-  /// reseed() + start() for every later trial, so steady-state trials
-  /// allocate nothing.  Non-reseedable policies are rebuilt each trial.
+  /// reseed() + start() for every later trial, so its internal arrays are
+  /// not rebuilt.  Non-reseedable policies are rebuilt each trial.
   std::vector<std::unique_ptr<OnlineAlgorithm>> alg_cache;
 };
 
@@ -67,7 +68,11 @@ TrialResult run_play_trial(const Instance& inst, const AlgSpec& alg,
 
 /// Like run_play_trial, but reuses ctx.alg_cache[alg_idx] across calls
 /// when the policy is reseedable (decision-identical to fresh
-/// construction by the reseed() contract); what run_grid uses.
+/// construction by the reseed() contract); what run_grid uses.  In steady
+/// state such a trial allocates only the returned Outcome's vectors
+/// (`completed`, grown by push_back, and `completed_mask`) plus whatever
+/// reseed() rebuilds: nothing for randPr and the baselines, the hash
+/// function for hashPr.
 TrialResult run_play_trial_cached(const Instance& inst, const AlgSpec& alg,
                                   std::size_t alg_idx, std::uint64_t seed,
                                   TrialContext& ctx,

@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <random>
 
 namespace osp {
@@ -15,12 +16,22 @@ namespace osp {
 ///
 /// Wraps std::mt19937_64 and adds convenience draws used throughout the
 /// library.  Copyable; copies evolve independently.
+///
+/// Stream definition: Rng(seed) yields exactly what std::mt19937_64 yields
+/// after seeding with std::seed_seq{w0, w1, w2, w3}, where w0..w3 are the
+/// first four splitmix64() outputs from state `seed`.  std::seed_seq keeps
+/// only the low 32 bits of each word, so only those enter the stream.
+///
+/// The 2.5 KB engine state is expanded from the seed on the first draw
+/// (any draw, split() or engine()), not at construction: building,
+/// copying or moving an Rng that has not drawn yet does no seeding work,
+/// and each such copy expands on its own first draw into the same stream.
 class Rng {
  public:
   using result_type = std::uint64_t;
 
   /// Seeds from a 64-bit value; equal seeds yield equal streams.
-  explicit Rng(std::uint64_t seed = 0x9e3779b97f4a7c15ULL);
+  explicit Rng(std::uint64_t seed = 0x9e3779b97f4a7c15ULL) : seed_(seed) {}
 
   /// Derives an independent child generator.  Children obtained with
   /// distinct `stream` values (or from successive calls) do not correlate
@@ -46,15 +57,20 @@ class Rng {
   double exponential(double rate);
 
   /// Standard-library compatibility: uniform 64-bit output.
-  std::uint64_t operator()() { return engine_(); }
+  std::uint64_t operator()() { return engine()(); }
   static constexpr std::uint64_t min() { return std::mt19937_64::min(); }
   static constexpr std::uint64_t max() { return std::mt19937_64::max(); }
 
-  /// Access to the underlying engine for std distributions.
-  std::mt19937_64& engine() { return engine_; }
+  /// Access to the underlying engine for std distributions; expands it
+  /// first if this Rng has not drawn yet.
+  std::mt19937_64& engine() { return engine_ ? *engine_ : expand(); }
 
  private:
-  std::mt19937_64 engine_;
+  /// Seeds the engine from seed_ (see the stream definition above).
+  std::mt19937_64& expand();
+
+  std::uint64_t seed_;
+  std::optional<std::mt19937_64> engine_;  // empty until the first draw
 };
 
 /// SplitMix64 step; used for seed derivation and in tests.

@@ -1,7 +1,10 @@
 // Unit tests for util: RNG behaviour and math helpers.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <random>
 #include <set>
+#include <vector>
 
 #include "util/math.hpp"
 #include "util/require.hpp"
@@ -114,6 +117,84 @@ TEST(Rng, SplitReproducible) {
   Rng p1(5), p2(5);
   Rng a = p1.split(3), b = p2.split(3);
   for (int i = 0; i < 50; ++i) EXPECT_EQ(a(), b());
+}
+
+// The stream Rng(seed) is defined to yield (see rng.hpp), built with
+// std::seed_seq as the oracle.
+std::mt19937_64 reference_engine(std::uint64_t seed) {
+  std::uint64_t state = seed;
+  std::seed_seq seq{splitmix64(state), splitmix64(state), splitmix64(state),
+                    splitmix64(state)};
+  return std::mt19937_64(seq);
+}
+
+// 0, 1 and 2^64-1, the small seeds 2..500, and 500 scattered ones.
+std::vector<std::uint64_t> stream_seeds() {
+  std::vector<std::uint64_t> seeds = {0, 1, ~std::uint64_t{0}};
+  for (std::uint64_t s = 2; s <= 500; ++s) seeds.push_back(s);
+  std::uint64_t state = 2026;
+  for (int i = 0; i < 500; ++i) seeds.push_back(splitmix64(state));
+  return seeds;
+}
+
+// mt19937_64 regenerates its 312-word state every 312 draws, so this many
+// draws cross two regenerations after the first.
+constexpr int kStreamDraws = 640;
+
+TEST(Rng, StreamMatchesSeedSeqDefinition) {
+  for (std::uint64_t seed : stream_seeds()) {
+    Rng rng(seed);
+    std::mt19937_64 ref = reference_engine(seed);
+    for (int d = 0; d < kStreamDraws; ++d)
+      ASSERT_EQ(rng(), ref()) << "seed " << seed << ", draw " << d;
+  }
+}
+
+TEST(Rng, CopiesContinueTheStream) {
+  for (std::uint64_t seed : {std::uint64_t{0}, std::uint64_t{77},
+                             ~std::uint64_t{0}}) {
+    std::mt19937_64 ref = reference_engine(seed);
+    Rng rng(seed);
+    Rng unexpanded = rng;
+    for (int d = 0; d < 100; ++d) ASSERT_EQ(rng(), ref());
+    Rng mid_stream = rng;
+    for (int d = 0; d < kStreamDraws; ++d) {
+      const std::uint64_t want = ref();
+      ASSERT_EQ(rng(), want) << "seed " << seed << ", draw " << 100 + d;
+      ASSERT_EQ(mid_stream(), want) << "seed " << seed << ", draw " << 100 + d;
+    }
+    std::mt19937_64 ref_start = reference_engine(seed);
+    for (int d = 0; d < kStreamDraws; ++d)
+      ASSERT_EQ(unexpanded(), ref_start()) << "seed " << seed << ", draw " << d;
+  }
+}
+
+TEST(Rng, EngineAndSplitOnUnexpandedRngAgreeWithDrawing) {
+  for (std::uint64_t seed : {std::uint64_t{3}, std::uint64_t{1} << 40}) {
+    // engine() expands without drawing; engine and Rng draws then share
+    // one stream.
+    std::mt19937_64 ref = reference_engine(seed);
+    Rng rng(seed);
+    std::mt19937_64& engine = rng.engine();
+    for (int d = 0; d < kStreamDraws; ++d)
+      ASSERT_EQ(d % 2 == 0 ? engine() : rng(), ref()) << "draw " << d;
+
+    // split() on an unexpanded parent takes exactly one draw, and its
+    // child matches the child of a parent expanded beforehand.
+    Rng lazy_parent(seed), expanded_parent(seed);
+    expanded_parent.engine();
+    Rng lazy_child = lazy_parent.split(9);
+    Rng expanded_child = expanded_parent.split(9);
+    Rng child_copy = lazy_child;
+    std::mt19937_64 parent_ref = reference_engine(seed);
+    parent_ref();
+    for (int d = 0; d < kStreamDraws; ++d) {
+      const std::uint64_t want = expanded_child();
+      ASSERT_EQ(lazy_child(), want) << "draw " << d;
+      ASSERT_EQ(child_copy(), want) << "draw " << d;
+      ASSERT_EQ(lazy_parent(), parent_ref()) << "draw " << d;
+    }
+  }
 }
 
 TEST(Rng, ExponentialPositiveAndMean) {
