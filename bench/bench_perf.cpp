@@ -4,12 +4,12 @@
 // tracks the engine refactors' gains from PR 1 on.  Four modes per
 // workload:
 //   seed  — the seed repo's engine AND algorithm, replicated verbatim:
-//           randPr's on_element() allocating a candidate-pool copy plus a
-//           partial_sort working copy and returning a heap vector per
-//           arrival, the engine validating with check_answer()'s copy +
-//           sort, arrivals pre-materialized as vectors (the seed stored
-//           them that way, so its loop did not pay for the conversion and
-//           this one must not either);
+//           randPr's allocating selection (SeedRandPr::select) making a
+//           candidate-pool copy plus a partial_sort working copy and
+//           returning a heap vector per arrival, the engine validating
+//           with check_answer()'s copy + sort, arrivals pre-materialized
+//           as vectors (the seed stored them that way, so its loop did
+//           not pay for the conversion and this one must not either);
 //   flat  — play_flat(): CSR candidate spans, decide() into a reusable
 //           buffer, allocation-free validation, single thread;
 //   block — play_flat_blocks(): decide_batch() over whole CSR arrival
@@ -27,7 +27,6 @@
 // >= 1.3x flat single-thread (the decide_batch amortization gate,
 // checked per row with per-workload floors by check_bench_json.py).
 #include <algorithm>
-#include <chrono>
 #include <iostream>
 
 #include "bench_common.hpp"
@@ -37,15 +36,10 @@
 #include "gen/random_instances.hpp"
 #include "testing/seed_reference.hpp"
 #include "util/require.hpp"
+#include "util/stopwatch.hpp"
 
 namespace osp {
 namespace {
-
-using Clock = std::chrono::steady_clock;
-
-double seconds_since(Clock::time_point t0) {
-  return std::chrono::duration<double>(Clock::now() - t0).count();
-}
 
 struct ModeResult {
   double elements_per_sec = 0;
@@ -100,37 +94,37 @@ WorkloadResult measure_workload(const std::string& label, std::size_t m,
     double seed_sum = 0, flat_sum = 0, block_sum = 0, batch_sum = 0;
 
     {  // seed mode: original algorithm + original engine
-      auto t0 = Clock::now();
+      const Stopwatch clock;
       for (int t = 0; t < r.trials; ++t) {
         seedref::SeedRandPr alg(rngs[static_cast<std::size_t>(t)]);
         seed_sum += seedref::seed_play(inst, alg, arrivals).benefit;
       }
       r.seed.elements_per_sec = std::max(r.seed.elements_per_sec,
-                                         total_elements / seconds_since(t0));
+                                         total_elements / clock.seconds());
     }
 
     {  // flat mode, single thread: decide() per element
-      auto t0 = Clock::now();
+      const Stopwatch clock;
       for (int t = 0; t < r.trials; ++t) {
         RandPr alg(rngs[static_cast<std::size_t>(t)]);
         flat_sum += play_flat(inst, alg, flat_scratch).benefit;
       }
       r.flat.elements_per_sec = std::max(r.flat.elements_per_sec,
-                                         total_elements / seconds_since(t0));
+                                         total_elements / clock.seconds());
     }
 
     {  // block mode, single thread: decide_batch() per arrival block
-      auto t0 = Clock::now();
+      const Stopwatch clock;
       for (int t = 0; t < r.trials; ++t) {
         RandPr alg(rngs[static_cast<std::size_t>(t)]);
         block_sum += play_flat_blocks(inst, alg, block_scratch).benefit;
       }
       r.block.elements_per_sec = std::max(r.block.elements_per_sec,
-                                          total_elements / seconds_since(t0));
+                                          total_elements / clock.seconds());
     }
 
     {  // batch mode: block-stepped trials across all workers
-      auto t0 = Clock::now();
+      const Stopwatch clock;
       auto benefits = engine::shared_runner().map<Weight>(
           static_cast<std::size_t>(r.trials),
           [&](std::size_t t, engine::TrialContext& ctx) {
@@ -138,7 +132,7 @@ WorkloadResult measure_workload(const std::string& label, std::size_t m,
             return play_flat_blocks(inst, alg, ctx.scratch).benefit;
           });
       r.batch.elements_per_sec = std::max(r.batch.elements_per_sec,
-                                          total_elements / seconds_since(t0));
+                                          total_elements / clock.seconds());
       for (Weight b : benefits) batch_sum += b;
     }
 
@@ -163,7 +157,7 @@ int main() {
   using namespace osp;
   bench::banner(
       "E9 / engine throughput (flat + block engines vs seed engine)",
-      "Elements/sec of randPr trials: seed on_element path vs the "
+      "Elements/sec of randPr trials: seed allocating path vs the "
       "allocation-free CSR decide path vs the block-batched decide_batch "
       "path vs the multi-threaded batch runner.  Checksums verify all "
       "modes produce identical outcomes.");

@@ -21,21 +21,27 @@
 //      to the serial reference oracle before its timing is reported, and
 //      a packets/sec summary gate.
 //
-// The workload draws run as independent trials on the shared batch
-// runner: per-draw Rngs are split from the master serially in the seed
-// repo's exact order, each trial generates its workload once and runs
-// every policy against it (like the seed's serial inner loop), and
-// aggregation walks the results in draw order — so the printed numbers
-// match the original serial loops bit for bit at any thread count.
-// Policies and rankers are constructed once per worker thread and
+// Sections (b), (d) and (f) are api::Session measurement kinds — the
+// ranker grid (run_rankers) and the sustained run (run_sustained) — so
+// each of their rows is exactly what the `osp_cli bench --ranker` or
+// `--sustained` line docs/BENCHMARKS.md lists for it prints (timing
+// aside); they pass the historical master seeds 200, 400 and 500.  This
+// file keeps only what is its own: sections (a) and (c), the (e)
+// heap-vs-sort timing and the sustained packets/sec gate.
+//
+// Sections (a) and (c) run their workload draws as independent trials on
+// the shared batch runner: per-draw Rngs are split from the master
+// serially in the seed repo's exact order, each trial generates its
+// workload once and runs every policy against it (like the seed's serial
+// inner loop), and aggregation walks the results in draw order — so the
+// printed numbers match the original serial loops bit for bit at any
+// thread count.  Policies are constructed once per worker thread and
 // re-armed per draw through the reseed() API, so steady-state trials are
 // allocation-free.
 //
 // `bench_router --smoke` runs every section (including the (e)
 // cross-check) at toy sizes; scripts/check.sh drives that under
 // ASan/UBSan on every repository check.
-#include <algorithm>
-#include <chrono>
 #include <cstring>
 #include <iostream>
 
@@ -45,15 +51,10 @@
 #include "gen/traffic.hpp"
 #include "gen/video.hpp"
 #include "net/router_sim.hpp"
-#include "net/serve.hpp"
+#include "util/stopwatch.hpp"
 
 namespace osp {
 namespace {
-
-double seconds_since(std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-      .count();
-}
 
 void unbuffered_video(api::JsonSink& json, bool smoke) {
   std::cout << "-- (a) unbuffered router, GOP video workload --\n";
@@ -166,105 +167,27 @@ void unbuffered_video(api::JsonSink& json, bool smoke) {
                "little average goodput for its k*sqrt(smax) guarantee.\n\n";
 }
 
-// Shared per-worker state of the buffered sweeps: rankers (constructed
-// once through the registry, reseeded per draw) plus the router scratch
-// (queue, slot index, tallies), all reused across draws.
-struct BufferedWorker {
-  std::vector<std::unique_ptr<FrameRanker>> rankers;  // parallel to names
-  BufferedRouterScratch scratch;
-
-  void ensure(const std::vector<std::string>& names) {
-    if (!rankers.empty()) return;
-    rankers.reserve(names.size());
-    for (const std::string& name : names)
-      rankers.push_back(api::rankers().make(name, Rng(0)));
-  }
-};
-
-/// Index of `name` in `names` (the reseed targets below are found by
-/// name, not by hardwired position, so list edits cannot silently skip a
-/// reseed).
-std::size_t ranker_index(const std::vector<std::string>& names,
-                         const std::string& name) {
-  auto it = std::find(names.begin(), names.end(), name);
-  OSP_REQUIRE_MSG(it != names.end(), "ranker '" << name
-                                                << "' missing from the "
-                                                   "bench's ranker list");
-  return static_cast<std::size_t>(it - names.begin());
+/// A catalog scenario's ranker grid through api::Session, into the
+/// artifact and a console table (sections (b) and (d)).
+void ranker_grid(api::JsonSink& json, const std::string& scenario_name,
+                 const std::vector<std::string>& rankers,
+                 std::uint64_t seed) {
+  const api::ScenarioSpec& scenario = api::scenarios().at(scenario_name);
+  api::Session session;
+  api::TableSink table;
+  session.attach(json);
+  session.attach(table);
+  session.run_rankers(api::expand(scenario), rankers,
+                      static_cast<std::size_t>(scenario.default_trials),
+                      seed);
+  table.print(std::cout);
 }
 
 void buffered_sweep(api::JsonSink& json, bool smoke) {
   std::cout << "-- (b) buffered router (open problem 2) --\n";
-  Table table({"buffer", "policy", "goodput"});
-  Rng master(200);
-  // The buffer ladder AND the draw count come from the scenario.
-  const api::ScenarioSpec& scenario = api::scenarios().at(
-      smoke ? "router/buffered-smoke" : "router/buffered");
-  const int draws = scenario.default_trials;
-  // Every registered ranker competes, in registration order — the table
-  // and JSON keys are the registry's display names.
-  const std::vector<std::string> ranker_names = api::rankers().names();
-  const std::size_t num_rankers = ranker_names.size();
-  const std::size_t idx_randpr = ranker_index(ranker_names, "randPr");
-  const std::size_t idx_rnd = ranker_index(ranker_names, "random-drop");
-  // Worker-count determinism depends on every randomized ranker getting
-  // a dedicated per-draw reseed stream; refuse to sweep one this loop
-  // has no stream for rather than silently correlating its draws.
-  for (const api::RankerInfo& info : api::rankers().entries())
-    OSP_REQUIRE_MSG(!info.randomized || info.name == "randPr" ||
-                        info.name == "random-drop",
-                    "randomized ranker '"
-                        << info.name
-                        << "' has no per-draw reseed stream in "
-                           "buffered_sweep; wire one before benching it");
-  std::vector<BufferedWorker> workers(engine::shared_runner().num_threads());
-
-  for (const api::ScenarioSpec& cell : api::expand(scenario)) {
-    const std::size_t buf = cell.buffer;
-    std::vector<Rng> wl_rngs, randpr_rngs, rnd_rngs;
-    for (int d = 0; d < draws; ++d) {
-      wl_rngs.push_back(master.split(buf * 100 + d));
-      randpr_rngs.push_back(master.split(90000 + buf * 100 + d));
-      rnd_rngs.push_back(master.split(95000 + buf * 100 + d));
-    }
-
-    auto goodputs = engine::shared_runner().map<std::vector<double>>(
-        static_cast<std::size_t>(draws),
-        [&](std::size_t d, engine::TrialContext& ctx) {
-          Rng wl_rng = wl_rngs[d];
-          VideoWorkload vw = api::build_video(cell, wl_rng);
-          BufferedRouterParams rp{.service_rate = cell.service_rate,
-                                  .buffer_size = buf,
-                                  .drop_dead_frames = true};
-
-          BufferedWorker& w = workers[ctx.thread_index];
-          w.ensure(ranker_names);
-          w.rankers[idx_randpr]->reseed(randpr_rngs[d]);
-          w.rankers[idx_rnd]->reseed(rnd_rngs[d]);
-          std::vector<double> row;
-          row.reserve(num_rankers);
-          for (std::size_t p = 0; p < num_rankers; ++p)
-            row.push_back(simulate_buffered_router(vw.schedule,
-                                                   *w.rankers[p], rp,
-                                                   &w.scratch)
-                              .goodput());
-          return row;
-        });
-
-    for (std::size_t p = 0; p < num_rankers; ++p) {
-      double good = 0;
-      for (int d = 0; d < draws; ++d)
-        good += goodputs[static_cast<std::size_t>(d)][p];
-      table.row({fmt(buf), ranker_names[p], fmt(good / draws, 3)});
-      json.write(
-          api::Row{}
-              .add("sweep", "buffered")
-              .add("buffer", buf)
-              .add("policy", ranker_names[p])
-              .add("goodput", good / draws));
-    }
-  }
-  table.print(std::cout);
+  // Every registered ranker competes over the scenario's buffer ladder.
+  ranker_grid(json, smoke ? "router/buffered-smoke" : "router/buffered",
+              api::rankers().names(), 200);
   std::cout << "Expected shape: goodput rises with buffer size for every "
                "policy; the policy gap narrows as buffering absorbs "
                "bursts (the effect the paper leaves open).\n\n";
@@ -361,127 +284,40 @@ void burstiness_sweep(api::JsonSink& json, bool smoke) {
                "policies is preserved.\n\n";
 }
 
-/// Parameters of the big buffered scenario shared by sections (d)/(e).
-struct OverloadConfig {
-  api::ScenarioSpec spec;            // streams / frames / service rate
-  std::vector<std::size_t> buffers;  // ascending; back() is the largest
-};
-
-OverloadConfig overload_config(bool smoke) {
+/// The big buffered scenario of sections (d) and (e).
+const api::ScenarioSpec& overload_scenario(bool smoke) {
   // Full size ("router/overload"): 64 streams × 6720 frames = 64 × 15680
   // packets ≈ 1.0M packets over ~20k slots (≈50 packets/slot against a
-  // service rate of 32 — sustained ~1.6× overload).  The buffer ladder is
-  // the scenario's declared sweep axis.
-  OverloadConfig cfg;
-  cfg.spec = api::scenarios().at(smoke ? "router/overload-smoke"
-                                       : "router/overload");
-  for (const api::ScenarioSpec& cell : api::expand(cfg.spec))
-    cfg.buffers.push_back(cell.buffer);
-  return cfg;
-}
-
-VideoWorkload overload_workload(const OverloadConfig& cfg, Rng rng) {
-  return api::build_video(cfg.spec, rng);
+  // service rate of 32 — sustained ~1.6× overload), swept over a buffer
+  // ladder.
+  return api::scenarios().at(smoke ? "router/overload-smoke"
+                                   : "router/overload");
 }
 
 void overload_sweep(api::JsonSink& json, bool smoke) {
-  const OverloadConfig cfg = overload_config(smoke);
-  std::cout << "-- (d) multi-stream overload (" << cfg.spec.streams
-            << " streams, service rate " << cfg.spec.service_rate << ") --\n";
-  Table table({"buffer", "policy", "packets", "served", "dropped",
-               "goodput"});
-  Rng master(400);
-  const int draws = cfg.spec.default_trials;
-  // The frame-aware rankers plus drop-tail, resolved through the
-  // registry (random-drop sits out: it mirrors drop-tail under sustained
-  // overload and the full-size runs are expensive).
-  const std::vector<std::string> ranker_names = {"randPr", "by-weight",
-                                                 "drop-tail"};
-  const std::size_t num_rankers = ranker_names.size();
-  const std::size_t idx_randpr = ranker_index(ranker_names, "randPr");
-  std::vector<BufferedWorker> workers(engine::shared_runner().num_threads());
-
-  std::vector<Rng> wl_rngs, randpr_rngs;
-  for (int d = 0; d < draws; ++d) {
-    wl_rngs.push_back(master.split(1000 + d));
-    randpr_rngs.push_back(master.split(2000 + d));
-  }
-
-  struct Cell {
-    double packets = 0, served = 0, dropped = 0, value = 0, total = 0;
-  };
-  // One trial per draw; each draw generates its workload once and sweeps
-  // the whole buffer ladder on it.
-  auto cells = engine::shared_runner().map<std::vector<Cell>>(
-      static_cast<std::size_t>(draws),
-      [&](std::size_t d, engine::TrialContext& ctx) {
-        VideoWorkload vw = overload_workload(cfg, wl_rngs[d]);
-        BufferedWorker& w = workers[ctx.thread_index];
-        w.ensure(ranker_names);
-        std::vector<Cell> row(cfg.buffers.size() * num_rankers);
-        for (std::size_t b = 0; b < cfg.buffers.size(); ++b) {
-          BufferedRouterParams rp{.service_rate = cfg.spec.service_rate,
-                                  .buffer_size = cfg.buffers[b],
-                                  .drop_dead_frames = true};
-          w.rankers[idx_randpr]->reseed(randpr_rngs[d]);
-          for (std::size_t p = 0; p < num_rankers; ++p) {
-            RouterStats st = simulate_buffered_router(
-                vw.schedule, *w.rankers[p], rp, &w.scratch);
-            OSP_REQUIRE(st.packets_arrived ==
-                        st.packets_served + st.packets_dropped);
-            row[b * num_rankers + p] =
-                Cell{static_cast<double>(st.packets_arrived),
-                     static_cast<double>(st.packets_served),
-                     static_cast<double>(st.packets_dropped),
-                     st.value_delivered, st.value_total};
-          }
-        }
-        return row;
-      });
-
-  for (std::size_t b = 0; b < cfg.buffers.size(); ++b) {
-    for (std::size_t p = 0; p < num_rankers; ++p) {
-      Cell acc;
-      for (int d = 0; d < draws; ++d) {
-        const Cell& c = cells[static_cast<std::size_t>(d)][b * num_rankers + p];
-        acc.packets += c.packets;
-        acc.served += c.served;
-        acc.dropped += c.dropped;
-        acc.value += c.value;
-        acc.total += c.total;
-      }
-      table.row({fmt(cfg.buffers[b]), ranker_names[p],
-                 fmt(acc.packets / draws, 0), fmt(acc.served / draws, 0),
-                 fmt(acc.dropped / draws, 0), fmt(acc.value / acc.total, 3)});
-      json.write(
-          api::Row{}
-              .add("sweep", "overload")
-              .add("streams", cfg.spec.streams)
-              .add("service_rate", cfg.spec.service_rate)
-              .add("buffer", cfg.buffers[b])
-              .add("policy", ranker_names[p])
-              .add("packets", acc.packets / draws)
-              .add("served", acc.served / draws)
-              .add("dropped", acc.dropped / draws)
-              .add("goodput", acc.value / acc.total));
-    }
-  }
-  table.print(std::cout);
+  const api::ScenarioSpec& spec = overload_scenario(smoke);
+  std::cout << "-- (d) multi-stream overload (" << spec.streams
+            << " streams, service rate " << spec.service_rate << ") --\n";
+  // The frame-aware rankers plus drop-tail (random-drop sits out: it
+  // mirrors drop-tail under sustained overload and the full-size runs are
+  // expensive).
+  ranker_grid(json, spec.name, {"randPr", "by-weight", "drop-tail"}, 400);
   std::cout << "Expected shape: under sustained overload the frame-aware "
                "rankers keep whole frames alive while drop-tail sheds "
                "packets of every frame; bigger buffers widen the gap.\n\n";
 }
 
 void throughput_section(api::JsonSink& json, bool smoke) {
-  const OverloadConfig cfg = overload_config(smoke);
-  const std::size_t buffer = cfg.buffers.back();
+  const api::ScenarioSpec& spec = overload_scenario(smoke);
+  const std::size_t buffer = api::expand(spec).back().buffer;
   std::cout << "-- (e) queue-structure throughput (buffer " << buffer
             << ", largest overload workload) --\n";
   Table table({"path", "slots", "packets", "seconds", "slots/sec",
                "speedup"});
 
-  VideoWorkload vw = overload_workload(cfg, Rng(4242));
-  const BufferedRouterParams rp{.service_rate = cfg.spec.service_rate,
+  Rng wl_rng(4242);
+  VideoWorkload vw = api::build_video(spec, wl_rng);
+  const BufferedRouterParams rp{.service_rate = spec.service_rate,
                                 .buffer_size = buffer,
                                 .drop_dead_frames = true};
   const double slots = static_cast<double>(vw.schedule.horizon);
@@ -490,19 +326,18 @@ void throughput_section(api::JsonSink& json, bool smoke) {
 
   // Old path: the straightened-out full-sort reference.
   ranker->reseed(Rng(7));
-  auto t0 = std::chrono::steady_clock::now();
+  Stopwatch clock;
   RouterStats sort_stats =
       simulate_buffered_router_reference(vw.schedule, *ranker, rp);
-  const double sort_s = seconds_since(t0);
+  const double sort_s = clock.seconds();
 
   // New path: the indexed-heap PacketQueue.
   BufferedRouterScratch scratch;
   ranker->reseed(Rng(7));
-  t0 = std::chrono::steady_clock::now();
+  clock.restart();
   RouterStats heap_stats =
       simulate_buffered_router(vw.schedule, *ranker, rp, &scratch);
-  const double heap_s = seconds_since(t0);
-
+  const double heap_s = clock.seconds();
   // Decision-identity cross-check: the two paths must agree on every
   // counter before their timings mean anything.
   OSP_REQUIRE(heap_stats.packets_arrived == sort_stats.packets_arrived);
@@ -551,141 +386,42 @@ void throughput_section(api::JsonSink& json, bool smoke) {
 // too small for steady-state throughput.
 constexpr double kSustainedMinPacketsPerSec = 2.0e6;
 
-ServeSpec serve_spec_of(const api::ScenarioSpec& cell, std::size_t workers) {
-  return ServeSpec{.links = cell.links,
-                   .service_rate = cell.service_rate,
-                   .buffer = cell.buffer,
-                   .work_conserving = true,
-                   .drop_dead_frames = true,
-                   .workers = workers,
-                   .window = cell.window};
-}
-
-void emit_sustained_row(api::JsonSink& json, Table& table,
-                        const api::ScenarioSpec& cell, const char* ranker,
-                        std::size_t workers, const VideoWorkload& vw,
-                        const SustainedStats& st, double secs) {
-  const double packets = static_cast<double>(st.router.packets_arrived);
-  const double pps = packets / secs;
-  const double starved_share =
-      cell.streams > 0
-          ? static_cast<double>(st.streams_starved()) /
-                static_cast<double>(cell.streams)
-          : 0.0;
-  table.row({cell.display_label(), ranker, fmt(workers), fmt(cell.links),
-             fmt(cell.service_rate), fmt(st.router.goodput(), 3),
-             fmt(st.serve_latency.percentile(99)),
-             fmt(st.streams_starved()), fmt(pps, 0), "pass"});
-  json.write(api::Row{}
-                 .add("sweep", "sustained")
-                 .add("scenario", cell.display_label())
-                 .add("ranker", ranker)
-                 .add("links", cell.links)
-                 .add("workers", workers)
-                 .add("streams", cell.streams)
-                 .add("service_rate", cell.service_rate)
-                 .add("buffer", cell.buffer)
-                 .add("window", cell.window)
-                 .add("slots", vw.schedule.horizon)
-                 .add("packets", st.router.packets_arrived)
-                 .add("served", st.router.packets_served)
-                 .add("dropped", st.router.packets_dropped)
-                 .add("refused_dead", st.refused_dead)
-                 .add("evictions", st.evictions)
-                 .add("cascade_drops", st.cascade_drops)
-                 .add("leftover", st.leftover)
-                 .add("goodput", st.router.goodput())
-                 .add("window_goodput_mean", st.window_goodput_mean())
-                 .add("window_goodput_min", st.window_goodput_min())
-                 .add("serve_p50", st.serve_latency.percentile(50))
-                 .add("serve_p90", st.serve_latency.percentile(90))
-                 .add("serve_p99", st.serve_latency.percentile(99))
-                 .add("drop_p50", st.drop_latency.percentile(50))
-                 .add("drop_p90", st.drop_latency.percentile(90))
-                 .add("drop_p99", st.drop_latency.percentile(99))
-                 .add("streams_starved", st.streams_starved())
-                 .add("starved_slots_max", st.starved_slots_max())
-                 .add("starved_share", starved_share)
-                 .add("seconds", secs)
-                 .add("packets_per_sec", pps)
-                 .add("cross_check", "pass"));
-}
-
 void sustained_section(api::JsonSink& json, bool smoke) {
   std::cout << "-- (f) sustained multi-link serving runtime --\n";
-  Table table({"scenario", "ranker", "wrk", "links", "rate", "goodput",
-               "p99 lat", "starved", "pkts/sec", "check"});
-  Rng master(500);
-
-  double best_pps = 0.0;
-  std::size_t best_workers = 1;
+  api::Session session;
+  api::TableSink table;
+  session.attach(json);
+  session.attach(table);
 
   // (f1) steady state: one workload draw, randPr and drop-tail, each at
-  // several worker counts.  Every run must be stats-identical to the
-  // serial reference oracle before its timing means anything (the trace
+  // several worker counts.  Every run is stats-identical to the serial
+  // reference oracle before its timing means anything (the trace
   // identity half of the contract lives in test_serve.cpp).
   const api::ScenarioSpec& steady = api::scenarios().at(
       smoke ? "sustained/steady-smoke" : "sustained/steady");
-  const std::vector<std::size_t> worker_counts =
+  const std::vector<api::Row> steady_rows = session.run_sustained(
+      api::expand(steady), {"randPr", "drop-tail"},
       smoke ? std::vector<std::size_t>{1, 2}
-            : std::vector<std::size_t>{1, 2, 4};
-  {
-    Rng wl_rng = master.split(1);
-    const VideoWorkload vw = api::build_video(steady, wl_rng);
-    const Rng ranker_seed = master.split(2);
-    for (const char* name : {"randPr", "drop-tail"}) {
-      auto ranker = api::rankers().make(name, Rng(0));
-      ranker->reseed(ranker_seed);
-      const SustainedStats ref = serve_sustained_reference(
-          vw.schedule, vw.stream_of, *ranker, serve_spec_of(steady, 1));
-      for (std::size_t workers : worker_counts) {
-        ranker->reseed(ranker_seed);
-        auto t0 = std::chrono::steady_clock::now();
-        const SustainedStats st =
-            serve_sustained(vw.schedule, vw.stream_of, *ranker,
-                            serve_spec_of(steady, workers));
-        const double secs = seconds_since(t0);
-        OSP_REQUIRE_MSG(st == ref, "sustained runtime diverged from the "
-                                   "serial reference (ranker "
-                                       << name << ", workers " << workers
-                                       << ")");
-        const double pps =
-            static_cast<double>(st.router.packets_arrived) / secs;
-        if (std::strcmp(name, "randPr") == 0 && pps > best_pps) {
-          best_pps = pps;
-          best_workers = workers;
-        }
-        emit_sustained_row(json, table, steady, name, workers, vw, st, secs);
-      }
-    }
-  }
-
-  // (f2) saturation ramp: service-rate rising through the knee, workers
-  // fixed, every cell reference-checked.
-  const api::ScenarioSpec& ramp = api::scenarios().at(
-      smoke ? "sustained/ramp-smoke" : "sustained/ramp");
-  std::size_t ci = 0;
-  for (const api::ScenarioSpec& cell : api::expand(ramp)) {
-    Rng wl_rng = master.split(1000 + ci);
-    const VideoWorkload vw = api::build_video(cell, wl_rng);
-    auto ranker = api::rankers().make("randPr", Rng(0));
-    const Rng ranker_seed = master.split(2000 + ci);
-    ranker->reseed(ranker_seed);
-    const SustainedStats ref = serve_sustained_reference(
-        vw.schedule, vw.stream_of, *ranker, serve_spec_of(cell, 1));
-    ranker->reseed(ranker_seed);
-    auto t0 = std::chrono::steady_clock::now();
-    const SustainedStats st = serve_sustained(vw.schedule, vw.stream_of,
-                                              *ranker, serve_spec_of(cell, 2));
-    const double secs = seconds_since(t0);
-    OSP_REQUIRE_MSG(st == ref, "sustained ramp cell '" << cell.display_label()
-                                                       << "' diverged from "
-                                                          "the reference");
-    emit_sustained_row(json, table, cell, "randPr", 2, vw, st, secs);
-    ++ci;
-  }
+            : std::vector<std::size_t>{1, 2, 4},
+      500);
+  // (f2) saturation ramp: service rate rising through the knee, workers
+  // fixed.
+  session.run_sustained(
+      api::expand(api::scenarios().at(smoke ? "sustained/ramp-smoke"
+                                            : "sustained/ramp")),
+      {"randPr"}, {2}, 500);
   table.print(std::cout);
 
+  double best_pps = 0.0;
+  std::uint64_t best_workers = 1;
+  for (const api::Row& row : steady_rows) {
+    const double pps = std::get<double>(row.at("packets_per_sec"));
+    if (std::get<std::string>(row.at("ranker")) == "randPr" &&
+        pps > best_pps) {
+      best_pps = pps;
+      best_workers = std::get<std::uint64_t>(row.at("workers"));
+    }
+  }
   json.write(api::Row{}
                  .add("sweep", "sustained_summary")
                  .add("label", steady.name)

@@ -33,7 +33,6 @@
 // bit-identical to the unsharded `bench --json` run.
 #include <unistd.h>
 
-#include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <iostream>
@@ -49,8 +48,6 @@
 #include "api/scenario.hpp"
 #include "api/session.hpp"
 #include "api/shard.hpp"
-#include "engine/batch_runner.hpp"
-#include "net/serve.hpp"
 #include "core/bounds.hpp"
 #include "core/game.hpp"
 #include "core/io.hpp"
@@ -311,172 +308,32 @@ std::unique_ptr<api::JsonSink> open_json_sink(const Args& args,
   return json;
 }
 
-/// `bench --ranker`: sweeps buffered-router FrameRankers over the
-/// expanded video scenario cells instead of packing policies.  Each
-/// (cell, ranker) pair runs `trials` independent workload draws on the
-/// shared batch runner and emits one row of mean counters.
-int bench_rankers(const Args& args, api::Session& session,
-                  const std::vector<api::ScenarioSpec>& cells, int trials,
-                  std::uint64_t seed) {
-  const std::vector<std::string> ranker_names =
-      split_commas(args.get("ranker", ""));
-  OSP_REQUIRE_MSG(!ranker_names.empty(),
-                  "--ranker needs ranker names; registered rankers:\n"
-                      << api::rankers().render_catalog());
-  // Resolve every name and validate every cell up front, so an unknown
-  // ranker or a non-video scenario fails before any work runs — and
-  // before the --json sink creates its never-overwrite artifact file.
-  for (const std::string& name : ranker_names) api::rankers().at(name);
-  for (const api::ScenarioSpec& cell : cells)
-    OSP_REQUIRE_MSG(cell.family == api::ScenarioFamily::kVideo,
-                    "--ranker drives the buffered router and needs a video "
-                    "scenario; '"
-                        << cell.name << "' is not one");
-
-  api::TableSink table;
-  session.attach(table);
-  std::unique_ptr<api::JsonSink> json = open_json_sink(args, session);
-
-  Rng master(seed);
-  const std::size_t draws = static_cast<std::size_t>(trials);
-  std::vector<BufferedRouterScratch> scratch(
-      engine::shared_runner().num_threads());
-  for (std::size_t c = 0; c < cells.size(); ++c) {
-    const api::ScenarioSpec& cell = cells[c];
-    // Per-(cell, draw) streams, split serially up front (deterministic
-    // for any worker count).  Each cell splits its own child generator,
-    // and inside it the workload and ranker families use disjoint key
-    // ranges (draws is capped at 1e9 by the --trials bound), so no two
-    // (cell, draw, family) streams can collide.
-    Rng cell_master = master.split(c);
-    std::vector<Rng> wl_rngs, rk_rngs;
-    for (std::size_t d = 0; d < draws; ++d) {
-      wl_rngs.push_back(cell_master.split(d));
-      rk_rngs.push_back(cell_master.split(1000000000 + d));
-    }
-    for (const std::string& name : ranker_names) {
-      const api::RankerInfo& info = api::rankers().at(name);
-      auto stats = engine::shared_runner().map<RouterStats>(
-          draws, [&](std::size_t d, engine::TrialContext& ctx) {
-            Rng wl_rng = wl_rngs[d];
-            VideoWorkload vw = api::build_video(cell, wl_rng);
-            auto ranker = info.make(rk_rngs[d]);
-            BufferedRouterParams rp{.service_rate = cell.service_rate,
-                                    .buffer_size = cell.buffer,
-                                    .drop_dead_frames = true};
-            return simulate_buffered_router(vw.schedule, *ranker, rp,
-                                            &scratch[ctx.thread_index]);
-          });
-      double goodput = 0, served = 0, dropped = 0;
-      for (const RouterStats& st : stats) {
-        goodput += st.goodput();
-        served += static_cast<double>(st.packets_served);
-        dropped += static_cast<double>(st.packets_dropped);
-      }
-      const double n = static_cast<double>(draws);
-      session.emit(api::Row{}
-                       .add("scenario", cell.display_label())
-                       .add("ranker", info.name)
-                       .add("buffer", cell.buffer)
-                       .add("service_rate", cell.service_rate)
-                       .add("trials", draws)
-                       .add("goodput_mean", goodput / n)
-                       .add("served_mean", served / n)
-                       .add("dropped_mean", dropped / n));
-    }
-  }
-  session.close_sinks();
-  table.print(std::cout);
-  if (json != nullptr)
-    std::cerr << "wrote BENCH_" << args.get("json", "cli") << ".json\n";
-  return 0;
-}
-
-/// `bench --sustained`: runs the multi-link serving runtime over the
-/// expanded video scenario cells.  Each (cell, ranker) pair is one long
-/// deterministic run (seed picks the workload draw), cross-checked
-/// against the serial reference runner before its row is emitted — the
-/// `cross_check` column records that the multi-worker run reproduced the
-/// reference stats exactly.
-int bench_sustained(const Args& args, api::Session& session,
-                    const std::vector<api::ScenarioSpec>& cells,
-                    std::uint64_t seed) {
-  const std::vector<std::string> ranker_names =
-      args.has("ranker") ? split_commas(args.get("ranker", ""))
-                         : std::vector<std::string>{"randPr"};
-  OSP_REQUIRE_MSG(!ranker_names.empty(),
-                  "--ranker needs ranker names; registered rankers:\n"
-                      << api::rankers().render_catalog());
+/// `bench --ranker` / `bench --sustained`: the buffered-router ranker
+/// grid and the sustained serving run — api::Session's measurement kinds
+/// (session.hpp documents their streams and rows), so this prints what
+/// bench_router records for the same scenario, rankers and seed.
+int bench_router_kind(const Args& args, api::Session& session,
+                      const std::vector<api::ScenarioSpec>& cells, int trials,
+                      std::uint64_t seed) {
+  const bool sustained = args.has("sustained");
+  const std::vector<std::string> rankers =
+      sustained && !args.has("ranker") ? std::vector<std::string>{"randPr"}
+                                       : split_commas(args.get("ranker", ""));
   const std::size_t workers = args.get_num("workers", 1);
   OSP_REQUIRE_MSG(workers >= 1 && workers <= 256,
                   "flag --workers must be in [1, 256], got " << workers);
-  // Resolve every name and validate every cell up front, so an unknown
-  // ranker or a non-video scenario fails before any work runs — and
-  // before the --json sink creates its never-overwrite artifact file.
-  for (const std::string& name : ranker_names) api::rankers().at(name);
-  for (const api::ScenarioSpec& cell : cells)
-    OSP_REQUIRE_MSG(cell.family == api::ScenarioFamily::kVideo,
-                    "--sustained serves video workloads; '"
-                        << cell.name << "' is not one");
+  // Fail on an unknown ranker or a non-video scenario before the --json
+  // sink creates its never-overwrite artifact file.
+  api::resolve_ranker_run(cells, rankers);
 
   api::TableSink table;
   session.attach(table);
   std::unique_ptr<api::JsonSink> json = open_json_sink(args, session);
-
-  Rng master(seed);
-  for (std::size_t c = 0; c < cells.size(); ++c) {
-    const api::ScenarioSpec& cell = cells[c];
-    // One workload draw per cell; the ranker stream lives in a disjoint
-    // split range so adding rankers never perturbs the workload.
-    Rng cell_master = master.split(c);
-    Rng wl_rng = cell_master.split(0);
-    const VideoWorkload vw = api::build_video(cell, wl_rng);
-    const ServeSpec spec{.links = cell.links,
-                         .service_rate = cell.service_rate,
-                         .buffer = cell.buffer,
-                         .work_conserving = true,
-                         .drop_dead_frames = true,
-                         .workers = workers,
-                         .window = cell.window};
-    for (std::size_t r = 0; r < ranker_names.size(); ++r) {
-      const api::RankerInfo& info = api::rankers().at(ranker_names[r]);
-      const Rng rk_rng = cell_master.split(1000000000 + r);
-      auto ranker = info.make(rk_rng);
-      const SustainedStats ref =
-          serve_sustained_reference(vw.schedule, vw.stream_of, *ranker, spec);
-      ranker->reseed(rk_rng);
-      const auto t0 = std::chrono::steady_clock::now();
-      const SustainedStats st =
-          serve_sustained(vw.schedule, vw.stream_of, *ranker, spec);
-      const double secs =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-              .count();
-      OSP_REQUIRE_MSG(st == ref,
-                      "sustained run diverged from the serial reference "
-                      "(scenario '"
-                          << cell.display_label() << "', ranker " << info.name
-                          << ", workers " << workers << ")");
-      session.emit(
-          api::Row{}
-              .add("scenario", cell.display_label())
-              .add("ranker", info.name)
-              .add("links", cell.links)
-              .add("workers", workers)
-              .add("service_rate", cell.service_rate)
-              .add("buffer", cell.buffer)
-              .add("packets", st.router.packets_arrived)
-              .add("goodput", st.router.goodput())
-              .add("window_goodput_min", st.window_goodput_min())
-              .add("serve_p50", st.serve_latency.percentile(50))
-              .add("serve_p99", st.serve_latency.percentile(99))
-              .add("streams_starved", st.streams_starved())
-              .add("packets_per_sec",
-                   secs > 0
-                       ? static_cast<double>(st.router.packets_arrived) / secs
-                       : 0.0)
-              .add("cross_check", "pass"));
-    }
-  }
+  if (sustained)
+    session.run_sustained(cells, rankers, {workers}, seed);
+  else
+    session.run_rankers(cells, rankers, static_cast<std::size_t>(trials),
+                        seed);
   session.close_sinks();
   table.print(std::cout);
   if (json != nullptr)
@@ -542,6 +399,9 @@ int cmd_bench(const Args& args) {
                   "needs --shard i/N next to it");
 
   api::Session session;
+  OSP_REQUIRE_MSG(args.has("sustained") || !args.has("workers"),
+                  "--workers sets the serving runtime's worker count and "
+                  "needs --sustained next to it");
   if (args.has("sustained")) {
     // The serving runtime is its own experiment: --alg's packing grid and
     // --ranker's trial sweep answer different questions, and a sustained
@@ -558,7 +418,7 @@ int cmd_bench(const Args& args) {
     OSP_REQUIRE_MSG(!args.has("trials"),
                     "--sustained is one long deterministic run per cell; "
                     "vary --seed for a different draw instead of --trials");
-    return bench_sustained(args, session, cells, seed);
+    return bench_router_kind(args, session, cells, trials, seed);
   }
   if (args.has("ranker")) {
     // A policy grid and a ranker sweep are different experiments; a
@@ -569,7 +429,7 @@ int cmd_bench(const Args& args) {
     OSP_REQUIRE_MSG(!sharded && !args.has("dry-run"),
                     "--shard/--dry-run slice the packing-policy grid; "
                     "--ranker sweeps are not shardable (run them whole)");
-    return bench_rankers(args, session, cells, trials, seed);
+    return bench_router_kind(args, session, cells, trials, seed);
   }
 
   // Policy rows: every registered policy unless --alg narrows the sweep.

@@ -5,12 +5,14 @@
 //
 // Generates a GOP-structured multi-stream video workload, pushes it
 // through the router simulator under several drop policies, and reports
-// how much frame value each policy delivers.  With a buffer argument > 0
-// it also runs the buffered-router extension (the paper's open problem 2).
+// how much frame value each policy delivers.  It then runs the
+// buffered-router extension (the paper's open problem 2) on the same
+// shape through the experiment API's ranker grid (api::Session).
 #include <cstdlib>
 #include <iostream>
 
 #include "algos/baselines.hpp"
+#include "api/session.hpp"
 #include "core/rand_pr.hpp"
 #include "gen/video.hpp"
 #include "net/router_sim.hpp"
@@ -53,24 +55,19 @@ int main(int argc, char** argv) {
   report(random_drop);
   table.print(std::cout);
 
+  constexpr std::size_t kDraws = 10;
   std::cout << "\n-- buffered router, buffer = " << buffer
-            << " packets (open problem 2) --\n";
-  Table btable({"ranking", "frames delivered", "goodput"});
-  BufferedRouterParams bp{.service_rate = 1,
-                          .buffer_size = buffer,
-                          .drop_dead_frames = true};
-  RandPrRanker rank_randpr{Rng(3)};
-  RouterStats a = simulate_buffered_router(vw.schedule, rank_randpr, bp);
-  btable.row({rank_randpr.name(), fmt(a.frames_delivered),
-              fmt(a.goodput(), 3)});
-  WeightRanker rank_weight;
-  RouterStats b = simulate_buffered_router(vw.schedule, rank_weight, bp);
-  btable.row({rank_weight.name(), fmt(b.frames_delivered),
-              fmt(b.goodput(), 3)});
-  FifoRanker rank_fifo;
-  RouterStats c = simulate_buffered_router(vw.schedule, rank_fifo, bp);
-  btable.row({rank_fifo.name(), fmt(c.frames_delivered),
-              fmt(c.goodput(), 3)});
+            << " packets (open problem 2), mean of " << kDraws
+            << " workload draws --\n";
+  api::ScenarioSpec cell = api::scenarios().at("video");
+  cell.streams = streams;
+  cell.frames = params.frames_per_stream;
+  cell.buffer = buffer;
+  api::Session session;
+  api::TableSink btable;
+  session.attach(btable);
+  session.run_rankers({cell}, {"randPr", "by-weight", "drop-tail"}, kDraws,
+                      2024);
   btable.print(std::cout);
 
   std::cout << "\nTry: ./video_streaming 16 0   (heavier congestion, no "

@@ -21,7 +21,8 @@
 #      bounds included), and the theorem3 smoke grid shards/merges
 #      bit-identically;
 #   8. ASan/UBSan build of the engine-critical tests plus a sanitized
-#      `bench_router --smoke`;
+#      `bench_router --smoke`, whose rankers/sustained rows must equal
+#      the rows of the osp_cli lines docs/BENCHMARKS.md lists for them;
 #   9. TSan: a -DOSP_SANITIZE=thread build of the threaded suites
 #      (test_engine's 1/2/5-thread batch determinism, test_serve's
 #      workers-1/2/4 equivalence) and the sustained serving smoke at
@@ -176,12 +177,49 @@ rm -f BENCH_advsmoke.json build/advsmoke_*.part build/advsmoke_merged.json
 echo
 echo "== sanitizers: ASan/UBSan build of fuzz + engine + queue tests =="
 cmake -B build-asan -S . -DOSP_SANITIZE=ON
-cmake --build build-asan -j "${jobs}" --target test_fuzz test_engine test_game test_instance test_rand_pr test_net test_queue test_serve bench_router
+cmake --build build-asan -j "${jobs}" --target test_fuzz test_engine test_game test_instance test_rand_pr test_net test_queue test_serve bench_router osp_cli
 (cd build-asan && ctest --output-on-failure -R 'test_(fuzz|engine|game|instance|rand_pr|net|queue|serve)')
 
 echo
 echo "== sanitizers: bench_router --smoke (heap vs sort cross-check) =="
 (cd build-asan && ./bench_router --smoke)
+
+echo
+echo "== parity: bench_router rows == their documented osp_cli lines =="
+# docs/BENCHMARKS.md lists the osp_cli line that reproduces each rankers
+# and sustained row of BENCH_router.json.  On the smoke artifact, the
+# router/buffered-smoke rankers rows and the sustained/steady-smoke
+# workers=1 rows must equal those lines' rows in every field but timing.
+(cd build-asan \
+  && rm -f BENCH_parity_rankers.json BENCH_parity_sustained.json \
+  && ./osp_cli bench --scenario router/buffered-smoke \
+    --ranker randPr,by-weight,drop-tail,random-drop --seed 200 \
+    --json parity_rankers > /dev/null \
+  && ./osp_cli bench --scenario sustained/steady-smoke --sustained \
+    --ranker randPr,drop-tail --workers 1 --seed 500 \
+    --json parity_sustained > /dev/null)
+python3 - build-asan <<'EOF'
+import json, pathlib, sys
+def rows(name):
+    doc = json.loads((pathlib.Path(sys.argv[1]) / f"BENCH_{name}.json")
+                     .read_text())
+    return [json.dumps({k: v for k, v in r.items()
+                        if k not in ("seconds", "packets_per_sec")},
+                       sort_keys=True) for r in doc["results"]]
+def listed(text):
+    r = json.loads(text)
+    if r["sweep"] == "rankers":
+        return r["scenario"].startswith("router/buffered-smoke")
+    return (r["sweep"] == "sustained" and r["workers"] == 1
+            and r["scenario"] == "sustained/steady-smoke")
+want = sorted(filter(listed, rows("router_smoke")))
+got = sorted(rows("parity_rankers") + rows("parity_sustained"))
+if not want or got != want:
+    sys.exit("bench_router smoke rows differ from their osp_cli lines")
+print(f"{len(want)} bench_router rows reproduced by osp_cli")
+EOF
+rm -f build-asan/BENCH_parity_rankers.json \
+  build-asan/BENCH_parity_sustained.json
 
 echo
 echo "== TSan: threaded suites + sustained smoke (race detection) =="

@@ -10,8 +10,7 @@
 //
 // Every baseline implements the flat decide() path with reusable internal
 // scratch and re-arms in place, so in a steady-state batch trial a
-// baseline allocates nothing (the engine's Outcome vectors still do); the
-// allocating on_element() entry point is inherited from the base class.
+// baseline allocates nothing (the engine's Outcome vectors still do).
 #pragma once
 
 #include <memory>

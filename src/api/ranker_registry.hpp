@@ -13,11 +13,12 @@
 //
 // Callers resolve a name with rankers().make(name, rng); unknown names
 // throw a RequireError enumerating the catalog.  Every ranker supports
-// FrameRanker::reseed(), so bench loops construct one per worker and
-// re-arm it per draw (randomized rankers consume the rng; deterministic
-// ones ignore it).  The registry is enumerable in registration order —
-// what `osp_cli list`, `osp_cli bench --ranker`, and the router benches
-// iterate, killing their hand-built ranker lists.
+// FrameRanker::reseed(), so api::Session's ranker runs construct one per
+// worker and re-arm it per draw with the draw's ranker stream
+// (randomized rankers consume the rng; deterministic ones ignore it).
+// The registry is enumerable in registration order — what `osp_cli
+// list`, `osp_cli bench --ranker`, and the router benches iterate,
+// killing their hand-built ranker lists.
 #pragma once
 
 #include <functional>
@@ -43,12 +44,6 @@ struct RankerInfo {
   std::string description;
   /// Accepted alternate spellings (e.g. "randpr" for "randPr").
   std::vector<std::string> aliases;
-  /// True when the ranker consumes its Rng (randPr, random-drop): such a
-  /// ranker needs a dedicated per-draw reseed stream in any bench that
-  /// wants worker-count-independent results — the router benches check
-  /// this flag and refuse to sweep a randomized ranker they have no
-  /// stream for, so adding one can never silently break determinism.
-  bool randomized = false;
   RankerFactory make;
 };
 

@@ -1,5 +1,7 @@
 #include "api/result_sink.hpp"
 
+#include <algorithm>
+
 #include "util/require.hpp"
 
 namespace osp::api {
@@ -29,6 +31,14 @@ std::string render(const Row::Value& value, int precision) {
 }
 
 }  // namespace
+
+const Row::Value& Row::at(const std::string& key) const {
+  const auto it =
+      std::find_if(cells.begin(), cells.end(),
+                   [&](const auto& cell) { return cell.first == key; });
+  OSP_REQUIRE_MSG(it != cells.end(), "row has no cell '" << key << "'");
+  return it->second;
+}
 
 JsonSink::JsonSink(const std::string& name, std::size_t threads)
     : file_("BENCH_" + name + ".json"), writer_(file_) {

@@ -62,6 +62,10 @@ struct Row {
       cells.emplace_back(key, Value(static_cast<std::uint64_t>(v)));
     return *this;
   }
+
+  /// The value stored under `key`; throws RequireError when the row has
+  /// no such cell.
+  const Value& at(const std::string& key) const;
 };
 
 /// Abstract row consumer.

@@ -1,9 +1,63 @@
 #include "api/session.hpp"
 
 #include "engine/trial.hpp"
+#include "net/router_sim.hpp"
+#include "net/serve.hpp"
 #include "util/require.hpp"
+#include "util/stopwatch.hpp"
 
 namespace osp::api {
+
+namespace {
+
+// Split key of a draw's ranker stream (see the header); workload draws
+// stay below it because trials are capped at 1e9.
+constexpr std::uint64_t kRankerStream = 1000000000;
+
+Row sustained_row(const ScenarioSpec& cell, const std::string& ranker,
+                  std::size_t workers, const VideoWorkload& vw,
+                  const SustainedStats& st, double secs) {
+  const double packets = static_cast<double>(st.router.packets_arrived);
+  const double starved_share =
+      cell.streams > 0 ? static_cast<double>(st.streams_starved()) /
+                             static_cast<double>(cell.streams)
+                       : 0.0;
+  return Row{}
+      .add("sweep", "sustained")
+      .add("scenario", cell.display_label())
+      .add("ranker", ranker)
+      .add("links", cell.links)
+      .add("workers", workers)
+      .add("streams", cell.streams)
+      .add("service_rate", cell.service_rate)
+      .add("buffer", cell.buffer)
+      .add("window", cell.window)
+      .add("slots", vw.schedule.horizon)
+      .add("packets", st.router.packets_arrived)
+      .add("served", st.router.packets_served)
+      .add("dropped", st.router.packets_dropped)
+      .add("refused_dead", st.refused_dead)
+      .add("evictions", st.evictions)
+      .add("cascade_drops", st.cascade_drops)
+      .add("leftover", st.leftover)
+      .add("goodput", st.router.goodput())
+      .add("window_goodput_mean", st.window_goodput_mean())
+      .add("window_goodput_min", st.window_goodput_min())
+      .add("serve_p50", st.serve_latency.percentile(50))
+      .add("serve_p90", st.serve_latency.percentile(90))
+      .add("serve_p99", st.serve_latency.percentile(99))
+      .add("drop_p50", st.drop_latency.percentile(50))
+      .add("drop_p90", st.drop_latency.percentile(90))
+      .add("drop_p99", st.drop_latency.percentile(99))
+      .add("streams_starved", st.streams_starved())
+      .add("starved_slots_max", st.starved_slots_max())
+      .add("starved_share", starved_share)
+      .add("seconds", secs)
+      .add("packets_per_sec", secs > 0 ? packets / secs : 0.0)
+      .add("cross_check", "pass");
+}
+
+}  // namespace
 
 Session::Session() : runner_(&engine::shared_runner()) {}
 
@@ -103,8 +157,165 @@ std::vector<engine::CellStats> Session::run_grid(
   return cells;
 }
 
+std::vector<Row> Session::run_rankers(const std::vector<ScenarioSpec>& cells,
+                                      const std::vector<std::string>& rankers,
+                                      std::size_t trials,
+                                      std::uint64_t seed) {
+  const std::vector<const RankerInfo*> infos =
+      resolve_ranker_run(cells, rankers);
+  OSP_REQUIRE_MSG(trials >= 1 && trials <= kRankerStream,
+                  "ranker grid trials must be in [1, 1e9], got " << trials);
+
+  // Per-worker rankers (built on first use, reseeded per draw) and router
+  // scratch, reused across every draw and cell.
+  struct Worker {
+    std::vector<std::unique_ptr<FrameRanker>> rankers;
+    BufferedRouterScratch scratch;
+  };
+  std::vector<Worker> workers(runner_->num_threads());
+
+  Rng master(seed);
+  std::vector<Row> rows;
+  for (std::size_t c = 0; c < cells.size(); ++c) {
+    const ScenarioSpec& cell = cells[c];
+    // Split serially up front, so the streams do not depend on the
+    // worker count.
+    Rng cell_rng = master.split(c);
+    std::vector<Rng> wl_rngs, rk_rngs;
+    wl_rngs.reserve(trials);
+    rk_rngs.reserve(trials);
+    for (std::size_t d = 0; d < trials; ++d) {
+      wl_rngs.push_back(cell_rng.split(d));
+      rk_rngs.push_back(cell_rng.split(kRankerStream + d));
+    }
+    const BufferedRouterParams rp{.service_rate = cell.service_rate,
+                                  .buffer_size = cell.buffer,
+                                  .drop_dead_frames = true};
+    auto draws = runner_->map<std::vector<RouterStats>>(
+        trials, [&](std::size_t d, engine::TrialContext& ctx) {
+          Rng wl_rng = wl_rngs[d];
+          const VideoWorkload vw = build_video(cell, wl_rng);
+          Worker& w = workers[ctx.thread_index];
+          if (w.rankers.empty())
+            for (const RankerInfo* info : infos)
+              w.rankers.push_back(info->make(Rng(0)));
+          std::vector<RouterStats> stats;
+          stats.reserve(infos.size());
+          for (const auto& ranker : w.rankers) {
+            ranker->reseed(rk_rngs[d]);
+            stats.push_back(
+                simulate_buffered_router(vw.schedule, *ranker, rp, &w.scratch));
+            const RouterStats& st = stats.back();
+            OSP_REQUIRE(st.packets_arrived ==
+                        st.packets_served + st.packets_dropped);
+          }
+          return stats;
+        });
+
+    const double n = static_cast<double>(trials);
+    for (std::size_t r = 0; r < infos.size(); ++r) {
+      double goodput = 0, served = 0, dropped = 0;
+      for (const std::vector<RouterStats>& draw : draws) {
+        goodput += draw[r].goodput();
+        served += static_cast<double>(draw[r].packets_served);
+        dropped += static_cast<double>(draw[r].packets_dropped);
+      }
+      rows.push_back(Row{}
+                         .add("sweep", "rankers")
+                         .add("scenario", cell.display_label())
+                         .add("ranker", infos[r]->name)
+                         .add("buffer", cell.buffer)
+                         .add("service_rate", cell.service_rate)
+                         .add("trials", trials)
+                         .add("goodput_mean", goodput / n)
+                         .add("served_mean", served / n)
+                         .add("dropped_mean", dropped / n));
+      emit(rows.back());
+    }
+  }
+  return rows;
+}
+
+std::vector<Row> Session::run_sustained(
+    const std::vector<ScenarioSpec>& cells,
+    const std::vector<std::string>& rankers,
+    const std::vector<std::size_t>& workers, std::uint64_t seed) {
+  const std::vector<const RankerInfo*> infos =
+      resolve_ranker_run(cells, rankers);
+  OSP_REQUIRE_MSG(!workers.empty(), "a sustained run needs a worker count");
+  for (std::size_t w : workers)
+    OSP_REQUIRE_MSG(w >= 1, "sustained worker counts must be at least 1");
+
+  std::vector<std::unique_ptr<FrameRanker>> made;
+  made.reserve(infos.size());
+  for (const RankerInfo* info : infos) made.push_back(info->make(Rng(0)));
+
+  Rng master(seed);
+  std::vector<Row> rows;
+  for (std::size_t c = 0; c < cells.size(); ++c) {
+    const ScenarioSpec& cell = cells[c];
+    Rng cell_rng = master.split(c);
+    Rng wl_rng = cell_rng.split(0);
+    const Rng rk_rng = cell_rng.split(kRankerStream);
+    const VideoWorkload vw = build_video(cell, wl_rng);
+    ServeSpec spec{.links = cell.links,
+                   .service_rate = cell.service_rate,
+                   .buffer = cell.buffer,
+                   .work_conserving = true,
+                   .drop_dead_frames = true,
+                   .workers = 1,
+                   .window = cell.window};
+    for (std::size_t r = 0; r < infos.size(); ++r) {
+      FrameRanker& ranker = *made[r];
+      ranker.reseed(rk_rng);
+      const SustainedStats ref =
+          serve_sustained_reference(vw.schedule, vw.stream_of, ranker, spec);
+      for (std::size_t w : workers) {
+        spec.workers = w;
+        ranker.reseed(rk_rng);
+        const Stopwatch clock;
+        const SustainedStats st =
+            serve_sustained(vw.schedule, vw.stream_of, ranker, spec);
+        const double secs = clock.seconds();
+        OSP_REQUIRE_MSG(st == ref,
+                        "sustained run diverged from the serial reference "
+                        "(scenario '"
+                            << cell.display_label() << "', ranker "
+                            << infos[r]->name << ", workers " << w << ")");
+        rows.push_back(
+            sustained_row(cell, infos[r]->name, w, vw, st, secs));
+        emit(rows.back());
+      }
+    }
+  }
+  return rows;
+}
+
 engine::AlgSpec grid_column(const PolicyInfo& info) {
   return engine::AlgSpec{info.name, info.make};
+}
+
+std::vector<const RankerInfo*> resolve_ranker_run(
+    const std::vector<ScenarioSpec>& cells,
+    const std::vector<std::string>& rankers) {
+  OSP_REQUIRE_MSG(!rankers.empty(),
+                  "a ranker run needs ranker names; registered rankers:\n"
+                      << api::rankers().render_catalog());
+  std::vector<const RankerInfo*> infos;
+  infos.reserve(rankers.size());
+  for (const std::string& name : rankers)
+    infos.push_back(&api::rankers().at(name));
+  for (const ScenarioSpec& cell : cells) {
+    if (cell.family == ScenarioFamily::kVideo) continue;
+    std::string video;
+    for (const ScenarioSpec& entry : scenarios().entries())
+      if (entry.family == ScenarioFamily::kVideo) video += "\n  " + entry.name;
+    OSP_REQUIRE_MSG(false, "rankers drive the buffered router and need a "
+                           "video scenario; '"
+                               << cell.name
+                               << "' is not one.  Video scenarios:" << video);
+  }
+  return infos;
 }
 
 }  // namespace osp::api

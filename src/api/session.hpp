@@ -7,6 +7,20 @@
 // (trial t plays make(master.split(t)) on the flat engine), so numbers
 // printed through a Session are bit-identical to the historical serial
 // loops at any thread count.
+//
+// Each measurement kind is implemented once, here: the policy grid
+// (run_grid), the buffered-router ranker grid (run_rankers) and the
+// sustained multi-link serving run (run_sustained).  bench_router and
+// `osp_cli bench` both call these, so a bench row and the CLI line that
+// names the same scenario, rankers and seed print the same values.
+//
+// Streams of the ranker grid and the sustained run.  One master
+// Rng(seed) splits cell c's stream as master.split(c), in cell order.
+// Inside a cell, workload draw d is cell.split(d) and every ranker's
+// stream for that draw is cell.split(1e9 + d), split in the order
+// d, 1e9 + d, d + 1, 1e9 + d + 1, …  All rankers of a draw share its
+// stream, so a ranker's row does not depend on its position in the
+// ranker list.  A sustained run is draw 0.
 #pragma once
 
 #include <functional>
@@ -14,7 +28,9 @@
 #include <vector>
 
 #include "api/policy_registry.hpp"
+#include "api/ranker_registry.hpp"
 #include "api/result_sink.hpp"
+#include "api/scenario.hpp"
 #include "core/game.hpp"
 #include "core/instance.hpp"
 #include "engine/batch_runner.hpp"
@@ -69,6 +85,34 @@ class Session {
       const engine::GridSpec& spec,
       const std::vector<std::string>& instance_labels = {});
 
+  /// Buffered-router ranker grid over video scenario cells: each of
+  /// `trials` workload draws of a cell is built once and every ranker
+  /// plays it (rankers and router scratch are reused per worker through
+  /// reseed).  Each cell has its own draws, so cells that differ only in
+  /// buffer are not played on the same workloads.  Every run must
+  /// account for each packet (arrived == served + dropped).  Emits and
+  /// returns one row per (cell, ranker), cell-major:
+  ///   {sweep: "rankers", scenario, ranker, buffer, service_rate, trials,
+  ///    goodput_mean, served_mean, dropped_mean}.
+  /// Rows are identical at any runner thread count.  `trials` is in
+  /// [1, 1e9].
+  std::vector<Row> run_rankers(const std::vector<ScenarioSpec>& cells,
+                               const std::vector<std::string>& rankers,
+                               std::size_t trials, std::uint64_t seed);
+
+  /// Sustained multi-link serving run (net/serve.hpp) over video scenario
+  /// cells: one workload draw per cell, served by each ranker at each
+  /// worker count.  Every timed serve_sustained call is first proven
+  /// stats-identical to serve_sustained_reference.  Emits and returns one
+  /// row per (cell, ranker, workers), in that order, carrying the cell
+  /// shape, the drop taxonomy, window goodput, serve/drop latency
+  /// percentiles, starvation counters, the timing (seconds,
+  /// packets_per_sec) and cross_check = "pass".
+  std::vector<Row> run_sustained(const std::vector<ScenarioSpec>& cells,
+                                 const std::vector<std::string>& rankers,
+                                 const std::vector<std::size_t>& workers,
+                                 std::uint64_t seed);
+
  private:
   const engine::BatchRunner* runner_;
   std::vector<ResultSink*> sinks_;
@@ -76,5 +120,15 @@ class Session {
 
 /// Turns a registry entry into an engine grid column.
 engine::AlgSpec grid_column(const PolicyInfo& info);
+
+/// What run_rankers and run_sustained check before they emit a row:
+/// resolves every ranker name (an unknown one throws RequireError with
+/// the ranker catalog) and requires every cell to be a video scenario
+/// (otherwise the error lists the video scenarios).  Callers that open a
+/// never-overwrite artifact before running (the CLI's --json) call it
+/// first, so a bad request leaves no file behind.
+std::vector<const RankerInfo*> resolve_ranker_run(
+    const std::vector<ScenarioSpec>& cells,
+    const std::vector<std::string>& rankers);
 
 }  // namespace osp::api

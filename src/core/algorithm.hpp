@@ -5,11 +5,12 @@
 // and parent-set list) and must immediately output at most b(u) of those
 // sets.  A set is completed iff it is chosen at every one of its elements.
 //
-// Three decision entry points exist:
-//   * decide()       — the flat path: reads candidates from a contiguous
-//                      span and writes the choice into a caller-owned
-//                      buffer.  Zero allocations per call once an
-//                      implementation's internal scratch has warmed up.
+// Two decision entry points exist:
+//   * decide()       — the flat path every policy implements: reads
+//                      candidates from a contiguous span and writes the
+//                      choice into a caller-owned buffer.  Zero
+//                      allocations per call once an implementation's
+//                      internal scratch has warmed up.
 //   * decide_batch() — the block path: consumes a whole CSR arrival block
 //                      (contiguous (element, capacity, candidate-span)
 //                      records) in one virtual call and writes every
@@ -18,11 +19,9 @@
 //                      unchanged; hot policies override it with a block
 //                      kernel.  This is what the game engine, the batch
 //                      runner, and the router simulator drive.
-//   * on_element()   — the legacy allocating path, kept for adaptive
-//                      adversaries and tests that script answers directly.
-// Implementations override at least decide() or on_element(); each
-// default-forwards to the other, and ported algorithms implement decide()
-// and get the other two for free.
+// Callers that want the answer as a vector (the seed reference engine,
+// partial-credit play, the multi-hop pipeline, tests) use the free
+// choose() helper, which allocates it around one decide() call.
 #pragma once
 
 #include <algorithm>
@@ -125,45 +124,15 @@ class OnlineAlgorithm {
   /// those overriding reseed() return true.
   virtual bool reseedable() const { return false; }
 
-  /// Element `u` arrives with capacity `capacity` and parent sets
-  /// `candidates` (sorted, distinct).  Returns the chosen sets: a subset
-  /// of `candidates` with at most `capacity` entries, no duplicates.
-  ///
-  /// Default: adapts the flat decide() path.
-  virtual std::vector<SetId> on_element(ElementId u, Capacity capacity,
-                                        const std::vector<SetId>& candidates) {
-    DispatchGuard guard(*this);
-    std::vector<SetId> out(
-        std::min<std::size_t>(capacity, candidates.size()));
-    out.resize(decide(u, capacity, candidates.data(), candidates.size(),
-                      out.data()));
-    return out;
-  }
-
-  /// Allocation-free decision: candidates are `num_candidates` sorted,
-  /// distinct set ids; the choice is written to `out` and its length
-  /// returned.  `out` must have room for at least
-  /// min(capacity, num_candidates) entries, and implementations never
-  /// write more than that.
-  ///
-  /// Default: adapts the legacy on_element() path (one allocation per
-  /// call) so un-ported algorithms run on the flat engine unchanged.  The
-  /// capacity check happens here, before the copy, so a buggy policy
-  /// overflows into a RequireError instead of the buffer.
+  /// Element `u` arrives with capacity `capacity` and `num_candidates`
+  /// parent sets `candidates` (sorted, distinct).  Writes the chosen sets
+  /// — a subset of the candidates with at most `capacity` entries, no
+  /// duplicates — to `out` and returns how many it chose.  `out` has room
+  /// for min(capacity, num_candidates) entries, and implementations never
+  /// write more than that.  Allocation-free on the hot policies.
   virtual std::size_t decide(ElementId u, Capacity capacity,
                              const SetId* candidates,
-                             std::size_t num_candidates, SetId* out) {
-    DispatchGuard guard(*this);
-    adapter_scratch_.assign(candidates, candidates + num_candidates);
-    std::vector<SetId> chosen = on_element(u, capacity, adapter_scratch_);
-    OSP_REQUIRE_MSG(chosen.size() <= capacity &&
-                        chosen.size() <= num_candidates,
-                    "algorithm chose " << chosen.size()
-                                       << " sets, capacity is " << capacity
-                                       << ", candidates " << num_candidates);
-    std::copy(chosen.begin(), chosen.end(), out);
-    return chosen.size();
-  }
+                             std::size_t num_candidates, SetId* out) = 0;
 
   /// Batched decision: consumes a whole CSR arrival block and writes all
   /// choices into `out` (offsets + ids, one row per block record).
@@ -188,25 +157,26 @@ class OnlineAlgorithm {
                                       num_candidates, choice);
                       });
   }
-
- private:
-  // Each default entry point forwards to the other, so a subclass
-  // overriding neither would recurse forever; the guard turns that
-  // programming error into a RequireError on the first decision.
-  struct DispatchGuard {
-    explicit DispatchGuard(OnlineAlgorithm& alg) : alg_(alg) {
-      OSP_REQUIRE_MSG(!alg_.in_default_dispatch_,
-                      "algorithm overrides neither on_element() nor "
-                      "decide()");
-      alg_.in_default_dispatch_ = true;
-    }
-    ~DispatchGuard() { alg_.in_default_dispatch_ = false; }
-    OnlineAlgorithm& alg_;
-  };
-
-  std::vector<SetId> adapter_scratch_;  // reused by the default decide()
-  bool in_default_dispatch_ = false;
 };
+
+/// The choice of `alg` for one arrival as a vector: sizes the buffer to
+/// min(capacity, candidates), calls decide() once, and trims it to the
+/// returned count — which must fit, or the policy broke the decide()
+/// contract and this throws RequireError.
+inline std::vector<SetId> choose(OnlineAlgorithm& alg, ElementId u,
+                                 Capacity capacity,
+                                 const std::vector<SetId>& candidates) {
+  std::vector<SetId> out(std::min<std::size_t>(capacity, candidates.size()));
+  const std::size_t n =
+      alg.decide(u, capacity, candidates.data(), candidates.size(),
+                 out.data());
+  OSP_REQUIRE_MSG(n <= out.size(), "algorithm chose "
+                                       << n << " sets, capacity is "
+                                       << capacity << ", candidates "
+                                       << candidates.size());
+  out.resize(n);
+  return out;
+}
 
 /// Base class that tracks which sets are still "active" — chosen at every
 /// one of their elements seen so far — which most deterministic policies

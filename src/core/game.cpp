@@ -181,14 +181,14 @@ Outcome play_reference(const Instance& inst, OnlineAlgorithm& alg) {
   std::vector<std::size_t> got(inst.num_sets(), 0);
   Outcome out;
 
-  // Reused buffer: the seed engine handed on_element the stored parent
+  // Reused buffer: the seed engine handed the policy the stored parent
   // vector; with CSR storage the row is re-materialized, but not with a
   // fresh allocation per arrival.
   std::vector<SetId> parents;
   for (ElementId u = 0; u < inst.num_elements(); ++u) {
     const ArrivalView a = inst.arrival(u);
     parents.assign(a.parents.begin(), a.parents.end());
-    std::vector<SetId> chosen = alg.on_element(u, a.capacity, parents);
+    std::vector<SetId> chosen = choose(alg, u, a.capacity, parents);
     check_answer(chosen, parents, a.capacity);
     for (SetId s : chosen) ++got[s];
     out.decisions += chosen.size();

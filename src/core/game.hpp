@@ -11,8 +11,8 @@
 //     identical to play_flat by the decide_batch contract; what the batch
 //     runner and bench_perf's "block" mode use.
 //   * play_reference()    — the seed engine, preserved verbatim as the
-//     golden reference: drives on_element() and validates with the
-//     original allocating checks.  The fuzz suite proves all engines
+//     golden reference: takes each answer as a vector (choose()) and
+//     validates with the original allocating checks.  The fuzz suite proves all engines
 //     produce identical Outcomes (including the decision traces) for
 //     every algorithm in the library.
 #pragma once
@@ -65,8 +65,8 @@ Outcome play_flat_blocks(const Instance& inst, OnlineAlgorithm& alg,
                          PlayScratch& scratch, std::size_t block_size = 0);
 
 /// The seed engine, kept as the golden reference for equivalence tests:
-/// drives the allocating on_element() path exactly as the original
-/// implementation did.  Semantically identical to play().
+/// takes each answer as a vector (choose()) and validates it with the
+/// original allocating checks, exactly as the seed implementation did.  Semantically identical to play().
 Outcome play_reference(const Instance& inst, OnlineAlgorithm& alg);
 
 /// Incremental engine used by adaptive adversaries (Theorem 3), which must

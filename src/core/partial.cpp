@@ -24,14 +24,13 @@ PartialOutcome play_partial(const Instance& inst, OnlineAlgorithm& alg,
 
   PartialOutcome out;
   out.received.assign(inst.num_sets(), 0);
-  // Reused buffer: on_element takes a vector, but re-materializing the
+  // Reused buffer: choose() takes a vector, but re-materializing the
   // CSR row must not allocate per arrival.
   std::vector<SetId> parents;
   for (ElementId u = 0; u < inst.num_elements(); ++u) {
     const ArrivalView a = inst.arrival(u);
     parents.assign(a.parents.begin(), a.parents.end());
-    std::vector<SetId> chosen = alg.on_element(u, a.capacity, parents);
-    OSP_REQUIRE(chosen.size() <= a.capacity);
+    std::vector<SetId> chosen = choose(alg, u, a.capacity, parents);
     for (SetId s : chosen) {
       OSP_REQUIRE(s < inst.num_sets());
       ++out.received[s];

@@ -54,9 +54,8 @@ PipelineStats simulate_pipeline(const MultiHopWorkload& workload,
     if (present.empty()) continue;
     std::sort(present.begin(), present.end());
 
-    std::vector<SetId> chosen = policies[hop]->on_element(
-        local_element[hop]++, link_capacity, present);
-    OSP_REQUIRE(chosen.size() <= link_capacity);
+    std::vector<SetId> chosen =
+        choose(*policies[hop], local_element[hop]++, link_capacity, present);
 
     std::vector<bool> won(num_packets, false);
     for (SetId p : chosen) won[p] = true;

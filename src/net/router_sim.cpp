@@ -296,22 +296,18 @@ namespace {
 RankerRegistrar rk_randpr{
     {"randPr", "persistent random R_w frame priorities (the paper's policy)",
      {"randpr"},
-     /*randomized=*/true,
      [](Rng rng) { return std::make_unique<RandPrRanker>(rng); }}};
 RankerRegistrar rk_weight{
     {"by-weight", "deterministic: protect the heaviest frames",
      {},
-     /*randomized=*/false,
      [](Rng) { return std::make_unique<WeightRanker>(); }}};
 RankerRegistrar rk_fifo{
     {"drop-tail", "no preference: later arrivals lose (classic drop-tail)",
      {},
-     /*randomized=*/false,
      [](Rng) { return std::make_unique<FifoRanker>(); }}};
 RankerRegistrar rk_random{
     {"random-drop", "uniform random priorities regardless of weight",
      {"random"},
-     /*randomized=*/true,
      [](Rng rng) { return std::make_unique<RandomRanker>(rng); }}};
 
 }  // namespace

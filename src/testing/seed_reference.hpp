@@ -21,8 +21,9 @@
 
 namespace osp::seedref {
 
-/// The seed repo's RandPr: allocating on_element, partial_sort selection,
-/// unconditional activity bookkeeping.  Options-complete.
+/// The seed repo's RandPr: allocating selection, partial_sort,
+/// unconditional activity bookkeeping.  Options-complete.  decide() runs
+/// the seed's allocating body (select()) on a copy of the candidates.
 class SeedRandPr final : public ActiveTracking {
  public:
   explicit SeedRandPr(Rng rng, RandPrOptions options = {})
@@ -39,9 +40,18 @@ class SeedRandPr final : public ActiveTracking {
     }
   }
 
-  std::vector<SetId> on_element(
-      ElementId, Capacity capacity,
-      const std::vector<SetId>& candidates) override {
+  std::size_t decide(ElementId, Capacity capacity, const SetId* candidates,
+                     std::size_t num_candidates, SetId* out) override {
+    const std::vector<SetId> chosen = select(
+        capacity,
+        std::vector<SetId>(candidates, candidates + num_candidates));
+    std::copy(chosen.begin(), chosen.end(), out);
+    return chosen.size();
+  }
+
+  /// The seed's on_element body, verbatim.
+  std::vector<SetId> select(Capacity capacity,
+                            const std::vector<SetId>& candidates) {
     if (options_.fresh_priorities_per_element) {
       for (SetId s : candidates) {
         double w =
@@ -85,7 +95,8 @@ class SeedRandPr final : public ActiveTracking {
 /// The seed engine's play(), line for line, over pre-materialized arrivals
 /// (the seed stored arrivals as vectors, so its loop paid no CSR-to-vector
 /// conversion — callers pre-build `arrivals` outside any timed region).
-inline Outcome seed_play(const Instance& inst, OnlineAlgorithm& alg,
+/// Each answer comes from the seed's allocating selection directly.
+inline Outcome seed_play(const Instance& inst, SeedRandPr& alg,
                          const std::vector<Arrival>& arrivals) {
   std::vector<SetMeta> metas(inst.num_sets());
   for (SetId s = 0; s < inst.num_sets(); ++s)
@@ -98,7 +109,7 @@ inline Outcome seed_play(const Instance& inst, OnlineAlgorithm& alg,
 
   for (ElementId u = 0; u < inst.num_elements(); ++u) {
     const Arrival& a = arrivals[u];
-    std::vector<SetId> chosen = alg.on_element(u, a.capacity, a.parents);
+    std::vector<SetId> chosen = alg.select(a.capacity, a.parents);
     {  // seed check_answer: copy, sort, binary-search
       OSP_REQUIRE(chosen.size() <= a.capacity);
       std::vector<SetId> sorted = chosen;

@@ -7,6 +7,7 @@
 // repository's BENCH_*.json schema validator.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -27,6 +28,7 @@
 #include "gen/random_instances.hpp"
 #include "gen/video.hpp"
 #include "net/router_sim.hpp"
+#include "net/serve.hpp"
 #include "util/require.hpp"
 #include "util/rng.hpp"
 
@@ -480,11 +482,6 @@ TEST(RankerRegistry, CatalogMatchesTheHistoricalHandBuiltList) {
     auto ranker = info.make(Rng(1));
     ASSERT_NE(ranker, nullptr) << info.name;
     EXPECT_EQ(ranker->name(), info.name);
-    // The randomized flag is what the router benches gate their per-draw
-    // reseed wiring on — it must match the ranker's actual behavior.
-    EXPECT_EQ(info.randomized,
-              info.name == "randPr" || info.name == "random-drop")
-        << info.name;
   }
   EXPECT_THROW(api::rankers().at("no-such-ranker"), RequireError);
   try {
@@ -600,6 +597,249 @@ TEST(Session, RunGridEmitsOneRowPerCellToEverySink) {
   EXPECT_NE(json_text.str().find("\"results\":["), std::string::npos);
 }
 
+// ---------------------------------------------------------------------
+// Session: the ranker grid and the sustained run.
+
+/// Runs `fn`, expecting a RequireError, and returns its message.
+template <class Fn>
+std::string error_of(Fn&& fn) {
+  try {
+    fn();
+  } catch (const RequireError& e) {
+    return e.what();
+  }
+  ADD_FAILURE() << "expected a RequireError";
+  return {};
+}
+
+/// A row as canonical wire text (readable in failure messages), without
+/// the wall-clock cells when `untimed`.
+std::string text_of(api::Row row, bool untimed = false) {
+  if (untimed)
+    row.cells.erase(std::remove_if(row.cells.begin(), row.cells.end(),
+                                   [](const auto& cell) {
+                                     return cell.first == "seconds" ||
+                                            cell.first == "packets_per_sec";
+                                   }),
+                    row.cells.end());
+  std::ostringstream os;
+  api::write_wire_row(os, 0, row);
+  return os.str();
+}
+
+template <class T>
+T value_of(const api::Row& row, const std::string& key) {
+  return std::get<T>(row.at(key));
+}
+
+/// Counts the rows it is handed.
+class CountingSink final : public api::ResultSink {
+ public:
+  void write(const api::Row&) override { ++rows; }
+  std::size_t rows = 0;
+};
+
+std::vector<api::ScenarioSpec> cells_of(
+    const std::vector<std::string>& names) {
+  std::vector<api::ScenarioSpec> cells;
+  for (const std::string& name : names)
+    for (api::ScenarioSpec& cell : api::expand(api::scenarios().at(name)))
+      cells.push_back(std::move(cell));
+  return cells;
+}
+
+TEST(Session, RankerRowsEqualAHandLoopOverTheDocumentedStreams) {
+  const std::vector<api::ScenarioSpec> cells =
+      cells_of({"router/buffered-smoke", "router/overload-smoke"});
+  const std::vector<std::string> rankers = {"random-drop", "randPr",
+                                            "by-weight"};
+  const std::size_t trials = 3;
+  api::Session session;
+  const std::vector<api::Row> rows =
+      session.run_rankers(cells, rankers, trials, 9);
+  ASSERT_EQ(rows.size(), cells.size() * rankers.size());
+
+  // The stream derivation session.hpp documents, written out by hand with
+  // a freshly built ranker per (draw, ranker).
+  Rng master(9);
+  for (std::size_t c = 0; c < cells.size(); ++c) {
+    Rng cell_rng = master.split(c);
+    std::vector<Rng> wl, rk;
+    for (std::size_t d = 0; d < trials; ++d) {
+      wl.push_back(cell_rng.split(d));
+      rk.push_back(cell_rng.split(1000000000 + d));
+    }
+    const BufferedRouterParams rp{.service_rate = cells[c].service_rate,
+                                  .buffer_size = cells[c].buffer,
+                                  .drop_dead_frames = true};
+    for (std::size_t r = 0; r < rankers.size(); ++r) {
+      double goodput = 0, served = 0, dropped = 0;
+      for (std::size_t d = 0; d < trials; ++d) {
+        Rng wl_rng = wl[d];
+        const VideoWorkload vw = api::build_video(cells[c], wl_rng);
+        auto ranker = api::rankers().make(rankers[r], rk[d]);
+        const RouterStats st =
+            simulate_buffered_router(vw.schedule, *ranker, rp);
+        goodput += st.goodput();
+        served += static_cast<double>(st.packets_served);
+        dropped += static_cast<double>(st.packets_dropped);
+      }
+      const api::Row& row = rows[c * rankers.size() + r];
+      const std::string what = cells[c].display_label() + " " + rankers[r];
+      EXPECT_EQ(value_of<std::string>(row, "sweep"), "rankers");
+      EXPECT_EQ(value_of<std::string>(row, "scenario"),
+                cells[c].display_label());
+      EXPECT_EQ(value_of<std::string>(row, "ranker"), rankers[r]);
+      EXPECT_EQ(value_of<std::uint64_t>(row, "trials"), trials);
+      EXPECT_EQ(value_of<double>(row, "goodput_mean"), goodput / trials)
+          << what;
+      EXPECT_EQ(value_of<double>(row, "served_mean"), served / trials)
+          << what;
+      EXPECT_EQ(value_of<double>(row, "dropped_mean"), dropped / trials)
+          << what;
+    }
+  }
+}
+
+TEST(Session, SustainedRowsEqualTheReferenceOnTheDocumentedStreams) {
+  const std::vector<api::ScenarioSpec> cells =
+      cells_of({"sustained/steady-smoke", "sustained/ramp-smoke"});
+  const std::vector<std::string> rankers = {"drop-tail", "randPr"};
+  const std::vector<std::size_t> workers = {1, 3};
+  api::Session session;
+  const std::vector<api::Row> rows =
+      session.run_sustained(cells, rankers, workers, 5);
+  ASSERT_EQ(rows.size(), cells.size() * rankers.size() * workers.size());
+
+  Rng master(5);
+  std::size_t i = 0;
+  for (std::size_t c = 0; c < cells.size(); ++c) {
+    const api::ScenarioSpec& cell = cells[c];
+    Rng cell_rng = master.split(c);
+    Rng wl_rng = cell_rng.split(0);
+    const Rng rk_rng = cell_rng.split(1000000000);
+    const VideoWorkload vw = api::build_video(cell, wl_rng);
+    const ServeSpec spec{.links = cell.links,
+                         .service_rate = cell.service_rate,
+                         .buffer = cell.buffer,
+                         .window = cell.window};
+    for (const std::string& name : rankers) {
+      auto ranker = api::rankers().make(name, rk_rng);
+      const SustainedStats ref = serve_sustained_reference(
+          vw.schedule, vw.stream_of, *ranker, spec);
+      for (std::size_t w : workers) {
+        const api::Row& row = rows[i++];
+        const std::string what = cell.display_label() + " " + name;
+        EXPECT_EQ(value_of<std::string>(row, "sweep"), "sustained");
+        EXPECT_EQ(value_of<std::string>(row, "ranker"), name);
+        EXPECT_EQ(value_of<std::uint64_t>(row, "workers"), w);
+        EXPECT_EQ(value_of<std::uint64_t>(row, "packets"),
+                  ref.router.packets_arrived)
+            << what;
+        EXPECT_EQ(value_of<std::uint64_t>(row, "served"),
+                  ref.router.packets_served)
+            << what;
+        EXPECT_EQ(value_of<std::uint64_t>(row, "refused_dead"),
+                  ref.refused_dead)
+            << what;
+        EXPECT_EQ(value_of<std::uint64_t>(row, "evictions"), ref.evictions)
+            << what;
+        EXPECT_EQ(value_of<std::uint64_t>(row, "cascade_drops"),
+                  ref.cascade_drops)
+            << what;
+        EXPECT_EQ(value_of<std::uint64_t>(row, "leftover"), ref.leftover)
+            << what;
+        EXPECT_EQ(value_of<double>(row, "goodput"), ref.router.goodput())
+            << what;
+        EXPECT_EQ(value_of<std::uint64_t>(row, "serve_p99"),
+                  ref.serve_latency.percentile(99))
+            << what;
+        EXPECT_EQ(value_of<std::uint64_t>(row, "streams_starved"),
+                  ref.streams_starved())
+            << what;
+        EXPECT_EQ(value_of<std::string>(row, "cross_check"), "pass");
+      }
+    }
+  }
+}
+
+TEST(Session, RankerAndSustainedRowsAreIdenticalAtRunnerThreads1And3) {
+  const std::vector<api::ScenarioSpec> buffered =
+      cells_of({"router/buffered-smoke"});
+  const std::vector<api::ScenarioSpec> steady =
+      cells_of({"sustained/steady-smoke"});
+  const std::vector<std::string> rankers = {"randPr", "random-drop",
+                                            "drop-tail"};
+  engine::BatchRunner one{engine::BatchOptions{1}};
+  engine::BatchRunner three{engine::BatchOptions{3}};
+  api::Session s1(one), s3(three);
+  const auto grid1 = s1.run_rankers(buffered, rankers, 5, 3);
+  const auto grid3 = s3.run_rankers(buffered, rankers, 5, 3);
+  ASSERT_EQ(grid1.size(), grid3.size());
+  for (std::size_t i = 0; i < grid1.size(); ++i)
+    EXPECT_EQ(text_of(grid1[i]), text_of(grid3[i]));
+  const auto serve1 = s1.run_sustained(steady, rankers, {2}, 3);
+  const auto serve3 = s3.run_sustained(steady, rankers, {2}, 3);
+  ASSERT_EQ(serve1.size(), serve3.size());
+  for (std::size_t i = 0; i < serve1.size(); ++i)
+    EXPECT_EQ(text_of(serve1[i], true), text_of(serve3[i], true));
+}
+
+TEST(Session, ARankersRowDoesNotDependOnItsPositionInTheList) {
+  const std::vector<api::ScenarioSpec> buffered =
+      cells_of({"router/buffered-smoke"});
+  const std::vector<api::ScenarioSpec> steady =
+      cells_of({"sustained/steady-smoke"});
+  api::Session session;
+  const auto alone = session.run_rankers(buffered, {"randPr"}, 4, 11);
+  const auto last =
+      session.run_rankers(buffered, {"random-drop", "by-weight", "randPr"},
+                          4, 11);
+  ASSERT_EQ(last.size(), 3 * alone.size());
+  for (std::size_t c = 0; c < alone.size(); ++c)
+    EXPECT_EQ(text_of(alone[c]), text_of(last[3 * c + 2]));
+
+  const auto first = session.run_sustained(steady, {"randPr"}, {1}, 11);
+  const auto second =
+      session.run_sustained(steady, {"random-drop", "randPr"}, {1}, 11);
+  ASSERT_EQ(first.size(), 1u);
+  ASSERT_EQ(second.size(), 2u);
+  EXPECT_EQ(text_of(first[0], true), text_of(second[1], true));
+}
+
+TEST(Session, RankerRunsRejectBadRequestsBeforeAnySinkSeesARow) {
+  CountingSink sink;
+  api::Session session;
+  session.attach(sink);
+  const std::vector<api::ScenarioSpec> video =
+      cells_of({"router/buffered-smoke"});
+  std::vector<api::ScenarioSpec> mixed = video;
+  mixed.push_back(api::scenarios().at("random"));
+
+  // An unknown ranker (listed after a good one) names the ranker catalog.
+  const std::vector<std::string> unknown = {"randPr", "nope"};
+  for (const std::string& message :
+       {error_of([&] { session.run_rankers(video, unknown, 2, 1); }),
+        error_of([&] { session.run_sustained(video, unknown, {1}, 1); })})
+    for (const api::RankerInfo& info : api::rankers().entries())
+      EXPECT_NE(message.find(info.name), std::string::npos) << message;
+
+  // A non-video cell (after a good one) names it and lists the video
+  // scenarios.
+  for (const std::string& message :
+       {error_of([&] { session.run_rankers(mixed, {"randPr"}, 2, 1); }),
+        error_of([&] { session.run_sustained(mixed, {"randPr"}, {1}, 1); }),
+        error_of([&] { api::resolve_ranker_run(mixed, {"randPr"}); })}) {
+    EXPECT_NE(message.find("'random'"), std::string::npos) << message;
+    EXPECT_NE(message.find("router/buffered-smoke"), std::string::npos)
+        << message;
+    EXPECT_NE(message.find("sustained/steady"), std::string::npos)
+        << message;
+  }
+  EXPECT_THROW(session.run_rankers(video, {}, 2, 1), RequireError);
+  EXPECT_EQ(sink.rows, 0u);
+}
+
 TEST(TableSink, RejectsMismatchedRowShapes) {
   api::TableSink sink;
   sink.write(api::Row{}.add("a", 1).add("b", 2.0));
@@ -665,18 +905,6 @@ TEST(JsonSink, ZeroRowsStillFinishACompleteDocument) {
 
 // ---------------------------------------------------------------------
 // Wire format: the canonical Row text codec the shard pipeline rides on.
-
-/// Runs `fn`, expecting a RequireError, and returns its message.
-template <class Fn>
-std::string error_of(Fn&& fn) {
-  try {
-    fn();
-  } catch (const RequireError& e) {
-    return e.what();
-  }
-  ADD_FAILURE() << "expected a RequireError";
-  return {};
-}
 
 TEST(Wire, EveryVariantArmRoundTripsExactly) {
   const api::Row::Value values[] = {

@@ -29,15 +29,16 @@ namespace osp {
 namespace {
 
 // ---------------------------------------------------------------------
-// Seed algorithm replicas (verbatim from the pre-refactor sources).
+// Seed algorithm replicas (verbatim from the pre-refactor sources; each
+// runs its allocating body behind decide() on a copy of the candidates).
 
 /// The seed repo's greedy-maxw baseline: stable_sort selection.
 class SeedGreedyMaxWeight final : public ActiveTracking {
  public:
   std::string name() const override { return "seed-greedy-maxw"; }
-  std::vector<SetId> on_element(
-      ElementId, Capacity capacity,
-      const std::vector<SetId>& candidates) override {
+  std::size_t decide(ElementId, Capacity capacity, const SetId* cands,
+                     std::size_t num_candidates, SetId* out) override {
+    const std::vector<SetId> candidates(cands, cands + num_candidates);
     std::vector<SetId> active, dead;
     for (SetId s : candidates)
       (is_active(s) ? active : dead).push_back(s);
@@ -56,7 +57,8 @@ class SeedGreedyMaxWeight final : public ActiveTracking {
       chosen.push_back(s);
     }
     record(candidates, chosen);
-    return chosen;
+    std::copy(chosen.begin(), chosen.end(), out);
+    return chosen.size();
   }
 };
 
@@ -68,9 +70,9 @@ class SeedRoundRobin final : public ActiveTracking {
     ActiveTracking::start(sets);
     cursor_ = 0;
   }
-  std::vector<SetId> on_element(
-      ElementId, Capacity capacity,
-      const std::vector<SetId>& candidates) override {
+  std::size_t decide(ElementId, Capacity capacity, const SetId* cands,
+                     std::size_t num_candidates, SetId* out) override {
+    const std::vector<SetId> candidates(cands, cands + num_candidates);
     std::vector<SetId> active, dead;
     for (SetId s : candidates) (is_active(s) ? active : dead).push_back(s);
     std::stable_sort(active.begin(), active.end(), [&](SetId a, SetId b) {
@@ -90,7 +92,8 @@ class SeedRoundRobin final : public ActiveTracking {
     if (!chosen.empty()) cursor_ = chosen.front() + 1;
     if (cursor_ >= meta().size()) cursor_ = 0;
     record(candidates, chosen);
-    return chosen;
+    std::copy(chosen.begin(), chosen.end(), out);
+    return chosen.size();
   }
 
  private:
@@ -102,9 +105,9 @@ class SeedUniformRandomChoice final : public ActiveTracking {
  public:
   explicit SeedUniformRandomChoice(Rng rng) : rng_(rng) {}
   std::string name() const override { return "seed-uniform-random"; }
-  std::vector<SetId> on_element(
-      ElementId, Capacity capacity,
-      const std::vector<SetId>& candidates) override {
+  std::size_t decide(ElementId, Capacity capacity, const SetId* cands,
+                     std::size_t num_candidates, SetId* out) override {
+    const std::vector<SetId> candidates(cands, cands + num_candidates);
     std::vector<SetId> pool;
     for (SetId s : candidates)
       if (is_active(s)) pool.push_back(s);
@@ -118,7 +121,8 @@ class SeedUniformRandomChoice final : public ActiveTracking {
       chosen.push_back(pool[i]);
     }
     record(candidates, chosen);
-    return chosen;
+    std::copy(chosen.begin(), chosen.end(), out);
+    return chosen.size();
   }
 
  private:
@@ -135,13 +139,6 @@ class Recording final : public OnlineAlgorithm {
   std::string name() const override { return inner_.name(); }
   void start(const std::vector<SetMeta>& sets) override {
     inner_.start(sets);
-  }
-  std::vector<SetId> on_element(
-      ElementId u, Capacity capacity,
-      const std::vector<SetId>& candidates) override {
-    std::vector<SetId> chosen = inner_.on_element(u, capacity, candidates);
-    trace.push_back(chosen);
-    return chosen;
   }
   std::size_t decide(ElementId u, Capacity capacity, const SetId* candidates,
                      std::size_t num_candidates, SetId* out) override {
@@ -450,9 +447,8 @@ TEST(GoldenEquivalence, DecideBatchMatchesPerElementDecideForAllPolicies) {
 TEST(DecideBatch, EmptyAndDegenerateBlocksMatchScalarAndDoNotAllocate) {
   // An empty block, a block of capacity-0 records, and a single-element
   // block must reproduce the scalar path exactly, and warm degenerate
-  // calls must not touch the allocator (asserted through buffer identity,
-  // the same observable the DispatchGuard pattern uses for misuse:
-  // the contract is checked on every call, not sampled).
+  // calls must not touch the allocator (asserted through buffer identity
+  // on every call, not sampled).
   const std::size_t m = 8;
   std::vector<SetMeta> metas(m);
   for (SetId s = 0; s < m; ++s) metas[s] = SetMeta{1.0 + s, 2};

@@ -1,22 +1,30 @@
 // Tests for the game engine: rule enforcement, scoring, adaptive engine.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "core/game.hpp"
 #include "util/require.hpp"
 
 namespace osp {
 namespace {
 
-// Scripted algorithm: returns pre-programmed answers in order.
+// Scripted algorithm: returns pre-programmed answers in order.  It writes
+// at most the min(capacity, candidates) entries `out` has room for but
+// returns the scripted count, so an over-capacity script still reaches
+// (and is rejected by) the engine's checks.
 class Scripted final : public OnlineAlgorithm {
  public:
   explicit Scripted(std::vector<std::vector<SetId>> answers)
       : answers_(std::move(answers)) {}
   std::string name() const override { return "scripted"; }
   void start(const std::vector<SetMeta>& sets) override { metas_ = sets; }
-  std::vector<SetId> on_element(ElementId u, Capacity,
-                                const std::vector<SetId>&) override {
-    return answers_.at(u);
+  std::size_t decide(ElementId u, Capacity capacity, const SetId*,
+                     std::size_t num_candidates, SetId* out) override {
+    const std::vector<SetId>& answer = answers_.at(u);
+    const std::size_t room = std::min<std::size_t>(capacity, num_candidates);
+    std::copy_n(answer.begin(), std::min(answer.size(), room), out);
+    return answer.size();
   }
   const std::vector<SetMeta>& metas() const { return metas_; }
 
@@ -173,17 +181,19 @@ TEST(ActiveTracking, SeenAndProgress) {
   class Probe final : public ActiveTracking {
    public:
     std::string name() const override { return "probe"; }
-    std::vector<SetId> on_element(ElementId, Capacity,
-                                  const std::vector<SetId>& c) override {
+    std::size_t decide(ElementId, Capacity, const SetId* candidates,
+                       std::size_t num_candidates, SetId* out) override {
+      const std::vector<SetId> c(candidates, candidates + num_candidates);
       std::vector<SetId> chosen;
       if (!c.empty()) chosen.push_back(c.front());
       record(c, chosen);
-      return chosen;
+      std::copy(chosen.begin(), chosen.end(), out);
+      return chosen.size();
     }
   };
   Probe p;
   p.start({{1.0, 2}, {1.0, 2}});
-  p.on_element(0, 1, {0, 1});
+  choose(p, 0, 1, {0, 1});
   EXPECT_TRUE(p.is_active(0));
   EXPECT_FALSE(p.is_active(1));
   EXPECT_EQ(p.progress(0), 1u);

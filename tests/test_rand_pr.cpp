@@ -84,6 +84,69 @@ TEST(Lemma1, RepeatIntersectionsAreNotWorse) {
   EXPECT_NEAR(empirical_survival(twice, 0, 30000, 4), 0.5, 0.01);
 }
 
+/// Exact w(N[S]): S plus every set sharing an element with it.
+double closed_neighborhood_weight(const Instance& inst, SetId s) {
+  std::vector<bool> in_nbhd(inst.num_sets(), false);
+  in_nbhd[s] = true;
+  for (ElementId u : inst.elements_of(s))
+    for (SetId r : inst.arrival(u).parents) in_nbhd[r] = true;
+  double w = 0;
+  for (SetId r = 0; r < inst.num_sets(); ++r)
+    if (in_nbhd[r]) w += inst.weight(r);
+  return w;
+}
+
+TEST(Lemma1, EverySetOfStarsCliquesAndChainsSurvivesAtItsClosedForm) {
+  // Pr[S completes] = w(S) / w(N[S]) for EVERY set of four overlap
+  // structures, under true-random priorities and under the degree-8
+  // polynomial hash (Section 3.1's distributed randPr).
+  struct Structure {
+    std::string name;
+    Instance inst;
+  };
+  std::vector<Structure> structures;
+  for (double hub : {1.0, 6.0}) {
+    // Star: one hub set sharing one element with each of 4 leaves.
+    InstanceBuilder b;
+    b.add_set(hub);
+    b.add_sets(4, 1.0);
+    for (SetId leaf = 1; leaf <= 4; ++leaf) b.add_element({0, leaf});
+    structures.push_back(
+        {hub == 1.0 ? "star-4" : "star-4 hub w=6", b.build()});
+  }
+  {
+    InstanceBuilder b;
+    b.add_sets(5, 1.0);
+    b.add_element({0, 1, 2, 3, 4});
+    structures.push_back({"clique-5", b.build()});
+  }
+  structures.push_back({"chain w=(2,4,1)", chain(2, 4, 1)});
+
+  const int trials = 30000;
+  for (const Structure& st : structures) {
+    const std::size_t m = st.inst.num_sets();
+    std::vector<int> wins_rand(m, 0), wins_hash(m, 0);
+    Rng master(2020);
+    for (int t = 0; t < trials; ++t) {
+      RandPr alg(master.split(t));
+      for (SetId s : play(st.inst, alg).completed) ++wins_rand[s];
+      Rng hr = master.split(1'000'000 + t);
+      auto hashed = HashedRandPr::with_polynomial(8, hr);
+      for (SetId s : play(st.inst, *hashed).completed) ++wins_hash[s];
+    }
+    for (SetId s = 0; s < m; ++s) {
+      const double predicted =
+          st.inst.weight(s) / closed_neighborhood_weight(st.inst, s);
+      EXPECT_NEAR(static_cast<double>(wins_rand[s]) / trials, predicted,
+                  0.012)
+          << st.name << " S" << s << " (randPr)";
+      EXPECT_NEAR(static_cast<double>(wins_hash[s]) / trials, predicted,
+                  0.015)
+          << st.name << " S" << s << " (hashed, degree 8)";
+    }
+  }
+}
+
 TEST(RandPr, DeterministicGivenSeed) {
   Rng gen(5);
   Instance inst = random_instance(20, 40, 3, WeightModel::unit(), gen);
