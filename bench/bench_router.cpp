@@ -12,9 +12,11 @@
 //  (d) multi-stream overload: 64 streams / ≥1M packets into a link at a
 //      third of the offered load — the heavy-traffic regime the indexed
 //      heap queue (net/queue.hpp) exists for;
-//  (e) queue-structure throughput: slots/sec of the indexed-heap router
-//      vs the full-sort reference on the largest buffered workload, with
-//      a decision-identity cross-check between the two paths;
+//  (e) queue-structure throughput: slots/sec of the buffered router on
+//      the largest buffered workload through both implementations of the
+//      buffered link at one link — serve_sustained on the indexed-heap
+//      queue ("heap") and serve_sustained_reference on a sorted vector
+//      ("sort") — with a full stats-identity cross-check between them;
 //  (f) sustained multi-link serving (net/serve.hpp): the event-machine
 //      runtime on the sustained/* scenarios — steady state across worker
 //      counts plus a saturation ramp, every run proven stats-identical
@@ -51,6 +53,7 @@
 #include "gen/traffic.hpp"
 #include "gen/video.hpp"
 #include "net/router_sim.hpp"
+#include "net/serve.hpp"
 #include "util/stopwatch.hpp"
 
 namespace osp {
@@ -317,34 +320,30 @@ void throughput_section(api::JsonSink& json, bool smoke) {
 
   Rng wl_rng(4242);
   VideoWorkload vw = api::build_video(spec, wl_rng);
-  const BufferedRouterParams rp{.service_rate = spec.service_rate,
-                                .buffer_size = buffer,
-                                .drop_dead_frames = true};
+  const ServeSpec one_link{.links = 1,
+                           .service_rate = spec.service_rate,
+                           .buffer = buffer,
+                           .drop_dead_frames = true};
   const double slots = static_cast<double>(vw.schedule.horizon);
   const double packets = static_cast<double>(vw.schedule.total_packets());
   auto ranker = api::rankers().make("randPr", Rng(7));
 
-  // Old path: the straightened-out full-sort reference.
+  // Sort path: the sorted-vector reference.
   ranker->reseed(Rng(7));
   Stopwatch clock;
-  RouterStats sort_stats =
-      simulate_buffered_router_reference(vw.schedule, *ranker, rp);
+  const SustainedStats sort_stats = serve_sustained_reference(
+      vw.schedule, vw.stream_of, *ranker, one_link);
   const double sort_s = clock.seconds();
 
-  // New path: the indexed-heap PacketQueue.
-  BufferedRouterScratch scratch;
+  // Heap path: the runtime on the indexed-heap PacketQueue.
   ranker->reseed(Rng(7));
   clock.restart();
-  RouterStats heap_stats =
-      simulate_buffered_router(vw.schedule, *ranker, rp, &scratch);
+  const SustainedStats heap_stats =
+      serve_sustained(vw.schedule, vw.stream_of, *ranker, one_link);
   const double heap_s = clock.seconds();
   // Decision-identity cross-check: the two paths must agree on every
   // counter before their timings mean anything.
-  OSP_REQUIRE(heap_stats.packets_arrived == sort_stats.packets_arrived);
-  OSP_REQUIRE(heap_stats.packets_served == sort_stats.packets_served);
-  OSP_REQUIRE(heap_stats.packets_dropped == sort_stats.packets_dropped);
-  OSP_REQUIRE(heap_stats.frames_delivered == sort_stats.frames_delivered);
-  OSP_REQUIRE(heap_stats.value_delivered == sort_stats.value_delivered);
+  OSP_REQUIRE(heap_stats == sort_stats);
 
   const double sort_rate = slots / sort_s;
   const double heap_rate = slots / heap_s;

@@ -18,8 +18,9 @@
 #   6. shard smoke: bench --shard / merge bit-identity round trip;
 #   7. deterministic artifacts: BENCH_adversarial/uniform/capacity.json
 #      regenerate byte-identically and re-pass their gates (the paper's
-#      bounds included), and the theorem3 smoke grid shards/merges
-#      bit-identically;
+#      bounds included), a fresh BENCH_router.json makes the committed
+#      one's decisions (check_bench_json.py --same-decisions), and the
+#      theorem3 smoke grid shards/merges bit-identically;
 #   8. ASan/UBSan build of the engine-critical tests plus a sanitized
 #      `bench_router --smoke`, whose rankers/sustained rows must equal
 #      the rows of the osp_cli lines docs/BENCHMARKS.md lists for them;
@@ -161,6 +162,14 @@ git diff --exit-code BENCH_adversarial.json BENCH_uniform.json \
   BENCH_capacity.json
 python3 scripts/check_bench_json.py BENCH_adversarial.json \
   BENCH_uniform.json BENCH_capacity.json
+# BENCH_router.json carries wall-clock fields, so only its decisions are
+# compared: every row, timing fields aside.  The fresh run writes into
+# build/, not the repository root, so a slow host is never judged
+# against the committed throughput floors.
+(cd build && OSP_THREADS=1 ./bench_router > /dev/null)
+python3 scripts/check_bench_json.py --same-decisions BENCH_router.json \
+  build/BENCH_router.json
+rm -f build/BENCH_router.json
 rm -f BENCH_advsmoke.json build/advsmoke_*.part build/advsmoke_merged.json
 ./build/osp_cli bench --scenario adversarial/theorem3-smoke \
   --alg randpr,greedy:first --trials 25 --seed 11 --json advsmoke > /dev/null
@@ -189,7 +198,8 @@ echo "== parity: bench_router rows == their documented osp_cli lines =="
 # docs/BENCHMARKS.md lists the osp_cli line that reproduces each rankers
 # and sustained row of BENCH_router.json.  On the smoke artifact, the
 # router/buffered-smoke rankers rows and the sustained/steady-smoke
-# workers=1 rows must equal those lines' rows in every field but timing.
+# workers=1 rows must equal those lines' rows, in order, in every field
+# but timing: check_bench_json.py's --same-decisions comparison.
 (cd build-asan \
   && rm -f BENCH_parity_rankers.json BENCH_parity_sustained.json \
   && ./osp_cli bench --scenario router/buffered-smoke \
@@ -199,24 +209,24 @@ echo "== parity: bench_router rows == their documented osp_cli lines =="
     --ranker randPr,drop-tail --workers 1 --seed 500 \
     --json parity_sustained > /dev/null)
 python3 - build-asan <<'EOF'
-import json, pathlib, sys
-def rows(name):
-    doc = json.loads((pathlib.Path(sys.argv[1]) / f"BENCH_{name}.json")
-                     .read_text())
-    return [json.dumps({k: v for k, v in r.items()
-                        if k not in ("seconds", "packets_per_sec")},
-                       sort_keys=True) for r in doc["results"]]
-def listed(text):
-    r = json.loads(text)
+import pathlib, sys
+sys.path.insert(0, "scripts")
+from check_bench_json import check_same_decisions, load_results
+build = pathlib.Path(sys.argv[1])
+def listed(r):
     if r["sweep"] == "rankers":
         return r["scenario"].startswith("router/buffered-smoke")
     return (r["sweep"] == "sustained" and r["workers"] == 1
             and r["scenario"] == "sustained/steady-smoke")
-want = sorted(filter(listed, rows("router_smoke")))
-got = sorted(rows("parity_rankers") + rows("parity_sustained"))
-if not want or got != want:
-    sys.exit("bench_router smoke rows differ from their osp_cli lines")
-print(f"{len(want)} bench_router rows reproduced by osp_cli")
+want = [r for r in load_results(build / "BENCH_router_smoke.json")
+        if listed(r)]
+got = (load_results(build / "BENCH_parity_rankers.json")
+       + load_results(build / "BENCH_parity_sustained.json"))
+if not want:
+    sys.exit("the smoke artifact has none of the listed rows")
+rows = check_same_decisions("bench_router smoke rows vs their osp_cli lines",
+                            want, got)
+print(f"{rows} bench_router rows reproduced by osp_cli")
 EOF
 rm -f build-asan/BENCH_parity_rankers.json \
   build-asan/BENCH_parity_sustained.json

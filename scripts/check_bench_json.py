@@ -47,8 +47,17 @@ footer matching the slice size — docs/BENCHMARKS.md documents the
 grammar.  Directories only glob BENCH_*.json; pass partial files
 explicitly.
 
+With --same-decisions, two artifacts of one bench are compared instead:
+their results rows must be equal, in order, once the fields that wall-clock
+timing decides are dropped (TIMING_FIELDS on every row, plus
+SUMMARY_TIMING_FIELDS on the sustained_summary row, whose worker count and
+gate are picked by timing).  It is how a freshly regenerated
+BENCH_router.json is held to the committed one's decisions without judging
+the fresh run's throughput.
+
 Usage: scripts/check_bench_json.py [file-or-dir ...]
        (defaults to the repository root; exits non-zero on any violation)
+       scripts/check_bench_json.py --same-decisions COMMITTED FRESH
        scripts/check_bench_json.py --describe
        (prints the validated field lists — the same tuples the checks
        iterate, so the printed schema can never drift from the validator;
@@ -361,6 +370,44 @@ def check_adversarial(path, results):
 BENCH_CHECKS = {"engine": check_engine, "router": check_router,
                 "adversarial": check_adversarial}
 
+# Row fields that wall-clock timing decides; --same-decisions ignores them.
+TIMING_FIELDS = ("seconds", "packets_per_sec", "slots_per_sec",
+                 "speedup_vs_sort")
+SUMMARY_TIMING_FIELDS = ("workers", "gate")
+
+
+def decisions(row):
+    """The row without the fields that wall-clock timing decides."""
+    dropped = TIMING_FIELDS
+    if row.get("sweep") == "sustained_summary":
+        dropped += SUMMARY_TIMING_FIELDS
+    return {k: v for k, v in row.items() if k not in dropped}
+
+
+def check_same_decisions(label, want_rows, got_rows):
+    """Fails unless the two row lists make the same decisions, in order."""
+    if len(want_rows) != len(got_rows):
+        fail(label, f"{len(got_rows)} rows where {len(want_rows)} were "
+                    f"expected")
+    for i, (want, got) in enumerate(zip(want_rows, got_rows)):
+        want, got = decisions(want), decisions(got)
+        if want != got:
+            keys = sorted(k for k in set(want) | set(got)
+                          if want.get(k) != got.get(k))
+            fail(label, f"row {i} ({want.get('sweep')!r}) differs in "
+                        f"{', '.join(keys)}: expected "
+                        f"{ {k: want.get(k) for k in keys} }, got "
+                        f"{ {k: got.get(k) for k in keys} }")
+    return len(want_rows)
+
+
+def load_results(path):
+    try:
+        return json.loads(pathlib.Path(path).read_text(),
+                          parse_constant=reject_constant)["results"]
+    except (OSError, ValueError, KeyError, TypeError) as err:
+        fail(path, f"cannot read its results rows: {err!r}")
+
 
 def reject_constant(value):
     raise ValueError(f"non-finite JSON literal {value!r}")
@@ -546,6 +593,8 @@ def describe():
     print("  sustained packets_per_sec floor: >= %.3g"
           % SUSTAINED_MIN_PACKETS_PER_SEC)
     print("  every numeric value finite; strict JSON (no NaN/Infinity)")
+    print("--same-decisions ignores: " + ", ".join(TIMING_FIELDS)
+          + "; on sustained_summary also " + ", ".join(SUMMARY_TIMING_FIELDS))
     print("partial-result files (magic '%s'):" % SHARD_MAGIC)
     print("  header: bench <name>, fingerprint <16 hex>, shard i/N (i < N),")
     print("          cells begin..end/total (begin <= end <= total),")
@@ -561,6 +610,17 @@ def describe():
 def main(argv):
     if "--describe" in argv[1:]:
         return describe()
+    if argv[1:2] == ["--same-decisions"]:
+        if len(argv) != 4:
+            raise SystemExit("usage: check_bench_json.py --same-decisions "
+                             "COMMITTED FRESH")
+        committed, fresh = argv[2], argv[3]
+        rows = check_same_decisions(f"{fresh} vs {committed}",
+                                    load_results(committed),
+                                    load_results(fresh))
+        print(f"check_bench_json: {fresh}: same decisions as {committed} "
+              f"({rows} rows)")
+        return 0
     files = collect(argv[1:])
     if not files:
         raise SystemExit("check_bench_json: no BENCH_*.json files found")

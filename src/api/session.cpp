@@ -166,13 +166,9 @@ std::vector<Row> Session::run_rankers(const std::vector<ScenarioSpec>& cells,
   OSP_REQUIRE_MSG(trials >= 1 && trials <= kRankerStream,
                   "ranker grid trials must be in [1, 1e9], got " << trials);
 
-  // Per-worker rankers (built on first use, reseeded per draw) and router
-  // scratch, reused across every draw and cell.
-  struct Worker {
-    std::vector<std::unique_ptr<FrameRanker>> rankers;
-    BufferedRouterScratch scratch;
-  };
-  std::vector<Worker> workers(runner_->num_threads());
+  // Per-worker rankers, built on first use and reseeded per draw.
+  std::vector<std::vector<std::unique_ptr<FrameRanker>>> worker_rankers(
+      runner_->num_threads());
 
   Rng master(seed);
   std::vector<Row> rows;
@@ -188,23 +184,26 @@ std::vector<Row> Session::run_rankers(const std::vector<ScenarioSpec>& cells,
       wl_rngs.push_back(cell_rng.split(d));
       rk_rngs.push_back(cell_rng.split(kRankerStream + d));
     }
-    const BufferedRouterParams rp{.service_rate = cell.service_rate,
-                                  .buffer_size = cell.buffer,
-                                  .drop_dead_frames = true};
+    // The buffered router is the serving runtime at one link.
+    const ServeSpec spec{.links = 1,
+                         .service_rate = cell.service_rate,
+                         .buffer = cell.buffer,
+                         .drop_dead_frames = true};
     auto draws = runner_->map<std::vector<RouterStats>>(
         trials, [&](std::size_t d, engine::TrialContext& ctx) {
           Rng wl_rng = wl_rngs[d];
           const VideoWorkload vw = build_video(cell, wl_rng);
-          Worker& w = workers[ctx.thread_index];
-          if (w.rankers.empty())
+          auto& made = worker_rankers[ctx.thread_index];
+          if (made.empty())
             for (const RankerInfo* info : infos)
-              w.rankers.push_back(info->make(Rng(0)));
+              made.push_back(info->make(Rng(0)));
           std::vector<RouterStats> stats;
           stats.reserve(infos.size());
-          for (const auto& ranker : w.rankers) {
+          for (const auto& ranker : made) {
             ranker->reseed(rk_rngs[d]);
             stats.push_back(
-                simulate_buffered_router(vw.schedule, *ranker, rp, &w.scratch));
+                serve_sustained(vw.schedule, vw.stream_of, *ranker, spec)
+                    .router);
             const RouterStats& st = stats.back();
             OSP_REQUIRE(st.packets_arrived ==
                         st.packets_served + st.packets_dropped);

@@ -87,8 +87,9 @@ class Session {
 
   /// Buffered-router ranker grid over video scenario cells: each of
   /// `trials` workload draws of a cell is built once and every ranker
-  /// plays it (rankers and router scratch are reused per worker through
-  /// reseed).  Each cell has its own draws, so cells that differ only in
+  /// plays it through serve_sustained at one link, with the workload's
+  /// stream map (rankers are reused per worker through reseed).  Each
+  /// cell has its own draws, so cells that differ only in
   /// buffer are not played on the same workloads.  Every run must
   /// account for each packet (arrived == served + dropped).  Emits and
   /// returns one row per (cell, ranker), cell-major:

@@ -33,6 +33,9 @@ void FrameSchedule::validate() const {
     // here once lets every ranker drop its defensive clamp.
     OSP_REQUIRE_MSG(f.weight > 0, "frame weight must be positive, got "
                                       << f.weight);
+    // A frame with no packets would count as delivered without ever
+    // touching the link.
+    OSP_REQUIRE_MSG(!f.packet_slots.empty(), "frame with no packets");
     OSP_REQUIRE(std::is_sorted(f.packet_slots.begin(), f.packet_slots.end()));
     OSP_REQUIRE(std::adjacent_find(f.packet_slots.begin(),
                                    f.packet_slots.end()) ==

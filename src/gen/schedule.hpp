@@ -40,8 +40,9 @@ struct FrameSchedule {
   /// `link_capacity`, whose parents are the frames with a packet there.
   Instance to_instance(Capacity link_capacity = 1) const;
 
-  /// Checks structural validity (slots strictly increasing, within
-  /// horizon); throws RequireError if violated.
+  /// Checks structural validity (positive weights, at least one packet
+  /// per frame, slots strictly increasing and within horizon); throws
+  /// RequireError if violated.
   void validate() const;
 };
 

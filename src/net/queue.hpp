@@ -1,6 +1,6 @@
-// Indexed priority structures for the buffered router.
+// Indexed priority structures for the buffered link (net/serve.hpp).
 //
-// The buffered router used to re-sort its whole queue every slot
+// The sorted-vector reference re-sorts a link's whole queue every slot
 // (O(Q log Q) per slot); the structures here bring a slot down to
 // O((arrivals + served + dropped) · log Q):
 //
@@ -10,21 +10,20 @@
 //     live outside the heap (structure-of-arrays), so sift moves are
 //     4-byte id shuffles.
 //
-//   * PacketQueue — the router's double-ended queue of waiting packets,
+//   * PacketQueue — a link's double-ended queue of waiting packets,
 //     built from two IndexedDaryHeaps over one slot pool: a serve heap
 //     ordered (rank desc, key asc) — who gets the link next — and an evict
 //     heap ordered (rank asc, key desc) — who is pushed out when the
 //     buffer overflows.  The key is the FIFO tie-break: any value unique
 //     among the queue's packets that grows with arrival order (the
-//     buffered router passes the global arrival index, the sustained
-//     runtime the link's (arrival slot, link-local frame id) pair).
+//     serving runtime passes the link's (arrival slot, link-local frame
+//     id) pair).
 //     Killing a frame is O(1): packets of dead frames are deleted lazily,
 //     i.e. counted out of live_size() immediately but physically discarded
 //     only when a pop meets them, so a frame death never walks the heap.
-//     All storage is reused across reset() calls, making repeated router
-//     trials allocation-free in steady state.
+//     All storage is reused across reset() calls.
 //
-// The (live, rank, key) order of the router's service is represented as
+// The (live, rank, key) order of a link's service is represented as
 // rank/key in the heaps plus the lazy dead marking: a dead packet is by
 // definition below every live packet, and the lazy skip realizes exactly
 // that order without re-keying.
@@ -151,7 +150,7 @@ class IndexedDaryHeap {
   std::vector<std::size_t> pos_;     // entry id -> index in heap_
 };
 
-/// The buffered router's queue of waiting packets; see the file comment.
+/// A buffered link's queue of waiting packets; see the file comment.
 ///
 /// Not copyable/movable: the two heaps' comparators point back into the
 /// queue's key arrays.

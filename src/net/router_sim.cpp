@@ -8,30 +8,12 @@
 
 namespace osp {
 
-void frame_metas(const FrameSchedule& schedule, std::vector<SetMeta>& metas) {
-  metas.clear();
+std::vector<SetMeta> frame_metas(const FrameSchedule& schedule) {
+  std::vector<SetMeta> metas;
   metas.reserve(schedule.frames.size());
   for (const Frame& f : schedule.frames)
     metas.push_back(SetMeta{f.weight, f.packet_slots.size()});
-}
-
-std::vector<SetMeta> frame_metas(const FrameSchedule& schedule) {
-  std::vector<SetMeta> metas;
-  frame_metas(schedule, metas);
   return metas;
-}
-
-void build_slot_frames(const FrameSchedule& schedule,
-                       CsrArray<SetId>& slot_frames,
-                       std::vector<std::size_t>& cursor) {
-  cursor.assign(schedule.horizon, 0);
-  for (const Frame& f : schedule.frames)
-    for (std::size_t slot : f.packet_slots) ++cursor[slot];
-  slot_frames.assign_sizes(cursor.data(), cursor.size());
-  std::fill(cursor.begin(), cursor.end(), 0);
-  for (std::size_t fi = 0; fi < schedule.frames.size(); ++fi)
-    for (std::size_t slot : schedule.frames[fi].packet_slots)
-      slot_frames.mutable_row(slot)[cursor[slot]++] = static_cast<SetId>(fi);
 }
 
 RouterStats simulate_router(const FrameSchedule& schedule,
@@ -122,159 +104,6 @@ void WeightRanker::start(const std::vector<SetMeta>& frames) {
 void RandomRanker::start(const std::vector<SetMeta>& frames) {
   ranks_.resize(frames.size());
   for (double& r : ranks_) r = rng_.uniform();
-}
-
-RouterStats simulate_buffered_router(const FrameSchedule& schedule,
-                                     FrameRanker& ranker,
-                                     const BufferedRouterParams& params,
-                                     BufferedRouterScratch* scratch,
-                                     RouterTrace* trace) {
-  OSP_REQUIRE(params.service_rate >= 1);
-  schedule.validate();
-  if (trace != nullptr) trace->served.clear();
-
-  BufferedRouterScratch local;
-  BufferedRouterScratch& s = scratch != nullptr ? *scratch : local;
-  frame_metas(schedule, s.metas);
-  ranker.start(s.metas);
-  build_slot_frames(schedule, s.slot_frames, s.cursor);
-  s.served.assign(schedule.frames.size(), 0);
-  PacketQueue& queue = s.queue;
-  queue.reset(schedule.frames.size());
-
-  RouterStats stats;
-  std::uint64_t seq = 0;
-  for (std::size_t slot = 0; slot < schedule.horizon; ++slot) {
-    // Arrivals: the slot's whole burst is one contiguous CSR row.  A
-    // packet of a frame already known dead is refused on the spot: it can
-    // never contribute value, so it must not consume buffer space or link
-    // capacity.
-    for (SetId f : s.slot_frames.row(slot)) {
-      ++stats.packets_arrived;
-      const std::uint64_t arrival = seq++;
-      if (params.drop_dead_frames && queue.is_dead(f)) {
-        ++stats.packets_dropped;
-        continue;
-      }
-      queue.push(f, ranker.rank(f), arrival);
-    }
-
-    // Serve the best live packets; dead packets never consume capacity
-    // (the queue discards them lazily during the pop).
-    for (Capacity i = 0; i < params.service_rate; ++i) {
-      SetId f;
-      std::uint64_t packet_seq;
-      if (!queue.pop_best(&f, &packet_seq)) break;
-      ++s.served[f];
-      ++stats.packets_served;
-      if (trace != nullptr)
-        trace->served.push_back(RouterTrace::Served{slot, f, packet_seq});
-    }
-
-    // Trim to the buffer: evict the worst live packet until everything
-    // fits.  Every eviction kills its frame; with drop_dead_frames the
-    // rest of that frame's packets are written off with it (lazy
-    // deletion), often ending the trim early — the buffer keeps only
-    // packets that can still pay off.
-    while (queue.live_size() > params.buffer_size) {
-      SetId f;
-      queue.pop_worst(&f);
-      ++stats.packets_dropped;
-      if (params.drop_dead_frames)
-        stats.packets_dropped += queue.kill_frame(f);
-    }
-  }
-  // Packets still queued at the end of the horizon never made it out
-  // (lazily deleted ones were already counted when their frame died).
-  stats.packets_dropped += queue.live_size();
-
-  tally_frames(schedule, [&](std::size_t fi) { return s.served[fi]; },
-               stats);
-  return stats;
-}
-
-RouterStats simulate_buffered_router_reference(
-    const FrameSchedule& schedule, FrameRanker& ranker,
-    const BufferedRouterParams& params, RouterTrace* trace) {
-  OSP_REQUIRE(params.service_rate >= 1);
-  schedule.validate();
-  if (trace != nullptr) trace->served.clear();
-  ranker.start(frame_metas(schedule));
-
-  CsrArray<SetId> slot_frames;
-  std::vector<std::size_t> cursor;
-  build_slot_frames(schedule, slot_frames, cursor);
-
-  struct QueuedPacket {
-    SetId frame;
-    double rank;
-    std::uint64_t seq;  // global arrival order, for FIFO tie-breaking
-  };
-
-  RouterStats stats;
-  std::vector<std::size_t> served(schedule.frames.size(), 0);
-  std::vector<bool> dead(schedule.frames.size(), false);
-  std::vector<QueuedPacket> queue;  // survivors waiting for the link
-  std::uint64_t seq = 0;
-
-  for (std::size_t slot = 0; slot < schedule.horizon; ++slot) {
-    for (SetId f : slot_frames.row(slot)) {
-      ++stats.packets_arrived;
-      const std::uint64_t arrival = seq++;
-      if (params.drop_dead_frames && dead[f]) {
-        ++stats.packets_dropped;
-        continue;
-      }
-      queue.push_back(QueuedPacket{f, ranker.rank(f), arrival});
-    }
-    if (queue.empty()) continue;
-
-    // (rank desc, seq asc) — the queue never holds a dead packet in
-    // drop_dead_frames mode, so the (live, rank, seq) order of the model
-    // reduces to this.
-    std::sort(queue.begin(), queue.end(),
-              [](const QueuedPacket& a, const QueuedPacket& b) {
-                if (a.rank != b.rank) return a.rank > b.rank;
-                return a.seq < b.seq;
-              });
-
-    // Serve the head of the ordered queue.
-    std::size_t to_serve =
-        std::min<std::size_t>(params.service_rate, queue.size());
-    for (std::size_t i = 0; i < to_serve; ++i) {
-      ++served[queue[i].frame];
-      ++stats.packets_served;
-      if (trace != nullptr)
-        trace->served.push_back(
-            RouterTrace::Served{slot, queue[i].frame, queue[i].seq});
-    }
-    queue.erase(queue.begin(),
-                queue.begin() + static_cast<std::ptrdiff_t>(to_serve));
-
-    // Trim to the buffer from the tail; in drop_dead_frames mode an
-    // overflow drop kills its frame and evicts the frame's other queued
-    // packets with it.
-    while (queue.size() > params.buffer_size) {
-      const QueuedPacket worst = queue.back();
-      queue.pop_back();
-      ++stats.packets_dropped;
-      if (!params.drop_dead_frames) continue;
-      dead[worst.frame] = true;
-      auto doomed = std::remove_if(queue.begin(), queue.end(),
-                                   [&](const QueuedPacket& p) {
-                                     return p.frame == worst.frame;
-                                   });
-      stats.packets_dropped +=
-          static_cast<std::size_t>(queue.end() - doomed);
-      queue.erase(doomed, queue.end());
-    }
-  }
-  // Packets still queued at the end of the horizon never made it out.
-  stats.packets_dropped += queue.size();
-  queue.clear();
-
-  tally_frames(schedule, [&](std::size_t fi) { return served[fi]; }, stats);
-  return stats;
 }
 
 }  // namespace osp

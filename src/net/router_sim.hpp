@@ -1,32 +1,20 @@
-// Discrete-time bottleneck-router simulator.
+// Discrete-time bottleneck-router simulator and its frame rankers.
 //
-// Unbuffered mode implements the paper's model exactly: in each slot a
+// simulate_router implements the paper's model exactly: in each slot a
 // burst of packets arrives, the link serves `service_rate` of them, and
 // the rest are lost — so a run is equivalent, frame for frame, to playing
 // the osp game on FrameSchedule::to_instance (tested in test_net.cpp).
 //
-// Buffered mode probes the paper's open problem 2 ("the effect of
-// buffers"): packets that lose the link can wait in a bounded buffer.
-// Decisions are made by a FrameRanker — a per-frame priority oracle;
-// randPr's persistent R_w priorities fit this interface directly, which
-// is itself evidence for the algorithm's practicality.
-//
-// The buffered queue is ordered by (live, rank, seq): packets of live
-// frames before packets of dead ones, then rank descending, then global
-// arrival order.  With drop_dead_frames set, a frame death is final — its
-// packets can never contribute value — so the simulator never spends link
-// capacity or buffer space on them: arrivals of dead frames are refused,
-// and a frame killed by an overflow drop has its queued packets evicted
-// with it.  (The pre-queue.hpp simulator kept such packets around and
-// served them when the queue ran short; see the goodput regression test
-// in test_net.cpp.)
-//
-// simulate_buffered_router runs on the indexed-heap PacketQueue —
-// O((arrivals + served + dropped) · log Q) per slot;
-// simulate_buffered_router_reference is the straightened-out full-sort
-// implementation — O(Q log Q) per slot — kept as the decision-identical
-// cross-check (proven slot for slot in test_net.cpp, re-proven on every
-// bench_router run).
+// The buffered router probes the paper's open problem 2 ("the effect of
+// buffers"): packets that lose the link can wait in a bounded buffer.  It
+// is the sustained serving runtime at one link — serve_sustained
+// (net/serve.hpp) with ServeSpec{.links = 1, ...}, whose
+// SustainedStats::router holds the counters below — so its rules
+// (arrivals, serve, trim, dead-frame refusal and eviction) are written
+// once, with serve_sustained_reference as their oracle.  Its decisions
+// are made by a FrameRanker — a per-frame priority oracle; randPr's
+// persistent R_w priorities fit this interface directly, which is itself
+// evidence for the algorithm's practicality.
 #pragma once
 
 #include <memory>
@@ -35,7 +23,6 @@
 
 #include "core/algorithm.hpp"
 #include "gen/schedule.hpp"
-#include "net/queue.hpp"
 #include "util/rng.hpp"
 
 namespace osp {
@@ -132,43 +119,11 @@ class RandomRanker final : public FrameRanker {
   std::vector<double> ranks_;
 };
 
-/// Buffered router configuration.
-struct BufferedRouterParams {
-  Capacity service_rate = 1;
-  std::size_t buffer_size = 0;    // packets that can wait
-  bool drop_dead_frames = true;   // refuse/evict packets of frames that
-                                  // already lost a packet (value is gone)
-};
-
-/// Optional per-decision record of a buffered run: every serviced packet
-/// in service order.  Two runs are decision-identical iff their traces
-/// (and stats) are equal — what test_net uses to prove the heap router
-/// against the sort reference.
-struct RouterTrace {
-  struct Served {
-    std::size_t slot;
-    SetId frame;
-    std::uint64_t seq;  // global arrival index of the packet
-  };
-  std::vector<Served> served;
-};
-
-// Schedule helpers shared by the buffered router, its reference and the
-// sustained runtime.
+// Schedule helpers shared by the router and the sustained runtime.
 
 /// Each frame's (weight, packet count) in frame id order: what
-/// FrameRanker::start takes.  The in-place form reuses `metas`' storage.
-void frame_metas(const FrameSchedule& schedule, std::vector<SetMeta>& metas);
+/// FrameRanker::start takes.
 std::vector<SetMeta> frame_metas(const FrameSchedule& schedule);
-
-/// Packs every slot's arrival burst into one CSR row in ascending frame id
-/// — the canonical arrival order, so the packet of frame f in slot t has
-/// global seq offsets()[t] + (position of f in row t).  A counting pass
-/// sizes the rows, a scatter pass fills them; `cursor` is scratch, and
-/// warm storage makes the build allocation-free.
-void build_slot_frames(const FrameSchedule& schedule,
-                       CsrArray<SetId>& slot_frames,
-                       std::vector<std::size_t>& cursor);
 
 /// Adds the frame totals to `stats`: frames_total, value_total, and the
 /// frames (and value) delivered intact.  served(fi) is the number of frame
@@ -187,37 +142,5 @@ void tally_frames(const FrameSchedule& schedule, ServedOf&& served,
     }
   }
 }
-
-/// Reusable working state for simulate_buffered_router; pass the same
-/// scratch to successive runs (one per worker thread) and the steady
-/// state performs no heap allocations.  Per-slot arrival bursts are
-/// packed into one CSR array (one row per slot) instead of a
-/// vector-of-vectors, so feeding a slot's burst is a contiguous scan.
-struct BufferedRouterScratch {
-  PacketQueue queue;
-  CsrArray<SetId> slot_frames;          // row = slot's burst, ascending ids
-  std::vector<std::size_t> cursor;      // build_slot_frames scratch
-  std::vector<SetMeta> metas;
-  std::vector<std::size_t> served;
-};
-
-/// Buffered router on the indexed-heap PacketQueue: each slot, arriving
-/// packets join the queue, the best `service_rate` live packets are
-/// served, and the queue is then trimmed to `buffer_size` by evicting the
-/// worst live packets (each eviction kills its frame, and with
-/// drop_dead_frames the rest of that frame's packets are evicted with
-/// it).  O((arrivals + served + dropped) · log Q) per slot.
-RouterStats simulate_buffered_router(const FrameSchedule& schedule,
-                                     FrameRanker& ranker,
-                                     const BufferedRouterParams& params,
-                                     BufferedRouterScratch* scratch = nullptr,
-                                     RouterTrace* trace = nullptr);
-
-/// The full-sort reference implementation of the same semantics —
-/// O(Q log Q) per slot.  Kept for the decision-identity cross-check and
-/// as the "old path" baseline of bench_router's throughput section.
-RouterStats simulate_buffered_router_reference(
-    const FrameSchedule& schedule, FrameRanker& ranker,
-    const BufferedRouterParams& params, RouterTrace* trace = nullptr);
 
 }  // namespace osp

@@ -8,6 +8,7 @@
 #include <thread>
 
 #include "core/csr.hpp"
+#include "net/queue.hpp"
 #include "util/require.hpp"
 
 namespace osp {
@@ -44,8 +45,6 @@ RunShape check_inputs(const FrameSchedule& schedule, const StreamMap& stream,
 
   RunShape shape;
   for (std::size_t f = 0; f < num_frames; ++f) {
-    OSP_REQUIRE_MSG(!schedule.frames[f].packet_slots.empty(),
-                    "sustained serving requires every frame to carry a packet");
     const std::size_t s = stream(f);
     OSP_REQUIRE_MSG(s < num_frames, "stream id " << s << " out of range");
     shape.num_streams = std::max(shape.num_streams, s + 1);
@@ -121,13 +120,27 @@ void build_links(const FrameSchedule& schedule, const StreamMap& stream,
   }
 }
 
+// Packs every slot's arrival burst into one CSR row in ascending frame id
+// — the canonical arrival order, so the packet of frame f in slot t has
+// global seq offsets()[t] + (position of f in row t).  A counting pass
+// sizes the rows, a scatter pass fills them.
+CsrArray<SetId> build_slot_frames(const FrameSchedule& schedule) {
+  std::vector<std::size_t> cursor(schedule.horizon, 0);
+  for (const Frame& f : schedule.frames)
+    for (std::size_t slot : f.packet_slots) ++cursor[slot];
+  CsrArray<SetId> slot_frames = CsrArray<SetId>::from_sizes(cursor);
+  std::fill(cursor.begin(), cursor.end(), 0);
+  for (std::size_t fi = 0; fi < schedule.frames.size(); ++fi)
+    for (std::size_t slot : schedule.frames[fi].packet_slots)
+      slot_frames.mutable_row(slot)[cursor[slot]++] = static_cast<SetId>(fi);
+  return slot_frames;
+}
+
 // Tracing only: replaces each served packet's queue key with its global
 // seq — the packets of every earlier slot plus the frames ahead of it in
 // its slot's ascending frame ids.
 void rebuild_trace_seqs(const FrameSchedule& schedule, ServeTrace& trace) {
-  CsrArray<SetId> slot_frames;
-  std::vector<std::size_t> cursor;
-  build_slot_frames(schedule, slot_frames, cursor);
+  const CsrArray<SetId> slot_frames = build_slot_frames(schedule);
   for (ServeTrace::Served& p : trace.served) {
     const std::size_t slot = arrival_slot(p.seq);
     const Span<SetId> row = slot_frames.row(slot);
@@ -370,6 +383,9 @@ SustainedStats serve_sustained(const FrameSchedule& schedule,
 
   const std::size_t W = std::min(spec.workers, K);
 
+  // A packet of a frame already known dead is refused on arrival: it can
+  // never contribute value, so it must not take buffer space or link
+  // capacity.
   auto ingest = [&](std::size_t l, std::size_t slot) {
     LinkState& link = links[l];
     LinkTally& t = tallies[l];
@@ -412,6 +428,9 @@ SustainedStats serve_sustained(const FrameSchedule& schedule,
     }
     if (tracing) t.slot_served[slot] = grant;
 
+    // Trim to the buffer, worst live packet first.  Every eviction kills
+    // its frame; with drop_dead_frames the frame's other queued packets
+    // are written off with it (lazily), which often ends the trim early.
     while (q.live_size() > spec.buffer) {
       SetId local;
       std::uint64_t key;
@@ -501,9 +520,7 @@ SustainedStats serve_sustained_reference(
   // Independent per-packet preparation: every packet carries its global
   // seq from the canonical slot-major order and its arrival slot, and is
   // routed to its frame's link as it arrives.
-  CsrArray<SetId> slot_frames;
-  std::vector<std::size_t> cursor;
-  build_slot_frames(schedule, slot_frames, cursor);
+  const CsrArray<SetId> slot_frames = build_slot_frames(schedule);
 
   struct QueuedPacket {
     SetId frame;

@@ -1,15 +1,17 @@
-// Sustained multi-link serving runtime — the event-machine layer over the
-// slot-stepped router primitives.
+// Sustained multi-link serving runtime: the one implementation of the
+// buffered link.
 //
-// Where simulate_buffered_router plays one link for one short trial, this
-// runtime serves K links concurrently for a long horizon: streams are
+// The runtime serves K links concurrently for a long horizon: streams are
 // partitioned across links (stream s lands on link s mod K), every link
-// runs the buffered-router slot semantics (arrivals -> serve -> trim)
-// on its own PacketQueue, and a work-conserving allocator lends a link's
-// spare service capacity to backlogged neighbours each slot.  Frame drop
-// priorities come from the same FrameRanker oracles the RankerRegistry
-// enumerates, so every registered ranker is a sustained drop policy with
-// no code change.
+// runs the buffered-link slot semantics (arrivals -> serve -> trim, with
+// dead-frame refusal and eviction) on its own PacketQueue, and a
+// work-conserving allocator lends a link's spare service capacity to
+// backlogged neighbours each slot.  At links = 1 it is the buffered router
+// of the paper's open problem 2: the router benches and the ranker grid
+// (api::Session::run_rankers) call it that way and read
+// SustainedStats::router.  Frame drop priorities come from the same
+// FrameRanker oracles the RankerRegistry enumerates, so every registered
+// ranker is a drop policy with no code change.
 //
 // Determinism contract (the shard/merge discipline, applied to threads):
 // all randomness is consumed serially before workers start — the ranker
@@ -27,8 +29,8 @@
 // count and not on thread scheduling.  serve_sustained_reference is the
 // independent sorted-vector implementation of the same semantics, keyed
 // by global seq; stats and trace identity against it across worker
-// counts is the equivalence oracle (test_serve.cpp), mirroring the
-// heap-vs-sort cross-check of the batch router.
+// counts is the equivalence oracle (test_serve.cpp, which also holds the
+// single-link cases).
 //
 // FrameRanker::rank() is called concurrently from workers after the
 // serial start(); every registered ranker satisfies this (rank() is a
@@ -62,7 +64,7 @@ struct ServeSpec {
 /// function of (schedule, stream_of, ranker seed, spec-without-workers):
 /// operator== across worker counts is the decision-identity check.
 struct SustainedStats {
-  RouterStats router;  // the batch router's aggregate counters
+  RouterStats router;  // the router's aggregate counters
 
   // Drop taxonomy (each counted inside router.packets_dropped too):
   std::size_t refused_dead = 0;   // arrivals refused, frame already dead
@@ -130,10 +132,19 @@ inline bool operator==(const ServeTrace::Served& a,
 
 /// Runs the sustained runtime.  stream_of maps each frame to its stream
 /// (empty = every frame is its own stream); stream ids must be < the
-/// frame count.  Every frame must carry at least one packet.  With
+/// frame count.  The schedule must pass FrameSchedule::validate().  With
 /// spec.workers == 1 the slot loop runs inline on the calling thread;
 /// otherwise spec.workers threads serve disjoint link ranges under the
 /// per-slot barrier.  The result is identical either way.
+///
+/// The stream map decides which link serves a frame and what the
+/// starvation counters count; at links = 1 it changes nothing else.  Its
+/// cost: every slot, each link scans all of its streams for starvation,
+/// so an empty map makes that scan O(frames) per slot.  One-link
+/// router/overload at buffer 1024 (about 1M packets, 430k frames, 20k
+/// slots) took 7.2-10.3 s per call that way, against 0.24-0.30 s with the
+/// workload's 64-stream map (3 calls each, Release build, 4-vCPU Xeon
+/// VM).  Pass the workload's stream map when there is one.
 SustainedStats serve_sustained(const FrameSchedule& schedule,
                                const std::vector<std::size_t>& stream_of,
                                FrameRanker& ranker, const ServeSpec& spec,

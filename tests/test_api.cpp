@@ -495,15 +495,14 @@ TEST(RankerRegistry, CatalogMatchesTheHistoricalHandBuiltList) {
 
 TEST(RankerRegistry, RegistryRankersAreDecisionIdenticalToHandBuilt) {
   // Round-trip parity: registry-built rankers must serve exactly the
-  // packets the directly constructed ones do (stats AND serve trace).
+  // packets the directly constructed ones do (stats AND serve trace) on
+  // the buffered router, the serving runtime at one link.
   Rng wl_rng(5);
   VideoParams params;
   params.num_streams = 6;
   params.frames_per_stream = 12;
   VideoWorkload vw = make_video_workload(params, wl_rng);
-  const BufferedRouterParams rp{.service_rate = 1,
-                                .buffer_size = 8,
-                                .drop_dead_frames = true};
+  const ServeSpec spec{.links = 1, .service_rate = 1, .buffer = 8};
 
   RandPrRanker hand_randpr{Rng(9)};
   WeightRanker hand_weight;
@@ -518,27 +517,15 @@ TEST(RankerRegistry, RegistryRankersAreDecisionIdenticalToHandBuilt) {
                         Case{"by-weight", &hand_weight, 0},
                         Case{"drop-tail", &hand_fifo, 0},
                         Case{"random-drop", &hand_random, 11}}) {
-    RouterTrace hand_trace, reg_trace;
-    RouterStats hand_stats =
-        simulate_buffered_router(vw.schedule, *c.hand, rp, nullptr,
-                                 &hand_trace);
+    ServeTrace hand_trace, reg_trace;
+    const SustainedStats hand_stats = serve_sustained(
+        vw.schedule, vw.stream_of, *c.hand, spec, &hand_trace);
     auto reg = api::rankers().make(c.name, Rng(c.seed));
-    RouterStats reg_stats =
-        simulate_buffered_router(vw.schedule, *reg, rp, nullptr, &reg_trace);
+    const SustainedStats reg_stats =
+        serve_sustained(vw.schedule, vw.stream_of, *reg, spec, &reg_trace);
 
-    EXPECT_EQ(hand_stats.packets_served, reg_stats.packets_served) << c.name;
-    EXPECT_EQ(hand_stats.packets_dropped, reg_stats.packets_dropped)
-        << c.name;
-    EXPECT_EQ(hand_stats.frames_delivered, reg_stats.frames_delivered)
-        << c.name;
-    EXPECT_DOUBLE_EQ(hand_stats.value_delivered, reg_stats.value_delivered)
-        << c.name;
-    ASSERT_EQ(hand_trace.served.size(), reg_trace.served.size()) << c.name;
-    for (std::size_t i = 0; i < hand_trace.served.size(); ++i) {
-      EXPECT_EQ(hand_trace.served[i].slot, reg_trace.served[i].slot);
-      EXPECT_EQ(hand_trace.served[i].frame, reg_trace.served[i].frame);
-      EXPECT_EQ(hand_trace.served[i].seq, reg_trace.served[i].seq);
-    }
+    EXPECT_TRUE(hand_stats == reg_stats) << c.name;
+    EXPECT_TRUE(hand_trace.served == reg_trace.served) << c.name;
   }
 }
 
@@ -660,7 +647,8 @@ TEST(Session, RankerRowsEqualAHandLoopOverTheDocumentedStreams) {
   ASSERT_EQ(rows.size(), cells.size() * rankers.size());
 
   // The stream derivation session.hpp documents, written out by hand with
-  // a freshly built ranker per (draw, ranker).
+  // a freshly built ranker per (draw, ranker) and played on the oracle,
+  // serve_sustained_reference at one link.
   Rng master(9);
   for (std::size_t c = 0; c < cells.size(); ++c) {
     Rng cell_rng = master.split(c);
@@ -669,17 +657,19 @@ TEST(Session, RankerRowsEqualAHandLoopOverTheDocumentedStreams) {
       wl.push_back(cell_rng.split(d));
       rk.push_back(cell_rng.split(1000000000 + d));
     }
-    const BufferedRouterParams rp{.service_rate = cells[c].service_rate,
-                                  .buffer_size = cells[c].buffer,
-                                  .drop_dead_frames = true};
+    const ServeSpec spec{.links = 1,
+                         .service_rate = cells[c].service_rate,
+                         .buffer = cells[c].buffer,
+                         .drop_dead_frames = true};
     for (std::size_t r = 0; r < rankers.size(); ++r) {
       double goodput = 0, served = 0, dropped = 0;
       for (std::size_t d = 0; d < trials; ++d) {
         Rng wl_rng = wl[d];
         const VideoWorkload vw = api::build_video(cells[c], wl_rng);
         auto ranker = api::rankers().make(rankers[r], rk[d]);
-        const RouterStats st =
-            simulate_buffered_router(vw.schedule, *ranker, rp);
+        const RouterStats st = serve_sustained_reference(
+                                   vw.schedule, vw.stream_of, *ranker, spec)
+                                   .router;
         goodput += st.goodput();
         served += static_cast<double>(st.packets_served);
         dropped += static_cast<double>(st.packets_dropped);

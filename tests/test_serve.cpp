@@ -3,10 +3,10 @@
 // nearest-rank oracle, multi-worker runs against the serial reference
 // (stats + trace identity — the equivalence oracle of the determinism
 // contract) on video workloads and on random schedules with gaps, empty
-// slots, identity streams and both dead-frame modes, the links=1
-// degenerate case against the single-link buffered router, the
-// work-conservation trace invariant, starvation counters, and the
-// window-ledger conservation laws.
+// slots, identity streams and both dead-frame modes, the buffered router
+// (the runtime at one link) on hand-built and gridded cases through the
+// same oracle, the work-conservation trace invariant, starvation
+// counters, and the window-ledger conservation laws.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "gen/traffic.hpp"
 #include "gen/video.hpp"
 #include "net/router_sim.hpp"
 #include "net/serve.hpp"
@@ -96,11 +97,11 @@ VideoWorkload small_workload(Rng& rng, std::size_t streams,
 
 // Runs the reference once and the runtime at workers 1, 2 and 4, re-arming
 // the ranker from `rk_rng` before each run; stats and the whole trace must
-// match the reference's.
-void expect_matches_reference(const FrameSchedule& schedule,
-                              const std::vector<std::size_t>& stream_of,
-                              FrameRanker& ranker, Rng rk_rng, ServeSpec spec,
-                              const std::string& label) {
+// match the reference's.  Returns the reference's stats.
+SustainedStats expect_matches_reference(
+    const FrameSchedule& schedule, const std::vector<std::size_t>& stream_of,
+    FrameRanker& ranker, Rng rk_rng, ServeSpec spec,
+    const std::string& label) {
   ranker.reseed(rk_rng);
   ServeTrace ref_trace;
   const SustainedStats ref = serve_sustained_reference(
@@ -120,6 +121,7 @@ void expect_matches_reference(const FrameSchedule& schedule,
     EXPECT_EQ(trace.slot_backlog, ref_trace.slot_backlog) << label;
     EXPECT_EQ(trace.slot_served, ref_trace.slot_served) << label;
   }
+  return ref;
 }
 
 TEST(ServeSustained, WorkerCountsMatchSerialReference) {
@@ -210,50 +212,269 @@ TEST(ServeSustained, RandomSchedulesMatchSerialReference) {
   }
 }
 
-TEST(ServeSustained, SingleLinkMatchesBufferedRouter) {
-  Rng master(202);
+// -------------------------------------------------------------------
+// One link: the buffered router of the paper's open problem 2
+
+FrameSchedule sample_schedule(std::uint64_t seed, std::size_t frames,
+                              std::size_t k) {
+  Rng rng(seed);
+  PoissonBursts bursts(2.5);
+  return bursty_schedule(bursts, frames, k, rng);
+}
+
+// The heap runtime and the sorted-vector reference must be
+// decision-identical at one link: same serviced packet (frame AND arrival
+// seq) in every service step of every slot, and same stats — across
+// rankers, buffer sizes (zero included), service rates, and both
+// dead-frame modes — and every packet must be accounted for.  Unit frame
+// weights make rank ties ubiquitous, which is exactly where ordering bugs
+// would hide.
+TEST(SingleLink, HeapMatchesSortReferenceSlotForSlot) {
+  RandPrRanker randpr{Rng(0)};
+  WeightRanker weight;
+  FifoRanker fifo;
+  RandomRanker random{Rng(0)};
+  FrameRanker* rankers[] = {&randpr, &weight, &fifo, &random};
+
+  int compared = 0;
+  for (std::uint64_t seed = 0; seed < 6; ++seed) {
+    const FrameSchedule sched = sample_schedule(900 + seed, 50, 3);
+    for (std::size_t buf : {0, 1, 3, 8, 64}) {
+      for (Capacity rate : {1, 2, 5}) {
+        for (bool drop_dead : {true, false}) {
+          for (FrameRanker* ranker : rankers) {
+            const SustainedStats st = expect_matches_reference(
+                sched, {}, *ranker, Rng(seed),
+                ServeSpec{.service_rate = rate,
+                          .buffer = buf,
+                          .drop_dead_frames = drop_dead},
+                "seed " + std::to_string(seed) + " buffer " +
+                    std::to_string(buf) + " rate " + std::to_string(rate) +
+                    (drop_dead ? " drop-dead" : " keep-dead"));
+            EXPECT_EQ(st.router.packets_served + st.router.packets_dropped,
+                      st.router.packets_arrived);
+            ++compared;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(compared, 6 * 5 * 3 * 2 * 4);
+}
+
+// Regression for the dead-frame service waste of the pre-queue.hpp
+// simulator.  Frames (weight, packet slots), service rate 1, buffer 3,
+// WeightRanker, drop_dead_frames on:
+//   H (10, {0,1,2,3})  — hogs the link every slot it appears
+//   C ( 1, {1})   D (1, {2})   E (1, {3})   B (1, {0,3})
+// At slot 3 the queue holds [B#0, C, D, E, B#1] (all rank 1, FIFO order)
+// and must shrink to 3.  The old simulator kept the top 3 — B#0, C, D —
+// and dropped E and B#1, killing BOTH E and B while B's doomed first
+// packet sat in the buffer (to be "served" at slot 6, wasting the link):
+// delivered value 12/14.  The fixed router evicts B#0 together with B#1
+// (a dead frame can never be delivered), which saves E: 13/14.
+TEST(SingleLink, EvictingDeadFramePacketsSavesLiveFrames) {
+  FrameSchedule sched;
+  sched.frames.push_back({10.0, {0, 1, 2, 3}});  // H
+  sched.frames.push_back({1.0, {1}});            // C
+  sched.frames.push_back({1.0, {2}});            // D
+  sched.frames.push_back({1.0, {3}});            // E
+  sched.frames.push_back({1.0, {0, 3}});         // B
+  sched.horizon = 7;
+
+  WeightRanker ranker;
+  const SustainedStats st = expect_matches_reference(
+      sched, {}, ranker, Rng(0), ServeSpec{.service_rate = 1, .buffer = 3},
+      "dead-frame eviction");
+  EXPECT_EQ(st.router.packets_arrived, 9u);
+  EXPECT_EQ(st.router.packets_served, 7u);
+  EXPECT_EQ(st.router.packets_dropped, 2u);
+  EXPECT_EQ(st.router.frames_delivered, 4u);  // H, C, D and the rescued E
+  EXPECT_DOUBLE_EQ(st.router.value_delivered, 13.0);
+  EXPECT_DOUBLE_EQ(st.router.goodput(), 13.0 / 14.0);  // old: 12/14
+}
+
+TEST(SingleLink, RefusesArrivalsOfDeadFrames) {
+  // Frame A loses its first packet to a zero buffer at slot 0 (B outranks
+  // it); its second packet must be refused on arrival, leaving the link
+  // free for C.
+  FrameSchedule sched;
+  sched.frames.push_back({5.0, {0}});     // B: wins slot 0
+  sched.frames.push_back({1.0, {0, 1}});  // A: dies at slot 0
+  sched.frames.push_back({0.5, {1}});     // C: must be served at slot 1
+  sched.horizon = 2;
+  WeightRanker ranker;
+  const SustainedStats st = expect_matches_reference(
+      sched, {}, ranker, Rng(0), ServeSpec{.service_rate = 1, .buffer = 0},
+      "refused arrival");
+  EXPECT_EQ(st.router.packets_served, 2u);
+  EXPECT_EQ(st.refused_dead, 1u);
+  EXPECT_EQ(st.router.frames_delivered, 2u);  // B and C
+  EXPECT_DOUBLE_EQ(st.router.value_delivered, 5.5);
+}
+
+TEST(SingleLink, AmpleServiceRateDeliversEverythingEvenUnbuffered) {
+  const FrameSchedule sched = sample_schedule(11, 40, 3);
+  const auto ample = static_cast<Capacity>(sched.max_burst());
+  FifoRanker fifo;
+  for (std::size_t buf : {0, 5}) {
+    const SustainedStats st = serve_sustained(
+        sched, {}, fifo, ServeSpec{.service_rate = ample, .buffer = buf});
+    EXPECT_EQ(st.router.packets_dropped, 0u);
+    EXPECT_EQ(st.router.packets_served, st.router.packets_arrived);
+    EXPECT_EQ(st.router.frames_delivered, st.router.frames_total);
+  }
+}
+
+TEST(SingleLink, ServiceRateAboveQueueSizeIsHarmless) {
+  // service_rate far beyond any queue population: the serve loop must
+  // stop at an empty queue, not underflow or serve phantom packets.
+  FrameSchedule sched;
+  sched.frames.push_back({1.0, {0}});
+  sched.frames.push_back({2.0, {2}});
+  sched.horizon = 4;
+  FifoRanker fifo;
+  const SustainedStats st = expect_matches_reference(
+      sched, {}, fifo, Rng(0), ServeSpec{.service_rate = 100, .buffer = 10},
+      "rate above queue size");
+  EXPECT_EQ(st.router.packets_served, 2u);
+  EXPECT_EQ(st.router.packets_dropped, 0u);
+  EXPECT_EQ(st.router.frames_delivered, 2u);
+}
+
+TEST(SingleLink, HorizonEndDropsKillDelivery) {
+  // Two packets arrive in the last slot; one is served, the straggler is
+  // dropped at the horizon and its frame with it.
+  FrameSchedule sched;
+  sched.frames.push_back({1.0, {0, 1}});
+  sched.frames.push_back({3.0, {1}});
+  sched.horizon = 2;
+  WeightRanker ranker;
+  const SustainedStats st = expect_matches_reference(
+      sched, {}, ranker, Rng(0), ServeSpec{.service_rate = 1, .buffer = 4},
+      "horizon-end drop");
+  // Slot 0: frame 0's first packet served.  Slot 1: frame 1 outranks
+  // frame 0's second packet; the horizon ends with it still queued.
+  EXPECT_EQ(st.router.packets_served, 2u);
+  EXPECT_EQ(st.router.packets_dropped, 1u);
+  EXPECT_EQ(st.leftover, 1u);
+  EXPECT_EQ(st.router.frames_delivered, 1u);
+  EXPECT_DOUBLE_EQ(st.router.value_delivered, 3.0);
+}
+
+TEST(SingleLink, UnfinishedQueueCountsAsDropped) {
+  FrameSchedule sched;
+  sched.frames.push_back({1.0, {0}});
+  sched.frames.push_back({1.0, {0}});
+  sched.frames.push_back({1.0, {0}});
+  sched.horizon = 1;  // only one service opportunity
+  FifoRanker fifo;
+  const SustainedStats st = expect_matches_reference(
+      sched, {}, fifo, Rng(0),
+      ServeSpec{.service_rate = 1, .buffer = 10, .drop_dead_frames = false},
+      "unfinished queue");
+  EXPECT_EQ(st.router.packets_served, 1u);
+  EXPECT_EQ(st.router.packets_dropped, 2u);
+  EXPECT_EQ(st.leftover, 2u);
+  EXPECT_EQ(st.router.frames_delivered, 1u);
+}
+
+TEST(SingleLink, ConservationHoldsAcrossParamGrid) {
+  Rng master(77);
+  for (std::uint64_t seed = 0; seed < 4; ++seed) {
+    const FrameSchedule sched = sample_schedule(1300 + seed, 70, 4);
+    RandPrRanker ranker{Rng(0)};
+    for (std::size_t buf : {0, 2, 16, 1000}) {
+      for (Capacity rate : {1, 3, 7}) {
+        for (bool drop_dead : {true, false}) {
+          const SustainedStats st = expect_matches_reference(
+              sched, {}, ranker, master.split(seed),
+              ServeSpec{.service_rate = rate,
+                        .buffer = buf,
+                        .drop_dead_frames = drop_dead},
+              "conservation seed " + std::to_string(seed));
+          ASSERT_EQ(st.router.packets_arrived, sched.total_packets());
+          ASSERT_EQ(st.router.packets_served + st.router.packets_dropped,
+                    st.router.packets_arrived);
+          ASSERT_LE(st.router.value_delivered, st.router.value_total + 1e-9);
+        }
+      }
+    }
+  }
+}
+
+TEST(SingleLink, BufferImprovesFifoGoodput) {
+  // Statistically, a buffer can only help drop-tail.
+  double no_buf = 0, with_buf = 0;
+  const int trials = 30;
+  for (int t = 0; t < trials; ++t) {
+    const FrameSchedule sched = sample_schedule(500 + t, 60, 3);
+    FifoRanker fifo;
+    for (std::size_t buf : {0, 8})
+      (buf == 0 ? no_buf : with_buf) +=
+          serve_sustained(sched, {}, fifo,
+                          ServeSpec{.service_rate = 1,
+                                    .buffer = buf,
+                                    .drop_dead_frames = false})
+              .router.goodput();
+  }
+  EXPECT_GE(with_buf, no_buf);
+}
+
+TEST(SingleLink, DropDeadFramesHelps) {
+  Rng master(6);
+  double keep_dead = 0, drop_dead = 0;
+  const int trials = 30;
+  for (int t = 0; t < trials; ++t) {
+    const FrameSchedule sched = sample_schedule(700 + t, 80, 4);
+    for (bool drop : {false, true}) {
+      RandPrRanker ranker{master.split(t)};
+      (drop ? drop_dead : keep_dead) +=
+          serve_sustained(sched, {}, ranker,
+                          ServeSpec{.service_rate = 1,
+                                    .buffer = 4,
+                                    .drop_dead_frames = drop})
+              .router.goodput();
+    }
+  }
+  EXPECT_GE(drop_dead, keep_dead);
+}
+
+// The ranker grid passes the workload's stream map to its one-link runs.
+// At one link that map may change the starvation counters and nothing
+// else: not the router counters, not the drop taxonomy, not the trace.
+TEST(SingleLink, StreamMapChangesOnlyStarvation) {
+  Rng master(808);
   for (std::size_t trial = 0; trial < 6; ++trial) {
     Rng trial_rng = master.split(trial);
     Rng wl_rng = trial_rng.split(0);
     const Rng rk_rng = trial_rng.split(1);
     const VideoWorkload vw = small_workload(wl_rng, 4, 8);
-
-    BufferedRouterParams rp;
-    rp.service_rate = static_cast<Capacity>(1 + trial % 3);
-    rp.buffer_size = 4 * trial;
-    rp.drop_dead_frames = true;
+    const ServeSpec spec{.service_rate = static_cast<Capacity>(1 + trial % 3),
+                         .buffer = 4 * trial,
+                         .drop_dead_frames = trial % 2 == 0};
 
     RandPrRanker ranker{rk_rng};
-    RouterTrace router_trace;
-    const RouterStats router = simulate_buffered_router(
-        vw.schedule, ranker, rp, nullptr, &router_trace);
-
-    ServeSpec spec;
-    spec.links = 1;
-    spec.service_rate = rp.service_rate;
-    spec.buffer = rp.buffer_size;
+    ServeTrace mapped_trace;
+    SustainedStats mapped = serve_sustained(vw.schedule, vw.stream_of,
+                                            ranker, spec, &mapped_trace);
     ranker.reseed(rk_rng);
-    ServeTrace trace;
-    const SustainedStats st =
-        serve_sustained(vw.schedule, vw.stream_of, ranker, spec, &trace);
+    ServeTrace identity_trace;
+    SustainedStats identity =
+        serve_sustained(vw.schedule, {}, ranker, spec, &identity_trace);
 
-    // With one link the runtime degenerates to the buffered router:
-    // counters and the serve decisions must agree packet for packet.
-    EXPECT_EQ(st.router.packets_arrived, router.packets_arrived);
-    EXPECT_EQ(st.router.packets_served, router.packets_served);
-    EXPECT_EQ(st.router.packets_dropped, router.packets_dropped);
-    EXPECT_EQ(st.router.frames_total, router.frames_total);
-    EXPECT_EQ(st.router.frames_delivered, router.frames_delivered);
-    EXPECT_DOUBLE_EQ(st.router.value_total, router.value_total);
-    EXPECT_DOUBLE_EQ(st.router.value_delivered, router.value_delivered);
-
-    ASSERT_EQ(trace.served.size(), router_trace.served.size());
-    for (std::size_t i = 0; i < trace.served.size(); ++i) {
-      EXPECT_EQ(trace.served[i].slot, router_trace.served[i].slot);
-      EXPECT_EQ(trace.served[i].frame, router_trace.served[i].frame);
-      EXPECT_EQ(trace.served[i].seq, router_trace.served[i].seq);
-      EXPECT_EQ(trace.served[i].link, 0u);
-    }
+    EXPECT_EQ(mapped.starved_slots.size(), 4u);
+    EXPECT_EQ(identity.starved_slots.size(), vw.schedule.frames.size());
+    mapped.starved_slots.clear();
+    identity.starved_slots.clear();
+    EXPECT_TRUE(mapped == identity) << "trial " << trial;
+    EXPECT_TRUE(std::equal(mapped_trace.served.begin(),
+                           mapped_trace.served.end(),
+                           identity_trace.served.begin(),
+                           identity_trace.served.end()))
+        << "trial " << trial;
+    EXPECT_EQ(mapped_trace.slot_backlog, identity_trace.slot_backlog);
+    EXPECT_EQ(mapped_trace.slot_served, identity_trace.slot_served);
   }
 }
 
