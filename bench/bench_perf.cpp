@@ -79,12 +79,8 @@ WorkloadResult measure_workload(const std::string& label, std::size_t m,
   Rng master(1);
   std::vector<Rng> rngs;
   rngs.reserve(static_cast<std::size_t>(r.trials));
-  for (int t = 0; t < r.trials; ++t) {
+  for (int t = 0; t < r.trials; ++t)
     rngs.push_back(master.split(static_cast<std::uint64_t>(t)));
-    // Expand now: every timed mode and pass copies this Rng, and a copy
-    // taken before the first draw would expand again inside the timing.
-    rngs.back().engine();
-  }
 
   const double total_elements =
       static_cast<double>(r.n) * static_cast<double>(r.trials);

@@ -9,6 +9,7 @@
 // construction of Section 4.2 (Ω(t/log t)).  Both sweeps iterate the
 // adversarial/* catalog cells; the machine-readable version is
 // bench_adversarial's BENCH_adversarial.json.
+#include <cmath>
 #include <iostream>
 
 #include "algos/baselines.hpp"

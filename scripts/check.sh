@@ -21,10 +21,13 @@
 #      bounds included), a fresh BENCH_router.json makes the committed
 #      one's decisions (check_bench_json.py --same-decisions), and the
 #      theorem3 smoke grid shards/merges bit-identically;
-#   8. ASan/UBSan build of the engine-critical tests plus a sanitized
+#   8. benchmark smoke: perfbench/run.py builds the benchmark from src/
+#      and runs every workload for one second; a build error or a failed
+#      oracle exits non-zero;
+#   9. ASan/UBSan build of the engine-critical tests plus a sanitized
 #      `bench_router --smoke`, whose rankers/sustained rows must equal
 #      the rows of the osp_cli lines docs/BENCHMARKS.md lists for them;
-#   9. TSan: a -DOSP_SANITIZE=thread build of the threaded suites
+#  10. TSan: a -DOSP_SANITIZE=thread build of the threaded suites
 #      (test_engine's 1/2/5-thread batch determinism, test_serve's
 #      workers-1/2/4 equivalence) and the sustained serving smoke at
 #      --workers 4, under scripts/tsan.supp — a data race in the barrier
@@ -78,6 +81,7 @@ if [[ "${mode}" == "quick" ]]; then
   echo "   - clang-tidy baseline (scripts/run_tidy.sh; or check.sh --tidy)"
   echo "   - examples smoke (osp_cli + quickstart)"
   echo "   - shard smoke (bench --shard / merge bit-identity)"
+  echo "   - benchmark smoke (perfbench/run.py, every workload, 1 s)"
   echo "   - ASan/UBSan suites + bench_router --smoke"
   echo "   - TSan threaded suites + sustained smoke"
   echo "== all quick checks passed =="
@@ -182,6 +186,11 @@ python3 scripts/check_bench_json.py build/advsmoke_*.part
 ./build/osp_cli merge build/advsmoke_*.part --out build/advsmoke_merged.json
 cmp BENCH_advsmoke.json build/advsmoke_merged.json
 rm -f BENCH_advsmoke.json build/advsmoke_*.part build/advsmoke_merged.json
+
+echo
+echo "== benchmark smoke: perfbench builds from src/ and its oracles pass =="
+python3 perfbench/run.py --workload all --seed 1 --seconds 1 --trace 0 \
+  > /dev/null
 
 echo
 echo "== sanitizers: ASan/UBSan build of fuzz + engine + queue tests =="

@@ -14,12 +14,15 @@ Rules (scripts/osp_lint.py --describe prints this table from the same
 registry the checks run from, so it can never drift):
 
   raw-random          no rand()/srand()/std::random_device/time()/clock(),
-                      std::seed_seq or standard engine (mt19937*,
+                      std::seed_seq, standard engine (mt19937*,
                       minstd_rand*, ranlux*, knuth_b,
-                      default_random_engine) outside src/util — all
+                      default_random_engine), standard distribution
+                      (std::*_distribution, std::generate_canonical) or
+                      std::shuffle/std::sample outside src/util — all
                       randomness must flow through util/rng, the one place
-                      an engine is seeded, so trial seeds stay
-                      grid-coordinate pure.
+                      an engine is seeded and every draw is defined, so
+                      trial seeds stay grid-coordinate pure and streams do
+                      not depend on the standard library.
   unordered-iteration no iteration over std::unordered_* in src/core,
                       src/engine, src/net — hash-order leaking into a
                       decision breaks trace determinism.
@@ -219,6 +222,9 @@ RAW_RANDOM_PATTERNS = (
     (re.compile(r"\bseed_seq\b"), "std::seed_seq"),
     (re.compile(r"\b(?:mt19937|minstd_rand|ranlux)\w*|\bknuth_b\b|"
                 r"\bdefault_random_engine\b"), "a standard random engine"),
+    (re.compile(r"\bstd::\w+_distribution\b|\bstd::generate_canonical\b"),
+     "a standard distribution"),
+    (re.compile(r"\bstd::(?:shuffle|sample)\b"), "std::shuffle/std::sample"),
     (re.compile(r"(?<![\w.])time\s*\("), "time()"),
     (re.compile(r"(?<![\w.])clock\s*\("), "clock()"),
     (re.compile(r"\bgettimeofday\b"), "gettimeofday()"),
@@ -440,9 +446,11 @@ def rule_nolint_justification(src, findings):
 RULES = (
     ("raw-random", outside_dirs("src/util/"), rule_raw_random,
      "no rand()/srand()/std::random_device/time()/clock()/chrono clocks, "
-     "std::seed_seq or standard engines outside src/util — randomness and "
-     "wall time must not reach decision paths, and only util/rng seeds an "
-     "engine"),
+     "std::seed_seq, standard engines, standard distributions "
+     "(std::*_distribution, std::generate_canonical) or "
+     "std::shuffle/std::sample outside src/util — randomness and wall time "
+     "must not reach decision paths, and only util/rng seeds an engine and "
+     "defines a draw"),
     ("unordered-iteration",
      in_dirs("src/core/", "src/engine/", "src/net/"),
      rule_unordered_iteration,

@@ -111,7 +111,7 @@ Lemma9Instance build_lemma9_instance(std::size_t ell, Rng& rng) {
     std::vector<std::size_t> perm(L2);
     for (std::size_t z = 0; z < L2; ++z) {
       std::iota(perm.begin(), perm.end(), 0);
-      std::shuffle(perm.begin(), perm.end(), rng.engine());
+      rng.shuffle(perm.begin(), perm.end());
       // placement[row * ell + col] = set id.
       std::vector<SetId> placement(L2);
       for (std::size_t cell = 0; cell < L2; ++cell) {
@@ -137,7 +137,7 @@ Lemma9Instance build_lemma9_instance(std::size_t ell, Rng& rng) {
       for (std::size_t zr = 0; zr < ell; ++zr) {
         const std::size_t z = t * ell + zr;
         std::iota(pi.begin(), pi.end(), 0u);
-        std::shuffle(pi.begin(), pi.end(), rng.engine());
+        rng.shuffle(pi.begin(), pi.end());
         for (std::size_t s0 = 0; s0 < L2; ++s0) {
           auto sid = static_cast<SetId>(z * L2 + s0);
           const Pos1& p = pos1[sid];
@@ -205,7 +205,7 @@ WeakLbInstance build_weak_lb_instance(std::size_t t, Rng& rng) {
       t, std::vector<std::uint32_t>(t));
   for (std::size_t i = 0; i < t; ++i) {
     std::iota(col_to_set[i].begin(), col_to_set[i].end(), 0u);
-    std::shuffle(col_to_set[i].begin(), col_to_set[i].end(), rng.engine());
+    rng.shuffle(col_to_set[i].begin(), col_to_set[i].end());
   }
   auto set_at = [&](std::size_t row, std::size_t col) {
     return static_cast<SetId>(row * t + col_to_set[row][col]);
@@ -227,7 +227,7 @@ WeakLbInstance build_weak_lb_instance(std::size_t t, Rng& rng) {
   std::vector<std::uint32_t> pi(t);
   for (std::size_t e = 0; e < m; ++e) {
     std::iota(pi.begin(), pi.end(), 0u);
-    std::shuffle(pi.begin(), pi.end(), rng.engine());
+    rng.shuffle(pi.begin(), pi.end());
     std::vector<SetId> parents;
     for (std::size_t i = 0; i < t; ++i)
       parents.push_back(set_at(i, pi[i]));

@@ -37,7 +37,7 @@ std::vector<std::size_t> sample_distinct(std::size_t k, std::size_t n,
     // Dense: shuffle a full index vector.
     std::vector<std::size_t> idx(n);
     std::iota(idx.begin(), idx.end(), 0);
-    std::shuffle(idx.begin(), idx.end(), rng.engine());
+    rng.shuffle(idx.begin(), idx.end());
     idx.resize(k);
     return idx;
   }
@@ -142,7 +142,7 @@ Instance regular_instance(std::size_t m, std::size_t k, std::size_t sigma,
   stubs.reserve(m * k);
   for (std::size_t s = 0; s < m; ++s)
     for (std::size_t i = 0; i < k; ++i) stubs.push_back(static_cast<SetId>(s));
-  std::shuffle(stubs.begin(), stubs.end(), rng.engine());
+  rng.shuffle(stubs.begin(), stubs.end());
 
   auto group_of = [&](std::size_t pos) { return pos / sigma; };
   auto group_has = [&](std::size_t g, SetId s, std::size_t except) {

@@ -1,20 +1,18 @@
 #include "gen/traffic.hpp"
 
-#include <random>
-
 #include "util/require.hpp"
 
 namespace osp {
 
 PoissonBursts::PoissonBursts(double lambda) : lambda_(lambda) {
-  OSP_REQUIRE(lambda > 0);
+  OSP_REQUIRE_MSG(lambda > 0 && lambda <= Rng::kMaxPoissonMean,
+                  "poisson burst rate must be in (0, "
+                      << Rng::kMaxPoissonMean << "], got " << lambda);
 }
 
 std::string PoissonBursts::name() const { return "poisson"; }
 
-std::size_t PoissonBursts::next(Rng& rng) {
-  return std::poisson_distribution<std::size_t>(lambda_)(rng.engine());
-}
+std::size_t PoissonBursts::next(Rng& rng) { return rng.poisson(lambda_); }
 
 OnOffBursts::OnOffBursts(double p_on_to_off, double p_off_to_on,
                          double rate_on, double rate_off)
@@ -24,7 +22,11 @@ OnOffBursts::OnOffBursts(double p_on_to_off, double p_off_to_on,
       rate_off_(rate_off) {
   OSP_REQUIRE(p_on_to_off >= 0 && p_on_to_off <= 1);
   OSP_REQUIRE(p_off_to_on >= 0 && p_off_to_on <= 1);
-  OSP_REQUIRE(rate_on >= 0 && rate_off >= 0);
+  OSP_REQUIRE_MSG(rate_on >= 0 && rate_on <= Rng::kMaxPoissonMean &&
+                      rate_off >= 0 && rate_off <= Rng::kMaxPoissonMean,
+                  "on/off burst rates must be in [0, "
+                      << Rng::kMaxPoissonMean << "], got " << rate_on
+                      << " and " << rate_off);
 }
 
 std::string OnOffBursts::name() const { return "onoff"; }
@@ -35,9 +37,7 @@ std::size_t OnOffBursts::next(Rng& rng) {
   } else {
     if (rng.chance(p_off_to_on_)) on_ = true;
   }
-  double rate = on_ ? rate_on_ : rate_off_;
-  if (rate <= 0) return 0;
-  return std::poisson_distribution<std::size_t>(rate)(rng.engine());
+  return rng.poisson(on_ ? rate_on_ : rate_off_);
 }
 
 ConstantBursts::ConstantBursts(std::size_t c) : c_(c) {}

@@ -24,7 +24,8 @@ class BurstProcess {
   virtual std::size_t next(Rng& rng) = 0;
 };
 
-/// Poisson(λ) arrivals — mild, memoryless bursts.
+/// Poisson(λ) arrivals — mild, memoryless bursts.  Requires
+/// 0 < λ <= Rng::kMaxPoissonMean.
 class PoissonBursts final : public BurstProcess {
  public:
   explicit PoissonBursts(double lambda);
@@ -38,7 +39,7 @@ class PoissonBursts final : public BurstProcess {
 /// Markov-modulated on/off process: in the ON state frames arrive at
 /// `rate_on` per slot (Poisson), in OFF at `rate_off`; switches state with
 /// the given probabilities.  Models the correlated bursts that hurt a
-/// router most.
+/// router most.  Both rates must lie in [0, Rng::kMaxPoissonMean].
 class OnOffBursts final : public BurstProcess {
  public:
   OnOffBursts(double p_on_to_off, double p_off_to_on, double rate_on,

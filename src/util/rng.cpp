@@ -1,82 +1,12 @@
 #include "util/rng.hpp"
 
 #include <algorithm>
-#include <array>
-#include <cstddef>
+#include <cmath>
+#include <limits>
 
 #include "util/require.hpp"
 
 namespace osp {
-
-namespace {
-
-// The seed sequence an Rng expands from: std::seed_seq's generate()
-// algorithm ([rand.util.seedseq]) over the low 32 bits of the seed's first
-// four SplitMix64 words, so mt19937_64::seed() fills exactly the state
-// std::seed_seq{w0, w1, w2, w3} would.  Unlike std::seed_seq it keeps the
-// words inline instead of in a heap vector, and it walks the ring with
-// wrapping indices instead of four `%` per step.
-class SplitMixSeedSeq {
- public:
-  using result_type = std::uint32_t;
-
-  explicit SplitMixSeedSeq(std::uint64_t seed) {
-    for (result_type& w : v_) w = static_cast<result_type>(splitmix64(seed));
-  }
-
-  void generate(result_type* begin, result_type* end) const {
-    const std::size_t n = static_cast<std::size_t>(end - begin);
-    if (n == 0) return;
-    std::fill(begin, end, 0x8b8b8b8bu);
-    const std::size_t s = v_.size();
-    const std::size_t t = n >= 623 ? 11
-                          : n >= 68 ? 7
-                          : n >= 39 ? 5
-                          : n >= 7  ? 3
-                                    : (n - 1) / 2;
-    const std::size_t p = (n - t) / 2;
-    const std::size_t q = p + t;  // p <= q < n
-    const std::size_t m = std::max(s + 1, n);
-    // Ring positions k, k+p, k+q and k-1 (all mod n) for the current k.
-    std::size_t i = 0, ip = p, iq = q, im = n - 1;
-    const auto advance = [&] {
-      const auto next = [n](std::size_t x) { return x + 1 == n ? 0 : x + 1; };
-      im = i;
-      i = next(i);
-      ip = next(ip);
-      iq = next(iq);
-    };
-    const auto fold = [](result_type x) { return x ^ (x >> 27); };
-    // First pass, step k: adds k mod n plus `extra`, which is s at k = 0,
-    // input word k-1 for 1 <= k <= s, and 0 after that.
-    const auto mix = [&](result_type extra) {
-      const result_type r1 = 1664525u * fold(begin[i] ^ begin[ip] ^ begin[im]);
-      const result_type r2 = r1 + static_cast<result_type>(i) + extra;
-      begin[ip] += r1;
-      begin[iq] += r2;
-      begin[i] = r2;
-      advance();
-    };
-    mix(static_cast<result_type>(s));
-    std::size_t k = 1;
-    for (; k <= s; ++k) mix(v_[k - 1]);
-    for (; k < m; ++k) mix(0);
-    for (; k < m + n; ++k) {
-      const result_type r3 =
-          1566083941u * fold(begin[i] + begin[ip] + begin[im]);
-      const result_type r4 = r3 - static_cast<result_type>(i);
-      begin[ip] ^= r3;
-      begin[iq] ^= r4;
-      begin[i] = r4;
-      advance();
-    }
-  }
-
- private:
-  std::array<result_type, 4> v_{};
-};
-
-}  // namespace
 
 std::uint64_t splitmix64(std::uint64_t& state) {
   std::uint64_t z = (state += 0x9e3779b97f4a7c15ULL);
@@ -85,12 +15,11 @@ std::uint64_t splitmix64(std::uint64_t& state) {
   return z ^ (z >> 31);
 }
 
-std::mt19937_64& Rng::expand() {
-  // SplitMix64 first so that nearby seeds (0, 1, 2, ...) give unrelated
-  // streams.
-  SplitMixSeedSeq seq(seed_);
-  return engine_.emplace(seq);
-}
+// SplitMix64 first so that nearby seeds (0, 1, 2, ...) give unrelated
+// streams.  A braced list evaluates its elements in order.
+Rng::Rng(std::uint64_t seed)
+    : s_{splitmix64(seed), splitmix64(seed), splitmix64(seed),
+         splitmix64(seed)} {}
 
 Rng Rng::split(std::uint64_t stream) {
   // Mix the parent's next output with the stream id; the parent advances so
@@ -102,16 +31,32 @@ Rng Rng::split(std::uint64_t stream) {
 
 std::uint64_t Rng::below(std::uint64_t bound) {
   OSP_REQUIRE(bound > 0);
-  return std::uniform_int_distribution<std::uint64_t>(0, bound - 1)(engine());
+  // Lemire's multiply-shift: the high word of x * bound, rejecting the
+  // low words below 2^64 mod bound so that every result is equally likely.
+  unsigned __int128 m = static_cast<unsigned __int128>((*this)()) * bound;
+  if (static_cast<std::uint64_t>(m) < bound) {
+    const std::uint64_t threshold = (0 - bound) % bound;
+    while (static_cast<std::uint64_t>(m) < threshold)
+      m = static_cast<unsigned __int128>((*this)()) * bound;
+  }
+  return static_cast<std::uint64_t>(m >> 64);
 }
 
 std::int64_t Rng::range(std::int64_t lo, std::int64_t hi) {
   OSP_REQUIRE(lo <= hi);
-  return std::uniform_int_distribution<std::int64_t>(lo, hi)(engine());
-}
-
-double Rng::uniform() {
-  return std::uniform_real_distribution<double>(0.0, 1.0)(engine());
+  // Offsets are drawn and added in unsigned arithmetic, which wraps, so the
+  // full [INT64_MIN, INT64_MAX] span overflows nothing.
+  const std::uint64_t span =
+      static_cast<std::uint64_t>(hi) - static_cast<std::uint64_t>(lo);
+  const std::uint64_t offset =
+      span == std::numeric_limits<std::uint64_t>::max() ? (*this)()
+                                                         : below(span + 1);
+  const std::uint64_t u = static_cast<std::uint64_t>(lo) + offset;
+  constexpr auto kMax = std::numeric_limits<std::int64_t>::max();
+  // u is the two's-complement pattern of the result; ~u fits when u < 0.
+  return u <= static_cast<std::uint64_t>(kMax)
+             ? static_cast<std::int64_t>(u)
+             : -static_cast<std::int64_t>(~u) - 1;
 }
 
 double Rng::uniform_open() {
@@ -130,7 +75,33 @@ bool Rng::chance(double p) {
 
 double Rng::exponential(double rate) {
   OSP_REQUIRE(rate > 0.0);
-  return std::exponential_distribution<double>(rate)(engine());
+  return -std::log1p(-uniform()) / rate;
+}
+
+std::uint64_t Rng::poisson(double mean) {
+  OSP_REQUIRE_MSG(mean >= 0 && mean <= kMaxPoissonMean,
+                  "poisson mean must be in [0, " << kMaxPoissonMean
+                                                 << "], got " << mean);
+  // A sum of independent Poisson draws is Poisson with the summed mean, so
+  // the mean is drawn in pieces of at most 500, where exp(-piece) is still
+  // a normal double.  Each piece inverts its CDF by sequential search; the
+  // search stops if the pmf underflows before the CDF reaches u.
+  constexpr double kPiece = 500;
+  std::uint64_t k = 0;
+  for (double left = mean; left > 0; left -= kPiece) {
+    const double lambda = std::min(left, kPiece);
+    const double u = uniform();
+    double pmf = std::exp(-lambda);
+    double cdf = pmf;
+    std::uint64_t x = 0;
+    while (u >= cdf && pmf > 0) {
+      ++x;
+      pmf *= lambda / static_cast<double>(x);
+      cdf += pmf;
+    }
+    k += x;
+  }
+  return k;
 }
 
 }  // namespace osp

@@ -7,36 +7,44 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
-#include <random>
+#include <utility>
 
 namespace osp {
 
 /// Deterministic pseudo-random generator with splittable seeding.
 ///
-/// Wraps std::mt19937_64 and adds convenience draws used throughout the
-/// library.  Copyable; copies evolve independently.
-///
-/// Stream definition: Rng(seed) yields exactly what std::mt19937_64 yields
-/// after seeding with std::seed_seq{w0, w1, w2, w3}, where w0..w3 are the
-/// first four splitmix64() outputs from state `seed`.  std::seed_seq keeps
-/// only the low 32 bits of each word, so only those enter the stream.
-///
-/// The 2.5 KB engine state is expanded from the seed on the first draw
-/// (any draw, split() or engine()), not at construction: building,
-/// copying or moving an Rng that has not drawn yet does no seeding work,
-/// and each such copy expands on its own first draw into the same stream.
+/// Stream definition: the engine is xoshiro256** (Blackman and Vigna) with
+/// state {w0, w1, w2, w3}, the first four splitmix64() outputs from state
+/// `seed`.  SplitMix64 maps four distinct states to four distinct outputs,
+/// so the state is never all zero.  Every draw below is defined by this
+/// library from that engine, not by a standard library, so a seed yields
+/// the same values on every platform.  Copyable (32 bytes); copies evolve
+/// independently.
 class Rng {
  public:
-  using result_type = std::uint64_t;
+  /// Largest mean poisson() accepts.
+  static constexpr double kMaxPoissonMean = 1e6;
 
   /// Seeds from a 64-bit value; equal seeds yield equal streams.
-  explicit Rng(std::uint64_t seed = 0x9e3779b97f4a7c15ULL) : seed_(seed) {}
+  explicit Rng(std::uint64_t seed = 0x9e3779b97f4a7c15ULL);
 
   /// Derives an independent child generator.  Children obtained with
   /// distinct `stream` values (or from successive calls) do not correlate
   /// with each other or with the parent's future output.
   Rng split(std::uint64_t stream);
+
+  /// Next 64-bit engine output (xoshiro256**).
+  std::uint64_t operator()() {
+    const std::uint64_t out = rotl(s_[1] * 5, 7) * 9;
+    const std::uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = rotl(s_[3], 45);
+    return out;
+  }
 
   /// Uniform integer in [0, bound).  Requires bound > 0.
   std::uint64_t below(std::uint64_t bound);
@@ -44,8 +52,8 @@ class Rng {
   /// Uniform integer in [lo, hi] inclusive.  Requires lo <= hi.
   std::int64_t range(std::int64_t lo, std::int64_t hi);
 
-  /// Uniform double in [0, 1).
-  double uniform();
+  /// Uniform double in [0, 1): the top 53 bits of one output times 2^-53.
+  double uniform() { return static_cast<double>((*this)() >> 11) * 0x1p-53; }
 
   /// Uniform double in (0, 1) — never returns exactly 0, safe for log().
   double uniform_open();
@@ -56,21 +64,24 @@ class Rng {
   /// Exponentially distributed draw with the given rate (> 0).
   double exponential(double rate);
 
-  /// Standard-library compatibility: uniform 64-bit output.
-  std::uint64_t operator()() { return engine()(); }
-  static constexpr std::uint64_t min() { return std::mt19937_64::min(); }
-  static constexpr std::uint64_t max() { return std::mt19937_64::max(); }
+  /// Poisson-distributed draw.  Requires a mean in [0, kMaxPoissonMean].
+  std::uint64_t poisson(double mean);
 
-  /// Access to the underlying engine for std distributions; expands it
-  /// first if this Rng has not drawn yet.
-  std::mt19937_64& engine() { return engine_ ? *engine_ : expand(); }
+  /// Uniformly random permutation of [first, last) (Fisher-Yates).
+  template <class RandomIt>
+  void shuffle(RandomIt first, RandomIt last) {
+    for (auto i = last - first - 1; i > 0; --i) {
+      using std::swap;
+      swap(first[i], first[below(static_cast<std::uint64_t>(i) + 1)]);
+    }
+  }
 
  private:
-  /// Seeds the engine from seed_ (see the stream definition above).
-  std::mt19937_64& expand();
+  static std::uint64_t rotl(std::uint64_t x, int k) {
+    return (x << k) | (x >> (64 - k));
+  }
 
-  std::uint64_t seed_;
-  std::optional<std::mt19937_64> engine_;  // empty until the first draw
+  std::uint64_t s_[4];
 };
 
 /// SplitMix64 step; used for seed derivation and in tests.

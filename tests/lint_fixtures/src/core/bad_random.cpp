@@ -1,7 +1,8 @@
-// Known-bad fixture: raw randomness, engines seeded outside util/rng and
-// wall-clock reads in a decision path.  Every call below would make a
-// trial's outcome depend on process state, or on a stream util/rng does
-// not define, instead of the grid-coordinate seed.
+// Known-bad fixture: raw randomness, engines seeded outside util/rng,
+// standard distributions and algorithms, and wall-clock reads in a
+// decision path.  Every call below would make a trial's outcome depend on
+// process state, or on a stream util/rng does not define, instead of the
+// grid-coordinate seed.
 //
 // osp-lint-expect: raw-random
 // osp-lint-expect: raw-random
@@ -14,10 +15,17 @@
 // osp-lint-expect: raw-random
 // osp-lint-expect: raw-random
 // osp-lint-expect: raw-random
+// osp-lint-expect: raw-random
+// osp-lint-expect: raw-random
+// osp-lint-expect: raw-random
+// osp-lint-expect: raw-random
+// osp-lint-expect: raw-random
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
 #include <ctime>
 #include <random>
+#include <vector>
 
 namespace osp {
 
@@ -39,6 +47,28 @@ std::uint64_t seed_own_engines(std::uint64_t seed) {
   std::knuth_b shuffled(3);              // raw-random: knuth_b
   std::default_random_engine fallback(4);  // raw-random: default engine
   return twister() ^ lcg() ^ lagged() ^ shuffled() ^ fallback();
+}
+
+// The standard leaves every distribution and algorithm stream to the
+// library, so even a util/rng engine fed through them draws differently
+// under libstdc++ and libc++.
+template <class Urbg>
+double draw_through_std(std::vector<int>& v, Urbg& gen) {
+  std::shuffle(v.begin(), v.end(), gen);  // raw-random: std::shuffle
+  std::sample(v.begin(), v.end(), v.begin(), 1, gen);  // raw-random: sample
+  std::poisson_distribution<int> arrivals(2.5);  // raw-random: distribution
+  double u = std::generate_canonical<double, 53>(gen);  // raw-random
+  return u + std::uniform_real_distribution<double>(0, 1)(gen) +  // raw
+         arrivals(gen);
+}
+
+// Drawing through util/rng, and names that merely contain a banned
+// algorithm's or distribution's name, are fine.
+template <class Rng>
+void draw_through_util(std::vector<int>& v, Rng& rng) {
+  rng.shuffle(v.begin(), v.end());
+  const double poisson_distribution_mean = 2.5;
+  v.resize(sample_distinct(v, rng, poisson_distribution_mean));
 }
 
 // Names that merely contain an engine's name are not engines.

@@ -2,6 +2,7 @@
 // structural guarantees each family promises.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <set>
 
 #include "gen/multihop.hpp"
@@ -160,6 +161,19 @@ TEST(Traffic, PoissonMeanRoughlyLambda) {
   const int n = 20000;
   for (int i = 0; i < n; ++i) total += static_cast<double>(p.next(rng));
   EXPECT_NEAR(total / n, 3.0, 0.1);
+}
+
+TEST(Traffic, RatesOutsideThePoissonDomainThrow) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (double bad : {0.0, -1.0, 1e300, inf, nan})
+    EXPECT_THROW(PoissonBursts{bad}, RequireError) << bad;
+  for (double bad : {-1.0, 1e300, inf, nan}) {
+    EXPECT_THROW(OnOffBursts(0.1, 0.1, bad, 0.2), RequireError) << bad;
+    EXPECT_THROW(OnOffBursts(0.1, 0.1, 6.0, bad), RequireError) << bad;
+  }
+  EXPECT_NO_THROW(PoissonBursts{Rng::kMaxPoissonMean});
+  EXPECT_NO_THROW(OnOffBursts(0.1, 0.1, 0.0, 0.0));
 }
 
 TEST(Traffic, ConstantIsConstant) {

@@ -1,6 +1,8 @@
 // Tests for the general packing extension (open problem 1).
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "algos/general_lp.hpp"
 #include "core/general.hpp"
 #include "stats/summary.hpp"

@@ -1,8 +1,12 @@
 // Unit tests for util: RNG behaviour and math helpers.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <cmath>
 #include <cstdint>
-#include <random>
+#include <limits>
+#include <numeric>
 #include <set>
 #include <vector>
 
@@ -12,6 +16,60 @@
 
 namespace osp {
 namespace {
+
+// A second, deliberately plain implementation of the stream rng.hpp
+// defines: xoshiro256** whose state is the first four SplitMix64 outputs.
+class ReferenceStream {
+ public:
+  explicit ReferenceStream(std::uint64_t seed)
+      : s_{splitmix(seed), splitmix(seed), splitmix(seed), splitmix(seed)} {}
+  explicit ReferenceStream(std::array<std::uint64_t, 4> state) : s_(state) {}
+
+  std::uint64_t next() {
+    const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
+    const std::uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = rotl(s_[3], 45);
+    return result;
+  }
+
+  // Rng::split: one output mixed with the stream id, then one SplitMix64
+  // step gives the child's seed.
+  ReferenceStream split(std::uint64_t stream) {
+    std::uint64_t x =
+        next() ^ (stream * 0xd1342543de82ef95ULL + 0x2545f4914f6cdd1dULL);
+    return ReferenceStream(splitmix(x));
+  }
+
+ private:
+  static std::uint64_t rotl(std::uint64_t x, int k) {
+    return (x << k) | (x >> (64 - k));
+  }
+  static std::uint64_t splitmix(std::uint64_t& state) {
+    state += 0x9e3779b97f4a7c15ULL;
+    std::uint64_t z = state;
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+    return z ^ (z >> 31);
+  }
+
+  std::array<std::uint64_t, 4> s_;
+};
+
+// 0, 1 and 2^64-1, the small seeds 2..500, and 500 scattered ones.
+std::vector<std::uint64_t> stream_seeds() {
+  std::vector<std::uint64_t> seeds = {0, 1, ~std::uint64_t{0}};
+  for (std::uint64_t s = 2; s <= 500; ++s) seeds.push_back(s);
+  std::uint64_t state = 2026;
+  for (int i = 0; i < 500; ++i) seeds.push_back(splitmix64(state));
+  return seeds;
+}
+
+constexpr int kStreamDraws = 640;
 
 TEST(Rng, Deterministic) {
   Rng a(42), b(42);
@@ -64,12 +122,16 @@ TEST(Rng, RangeInclusive) {
   EXPECT_EQ(seen.size(), 5u);
 }
 
-TEST(Rng, UniformInUnitInterval) {
+TEST(Rng, UniformIsTheTop53BitsOnTheUnitGrid) {
   Rng rng(11);
-  for (int i = 0; i < 1000; ++i) {
-    double u = rng.uniform();
-    EXPECT_GE(u, 0.0);
-    EXPECT_LT(u, 1.0);
+  ReferenceStream ref(11);
+  for (int i = 0; i < 10000; ++i) {
+    const double u = rng.uniform();
+    ASSERT_GE(u, 0.0);
+    ASSERT_LT(u, 1.0);
+    const double scaled = std::ldexp(u, 53);
+    ASSERT_EQ(scaled, std::floor(scaled));
+    ASSERT_EQ(static_cast<std::uint64_t>(scaled), ref.next() >> 11);
   }
 }
 
@@ -119,81 +181,205 @@ TEST(Rng, SplitReproducible) {
   for (int i = 0; i < 50; ++i) EXPECT_EQ(a(), b());
 }
 
-// The stream Rng(seed) is defined to yield (see rng.hpp), built with
-// std::seed_seq as the oracle.
-std::mt19937_64 reference_engine(std::uint64_t seed) {
-  std::uint64_t state = seed;
-  std::seed_seq seq{splitmix64(state), splitmix64(state), splitmix64(state),
-                    splitmix64(state)};
-  return std::mt19937_64(seq);
+TEST(Rng, ReferenceMatchesPublishedOutput) {
+  // xoshiro256**'s published first outputs from the state {1, 2, 3, 4}.
+  ReferenceStream ref({1, 2, 3, 4});
+  for (std::uint64_t want : {std::uint64_t{11520}, std::uint64_t{0},
+                             std::uint64_t{1509978240},
+                             std::uint64_t{1215971899390074240}})
+    EXPECT_EQ(ref.next(), want);
 }
 
-// 0, 1 and 2^64-1, the small seeds 2..500, and 500 scattered ones.
-std::vector<std::uint64_t> stream_seeds() {
-  std::vector<std::uint64_t> seeds = {0, 1, ~std::uint64_t{0}};
-  for (std::uint64_t s = 2; s <= 500; ++s) seeds.push_back(s);
-  std::uint64_t state = 2026;
-  for (int i = 0; i < 500; ++i) seeds.push_back(splitmix64(state));
-  return seeds;
+TEST(Rng, FirstWordsArePinned) {
+  const struct {
+    std::uint64_t seed;
+    std::array<std::uint64_t, 3> words;
+  } pins[] = {
+      {0, {0x99ec5f36cb75f2b4, 0xbf6e1f784956452a, 0x1a5f849d4933e6e0}},
+      {1, {0xb3f2af6d0fc710c5, 0x853b559647364cea, 0x92f89756082a4514}},
+      {~std::uint64_t{0},
+       {0x8f5520d52a7ead08, 0xc476a018caa1802d, 0x81de31c0d260469e}},
+  };
+  for (const auto& pin : pins) {
+    Rng rng(pin.seed);
+    for (std::uint64_t want : pin.words) EXPECT_EQ(rng(), want) << pin.seed;
+  }
 }
 
-// mt19937_64 regenerates its 312-word state every 312 draws, so this many
-// draws cross two regenerations after the first.
-constexpr int kStreamDraws = 640;
-
-TEST(Rng, StreamMatchesSeedSeqDefinition) {
+TEST(Rng, StreamMatchesReference) {
   for (std::uint64_t seed : stream_seeds()) {
     Rng rng(seed);
-    std::mt19937_64 ref = reference_engine(seed);
+    ReferenceStream ref(seed);
     for (int d = 0; d < kStreamDraws; ++d)
-      ASSERT_EQ(rng(), ref()) << "seed " << seed << ", draw " << d;
+      ASSERT_EQ(rng(), ref.next()) << "seed " << seed << ", draw " << d;
   }
 }
 
-TEST(Rng, CopiesContinueTheStream) {
-  for (std::uint64_t seed : {std::uint64_t{0}, std::uint64_t{77},
-                             ~std::uint64_t{0}}) {
-    std::mt19937_64 ref = reference_engine(seed);
+TEST(Rng, CopiesAndSplitChildrenFollowTheReference) {
+  for (std::uint64_t seed : stream_seeds()) {
     Rng rng(seed);
-    Rng unexpanded = rng;
-    for (int d = 0; d < 100; ++d) ASSERT_EQ(rng(), ref());
+    ReferenceStream ref(seed);
+    Rng fresh_copy = rng;
+    for (int d = 0; d < 100; ++d) ASSERT_EQ(rng(), ref.next());
     Rng mid_stream = rng;
+    ReferenceStream mid_ref = ref;
+    Rng child = rng.split(seed % 7);
+    ReferenceStream child_ref = ref.split(seed % 7);
+    ReferenceStream fresh_ref(seed);
     for (int d = 0; d < kStreamDraws; ++d) {
-      const std::uint64_t want = ref();
-      ASSERT_EQ(rng(), want) << "seed " << seed << ", draw " << 100 + d;
-      ASSERT_EQ(mid_stream(), want) << "seed " << seed << ", draw " << 100 + d;
+      ASSERT_EQ(rng(), ref.next()) << "seed " << seed << ", draw " << d;
+      ASSERT_EQ(mid_stream(), mid_ref.next()) << "seed " << seed;
+      ASSERT_EQ(child(), child_ref.next()) << "seed " << seed;
+      ASSERT_EQ(fresh_copy(), fresh_ref.next()) << "seed " << seed;
     }
-    std::mt19937_64 ref_start = reference_engine(seed);
-    for (int d = 0; d < kStreamDraws; ++d)
-      ASSERT_EQ(unexpanded(), ref_start()) << "seed " << seed << ", draw " << d;
   }
 }
 
-TEST(Rng, EngineAndSplitOnUnexpandedRngAgreeWithDrawing) {
-  for (std::uint64_t seed : {std::uint64_t{3}, std::uint64_t{1} << 40}) {
-    // engine() expands without drawing; engine and Rng draws then share
-    // one stream.
-    std::mt19937_64 ref = reference_engine(seed);
-    Rng rng(seed);
-    std::mt19937_64& engine = rng.engine();
-    for (int d = 0; d < kStreamDraws; ++d)
-      ASSERT_EQ(d % 2 == 0 ? engine() : rng(), ref()) << "draw " << d;
+// Lemire's multiply-shift with rejection, with 2^64 mod bound computed in
+// 128-bit arithmetic; counts the rejected draws.
+std::uint64_t reference_below(ReferenceStream& ref, std::uint64_t bound,
+                              int& rejections) {
+  const auto threshold = static_cast<std::uint64_t>(
+      (static_cast<unsigned __int128>(1) << 64) % bound);
+  for (;;) {
+    const unsigned __int128 m =
+        static_cast<unsigned __int128>(ref.next()) * bound;
+    if (static_cast<std::uint64_t>(m) >= threshold)
+      return static_cast<std::uint64_t>(m >> 64);
+    ++rejections;
+  }
+}
 
-    // split() on an unexpanded parent takes exactly one draw, and its
-    // child matches the child of a parent expanded beforehand.
-    Rng lazy_parent(seed), expanded_parent(seed);
-    expanded_parent.engine();
-    Rng lazy_child = lazy_parent.split(9);
-    Rng expanded_child = expanded_parent.split(9);
-    Rng child_copy = lazy_child;
-    std::mt19937_64 parent_ref = reference_engine(seed);
-    parent_ref();
-    for (int d = 0; d < kStreamDraws; ++d) {
-      const std::uint64_t want = expanded_child();
-      ASSERT_EQ(lazy_child(), want) << "draw " << d;
-      ASSERT_EQ(child_copy(), want) << "draw " << d;
-      ASSERT_EQ(lazy_parent(), parent_ref()) << "draw " << d;
+TEST(Rng, BelowIsLemiresMethod) {
+  Rng rng(31);
+  ReferenceStream ref(31);
+  int rejections = 0;
+  for (std::uint64_t bound :
+       {std::uint64_t{1}, std::uint64_t{2}, std::uint64_t{3},
+        std::uint64_t{10}, std::uint64_t{1000}, (std::uint64_t{1} << 32) + 1,
+        std::uint64_t{3} << 62, ~std::uint64_t{0}})
+    for (int i = 0; i < 1000; ++i)
+      ASSERT_EQ(rng.below(bound), reference_below(ref, bound, rejections))
+          << "bound " << bound;
+  EXPECT_EQ(rng(), ref.next());
+  for (int i = 0; i < 100; ++i) EXPECT_EQ(rng.below(1), 0u);
+}
+
+TEST(Rng, BelowJustAboveTwoToThe63Rejects) {
+  // 2^64 mod (2^63 + 1) is 2^63 - 1, so almost half of all draws are
+  // rejected: no bound takes the rejection path more often.
+  const std::uint64_t bound = (std::uint64_t{1} << 63) + 1;
+  Rng rng(37);
+  ReferenceStream ref(37);
+  int rejections = 0, upper_half = 0;
+  const int n = 4000;
+  for (int i = 0; i < n; ++i) {
+    const std::uint64_t v = rng.below(bound);
+    ASSERT_LT(v, bound);
+    ASSERT_EQ(v, reference_below(ref, bound, rejections));
+    if (v > bound / 2) ++upper_half;
+  }
+  EXPECT_GT(rejections, n * 3 / 4);
+  EXPECT_NEAR(upper_half, n / 2, n / 20);
+}
+
+TEST(Rng, RangeFullSpanAndSinglePoints) {
+  constexpr std::int64_t lo = std::numeric_limits<std::int64_t>::min();
+  constexpr std::int64_t hi = std::numeric_limits<std::int64_t>::max();
+  Rng rng(41);
+  ReferenceStream ref(41);
+  int negative = 0;
+  for (int i = 0; i < 1000; ++i) {
+    const std::int64_t v = rng.range(lo, hi);
+    // The full span takes one raw word as the offset from lo.
+    ASSERT_EQ(static_cast<std::uint64_t>(v) - static_cast<std::uint64_t>(lo),
+              ref.next());
+    if (v < 0) ++negative;
+  }
+  EXPECT_NEAR(negative, 500, 75);
+  for (std::int64_t x : {lo, std::int64_t{-1}, std::int64_t{0}, hi})
+    EXPECT_EQ(rng.range(x, x), x);
+  EXPECT_THROW(rng.range(1, 0), RequireError);
+}
+
+TEST(Rng, PoissonMeanAndVariance) {
+  Rng rng(47);
+  const int n = 20000;
+  for (double lambda : {0.5, 2.5, 6.0, 1000.0}) {
+    double sum = 0, sum_sq = 0;
+    for (int i = 0; i < n; ++i) {
+      const auto x = static_cast<double>(rng.poisson(lambda));
+      sum += x;
+      sum_sq += x * x;
     }
+    const double mean = sum / n;
+    const double var = (sum_sq - n * mean * mean) / (n - 1);
+    // Five standard errors of the sample mean and of the sample variance.
+    EXPECT_NEAR(mean, lambda, 5 * std::sqrt(lambda / n)) << lambda;
+    EXPECT_NEAR(var / lambda, 1.0, 5 * std::sqrt((2 + 1 / lambda) / n))
+        << lambda;
+  }
+}
+
+TEST(Rng, PoissonDomain) {
+  Rng rng(53);
+  EXPECT_EQ(rng.poisson(0), 0u);
+  const double inf = std::numeric_limits<double>::infinity();
+  for (double bad : {-1.0, 1e300, inf, -inf,
+                     std::numeric_limits<double>::quiet_NaN()})
+    EXPECT_THROW(rng.poisson(bad), RequireError) << bad;
+  EXPECT_NEAR(static_cast<double>(rng.poisson(Rng::kMaxPoissonMean)),
+              Rng::kMaxPoissonMean, 5 * std::sqrt(Rng::kMaxPoissonMean));
+}
+
+TEST(Rng, ShuffleIsFisherYatesOnBelow) {
+  Rng rng(59);
+  ReferenceStream ref(59);
+  int rejections = 0;
+  for (std::size_t n : {0, 1, 2, 5, 100}) {
+    std::vector<std::size_t> v(n), want(n);
+    std::iota(v.begin(), v.end(), 0);
+    std::iota(want.begin(), want.end(), 0);
+    rng.shuffle(v.begin(), v.end());
+    for (std::size_t i = n; i > 1; --i)
+      std::swap(want[i - 1], want[reference_below(ref, i, rejections)]);
+    EXPECT_EQ(v, want) << n;
+    std::sort(v.begin(), v.end());
+    for (std::size_t i = 0; i < n; ++i) ASSERT_EQ(v[i], i);
+  }
+}
+
+// Pearson's statistic for counts that should all be equal.
+double chi_square(const std::vector<int>& counts) {
+  double total = 0;
+  for (int c : counts) total += c;
+  const double expected = total / static_cast<double>(counts.size());
+  double stat = 0;
+  for (int c : counts) stat += (c - expected) * (c - expected) / expected;
+  return stat;
+}
+
+TEST(Rng, ChiSquareUniformity) {
+  // Critical values at p = 0.001 for 9, 2, 15 and 5 degrees of freedom.
+  const int n = 60000;
+  for (std::uint64_t seed : {61, 62, 63}) {
+    Rng rng(seed);
+    std::vector<int> digits(10), thirds(3), sixteenths(16), orders(6);
+    for (int i = 0; i < n; ++i) ++digits[rng.below(10)];
+    EXPECT_LT(chi_square(digits), 27.877) << seed;
+    // x mod (3 * 2^62) would put half of all draws in the first third.
+    for (int i = 0; i < n; ++i)
+      ++thirds[rng.below(std::uint64_t{3} << 62) >> 62];
+    EXPECT_LT(chi_square(thirds), 13.816) << seed;
+    for (int i = 0; i < n; ++i)
+      ++sixteenths[static_cast<std::size_t>(rng.uniform() * 16)];
+    EXPECT_LT(chi_square(sixteenths), 37.697) << seed;
+    for (int i = 0; i < n; ++i) {
+      std::array<int, 3> v = {0, 1, 2};
+      rng.shuffle(v.begin(), v.end());
+      ++orders[static_cast<std::size_t>(v[0] * 2 + (v[1] > v[2] ? 1 : 0))];
+    }
+    EXPECT_LT(chi_square(orders), 20.515) << seed;
   }
 }
 
