@@ -123,6 +123,20 @@ class CsrArray {
     values_.resize(total);
   }
 
+  /// Reserves room for `rows` more rows holding `values` more values, so
+  /// the push_row() calls that follow do not reallocate.
+  void reserve(std::size_t rows, std::size_t values) {
+    offsets_.reserve(offsets_.size() + rows);
+    values_.reserve(values_.size() + values);
+  }
+
+  /// Appends one row holding [first, last).
+  template <typename It>
+  void push_row(It first, It last) {
+    values_.insert(values_.end(), first, last);
+    offsets_.push_back(values_.size());
+  }
+
   std::size_t num_rows() const { return offsets_.size() - 1; }
   std::size_t total_values() const { return values_.size(); }
 

@@ -6,16 +6,34 @@
 
 namespace osp {
 
-std::size_t FrameSchedule::total_packets() const {
-  std::size_t total = 0;
-  for (const Frame& f : frames) total += f.packet_slots.size();
-  return total;
+void FrameSchedule::reserve(std::size_t num_frames, std::size_t num_packets) {
+  frames.slots_.reserve(num_frames, num_packets);
+  frames.weights_.reserve(frames.weights_.size() + num_frames);
+}
+
+void FrameSchedule::add_frame(Weight weight,
+                              const std::vector<std::size_t>& slots) {
+  const std::size_t id = frames.size();
+  OSP_REQUIRE_MSG(id <= 0xffffffffULL, "frame ids are 32-bit");
+  // NaN fails the comparison too.
+  OSP_REQUIRE_MSG(weight > 0, "frame " << id
+                                       << ": weight must be positive, got "
+                                       << weight);
+  OSP_REQUIRE_MSG(!slots.empty(), "frame " << id << " has no packets");
+  for (std::size_t i = 1; i < slots.size(); ++i)
+    OSP_REQUIRE_MSG(slots[i - 1] < slots[i],
+                    "frame " << id << ": slots must be strictly increasing");
+  OSP_REQUIRE_MSG(slots.back() <= 0xffffffffULL,
+                  "frame " << id << ": slot " << slots.back()
+                           << " does not fit in 32 bits");
+  frames.slots_.push_row(slots.begin(), slots.end());
+  frames.weights_.push_back(weight);
+  frames.slot_end_ = std::max(frames.slot_end_, slots.back() + 1);
 }
 
 std::vector<std::size_t> FrameSchedule::burst_profile() const {
   std::vector<std::size_t> profile(horizon, 0);
-  for (const Frame& f : frames)
-    for (std::size_t slot : f.packet_slots) ++profile[slot];
+  for (std::uint32_t slot : frames.slots().values()) ++profile[slot];
   return profile;
 }
 
@@ -26,39 +44,33 @@ std::size_t FrameSchedule::max_burst() const {
 }
 
 void FrameSchedule::validate() const {
-  for (const Frame& f : frames) {
-    // Positive, not just non-negative: the R_w priority distribution is
-    // undefined at w <= 0 (rw_key_from_uniform rejects it), and a frame
-    // that cannot carry value has no business on the link.  Validating
-    // here once lets every ranker drop its defensive clamp.
-    OSP_REQUIRE_MSG(f.weight > 0, "frame weight must be positive, got "
-                                      << f.weight);
-    // A frame with no packets would count as delivered without ever
-    // touching the link.
-    OSP_REQUIRE_MSG(!f.packet_slots.empty(), "frame with no packets");
-    OSP_REQUIRE(std::is_sorted(f.packet_slots.begin(), f.packet_slots.end()));
-    OSP_REQUIRE(std::adjacent_find(f.packet_slots.begin(),
-                                   f.packet_slots.end()) ==
-                f.packet_slots.end());
-    for (std::size_t slot : f.packet_slots) OSP_REQUIRE(slot < horizon);
-  }
+  OSP_REQUIRE_MSG(horizon >= frames.slot_end(),
+                  "horizon " << horizon << " does not cover slot "
+                             << frames.slot_end() - 1);
+}
+
+// A counting pass sizes the slot rows; a scatter pass in ascending frame id
+// fills each row in order.
+CsrArray<SetId> FrameSchedule::slot_frames() const {
+  validate();
+  std::vector<std::size_t> cursor(horizon, 0);
+  for (std::uint32_t slot : frames.slots().values()) ++cursor[slot];
+  CsrArray<SetId> out = CsrArray<SetId>::from_sizes(cursor);
+  std::fill(cursor.begin(), cursor.end(), 0);
+  for (std::size_t f = 0; f < frames.size(); ++f)
+    for (std::uint32_t slot : frames.slots().row(f))
+      out.mutable_row(slot)[cursor[slot]++] = static_cast<SetId>(f);
+  return out;
 }
 
 Instance FrameSchedule::to_instance(Capacity link_capacity) const {
   OSP_REQUIRE(link_capacity >= 1);
-  validate();
+  const CsrArray<SetId> bursts = slot_frames();
   InstanceBuilder builder;
-  for (const Frame& f : frames) builder.add_set(f.weight);
-
-  std::vector<std::vector<SetId>> slot_frames(horizon);
-  for (std::size_t fi = 0; fi < frames.size(); ++fi)
-    for (std::size_t slot : frames[fi].packet_slots)
-      slot_frames[slot].push_back(static_cast<SetId>(fi));
-
-  for (std::size_t slot = 0; slot < horizon; ++slot) {
-    if (slot_frames[slot].empty()) continue;
-    builder.add_element(std::move(slot_frames[slot]), link_capacity);
-  }
+  for (Weight w : frames.weights()) builder.add_set(w);
+  for (std::size_t slot = 0; slot < horizon; ++slot)
+    if (bursts.row_size(slot) > 0)
+      builder.add_element(bursts.row(slot), link_capacity);
   return builder.build();
 }
 

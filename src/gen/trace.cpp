@@ -1,9 +1,11 @@
 #include "gen/trace.hpp"
 
-#include <algorithm>
+#include <charconv>
+#include <cstdint>
 #include <fstream>
 #include <limits>
 #include <sstream>
+#include <vector>
 
 #include "util/require.hpp"
 
@@ -16,7 +18,7 @@ void write_trace(std::ostream& os, const FrameSchedule& schedule) {
   os << "frames " << schedule.frames.size() << "\n";
   for (const Frame& f : schedule.frames) {
     os << f.weight;
-    for (std::size_t slot : f.packet_slots) os << ' ' << slot;
+    for (std::uint32_t slot : f.packet_slots) os << ' ' << slot;
     os << "\n";
   }
 }
@@ -50,25 +52,34 @@ FrameSchedule read_trace(std::istream& is) {
                   "expected 'frames <count>' at line " << lineno);
 
   FrameSchedule sched;
+  std::vector<std::size_t> slots;
+  std::string token;
   for (std::size_t i = 0; i < count; ++i) {
     std::istringstream fs(next("frame line"));
-    Frame f;
-    OSP_REQUIRE_MSG(static_cast<bool>(fs >> f.weight),
+    Weight weight = 0;
+    OSP_REQUIRE_MSG(static_cast<bool>(fs >> weight),
                     "bad frame weight at line " << lineno);
-    std::size_t slot;
-    while (fs >> slot) f.packet_slots.push_back(slot);
-    OSP_REQUIRE_MSG(fs.eof(), "trailing garbage at line " << lineno);
-    OSP_REQUIRE_MSG(!f.packet_slots.empty(),
-                    "frame with no packets at line " << lineno);
-    OSP_REQUIRE_MSG(
-        std::is_sorted(f.packet_slots.begin(), f.packet_slots.end()) &&
-            std::adjacent_find(f.packet_slots.begin(),
-                               f.packet_slots.end()) == f.packet_slots.end(),
-        "slots must be strictly increasing at line " << lineno);
-    sched.horizon = std::max(sched.horizon, f.packet_slots.back() + 1);
-    sched.frames.push_back(std::move(f));
+    // Digits only: a sign, a fraction or a slot past 2^32 - 1 names no
+    // slot a consumer can serve.
+    slots.clear();
+    while (fs >> token) {
+      std::uint64_t slot = 0;
+      const char* end = token.data() + token.size();
+      const auto parsed = std::from_chars(token.data(), end, slot);
+      OSP_REQUIRE_MSG(parsed.ec == std::errc() && parsed.ptr == end &&
+                          slot <= 0xffffffffULL,
+                      "bad slot '" << token << "' at line " << lineno
+                                   << ": slots are integers in [0, 2^32)");
+      slots.push_back(slot);
+    }
+    try {
+      sched.add_frame(weight, slots);
+    } catch (const RequireError& e) {
+      throw RequireError("trace line " + std::to_string(lineno) + ": " +
+                         e.what());
+    }
   }
-  sched.validate();
+  sched.horizon = sched.frames.slot_end();
   return sched;
 }
 

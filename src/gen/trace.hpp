@@ -21,7 +21,9 @@ namespace osp {
 void write_trace(std::ostream& os, const FrameSchedule& schedule);
 
 /// Parses a v1 trace; throws RequireError (with a line number) on
-/// malformed input.  The horizon is set to one past the last slot.
+/// malformed input: a slot that is not a decimal integer below 2^32, or a
+/// frame FrameSchedule::add_frame rejects.  The horizon is set to one past
+/// the last slot.
 FrameSchedule read_trace(std::istream& is);
 
 /// File convenience wrappers.

@@ -1,5 +1,7 @@
 #include "gen/traffic.hpp"
 
+#include <vector>
+
 #include "util/require.hpp"
 
 namespace osp {
@@ -51,17 +53,15 @@ FrameSchedule bursty_schedule(BurstProcess& bursts, std::size_t num_frames,
                               Weight frame_weight) {
   OSP_REQUIRE(num_frames >= 1 && packets_per_frame >= 1);
   FrameSchedule sched;
+  sched.reserve(num_frames, num_frames * packets_per_frame);
+  std::vector<std::size_t> slots(packets_per_frame);
   std::size_t slot = 0;
   while (sched.frames.size() < num_frames) {
     std::size_t newcomers = bursts.next(rng);
+    for (std::size_t p = 0; p < packets_per_frame; ++p) slots[p] = slot + p;
     for (std::size_t i = 0;
-         i < newcomers && sched.frames.size() < num_frames; ++i) {
-      Frame f;
-      f.weight = frame_weight;
-      for (std::size_t p = 0; p < packets_per_frame; ++p)
-        f.packet_slots.push_back(slot + p);
-      sched.frames.push_back(std::move(f));
-    }
+         i < newcomers && sched.frames.size() < num_frames; ++i)
+      sched.add_frame(frame_weight, slots);
     ++slot;
     // Safety valve: a process that never fires would loop forever.
     OSP_REQUIRE_MSG(slot < 100 * num_frames * packets_per_frame + 1000,

@@ -69,7 +69,9 @@ class ConstantBursts final : public BurstProcess {
 
 /// Generates a schedule of `num_frames` frames of `packets_per_frame`
 /// packets each (one packet per consecutive slot, starting when the burst
-/// process spawns the frame).  Frame weights default to 1.
+/// process spawns the frame).  Frame weights default to 1; every frame is
+/// appended through FrameSchedule::add_frame, so a weight that is not
+/// positive throws RequireError.
 FrameSchedule bursty_schedule(BurstProcess& bursts, std::size_t num_frames,
                               std::size_t packets_per_frame, Rng& rng,
                               Weight frame_weight = 1.0);

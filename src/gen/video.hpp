@@ -8,6 +8,8 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
+#include <vector>
 
 #include "gen/schedule.hpp"
 #include "util/rng.hpp"
@@ -28,13 +30,13 @@ struct VideoParams {
 };
 
 /// Kind tag for inspecting the generated frames.
-enum class FrameKind { kIntra, kPredicted };
+enum class FrameKind : std::uint8_t { kIntra, kPredicted };
 
 /// Schedule plus per-frame metadata (index-aligned with schedule.frames).
 struct VideoWorkload {
   FrameSchedule schedule;
   std::vector<FrameKind> kinds;
-  std::vector<std::size_t> stream_of;  // originating stream of each frame
+  std::vector<std::uint32_t> stream_of;  // originating stream of each frame
 };
 
 /// Generates the workload.  Streams are phase-shifted so their I frames

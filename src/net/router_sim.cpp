@@ -19,45 +19,27 @@ std::vector<SetMeta> frame_metas(const FrameSchedule& schedule) {
 RouterStats simulate_router(const FrameSchedule& schedule,
                             OnlineAlgorithm& alg, Capacity service_rate) {
   OSP_REQUIRE(service_rate >= 1);
-  schedule.validate();
+  // The per-slot bursts as one CSR array: the schedule's slot rows with the
+  // empty slots' offsets dropped, so row e is the e-th non-empty slot —
+  // exactly the element numbering of the paper's reduction (to_instance
+  // skips empty slots too) — listing its frames in ascending id, the order
+  // the packets arrive in.
+  const CsrArray<SetId> slot_frames = schedule.slot_frames();
+  std::vector<std::size_t> offsets{0};
+  for (std::size_t slot = 0; slot < schedule.horizon; ++slot)
+    if (slot_frames.row_size(slot) > 0)
+      offsets.push_back(slot_frames.offsets()[slot + 1]);
   alg.start(frame_metas(schedule));
 
-  // Pack the non-empty bursts into one CSR array up front: row e is the
-  // e-th non-empty slot, exactly the element numbering of the paper's
-  // reduction (to_instance skips empty slots too).  A counting pass sizes
-  // the compact rows, a scatter pass fills them in ascending frame id —
-  // the order the packets arrive in.
-  const std::size_t horizon = schedule.horizon;
-  std::vector<std::size_t> sizes(horizon, 0);
-  for (const Frame& f : schedule.frames)
-    for (std::size_t slot : f.packet_slots) ++sizes[slot];
-
-  std::vector<std::size_t> row_of(horizon, 0);
-  std::vector<std::size_t> compact_sizes;
-  for (std::size_t slot = 0; slot < horizon; ++slot) {
-    if (sizes[slot] == 0) continue;
-    row_of[slot] = compact_sizes.size();
-    compact_sizes.push_back(sizes[slot]);
-  }
-
-  CsrArray<SetId> bursts;
-  bursts.assign_sizes(compact_sizes.data(), compact_sizes.size());
-  std::vector<std::size_t> fill(compact_sizes.size(), 0);
-  for (std::size_t fi = 0; fi < schedule.frames.size(); ++fi)
-    for (std::size_t slot : schedule.frames[fi].packet_slots) {
-      const std::size_t r = row_of[slot];
-      bursts.mutable_row(r)[fill[r]++] = static_cast<SetId>(fi);
-    }
-
   RouterStats stats;
-  stats.packets_arrived = bursts.total_values();
+  stats.packets_arrived = slot_frames.total_values();
   std::vector<std::size_t> served(schedule.frames.size(), 0);
 
   // Feed the whole run to decide_batch in arrival blocks; each block's
   // packed choices are then validated and tallied per slot under the same
   // rules the per-element path enforced.  Every slot has the same
   // capacity, so one block-sized constant array serves all blocks.
-  const std::size_t num_rows = bursts.num_rows();
+  const std::size_t num_rows = offsets.size() - 1;
   const std::vector<Capacity> capacities(
       std::min(num_rows, kDefaultDecideBlock), service_rate);
   BlockScratch scratch;
@@ -65,8 +47,8 @@ RouterStats simulate_router(const FrameSchedule& schedule,
   for (std::size_t base = 0; base < num_rows; base += kDefaultDecideBlock) {
     const std::size_t count = std::min(kDefaultDecideBlock, num_rows - base);
     const ArrivalBlock block{static_cast<ElementId>(base), count,
-                             capacities.data(), bursts.values().data(),
-                             bursts.offsets().data() + base};
+                             capacities.data(), slot_frames.values().data(),
+                             offsets.data() + base};
     alg.decide_batch(block, scratch, choices);
     for (std::size_t i = 0; i < count; ++i) {
       const Span<SetId> burst = block.candidate_span(i);
@@ -88,7 +70,7 @@ RouterStats simulate_router(const FrameSchedule& schedule,
 
 void RandPrRanker::start(const std::vector<SetMeta>& frames) {
   ranks_.resize(frames.size());
-  // Weights were validated positive by FrameSchedule::validate(); a
+  // Weights were checked positive by FrameSchedule::add_frame; a
   // non-positive weight reaching sample_rw_key throws rather than being
   // silently clamped.
   for (std::size_t f = 0; f < frames.size(); ++f)

@@ -46,9 +46,9 @@ struct RouterStats {
 /// Unbuffered router: `alg` decides which arriving packets to serve in
 /// each slot (at most `service_rate`), all others are lost.  Equivalent to
 /// the osp game on schedule.to_instance(service_rate).  The per-slot
-/// bursts are packed into one CSR array up front and fed to the
-/// algorithm's decide_batch() in arrival blocks, so a whole run costs a
-/// handful of virtual calls rather than one per slot.
+/// bursts (FrameSchedule::slot_frames) are fed to the algorithm's
+/// decide_batch() in arrival blocks, so a whole run costs a handful of
+/// virtual calls rather than one per slot.
 RouterStats simulate_router(const FrameSchedule& schedule,
                             OnlineAlgorithm& alg, Capacity service_rate = 1);
 
@@ -134,7 +134,7 @@ void tally_frames(const FrameSchedule& schedule, ServedOf&& served,
                   RouterStats& stats) {
   stats.frames_total = schedule.frames.size();
   for (std::size_t fi = 0; fi < schedule.frames.size(); ++fi) {
-    const Frame& f = schedule.frames[fi];
+    const Frame f = schedule.frames[fi];
     stats.value_total += f.weight;
     if (served(fi) == f.packet_slots.size()) {
       ++stats.frames_delivered;

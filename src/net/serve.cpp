@@ -21,7 +21,7 @@ namespace {
 
 // Frame -> stream; an empty map makes every frame its own stream.
 struct StreamMap {
-  const std::vector<std::size_t>& ids;
+  const std::vector<std::uint32_t>& ids;
   std::size_t operator()(std::size_t frame) const {
     return ids.empty() ? frame : ids[frame];
   }
@@ -38,7 +38,7 @@ RunShape check_inputs(const FrameSchedule& schedule, const StreamMap& stream,
   OSP_REQUIRE(spec.service_rate >= 1);
   OSP_REQUIRE(spec.workers >= 1);
   OSP_REQUIRE(spec.window >= 1);
-  schedule.validate();
+  schedule.validate();  // O(1): add_frame checked every frame
   const std::size_t num_frames = schedule.frames.size();
   OSP_REQUIRE_MSG(stream.ids.empty() || stream.ids.size() == num_frames,
                   "stream_of must be empty or map every frame");
@@ -92,9 +92,8 @@ void build_links(const FrameSchedule& schedule, const StreamMap& stream,
                  std::vector<LinkState>& links) {
   const std::size_t K = links.size();
   const std::size_t H = schedule.horizon;
-  OSP_REQUIRE_MSG(H <= (std::uint64_t{1} << 32) &&
-                      schedule.frames.size() <= (std::uint64_t{1} << 32),
-                  "sustained serving keys packets by 32-bit slot and frame");
+  OSP_REQUIRE_MSG(H <= (std::uint64_t{1} << 32),
+                  "sustained serving keys packets by 32-bit slot");
   std::vector<std::size_t> cursor(K * H, 0);  // (link, slot) -> row fill
   std::vector<std::size_t> num_frames(K, 0);
   for (std::size_t f = 0; f < schedule.frames.size(); ++f) {
@@ -120,27 +119,11 @@ void build_links(const FrameSchedule& schedule, const StreamMap& stream,
   }
 }
 
-// Packs every slot's arrival burst into one CSR row in ascending frame id
-// — the canonical arrival order, so the packet of frame f in slot t has
-// global seq offsets()[t] + (position of f in row t).  A counting pass
-// sizes the rows, a scatter pass fills them.
-CsrArray<SetId> build_slot_frames(const FrameSchedule& schedule) {
-  std::vector<std::size_t> cursor(schedule.horizon, 0);
-  for (const Frame& f : schedule.frames)
-    for (std::size_t slot : f.packet_slots) ++cursor[slot];
-  CsrArray<SetId> slot_frames = CsrArray<SetId>::from_sizes(cursor);
-  std::fill(cursor.begin(), cursor.end(), 0);
-  for (std::size_t fi = 0; fi < schedule.frames.size(); ++fi)
-    for (std::size_t slot : schedule.frames[fi].packet_slots)
-      slot_frames.mutable_row(slot)[cursor[slot]++] = static_cast<SetId>(fi);
-  return slot_frames;
-}
-
 // Tracing only: replaces each served packet's queue key with its global
 // seq — the packets of every earlier slot plus the frames ahead of it in
 // its slot's ascending frame ids.
 void rebuild_trace_seqs(const FrameSchedule& schedule, ServeTrace& trace) {
-  const CsrArray<SetId> slot_frames = build_slot_frames(schedule);
+  const CsrArray<SetId> slot_frames = schedule.slot_frames();
   for (ServeTrace::Served& p : trace.served) {
     const std::size_t slot = arrival_slot(p.seq);
     const Span<SetId> row = slot_frames.row(slot);
@@ -349,7 +332,7 @@ bool operator==(const SustainedStats& a, const SustainedStats& b) {
 }
 
 SustainedStats serve_sustained(const FrameSchedule& schedule,
-                               const std::vector<std::size_t>& stream_of,
+                               const std::vector<std::uint32_t>& stream_of,
                                FrameRanker& ranker, const ServeSpec& spec,
                                ServeTrace* trace) {
   const StreamMap stream{stream_of};
@@ -420,7 +403,7 @@ SustainedStats serve_sustained(const FrameSchedule& schedule,
       const std::size_t s = stream(f);
       --stream_live[s];
       last_served_slot[s] = slot;
-      const Frame& frame = schedule.frames[f];
+      const Frame frame = schedule.frames[f];
       if (++link.served[local] == frame.packet_slots.size())
         t.window_delivered[slot / spec.window] += frame.weight;
       if (tracing)  // seq holds the key until rebuild_trace_seqs
@@ -508,7 +491,7 @@ SustainedStats serve_sustained(const FrameSchedule& schedule,
 }
 
 SustainedStats serve_sustained_reference(
-    const FrameSchedule& schedule, const std::vector<std::size_t>& stream_of,
+    const FrameSchedule& schedule, const std::vector<std::uint32_t>& stream_of,
     FrameRanker& ranker, const ServeSpec& spec, ServeTrace* trace) {
   const StreamMap stream{stream_of};
   RunShape shape = check_inputs(schedule, stream, spec);
@@ -520,7 +503,7 @@ SustainedStats serve_sustained_reference(
   // Independent per-packet preparation: every packet carries its global
   // seq from the canonical slot-major order and its arrival slot, and is
   // routed to its frame's link as it arrives.
-  const CsrArray<SetId> slot_frames = build_slot_frames(schedule);
+  const CsrArray<SetId> slot_frames = schedule.slot_frames();
 
   struct QueuedPacket {
     SetId frame;
@@ -593,7 +576,7 @@ SustainedStats serve_sustained_reference(
         const std::size_t s = stream(p.frame);
         --stream_live[s];
         last_served_slot[s] = slot;
-        const Frame& frame = schedule.frames[p.frame];
+        const Frame frame = schedule.frames[p.frame];
         if (served_per_frame[p.frame] == frame.packet_slots.size())
           t.window_delivered[slot / spec.window] += frame.weight;
         if (tracing)

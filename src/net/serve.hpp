@@ -132,7 +132,9 @@ inline bool operator==(const ServeTrace::Served& a,
 
 /// Runs the sustained runtime.  stream_of maps each frame to its stream
 /// (empty = every frame is its own stream); stream ids must be < the
-/// frame count.  The schedule must pass FrameSchedule::validate().  With
+/// frame count.  The schedule's frames were checked as they were added
+/// (FrameSchedule::add_frame), so the call checks only that the horizon
+/// covers them (FrameSchedule::validate(), O(1)).  With
 /// spec.workers == 1 the slot loop runs inline on the calling thread;
 /// otherwise spec.workers threads serve disjoint link ranges under the
 /// per-slot barrier.  The result is identical either way.
@@ -146,14 +148,14 @@ inline bool operator==(const ServeTrace::Served& a,
 /// workload's 64-stream map (3 calls each, Release build, 4-vCPU Xeon
 /// VM).  Pass the workload's stream map when there is one.
 SustainedStats serve_sustained(const FrameSchedule& schedule,
-                               const std::vector<std::size_t>& stream_of,
+                               const std::vector<std::uint32_t>& stream_of,
                                FrameRanker& ranker, const ServeSpec& spec,
                                ServeTrace* trace = nullptr);
 
 /// The independent sorted-vector implementation of the same semantics —
 /// the equivalence oracle.  Ignores spec.workers (always serial).
 SustainedStats serve_sustained_reference(
-    const FrameSchedule& schedule, const std::vector<std::size_t>& stream_of,
+    const FrameSchedule& schedule, const std::vector<std::uint32_t>& stream_of,
     FrameRanker& ranker, const ServeSpec& spec, ServeTrace* trace = nullptr);
 
 }  // namespace osp

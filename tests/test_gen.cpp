@@ -125,8 +125,8 @@ TEST(RegularInstance, DivisibilityEnforced) {
 
 TEST(FrameSchedule, ReductionMatchesPaper) {
   FrameSchedule sched;
-  sched.frames.push_back({2.0, {0, 1}});
-  sched.frames.push_back({1.0, {1, 2}});
+  sched.add_frame(2.0, {0, 1});
+  sched.add_frame(1.0, {1, 2});
   sched.horizon = 4;  // slot 3 empty
   Instance inst = sched.to_instance(1);
   EXPECT_EQ(inst.num_sets(), 2u);
@@ -137,8 +137,8 @@ TEST(FrameSchedule, ReductionMatchesPaper) {
 
 TEST(FrameSchedule, BurstProfile) {
   FrameSchedule sched;
-  sched.frames.push_back({1.0, {0, 1}});
-  sched.frames.push_back({1.0, {1}});
+  sched.add_frame(1.0, {0, 1});
+  sched.add_frame(1.0, {1});
   sched.horizon = 2;
   EXPECT_EQ(sched.burst_profile(), (std::vector<std::size_t>{1, 2}));
   EXPECT_EQ(sched.max_burst(), 2u);
@@ -146,12 +146,72 @@ TEST(FrameSchedule, BurstProfile) {
 }
 
 TEST(FrameSchedule, ValidateRejectsBadSlots) {
+  // Unsorted slots fail at construction; a horizon that does not cover a
+  // slot fails validate().
   FrameSchedule sched;
-  sched.frames.push_back({1.0, {3, 1}});  // not sorted
-  sched.horizon = 5;
+  EXPECT_THROW(sched.add_frame(1.0, {3, 1}), RequireError);  // not sorted
+  EXPECT_EQ(sched.frames.size(), 0u);
+  sched.add_frame(1.0, {1, 9});
+  sched.horizon = 5;  // 9 is beyond it
   EXPECT_THROW(sched.validate(), RequireError);
-  sched.frames[0].packet_slots = {1, 9};  // beyond horizon
+  sched.horizon = 9;  // still one short
   EXPECT_THROW(sched.validate(), RequireError);
+  sched.horizon = 10;
+  EXPECT_NO_THROW(sched.validate());
+}
+
+TEST(FrameSchedule, AddFrameRejectsBadFrames) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  FrameSchedule sched;
+  for (double bad : {0.0, -1.0, nan})
+    EXPECT_THROW(sched.add_frame(bad, {0}), RequireError) << bad;
+  EXPECT_THROW(sched.add_frame(1.0, {}), RequireError);         // no packets
+  EXPECT_THROW(sched.add_frame(1.0, {2, 1}), RequireError);     // unsorted
+  EXPECT_THROW(sched.add_frame(1.0, {1, 1}), RequireError);     // duplicate
+  EXPECT_THROW(sched.add_frame(1.0, {0, 2, 2}), RequireError);  // duplicate
+  const std::size_t past_u32 = std::size_t{1} << 32;
+  EXPECT_THROW(sched.add_frame(1.0, {past_u32}), RequireError);
+  EXPECT_THROW(sched.add_frame(1.0, {0, past_u32}), RequireError);
+  EXPECT_THROW(sched.add_frame(1.0, {std::numeric_limits<std::size_t>::max()}),
+               RequireError);
+  // A rejected frame leaves the schedule as it was.
+  EXPECT_EQ(sched.frames.size(), 0u);
+  EXPECT_EQ(sched.total_packets(), 0u);
+
+  sched.add_frame(2.5, {past_u32 - 2, past_u32 - 1});  // the largest slots
+  ASSERT_EQ(sched.frames.size(), 1u);
+  EXPECT_DOUBLE_EQ(sched.frames[0].weight, 2.5);
+  EXPECT_EQ(sched.frames[0].packet_slots,
+            (std::vector<std::uint32_t>{0xfffffffeU, 0xffffffffU}));
+  EXPECT_EQ(sched.frames.slot_end(), past_u32);
+}
+
+TEST(FrameSchedule, FramesAreViewsIntoFlatStorage) {
+  FrameSchedule sched;
+  sched.reserve(3, 6);
+  sched.add_frame(1.0, {0, 2});
+  sched.add_frame(4.0, {1});
+  sched.add_frame(2.0, {0, 1, 3});
+  sched.horizon = 4;
+  EXPECT_EQ(sched.frames.weights(), (std::vector<Weight>{1.0, 4.0, 2.0}));
+  EXPECT_EQ(sched.frames.slots().values(),
+            (std::vector<std::uint32_t>{0, 2, 1, 0, 1, 3}));
+  EXPECT_EQ(sched.total_packets(), 6u);
+  std::size_t id = 0;
+  for (const Frame& f : sched.frames) {
+    EXPECT_DOUBLE_EQ(f.weight, sched.frames.weights()[id]);
+    EXPECT_EQ(f.packet_slots, sched.frames.slots().row(id));
+    ++id;
+  }
+  EXPECT_EQ(id, 3u);
+
+  // The inverse rows: frames per slot, ascending frame id.
+  const CsrArray<SetId> slot_frames = sched.slot_frames();
+  ASSERT_EQ(slot_frames.num_rows(), 4u);
+  EXPECT_EQ(slot_frames.row(0), (std::vector<SetId>{0, 2}));
+  EXPECT_EQ(slot_frames.row(1), (std::vector<SetId>{1, 2}));
+  EXPECT_EQ(slot_frames.row(2), (std::vector<SetId>{0}));
+  EXPECT_EQ(slot_frames.row(3), (std::vector<SetId>{2}));
 }
 
 TEST(Traffic, PoissonMeanRoughlyLambda) {
@@ -206,6 +266,16 @@ TEST(Traffic, BurstyScheduleShape) {
     EXPECT_EQ(f.packet_slots[2], f.packet_slots[0] + 2);
   }
   EXPECT_NO_THROW(sched.validate());
+}
+
+TEST(Traffic, BurstyScheduleRejectsBadWeights) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (double bad : {0.0, -1.0, nan}) {
+    Rng rng(15);
+    ConstantBursts bursts(2);
+    EXPECT_THROW(bursty_schedule(bursts, 4, 2, rng, bad), RequireError)
+        << bad;
+  }
 }
 
 TEST(Video, WorkloadShape) {

@@ -107,30 +107,29 @@ TEST(Rankers, ReseedMatchesFreshConstruction) {
 }
 
 TEST(Router, NonPositiveFrameWeightsFailLoudly) {
-  // A zero-weight frame must be rejected by FrameSchedule::validate() —
-  // not silently clamped into a near-zero randPr priority — and so must a
-  // frame with no packets, which would otherwise count as delivered.
-  // Every router path validates.
-  FrameSchedule zero_weight;
-  zero_weight.frames.push_back({0.0, {0}});
-  zero_weight.horizon = 1;
-  FrameSchedule no_packets;
-  no_packets.frames.push_back({5.0, {}});
-  no_packets.frames.push_back({1.0, {0}});
-  no_packets.horizon = 1;
-  for (const FrameSchedule& sched : {zero_weight, no_packets}) {
-    EXPECT_THROW(sched.validate(), RequireError);
-    GreedyFirst alg;
-    EXPECT_THROW(simulate_router(sched, alg, 1), RequireError);
-    FifoRanker fifo;
-    EXPECT_THROW(serve_sustained(sched, {}, fifo, ServeSpec{}), RequireError);
-    EXPECT_THROW(sched.to_instance(1), RequireError);
-  }
+  // A zero- or negative-weight frame must be rejected — not silently
+  // clamped into a near-zero randPr priority — and so must a frame with no
+  // packets, which would otherwise count as delivered.  Both fail when the
+  // frame is added, so no router path ever sees one.
+  FrameSchedule sched;
+  EXPECT_THROW(sched.add_frame(0.0, {0}), RequireError);
+  EXPECT_THROW(sched.add_frame(-1.0, {0}), RequireError);
+  EXPECT_THROW(sched.add_frame(5.0, {}), RequireError);
+  EXPECT_EQ(sched.frames.size(), 0u);
 
-  zero_weight.frames[0].weight = -1.0;
-  EXPECT_THROW(zero_weight.validate(), RequireError);
+  // What is left to check per call, the horizon, every router path checks.
+  sched.add_frame(1.0, {0, 2});
+  sched.horizon = 2;
+  EXPECT_THROW(sched.validate(), RequireError);
+  GreedyFirst alg;
+  EXPECT_THROW(simulate_router(sched, alg, 1), RequireError);
+  FifoRanker fifo;
+  EXPECT_THROW(serve_sustained(sched, {}, fifo, ServeSpec{}), RequireError);
+  EXPECT_THROW(serve_sustained_reference(sched, {}, fifo, ServeSpec{}),
+               RequireError);
+  EXPECT_THROW(sched.to_instance(1), RequireError);
+  EXPECT_THROW(sched.slot_frames(), RequireError);
 }
-
 
 TEST(Pipeline, ConservationAndBounds) {
   Rng rng(7);

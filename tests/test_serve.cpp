@@ -99,7 +99,7 @@ VideoWorkload small_workload(Rng& rng, std::size_t streams,
 // the ranker from `rk_rng` before each run; stats and the whole trace must
 // match the reference's.  Returns the reference's stats.
 SustainedStats expect_matches_reference(
-    const FrameSchedule& schedule, const std::vector<std::size_t>& stream_of,
+    const FrameSchedule& schedule, const std::vector<std::uint32_t>& stream_of,
     FrameRanker& ranker, Rng rk_rng, ServeSpec spec,
     const std::string& label) {
   ranker.reseed(rk_rng);
@@ -160,14 +160,14 @@ FrameSchedule random_schedule(Rng& rng) {
   for (std::size_t slot = 0; slot < schedule.horizon; ++slot)
     quiet[slot] = rng.chance(0.3);
   const std::size_t num_frames = 1 + rng.below(30);
+  std::vector<std::size_t> slots;
   for (std::size_t f = 0; f < num_frames; ++f) {
-    Frame frame;
-    frame.weight = 0.5 + static_cast<double>(rng.below(4));
+    const Weight weight = 0.5 + static_cast<double>(rng.below(4));
+    slots.clear();
     for (std::size_t slot = 0; slot < schedule.horizon; ++slot)
-      if (!quiet[slot] && rng.chance(0.3)) frame.packet_slots.push_back(slot);
-    if (frame.packet_slots.empty())
-      frame.packet_slots.push_back(rng.below(schedule.horizon));
-    schedule.frames.push_back(frame);
+      if (!quiet[slot] && rng.chance(0.3)) slots.push_back(slot);
+    if (slots.empty()) slots.push_back(rng.below(schedule.horizon));
+    schedule.add_frame(weight, slots);
   }
   return schedule;
 }
@@ -184,11 +184,12 @@ TEST(ServeSustained, RandomSchedulesMatchSerialReference) {
     const FrameSchedule schedule = random_schedule(wl_rng);
 
     const bool identity_streams = (trial / 2) % 2 == 0;
-    std::vector<std::size_t> stream_of;
+    std::vector<std::uint32_t> stream_of;
     if (!identity_streams) {
       const std::size_t num_streams = 1 + wl_rng.below(schedule.frames.size());
       for (std::size_t f = 0; f < schedule.frames.size(); ++f)
-        stream_of.push_back(wl_rng.below(num_streams));
+        stream_of.push_back(
+            static_cast<std::uint32_t>(wl_rng.below(num_streams)));
     }
 
     ServeSpec spec;
@@ -275,11 +276,11 @@ TEST(SingleLink, HeapMatchesSortReferenceSlotForSlot) {
 // (a dead frame can never be delivered), which saves E: 13/14.
 TEST(SingleLink, EvictingDeadFramePacketsSavesLiveFrames) {
   FrameSchedule sched;
-  sched.frames.push_back({10.0, {0, 1, 2, 3}});  // H
-  sched.frames.push_back({1.0, {1}});            // C
-  sched.frames.push_back({1.0, {2}});            // D
-  sched.frames.push_back({1.0, {3}});            // E
-  sched.frames.push_back({1.0, {0, 3}});         // B
+  sched.add_frame(10.0, {0, 1, 2, 3});  // H
+  sched.add_frame(1.0, {1});            // C
+  sched.add_frame(1.0, {2});            // D
+  sched.add_frame(1.0, {3});            // E
+  sched.add_frame(1.0, {0, 3});         // B
   sched.horizon = 7;
 
   WeightRanker ranker;
@@ -299,9 +300,9 @@ TEST(SingleLink, RefusesArrivalsOfDeadFrames) {
   // it); its second packet must be refused on arrival, leaving the link
   // free for C.
   FrameSchedule sched;
-  sched.frames.push_back({5.0, {0}});     // B: wins slot 0
-  sched.frames.push_back({1.0, {0, 1}});  // A: dies at slot 0
-  sched.frames.push_back({0.5, {1}});     // C: must be served at slot 1
+  sched.add_frame(5.0, {0});     // B: wins slot 0
+  sched.add_frame(1.0, {0, 1});  // A: dies at slot 0
+  sched.add_frame(0.5, {1});     // C: must be served at slot 1
   sched.horizon = 2;
   WeightRanker ranker;
   const SustainedStats st = expect_matches_reference(
@@ -330,8 +331,8 @@ TEST(SingleLink, ServiceRateAboveQueueSizeIsHarmless) {
   // service_rate far beyond any queue population: the serve loop must
   // stop at an empty queue, not underflow or serve phantom packets.
   FrameSchedule sched;
-  sched.frames.push_back({1.0, {0}});
-  sched.frames.push_back({2.0, {2}});
+  sched.add_frame(1.0, {0});
+  sched.add_frame(2.0, {2});
   sched.horizon = 4;
   FifoRanker fifo;
   const SustainedStats st = expect_matches_reference(
@@ -346,8 +347,8 @@ TEST(SingleLink, HorizonEndDropsKillDelivery) {
   // Two packets arrive in the last slot; one is served, the straggler is
   // dropped at the horizon and its frame with it.
   FrameSchedule sched;
-  sched.frames.push_back({1.0, {0, 1}});
-  sched.frames.push_back({3.0, {1}});
+  sched.add_frame(1.0, {0, 1});
+  sched.add_frame(3.0, {1});
   sched.horizon = 2;
   WeightRanker ranker;
   const SustainedStats st = expect_matches_reference(
@@ -364,9 +365,9 @@ TEST(SingleLink, HorizonEndDropsKillDelivery) {
 
 TEST(SingleLink, UnfinishedQueueCountsAsDropped) {
   FrameSchedule sched;
-  sched.frames.push_back({1.0, {0}});
-  sched.frames.push_back({1.0, {0}});
-  sched.frames.push_back({1.0, {0}});
+  sched.add_frame(1.0, {0});
+  sched.add_frame(1.0, {0});
+  sched.add_frame(1.0, {0});
   sched.horizon = 1;  // only one service opportunity
   FifoRanker fifo;
   const SustainedStats st = expect_matches_reference(
@@ -539,17 +540,11 @@ TEST(ServeSustained, WeakStreamStarvesUnderByWeight) {
   // must see it.
   FrameSchedule schedule;
   schedule.horizon = 8;
-  std::vector<std::size_t> stream_of;
+  std::vector<std::uint32_t> stream_of;
   for (std::size_t t = 0; t < 4; ++t) {
-    Frame heavy;
-    heavy.weight = 4.0;
-    heavy.packet_slots = {2 * t, 2 * t + 1};
-    schedule.frames.push_back(heavy);
+    schedule.add_frame(4.0, {2 * t, 2 * t + 1});  // heavy
     stream_of.push_back(0);
-    Frame light;
-    light.weight = 1.0;
-    light.packet_slots = {2 * t, 2 * t + 1};
-    schedule.frames.push_back(light);
+    schedule.add_frame(1.0, {2 * t, 2 * t + 1});  // light
     stream_of.push_back(1);
   }
   ServeSpec spec;

@@ -24,8 +24,8 @@ bool same_schedule(const FrameSchedule& a, const FrameSchedule& b) {
 
 TEST(Trace, RoundTripTiny) {
   FrameSchedule sched;
-  sched.frames.push_back({2.5, {0, 3, 4}});
-  sched.frames.push_back({1.0, {1}});
+  sched.add_frame(2.5, {0, 3, 4});
+  sched.add_frame(1.0, {1});
   sched.horizon = 5;
   std::stringstream ss;
   write_trace(ss, sched);
@@ -91,6 +91,30 @@ TEST(Trace, RejectsUnsortedSlots) {
 TEST(Trace, RejectsDuplicateSlots) {
   std::stringstream ss("osp-trace v1\nframes 1\n1.0 2 2\n");
   EXPECT_THROW(read_trace(ss), RequireError);
+}
+
+TEST(Trace, BadFrameLinesFailWithTheirLineNumber) {
+  // A sign, a fraction or a slot past 2^32 - 1 fails on its own line,
+  // rather than wrapping or surfacing later as a horizon error; so does a
+  // frame add_frame rejects.
+  for (const char* bad :
+       {"1.0 3 -1", "1.0 3 4294967296", "1.0 3 18446744073709551615",
+        "1.0 3 18446744073709551616", "1.0 3 +1", "1.0 3 2.5", "1.0 3 x",
+        "0.0 1", "-2 1", "1.0 3 2", "1.0 2 2"}) {
+    std::stringstream ss(
+        std::string("osp-trace v1\nframes 2\n1.0 0\n# note\n") + bad + "\n");
+    try {
+      read_trace(ss);
+      ADD_FAILURE() << bad << " was accepted";
+    } catch (const RequireError& e) {
+      EXPECT_NE(std::string(e.what()).find("line 5"), std::string::npos)
+          << bad << ": " << e.what();
+    }
+  }
+  std::stringstream largest("osp-trace v1\nframes 1\n1.0 4294967295\n");
+  const FrameSchedule sched = read_trace(largest);
+  EXPECT_EQ(sched.horizon, std::size_t{1} << 32);
+  EXPECT_EQ(sched.frames[0].packet_slots[0], 4294967295u);
 }
 
 TEST(Trace, RejectsTruncated) {
