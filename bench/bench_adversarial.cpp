@@ -75,8 +75,8 @@ void theorem3_sweep(api::JsonSink& json) {
                "baseline trapped --\n";
   Table table({"sigma", "k", "opt", "det max benefit", "det ratio min",
                "E[randPr]", "randPr ratio", "Thm3 bound"});
-  // Rng stream preserved from bench_det_lb's randPr control: master(11),
-  // split keyed on the cell's (sigma, k).
+  // randPr's streams: master(11), split keyed on the cell's (sigma, k) —
+  // the seed repo's E4 control, kept so the rows stay comparable.
   Rng master(11);
   FamilySummary summary;
   summary.policies = make_deterministic_baselines().size() + 1;
@@ -119,8 +119,8 @@ void theorem3_sweep(api::JsonSink& json) {
                      .add("bound", bound));
     }
 
-    // randPr replays the greedy-first transcript obliviously (the same
-    // control bench_det_lb ran): build_adversarial_cell pins that victim.
+    // randPr replays the greedy-first transcript obliviously (the E4
+    // control): build_adversarial_cell pins that victim.
     Rng unused(0);  // kTheorem3 construction draws nothing from it
     api::AdversarialCell adv = api::build_adversarial_cell(cell, unused);
     const api::OptDenominator den =
@@ -275,8 +275,8 @@ int main() {
 
   std::cout << "-- Section 4.2 warm-up (t^2 sets, ratio Omega(t/log t)) "
                "--\n";
-  // Rng streams preserved from bench_rand_lb's weak_table: master(314159),
-  // instance split t*1000+d, randPr split 50000 + t*1000+d.
+  // The seed repo's E5 warm-up streams: master(314159), instance split
+  // t*1000+d, randPr split 50000 + t*1000+d.
   osp::distribution_sweep(json, "weaklb", "adversarial/weak-lb", 314159,
                           1000, 50000, osp::api::kDefaultLpRowLimit);
   std::cout << "Expected shape: every policy's ratio grows with t roughly "
@@ -284,12 +284,14 @@ int main() {
                "sets).\n\n";
 
   std::cout << "-- Lemma 9 distribution (Figure 1 construction) --\n";
-  // Rng streams preserved from bench_rand_lb's lemma9_table for ell <= 4
-  // (master(271828), instance split ell*100+d, randPr split 7000 + the
-  // same key); ell = 5 is re-baselined from 6 draws to the catalog's 12,
-  // and ell = 7 is dropped from the sweep (runtime).  The dense simplex
-  // returns a nonsense objective on this gadget past ell = 2, so the LP
-  // row limit is pinned below the ell = 3 tableau size.
+  // The seed repo's E5 Lemma 9 streams for ell <= 4 (master(271828),
+  // instance split ell*100+d, randPr split 7000 + the same key); ell = 5
+  // is re-baselined from 6 draws to the catalog's 12, and ell = 7 is
+  // dropped from the sweep (runtime).  The dense simplex returns a
+  // nonsense objective on this gadget past ell = 2, so the LP row limit is
+  // pinned below the ell = 3 tableau size.  A cell's instance shape (sets,
+  // elements, kmax, sigma max) is what
+  // `osp_cli gen adversarial/lemma9 --ell <ell> | osp_cli stats -` prints.
   osp::distribution_sweep(json, "lemma9", "adversarial/lemma9", 271828,
                           100, 7000, 200);
   std::cout << "Expected shape: E[alg] stays polylog(ell) for every "

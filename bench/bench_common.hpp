@@ -50,19 +50,6 @@ inline RunningStat measure_randpr(const Instance& inst, Rng& master,
       master, trials);
 }
 
-/// Display labels (policy->name()) for a list of registry specs — what
-/// the router benches key their tables and JSON rows on.  Constructing a
-/// throwaway instance keeps the labels self-consistent with the policies
-/// actually run (one source of truth, the policy itself).
-inline std::vector<std::string> display_names(
-    const std::vector<std::string>& specs) {
-  std::vector<std::string> names;
-  names.reserve(specs.size());
-  for (const std::string& spec : specs)
-    names.push_back(api::policies().make(spec, Rng(0))->name());
-  return names;
-}
-
 /// "12.3 ±0.4" formatting for a measured mean.
 inline std::string fmt_mean_ci(const RunningStat& s, int precision = 2) {
   return fmt(s.mean(), precision) + " ±" +

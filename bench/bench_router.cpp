@@ -31,15 +31,15 @@
 // file keeps only what is its own: sections (a) and (c), the (e)
 // heap-vs-sort timing and the sustained packets/sec gate.
 //
-// Sections (a) and (c) run their workload draws as independent trials on
-// the shared batch runner: per-draw Rngs are split from the master
-// serially in the seed repo's exact order, each trial generates its
-// workload once and runs every policy against it (like the seed's serial
-// inner loop), and aggregation walks the results in draw order — so the
-// printed numbers match the original serial loops bit for bit at any
-// thread count.  Policies are constructed once per worker thread and
-// re-armed per draw through the reseed() API, so steady-state trials are
-// allocation-free.
+// Sections (a) and (c) share one helper, route_draws, which runs their
+// workload draws as independent trials on the shared batch runner:
+// per-draw Rngs are split from the master serially in the seed repo's
+// exact order, each trial generates its workload once and runs every
+// policy against it through simulate_router (like the seed's serial inner
+// loop), and aggregation walks the results in draw order — so the printed
+// numbers match the original serial loops bit for bit at any thread
+// count.  Each worker thread constructs the policies once per cell and
+// re-arms them per draw through the reseed() API.
 //
 // `bench_router --smoke` runs every section (including the (e)
 // cross-check) at toy sizes; scripts/check.sh drives that under
@@ -59,6 +59,58 @@
 namespace osp {
 namespace {
 
+/// A policy of the unbuffered sections (a) and (c): its registry spec and,
+/// when it is randomized, the base of its per-draw reseed split keys.
+struct RoutedPolicy {
+  std::string spec;
+  std::uint64_t split_base = 0;  // 0: deterministic, start() resets it
+};
+
+/// The policies' display labels (policy->name()), which the tables and
+/// JSON rows key on: the policy itself is the one source of truth.
+std::vector<std::string> display_names(
+    const std::vector<RoutedPolicy>& policies) {
+  std::vector<std::string> names;
+  names.reserve(policies.size());
+  for (const RoutedPolicy& p : policies)
+    names.push_back(api::policies().make(p.spec, Rng(0))->name());
+  return names;
+}
+
+/// Each draw's schedule through the unbuffered router under every policy,
+/// the draws spread over the shared batch runner.  streams[p] reseeds
+/// policy p before each draw (empty for a deterministic policy), split
+/// serially by the caller; schedule_of(d) builds draw d's schedule on a
+/// worker thread.  Each worker builds the policies once per call and
+/// reseeds them per draw, so the stats of draw d under policy p, at
+/// [d][p], do not depend on the thread count.
+template <class ScheduleOf>
+std::vector<std::vector<RouterStats>> route_draws(
+    const std::vector<RoutedPolicy>& policies,
+    const std::vector<std::vector<Rng>>& streams, std::size_t draws,
+    ScheduleOf&& schedule_of) {
+  OSP_REQUIRE(streams.size() == policies.size());
+  for (const std::vector<Rng>& s : streams)
+    OSP_REQUIRE(s.empty() || s.size() == draws);
+  std::vector<std::vector<std::unique_ptr<OnlineAlgorithm>>> workers(
+      engine::shared_runner().num_threads());
+  return engine::shared_runner().map<std::vector<RouterStats>>(
+      draws, [&](std::size_t d, engine::TrialContext& ctx) {
+        const FrameSchedule schedule = schedule_of(d);
+        auto& built = workers[ctx.thread_index];
+        if (built.empty())
+          for (const RoutedPolicy& p : policies)
+            built.push_back(api::policies().make(p.spec, Rng(0)));
+        std::vector<RouterStats> row;
+        row.reserve(policies.size());
+        for (std::size_t p = 0; p < policies.size(); ++p) {
+          if (!streams[p].empty()) built[p]->reseed(streams[p][d]);
+          row.push_back(simulate_router(schedule, *built[p], 1));
+        }
+        return row;
+      });
+}
+
 void unbuffered_video(api::JsonSink& json, bool smoke) {
   std::cout << "-- (a) unbuffered router, GOP video workload --\n";
   Table table({"streams", "policy", "frames ok", "of", "value ok", "of",
@@ -67,97 +119,58 @@ void unbuffered_video(api::JsonSink& json, bool smoke) {
   const api::ScenarioSpec& scenario =
       api::scenarios().at("router/unbuffered");
   const int draws = smoke ? 4 : scenario.default_trials;
-
-  // Policies come from the registry; display labels from the policies
-  // themselves (the JSON rows key on them, so they must stay stable).
-  const std::vector<std::string> policy_specs = {
-      "randpr",       "randpr:filt",     "uniform-random",
-      "greedy:first", "greedy:maxw",     "greedy:progress",
-      "greedy:srpt",  "greedy:density",  "round-robin"};
-  // The trial body reseeds policies[0..2] with dedicated per-draw Rng
-  // streams; guard the hardwired indices against spec-list reordering
-  // (a silently skipped reseed would correlate every draw).
-  OSP_REQUIRE(policy_specs[0] == "randpr" &&
-              policy_specs[1] == "randpr:filt" &&
-              policy_specs[2] == "uniform-random");
-  const std::vector<std::string> policy_names =
-      bench::display_names(policy_specs);
-  const std::size_t num_policies = policy_specs.size();
-
-  // One policy set per worker, built on first use and reseeded per draw.
-  struct Worker {
-    std::vector<std::unique_ptr<OnlineAlgorithm>> policies;
-  };
-  std::vector<Worker> workers(engine::shared_runner().num_threads());
+  const std::vector<RoutedPolicy> policies = {
+      {"randpr", 50000}, {"randpr:filt", 60000}, {"uniform-random", 70000},
+      {"greedy:first"},  {"greedy:maxw"},        {"greedy:progress"},
+      {"greedy:srpt"},   {"greedy:density"},     {"round-robin"}};
+  const std::vector<std::string> policy_names = display_names(policies);
+  const std::size_t num_policies = policies.size();
 
   // The streams axis is the "router/unbuffered" catalog sweep; the split
   // keys derive from the cell values, preserving the historical streams.
   for (const api::ScenarioSpec& cell : api::expand(scenario)) {
     const std::size_t streams = cell.streams;
     // Serial prep: the same master.split() call sequence as the seed loop.
-    std::vector<Rng> wl_rngs, rp_rngs, rpf_rngs, ur_rngs;
+    std::vector<Rng> wl_rngs;
+    std::vector<std::vector<Rng>> policy_rngs(num_policies);
     for (int d = 0; d < draws; ++d) {
       wl_rngs.push_back(master.split(streams * 100 + d));
-      rp_rngs.push_back(master.split(50000 + streams * 100 + d));
-      rpf_rngs.push_back(master.split(60000 + streams * 100 + d));
-      ur_rngs.push_back(master.split(70000 + streams * 100 + d));
+      for (std::size_t p = 0; p < num_policies; ++p)
+        if (policies[p].split_base != 0)
+          policy_rngs[p].push_back(
+              master.split(policies[p].split_base + streams * 100 + d));
     }
-
-    struct CellResult {
-      double frames = 0, value = 0, total_frames = 0, total_value = 0;
-    };
     // One trial per draw: the workload is generated once and all policies
     // run against it, exactly like the seed's serial inner loop.
-    auto cells = engine::shared_runner().map<std::vector<CellResult>>(
-        static_cast<std::size_t>(draws),
-        [&](std::size_t d, engine::TrialContext& ctx) {
+    const std::vector<std::vector<RouterStats>> stats = route_draws(
+        policies, policy_rngs, static_cast<std::size_t>(draws),
+        [&](std::size_t d) {
           Rng wl_rng = wl_rngs[d];
-          VideoWorkload vw = api::build_video(cell, wl_rng);
-
-          Worker& w = workers[ctx.thread_index];
-          if (w.policies.empty())
-            for (const std::string& spec : policy_specs)
-              w.policies.push_back(api::policies().make(spec, Rng(0)));
-          // Re-arm the randomized policies with this draw's streams; the
-          // deterministic baselines reset themselves in start().
-          w.policies[0]->reseed(rp_rngs[d]);
-          w.policies[1]->reseed(rpf_rngs[d]);
-          w.policies[2]->reseed(ur_rngs[d]);
-
-          std::vector<CellResult> row;
-          row.reserve(num_policies);
-          for (std::size_t p = 0; p < num_policies; ++p) {
-            RouterStats st = simulate_router(vw.schedule, *w.policies[p], 1);
-            row.push_back(CellResult{
-                static_cast<double>(st.frames_delivered), st.value_delivered,
-                static_cast<double>(st.frames_total), st.value_total});
-          }
-          return row;
+          return api::build_video(cell, wl_rng).schedule;
         });
 
     for (std::size_t p = 0; p < num_policies; ++p) {
-      CellResult acc;
-      for (int d = 0; d < draws; ++d) {
-        const CellResult& c = cells[static_cast<std::size_t>(d)][p];
-        acc.frames += c.frames;
-        acc.value += c.value;
-        acc.total_frames += c.total_frames;
-        acc.total_value += c.total_value;
+      double frames = 0, value = 0, total_frames = 0, total_value = 0;
+      for (const std::vector<RouterStats>& row : stats) {
+        frames += static_cast<double>(row[p].frames_delivered);
+        value += row[p].value_delivered;
+        total_frames += static_cast<double>(row[p].frames_total);
+        total_value += row[p].value_total;
       }
-      table.row({fmt(streams), policy_names[p], fmt(acc.frames / draws, 1),
-                 fmt(acc.total_frames / draws, 0), fmt(acc.value / draws, 1),
-                 fmt(acc.total_value / draws, 0),
-                 fmt(acc.value / acc.total_value, 3)});
+      table.row({fmt(streams), policy_names[p], fmt(frames / draws, 1),
+                 fmt(total_frames / draws, 0), fmt(value / draws, 1),
+                 fmt(total_value / draws, 0),
+                 fmt(value / total_value, 3)});
       json.write(
           api::Row{}
               .add("sweep", "unbuffered_video")
               .add("streams", streams)
               .add("policy", policy_names[p])
-              .add("frames_ok", acc.frames / draws)
-              .add("frames_total", acc.total_frames / draws)
-              .add("value_ok", acc.value / draws)
-              .add("value_total", acc.total_value / draws)
-              .add("goodput", acc.value / acc.total_value));
+              .add("frames_ok", frames / draws)
+              .add("frames_total", total_frames / draws)
+              .add("value_ok", value / draws)
+              .add("value_total", total_value / draws)
+              .add("goodput", value / total_value));
     }
   }
   table.print(std::cout);
@@ -203,18 +216,10 @@ void burstiness_sweep(api::JsonSink& json, bool smoke) {
                "goodput"});
   Rng master(300);
   const int draws = smoke ? 4 : 25;
-  const std::vector<std::string> policy_specs = {"randpr", "greedy:progress",
-                                                 "greedy:first"};
-  // policies[0] is reseeded per draw below; guard the hardwired index.
-  OSP_REQUIRE(policy_specs[0] == "randpr");
-  const std::vector<std::string> policy_names =
-      bench::display_names(policy_specs);
-  const std::size_t num_policies = policy_specs.size();
-
-  struct Worker {
-    std::vector<std::unique_ptr<OnlineAlgorithm>> policies;
-  };
-  std::vector<Worker> workers(engine::shared_runner().num_threads());
+  const std::vector<RoutedPolicy> policies = {
+      {"randpr", 110000}, {"greedy:progress"}, {"greedy:first"}};
+  const std::vector<std::string> policy_names = display_names(policies);
+  const std::size_t num_policies = policies.size();
 
   struct Profile {
     std::string name;
@@ -224,48 +229,35 @@ void burstiness_sweep(api::JsonSink& json, bool smoke) {
        {Profile{"mild (poissonish)", 0.5, 0.5, 1.5, 1.5},
         Profile{"moderate", 0.3, 0.3, 3.0, 0.5},
         Profile{"savage", 0.15, 0.1, 6.0, 0.1}}) {
-    std::vector<Rng> wl_rngs, rp_rngs;
+    std::vector<Rng> wl_rngs;
+    std::vector<std::vector<Rng>> policy_rngs(num_policies);
     for (int d = 0; d < draws; ++d) {
       wl_rngs.push_back(master.split(d * 17 + static_cast<std::uint64_t>(
                                                   prof.rate_on * 10)));
-      rp_rngs.push_back(master.split(110000 + d));
+      for (std::size_t p = 0; p < num_policies; ++p)
+        if (policies[p].split_base != 0)
+          policy_rngs[p].push_back(master.split(policies[p].split_base + d));
     }
 
-    struct DrawResult {
-      double smax = 0;
-      std::vector<double> value, total;  // per policy
-    };
-    auto cells = engine::shared_runner().map<DrawResult>(
-        static_cast<std::size_t>(draws),
-        [&](std::size_t d, engine::TrialContext& ctx) {
+    std::vector<double> smax(static_cast<std::size_t>(draws));
+    const std::vector<std::vector<RouterStats>> stats = route_draws(
+        policies, policy_rngs, static_cast<std::size_t>(draws),
+        [&](std::size_t d) {
           Rng wl_rng = wl_rngs[d];
           OnOffBursts bursts(prof.p_on_off, prof.p_off_on, prof.rate_on,
                              prof.rate_off);
           FrameSchedule sched = bursty_schedule(bursts, 80, 3, wl_rng, 1.0);
-
-          Worker& w = workers[ctx.thread_index];
-          if (w.policies.empty())
-            for (const std::string& spec : policy_specs)
-              w.policies.push_back(api::policies().make(spec, Rng(0)));
-          w.policies[0]->reseed(rp_rngs[d]);
-          DrawResult row;
-          row.smax = static_cast<double>(sched.max_burst());
-          for (std::size_t p = 0; p < num_policies; ++p) {
-            RouterStats st = simulate_router(sched, *w.policies[p], 1);
-            row.value.push_back(st.value_delivered);
-            row.total.push_back(st.value_total);
-          }
-          return row;
+          smax[d] = static_cast<double>(sched.max_burst());
+          return sched;
         });
 
     double smax_acc = 0;
-    for (int d = 0; d < draws; ++d)
-      smax_acc += cells[static_cast<std::size_t>(d)].smax;
+    for (double s : smax) smax_acc += s;
     for (std::size_t p = 0; p < num_policies; ++p) {
       double value = 0, total = 0;
-      for (int d = 0; d < draws; ++d) {
-        value += cells[static_cast<std::size_t>(d)].value[p];
-        total += cells[static_cast<std::size_t>(d)].total[p];
+      for (const std::vector<RouterStats>& row : stats) {
+        value += row[p].value_delivered;
+        total += row[p].value_total;
       }
       table.row({prof.name, fmt(smax_acc / draws, 1), policy_names[p],
                  fmt(value / draws, 1), fmt(total / draws, 0),

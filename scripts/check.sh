@@ -25,9 +25,10 @@
 #      and runs every workload for one second; a build error or a failed
 #      oracle exits non-zero;
 #   9. ASan/UBSan build of the engine-critical tests (the schedule
-#      generators and trace reader included) plus a sanitized
-#      `bench_router --smoke`, whose rankers/sustained rows must equal
-#      the rows of the osp_cli lines docs/BENCHMARKS.md lists for them;
+#      generators, the trace reader and partial-credit play included)
+#      plus a sanitized `bench_router --smoke`, whose rankers/sustained
+#      rows must equal the rows of the osp_cli lines docs/BENCHMARKS.md
+#      lists for them;
 #  10. TSan: a -DOSP_SANITIZE=thread build of the threaded suites
 #      (test_engine's 1/2/5-thread batch determinism, test_serve's
 #      workers-1/2/4 equivalence) and the sustained serving smoke at
@@ -194,10 +195,10 @@ python3 perfbench/run.py --workload all --seed 1 --seconds 1 --trace 0 \
   > /dev/null
 
 echo
-echo "== sanitizers: ASan/UBSan build of fuzz + engine + generator + queue tests =="
+echo "== sanitizers: ASan/UBSan build of fuzz + engine + generator + partial + queue tests =="
 cmake -B build-asan -S . -DOSP_SANITIZE=ON
-cmake --build build-asan -j "${jobs}" --target test_fuzz test_engine test_game test_instance test_rand_pr test_gen test_trace test_net test_queue test_serve bench_router osp_cli
-(cd build-asan && ctest --output-on-failure -R 'test_(fuzz|engine|game|instance|rand_pr|gen|trace|net|queue|serve)$')
+cmake --build build-asan -j "${jobs}" --target test_fuzz test_engine test_game test_instance test_rand_pr test_gen test_trace test_net test_partial test_queue test_serve bench_router osp_cli
+(cd build-asan && ctest --output-on-failure -R 'test_(fuzz|engine|game|instance|rand_pr|gen|trace|net|partial|queue|serve)$')
 
 echo
 echo "== sanitizers: bench_router --smoke (heap vs sort cross-check) =="

@@ -2,8 +2,9 @@
 //
 // These are the natural policies a router implementer would try first; the
 // paper's Theorem 3 shows every deterministic policy has competitive ratio
-// at least σmax^(kmax-1), and bench_det_lb drives each of these through the
-// adaptive adversary to demonstrate it.
+// at least σmax^(kmax-1), and bench_adversarial drives each of these through
+// the adaptive adversary to demonstrate it (the theorem3 rows of
+// BENCH_adversarial.json).
 //
 // All baselines prefer sets that are still completable ("active"): choosing
 // a set that already lost an element can never increase the benefit.

@@ -775,9 +775,9 @@ ScenarioRegistry build_catalog() {
   // Adversarial worst-case families (ROADMAP item 5): the theory half's
   // gadget constructions as first-class grid scenarios.  bench_adversarial
   // sweeps these to produce BENCH_adversarial.json (the competitive-ratio
-  // dashboard, gated in scripts/check_bench_json.py), and bench_det_lb /
-  // bench_rand_lb iterate the same cells for their console tables — the
-  // swept values below ARE the dashboard's row keys.
+  // dashboard, gated in scripts/check_bench_json.py) and prints its
+  // console tables from the same cells — the swept values below ARE the
+  // dashboard's row keys.
   {
     ScenarioSpec s;
     s.name = "adversarial/theorem3";
@@ -787,7 +787,7 @@ ScenarioRegistry build_catalog() {
     s.family = ScenarioFamily::kTheorem3;
     s.sigma = 2;
     s.k = 2;
-    s.default_trials = 300;  // bench_det_lb's randPr-control trial count
+    s.default_trials = 300;  // randPr's trials on each transcript
     s.vary(sweep_axis("sigma", "2,3,4"));
     s.vary(sweep_axis("k", "2,3,4"));
     reg.add(s);
@@ -810,7 +810,7 @@ ScenarioRegistry build_catalog() {
         "Section 4.2 warm-up gadget, t rising (ratio Omega(t/log t))";
     s.family = ScenarioFamily::kWeakLb;
     s.t = 4;
-    s.default_trials = 40;  // bench_rand_lb's draw count per t
+    s.default_trials = 40;  // gadget draws per t
     s.vary(sweep_axis("t", "4,6,8,12,16,24"));
     reg.add(s);
   }
@@ -831,7 +831,7 @@ ScenarioRegistry build_catalog() {
         "Lemma 9 / Figure 1 distribution, prime-power ell rising";
     s.family = ScenarioFamily::kLemma9;
     s.ell = 2;
-    s.default_trials = 12;  // bench_rand_lb's draw count per ell
+    s.default_trials = 12;  // gadget draws per ell
     s.vary(sweep_axis("ell", "2,3,4,5"));
     reg.add(s);
   }

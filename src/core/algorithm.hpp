@@ -20,8 +20,8 @@
 //                      kernel.  This is what the game engine, the batch
 //                      runner, and the router simulator drive.
 // Callers that want the answer as a vector (the seed reference engine,
-// partial-credit play, the multi-hop pipeline, tests) use the free
-// choose() helper, which allocates it around one decide() call.
+// tests) use the free choose() helper, which allocates it around one
+// decide() call.
 #pragma once
 
 #include <algorithm>

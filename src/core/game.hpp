@@ -1,20 +1,28 @@
 // The online game engine: feeds an instance to an algorithm, enforces the
 // rules of osp, and scores the outcome.
 //
-// Three engines share one rule set:
+// Three engines share one rule set.  The library's simulators and scorers
+// play the game on them, not in loops of their own (play_general,
+// core/general.hpp, plays the general variant under its own rules):
 //   * play()/play_flat()  — the flat engine: drives the allocation-free
 //     decide() path with caller-owned reusable buffers (PlayScratch), so a
 //     steady-state trial performs zero heap allocations per element.
+//     What api::Session's measure loops and the competitive-ratio
+//     estimators use; GameEngine below is its one-arrival-at-a-time form,
+//     for the Theorem 3 adaptive adversary and the multi-hop pipeline
+//     (simulate_pipeline, one engine per switch).
 //   * play_flat_blocks()  — the block engine: drives decide_batch() over
 //     contiguous CSR arrival blocks (one virtual call per block), then
 //     validates and scores the packed choices per element.  Decision-
 //     identical to play_flat by the decide_batch contract; what the batch
-//     runner and bench_perf's "block" mode use.
+//     runner, the unbuffered router (simulate_router, on the schedule's
+//     to_instance), partial-credit play (play_partial, which rescores
+//     PlayScratch::got) and bench_perf's "block" mode use.
 //   * play_reference()    — the seed engine, preserved verbatim as the
 //     golden reference: takes each answer as a vector (choose()) and
-//     validates with the original allocating checks.  The fuzz suite proves all engines
-//     produce identical Outcomes (including the decision traces) for
-//     every algorithm in the library.
+//     validates with the original allocating checks.  The fuzz suite
+//     proves all engines produce identical Outcomes (including the
+//     decision traces) for every algorithm in the library.
 #pragma once
 
 #include <vector>
@@ -69,9 +77,11 @@ Outcome play_flat_blocks(const Instance& inst, OnlineAlgorithm& alg,
 /// original allocating checks, exactly as the seed implementation did.  Semantically identical to play().
 Outcome play_reference(const Instance& inst, OnlineAlgorithm& alg);
 
-/// Incremental engine used by adaptive adversaries (Theorem 3), which must
-/// interleave construction of the arrival sequence with the algorithm's
-/// answers.  Feed elements one at a time and inspect which sets remain
+/// Incremental engine for callers whose arrivals depend on earlier
+/// answers: adaptive adversaries (Theorem 3), which interleave
+/// construction of the arrival sequence with the algorithm's answers, and
+/// the multi-hop pipeline, where a switch sees only the packets that won
+/// upstream.  Feed elements one at a time and inspect which sets remain
 /// completable.  Runs on the flat decide() path internally; step() keeps
 /// its vector API because adversaries build parent lists incrementally.
 class GameEngine {

@@ -35,9 +35,10 @@ struct PartialOutcome {
   Weight benefit = 0;
 };
 
-/// Runs `alg` over `inst` (identical online rules to play()) but scores
-/// the result with partial credit.  The classic game is the special case
-/// rule = {0, false}.
+/// Runs `alg` over `inst` under the online rules of play() — it is
+/// play_flat_blocks, so an answer play() rejects throws RequireError here
+/// too — but scores each set's received count with partial credit.  The
+/// classic game is the special case rule = {0, false}.
 PartialOutcome play_partial(const Instance& inst, OnlineAlgorithm& alg,
                             const PartialCreditRule& rule);
 

@@ -124,42 +124,6 @@ void top_by_priority_soa_block(const ArrivalBlock& block, const double* keys,
   if (got != nullptr) scratch.hist_applied = true;
 }
 
-std::size_t top_by_priority_flat(const SetId* candidates, std::size_t n,
-                                 const std::vector<PriorityKey>& keys,
-                                 Capacity capacity, SetId* out,
-                                 std::vector<SetId>& scratch) {
-  if (n <= capacity) {
-    std::copy(candidates, candidates + n, out);
-    return n;
-  }
-  if (capacity == 0) return 0;  // degenerate: nothing may be chosen
-  const auto higher = [&](SetId a, SetId b) { return keys[a] > keys[b]; };
-  if (capacity == 1) {
-    SetId best = candidates[0];
-    for (std::size_t i = 1; i < n; ++i)
-      if (higher(candidates[i], best)) best = candidates[i];
-    out[0] = best;
-    return 1;
-  }
-  scratch.assign(candidates, candidates + n);
-  auto mid = scratch.begin() + static_cast<std::ptrdiff_t>(capacity);
-  std::nth_element(scratch.begin(), mid - 1, scratch.end(), higher);
-  std::sort(scratch.begin(), mid, higher);
-  std::copy(scratch.begin(), mid, out);
-  return capacity;
-}
-
-std::vector<SetId> top_by_priority(const std::vector<SetId>& candidates,
-                                   const std::vector<PriorityKey>& keys,
-                                   Capacity capacity) {
-  std::vector<SetId> chosen(
-      std::min<std::size_t>(capacity, candidates.size()));
-  std::vector<SetId> scratch;
-  chosen.resize(top_by_priority_flat(candidates.data(), candidates.size(),
-                                     keys, capacity, chosen.data(), scratch));
-  return chosen;
-}
-
 namespace {
 
 // Applies the filter_dead ablation: keeps candidates the tracker still

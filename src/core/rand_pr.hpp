@@ -158,26 +158,14 @@ class HashedRandPr : public ActiveTracking {
   std::vector<SetId> topk_scratch_;
 };
 
-/// Shared helper: picks the `capacity` candidates with the highest keys,
-/// in descending key order.  Allocating convenience wrapper over the flat
-/// form below; exposed for reuse by tests.
-std::vector<SetId> top_by_priority(const std::vector<SetId>& candidates,
-                                   const std::vector<PriorityKey>& keys,
-                                   Capacity capacity);
-
-/// Flat form: writes the min(capacity, n) highest-key candidates into
-/// `out` (descending key order when a selection happens; input order when
-/// every candidate fits) and returns the count.  `scratch` is reused as
-/// the nth_element workspace.  O(n) plus O(c log c) for the final order of
-/// the c = capacity winners.
-std::size_t top_by_priority_flat(const SetId* candidates, std::size_t n,
-                                 const std::vector<PriorityKey>& keys,
-                                 Capacity capacity, SetId* out,
-                                 std::vector<SetId>& scratch);
-
-/// Structure-of-arrays form used by the RandPr decide() hot path: `keys`
-/// orders candidates, `ties` breaks exact key collisions (same total order
-/// as PriorityKey).  Identical selection semantics to the forms above.
+/// Top-k selection of the RandPr decide() hot path, over structure-of-
+/// arrays priorities: `keys` orders candidates and `ties` breaks exact key
+/// collisions (the total order of PriorityKey).  Writes the
+/// min(capacity, n) highest-priority candidates into `out` (descending
+/// order when a selection happens; input order when every candidate fits)
+/// and returns the count.  `scratch` is reused as the nth_element
+/// workspace.  O(n) plus O(c log c) for the final order of the
+/// c = capacity winners.
 std::size_t top_by_priority_soa(const SetId* candidates, std::size_t n,
                                 const double* keys,
                                 const std::uint64_t* ties, Capacity capacity,

@@ -20,35 +20,23 @@ std::uint64_t trial_seed(std::uint64_t master_seed, std::size_t instance_idx,
   return splitmix64(state);
 }
 
-TrialResult run_play_trial(const Instance& inst, const AlgSpec& alg,
-                           std::uint64_t seed, TrialContext& ctx,
-                           std::size_t block_size) {
-  OSP_REQUIRE(alg.make != nullptr);
-  std::unique_ptr<OnlineAlgorithm> policy = alg.make(Rng(seed));
-  OSP_REQUIRE(policy != nullptr);
-  Outcome out = play_flat_blocks(inst, *policy, ctx.scratch, block_size);
-  return TrialResult{out.benefit, out.decisions, out.completed.size()};
-}
-
 TrialResult run_play_trial_cached(const Instance& inst, const AlgSpec& alg,
                                   std::size_t alg_idx, std::uint64_t seed,
-                                  TrialContext& ctx,
-                                  std::size_t block_size) {
+                                  TrialContext& ctx) {
   OSP_REQUIRE(alg.make != nullptr);
   if (ctx.alg_cache.size() <= alg_idx) ctx.alg_cache.resize(alg_idx + 1);
   std::unique_ptr<OnlineAlgorithm>& policy = ctx.alg_cache[alg_idx];
   if (policy != nullptr && policy->reseedable()) {
     // Decision-identical to fresh construction (reseed() contract), but
     // the policy's internal arrays survive — the engine's start() resizes
-    // them in place.  The Rng allocates nothing and seeds no engine until
-    // the policy's first draw, so a deterministic policy never pays for
-    // it.
+    // them in place.  The Rng is 32 bytes built without allocating, so a
+    // deterministic policy pays next to nothing for it.
     policy->reseed(Rng(seed));
   } else {
     policy = alg.make(Rng(seed));
     OSP_REQUIRE(policy != nullptr);
   }
-  Outcome out = play_flat_blocks(inst, *policy, ctx.scratch, block_size);
+  Outcome out = play_flat_blocks(inst, *policy, ctx.scratch);
   return TrialResult{out.benefit, out.decisions, out.completed.size()};
 }
 
@@ -82,7 +70,7 @@ std::vector<CellStats> run_grid(const BatchRunner& runner,
         return run_play_trial_cached(*spec.instances[i], spec.algorithms[a],
                                      a,
                                      trial_seed(spec.master_seed, i, a, t),
-                                     ctx, spec.block_size);
+                                     ctx);
       });
 
   // Serial aggregation in index order: deterministic for any thread count.

@@ -59,14 +59,7 @@ struct TrialResult {
 };
 
 /// Runs one seeded trial of `alg` on `inst` through the block-stepped
-/// engine (decide_batch over arrival blocks of `block_size` elements;
-/// 0 = kDefaultDecideBlock), constructing the algorithm fresh.  Decision-
-/// identical to the per-element flat path by the decide_batch contract.
-TrialResult run_play_trial(const Instance& inst, const AlgSpec& alg,
-                           std::uint64_t seed, TrialContext& ctx,
-                           std::size_t block_size = 0);
-
-/// Like run_play_trial, but reuses ctx.alg_cache[alg_idx] across calls
+/// engine (play_flat_blocks), reusing ctx.alg_cache[alg_idx] across calls
 /// when the policy is reseedable (decision-identical to fresh
 /// construction by the reseed() contract); what run_grid uses.  In steady
 /// state such a trial allocates only the returned Outcome's vectors
@@ -75,8 +68,7 @@ TrialResult run_play_trial(const Instance& inst, const AlgSpec& alg,
 /// function for hashPr.
 TrialResult run_play_trial_cached(const Instance& inst, const AlgSpec& alg,
                                   std::size_t alg_idx, std::uint64_t seed,
-                                  TrialContext& ctx,
-                                  std::size_t block_size = 0);
+                                  TrialContext& ctx);
 
 /// Aggregates of one (instance, algorithm) grid cell over its trials.
 struct CellStats {
@@ -94,11 +86,6 @@ struct GridSpec {
   std::vector<AlgSpec> algorithms;
   int trials = 1;
   std::uint64_t master_seed = 0x05e7facade5ULL;
-  /// Arrivals per decide_batch block in the trial loop
-  /// (0 = kDefaultDecideBlock).  Any value yields identical results —
-  /// block stepping is decision-preserving — so this is a pure tuning
-  /// knob.
-  std::size_t block_size = 0;
   /// Contiguous slice [cell_begin, cell_end) of the row-major cell
   /// enumeration (cell = instance_idx * algorithms.size() + alg_idx) to
   /// execute — what a grid shard runs.  Seeds still derive from the

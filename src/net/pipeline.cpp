@@ -1,8 +1,8 @@
 #include "net/pipeline.hpp"
 
-#include <algorithm>
 #include <map>
 
+#include "core/game.hpp"
 #include "util/require.hpp"
 
 namespace osp {
@@ -22,18 +22,19 @@ PipelineStats simulate_pipeline(const MultiHopWorkload& workload,
   for (SetId p = 0; p < num_packets; ++p)
     metas[p] = SetMeta{inst.weight(p), inst.set_size(p)};
 
-  // One policy per switch, each with its own element counter.
+  // One policy per switch, each playing its own game: the switch's
+  // engine numbers its arrivals and checks every answer against the rules.
   std::vector<std::unique_ptr<OnlineAlgorithm>> policies;
-  std::vector<ElementId> local_element(num_switches, 0);
+  std::vector<GameEngine> switches;
   for (std::size_t h = 0; h < num_switches; ++h) {
     policies.push_back(make_policy(h));
     OSP_REQUIRE(policies.back() != nullptr);
-    policies.back()->start(metas);
+    switches.emplace_back(metas, *policies.back());
   }
 
-  // alive[p]: has packet p won every hop so far.
+  // alive[p]: has packet p won every hop so far (at the end: every hop of
+  // its route, i.e. it was delivered).
   std::vector<bool> alive(num_packets, true);
-  std::vector<std::size_t> hops_won(num_packets, 0);
 
   // Group packets by (time, hop); sweep in global clock order.
   std::map<std::pair<std::size_t, std::size_t>, std::vector<SetId>> occupancy;
@@ -42,37 +43,30 @@ PipelineStats simulate_pipeline(const MultiHopWorkload& workload,
       occupancy[{workload.inject_time[p] + i, workload.entry_hop[p] + i}]
           .push_back(p);
 
+  std::vector<SetId> present;
   for (auto& [key, at_slot] : occupancy) {
     const std::size_t hop = key.second;
     OSP_REQUIRE(hop < num_switches);
 
     // A packet dropped upstream never reaches this hop: the sweep visits
     // (t-1, h-1) before (t, h), so alive[] is already up to date.
-    std::vector<SetId> present;
+    present.clear();
     for (SetId p : at_slot)
       if (alive[p]) present.push_back(p);
     if (present.empty()) continue;
-    std::sort(present.begin(), present.end());
 
-    std::vector<SetId> chosen =
-        choose(*policies[hop], local_element[hop]++, link_capacity, present);
-
-    std::vector<bool> won(num_packets, false);
-    for (SetId p : chosen) won[p] = true;
-    for (SetId p : present) {
-      if (won[p]) {
-        ++hops_won[p];
-      } else {
-        alive[p] = false;
-      }
-    }
+    // A packet visits each switch at most once, so it stays active in
+    // that switch's game iff it won this link.
+    GameEngine& sw = switches[hop];
+    sw.step(present, link_capacity);
+    for (SetId p : present) alive[p] = sw.is_alg_active(p);
   }
 
   PipelineStats stats;
   stats.packets_total = num_packets;
   for (SetId p = 0; p < num_packets; ++p) {
     stats.value_total += inst.weight(p);
-    if (alive[p] && hops_won[p] == workload.route_len[p]) {
+    if (alive[p]) {
       ++stats.packets_delivered;
       stats.value_delivered += inst.weight(p);
     }

@@ -39,7 +39,10 @@ using SwitchPolicyFactory =
 
 /// Runs the workload through the pipeline.  At each (time, hop) pair the
 /// packets present compete for `link_capacity` slots, decided by that
-/// switch's policy; losers are dropped on the spot.
+/// switch's policy; losers are dropped on the spot.  Each switch plays its
+/// own osp game through a GameEngine (core/game.hpp), whose step() checks
+/// every answer against the rules: naming a packet that is not at the hop,
+/// or one packet twice, throws RequireError.
 PipelineStats simulate_pipeline(const MultiHopWorkload& workload,
                                 std::size_t num_switches,
                                 const SwitchPolicyFactory& make_policy,

@@ -1,10 +1,7 @@
 #include "net/router_sim.hpp"
 
-#include <algorithm>
-#include <cassert>
-
+#include "core/game.hpp"
 #include "core/priority.hpp"
-#include "util/require.hpp"
 
 namespace osp {
 
@@ -18,53 +15,18 @@ std::vector<SetMeta> frame_metas(const FrameSchedule& schedule) {
 
 RouterStats simulate_router(const FrameSchedule& schedule,
                             OnlineAlgorithm& alg, Capacity service_rate) {
-  OSP_REQUIRE(service_rate >= 1);
-  // The per-slot bursts as one CSR array: the schedule's slot rows with the
-  // empty slots' offsets dropped, so row e is the e-th non-empty slot —
-  // exactly the element numbering of the paper's reduction (to_instance
-  // skips empty slots too) — listing its frames in ascending id, the order
-  // the packets arrive in.
-  const CsrArray<SetId> slot_frames = schedule.slot_frames();
-  std::vector<std::size_t> offsets{0};
-  for (std::size_t slot = 0; slot < schedule.horizon; ++slot)
-    if (slot_frames.row_size(slot) > 0)
-      offsets.push_back(slot_frames.offsets()[slot + 1]);
-  alg.start(frame_metas(schedule));
-
+  // The paper's reduction, played by the block engine: it checks every
+  // slot's answer against the rules and counts each frame's served
+  // packets in scratch.got.
+  PlayScratch scratch;
+  const Outcome out =
+      play_flat_blocks(schedule.to_instance(service_rate), alg, scratch);
   RouterStats stats;
-  stats.packets_arrived = slot_frames.total_values();
-  std::vector<std::size_t> served(schedule.frames.size(), 0);
-
-  // Feed the whole run to decide_batch in arrival blocks; each block's
-  // packed choices are then validated and tallied per slot under the same
-  // rules the per-element path enforced.  Every slot has the same
-  // capacity, so one block-sized constant array serves all blocks.
-  const std::size_t num_rows = offsets.size() - 1;
-  const std::vector<Capacity> capacities(
-      std::min(num_rows, kDefaultDecideBlock), service_rate);
-  BlockScratch scratch;
-  BlockChoices choices;
-  for (std::size_t base = 0; base < num_rows; base += kDefaultDecideBlock) {
-    const std::size_t count = std::min(kDefaultDecideBlock, num_rows - base);
-    const ArrivalBlock block{static_cast<ElementId>(base), count,
-                             capacities.data(), slot_frames.values().data(),
-                             offsets.data() + base};
-    alg.decide_batch(block, scratch, choices);
-    for (std::size_t i = 0; i < count; ++i) {
-      const Span<SetId> burst = block.candidate_span(i);
-      assert(std::is_sorted(burst.begin(), burst.end()));
-      const std::size_t n = choices.num_chosen(i);
-      OSP_REQUIRE(n <= service_rate);
-      for (std::size_t j = 0; j < n; ++j) {
-        SetId f = choices.chosen_of(i)[j];
-        OSP_REQUIRE(std::binary_search(burst.begin(), burst.end(), f));
-        ++served[f];
-        ++stats.packets_served;
-      }
-      stats.packets_dropped += burst.size() - n;
-    }
-  }
-  tally_frames(schedule, [&](std::size_t fi) { return served[fi]; }, stats);
+  stats.packets_arrived = schedule.total_packets();
+  stats.packets_served = out.decisions;
+  stats.packets_dropped = stats.packets_arrived - stats.packets_served;
+  tally_frames(schedule, [&](std::size_t fi) { return scratch.got[fi]; },
+               stats);
   return stats;
 }
 

@@ -2,8 +2,9 @@
 //
 // simulate_router implements the paper's model exactly: in each slot a
 // burst of packets arrives, the link serves `service_rate` of them, and
-// the rest are lost — so a run is equivalent, frame for frame, to playing
-// the osp game on FrameSchedule::to_instance (tested in test_net.cpp).
+// the rest are lost — so a run IS the osp game on
+// FrameSchedule::to_instance, and simulate_router plays it there on the
+// block engine (test_net.cpp checks it against play()).
 //
 // The buffered router probes the paper's open problem 2 ("the effect of
 // buffers"): packets that lose the link can wait in a bounded buffer.  It
@@ -44,11 +45,13 @@ struct RouterStats {
 };
 
 /// Unbuffered router: `alg` decides which arriving packets to serve in
-/// each slot (at most `service_rate`), all others are lost.  Equivalent to
-/// the osp game on schedule.to_instance(service_rate).  The per-slot
-/// bursts (FrameSchedule::slot_frames) are fed to the algorithm's
-/// decide_batch() in arrival blocks, so a whole run costs a handful of
-/// virtual calls rather than one per slot.
+/// each slot (at most `service_rate`), all others are lost.  Runs
+/// play_flat_blocks on schedule.to_instance(service_rate) — a slot is an
+/// element, its frames the candidates — so the engine enforces the game's
+/// rules on every slot (an answer naming a frame without a packet there,
+/// or one frame twice, throws RequireError), and a whole run costs a
+/// handful of decide_batch() calls.  The frame counters are the engine's
+/// per-set counts (PlayScratch::got) read through tally_frames.
 RouterStats simulate_router(const FrameSchedule& schedule,
                             OnlineAlgorithm& alg, Capacity service_rate = 1);
 

@@ -1,9 +1,11 @@
 // Tests for the network simulators: conservation laws, equivalence of the
-// unbuffered router with the osp game (the paper's reduction), the frame
-// rankers, schedule validation, and the distributed pipeline.  The
-// buffered router is the serving runtime at one link; its tests live in
-// test_serve.cpp.
+// unbuffered router with the osp game (the paper's reduction), the game's
+// rules enforced on both simulators, the frame rankers, schedule
+// validation, and the distributed pipeline.  The buffered router is the
+// serving runtime at one link; its tests live in test_serve.cpp.
 #include <gtest/gtest.h>
+
+#include <algorithm>
 
 #include "algos/baselines.hpp"
 #include "core/game.hpp"
@@ -24,6 +26,42 @@ FrameSchedule sample_schedule(std::uint64_t seed, std::size_t frames = 60,
   PoissonBursts bursts(2.5);
   return bursty_schedule(bursts, frames, k, rng);
 }
+
+/// Breaks the no-duplicates rule: chooses its first candidate twice
+/// whenever the capacity and the candidates allow two choices.
+class ChoosesFirstTwice final : public OnlineAlgorithm {
+ public:
+  std::string name() const override { return "chooses-first-twice"; }
+  void start(const std::vector<SetMeta>&) override {}
+  std::size_t decide(ElementId, Capacity capacity, const SetId* candidates,
+                     std::size_t n, SetId* out) override {
+    if (capacity < 2 || n < 2) return 0;
+    out[0] = out[1] = candidates[0];
+    return 2;
+  }
+};
+
+/// Breaks the chosen-set-contains-the-element rule: answers the lowest set
+/// id that is not a candidate (nothing when every set is one).
+class ChoosesAbsentSet final : public OnlineAlgorithm {
+ public:
+  std::string name() const override { return "chooses-absent-set"; }
+  void start(const std::vector<SetMeta>& sets) override {
+    num_sets_ = sets.size();
+  }
+  std::size_t decide(ElementId, Capacity, const SetId* candidates,
+                     std::size_t n, SetId* out) override {
+    for (SetId s = 0; s < num_sets_; ++s)
+      if (!std::binary_search(candidates, candidates + n, s)) {
+        out[0] = s;
+        return 1;
+      }
+    return 0;
+  }
+
+ private:
+  std::size_t num_sets_ = 0;
+};
 
 TEST(Router, PacketConservation) {
   FrameSchedule sched = sample_schedule(1);
@@ -59,6 +97,20 @@ TEST(Router, EquivalenceHoldsWithHigherServiceRate) {
     Outcome go = play(sched.to_instance(2), game_alg);
     EXPECT_DOUBLE_EQ(rs.value_delivered, go.benefit);
   }
+}
+
+TEST(Router, RejectsAFrameServedTwiceInOneSlot) {
+  // f0 = {1}, f1 = {0, 1}, f2 = {0}: two packets in each slot, service
+  // rate 2.  Serving f1's slot-0 packet twice must not stand in for its
+  // slot-1 packet: the router is the osp game, whose rules forbid choosing
+  // a set twice for one element.
+  FrameSchedule sched;
+  sched.add_frame(1.0, {1});
+  sched.add_frame(3.0, {0, 1});
+  sched.add_frame(1.0, {0});
+  sched.horizon = 2;
+  ChoosesFirstTwice alg;
+  EXPECT_THROW(simulate_router(sched, alg, 2), RequireError);
 }
 
 TEST(Router, AmpleCapacityDeliversEverything) {
@@ -161,6 +213,24 @@ TEST(Pipeline, NoContentionDeliversAll) {
       w, params.num_switches,
       [](std::size_t) { return std::make_unique<GreedyFirst>(); });
   EXPECT_EQ(st.packets_delivered, 1u);
+}
+
+TEST(Pipeline, RejectsAnAnswerNamingAnAbsentPacket) {
+  // A switch may only forward packets that are at it: an answer naming
+  // any other packet breaks the rules of its game.
+  Rng rng(7);
+  MultiHopParams params;
+  params.num_switches = 4;
+  params.num_packets = 50;
+  params.horizon = 25;
+  params.min_route = 2;
+  params.max_route = 4;
+  MultiHopWorkload w = make_multihop_workload(params, rng);
+  EXPECT_THROW(simulate_pipeline(w, params.num_switches,
+                                 [](std::size_t) {
+                                   return std::make_unique<ChoosesAbsentSet>();
+                                 }),
+               RequireError);
 }
 
 TEST(Pipeline, SharedHashBeatsIndependentRandomness) {

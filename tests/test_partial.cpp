@@ -55,6 +55,32 @@ TEST(PlayPartial, MatchesClassicForZeroMisses) {
   EXPECT_EQ(classic.completed, partial.credited);
 }
 
+TEST(PlayPartial, RejectsASetThatDoesNotContainTheElement) {
+  // s0 = {e0, e2}, s1 = {e1, e2}.  Answering s1 at e0 (and the first
+  // candidate elsewhere) would credit s1 in full although it lost e2.
+  // Partial credit changes the scoring, not the rules: the answer is
+  // rejected exactly as play() rejects it.
+  class AnswersS1AtE0 final : public OnlineAlgorithm {
+   public:
+    std::string name() const override { return "answers-s1-at-e0"; }
+    void start(const std::vector<SetMeta>&) override {}
+    std::size_t decide(ElementId u, Capacity, const SetId* candidates,
+                       std::size_t, SetId* out) override {
+      out[0] = u == 0 ? SetId{1} : candidates[0];
+      return 1;
+    }
+  };
+  InstanceBuilder b;
+  b.add_sets(2, 5.0);
+  b.add_element({0});
+  b.add_element({1});
+  b.add_element({0, 1});
+  const Instance inst = b.build();
+  AnswersS1AtE0 alg;
+  EXPECT_THROW(play_partial(inst, alg, PartialCreditRule{}), RequireError);
+  EXPECT_THROW(play(inst, alg), RequireError);
+}
+
 TEST(PlayPartial, MissBudgetIncreasesBenefit) {
   Rng gen(2);
   Instance inst = random_instance(24, 20, 4, WeightModel::unit(), gen);
