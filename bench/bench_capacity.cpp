@@ -76,7 +76,7 @@ void uniform_capacity_sweep(osp::api::JsonSink& json) {
     for (SetId s = 0; s < base.num_sets(); ++s)
       builder.add_set(base.weight(s));
     for (ElementId u = 0; u < base.num_elements(); ++u)
-      builder.add_element(base.arrival(u).parents, b);
+      builder.add_element(base.arrival(u).parents.to_vector(), b);
     Instance inst = builder.build();
     InstanceStats st = inst.stats();
     OfflineResult opt = exact_optimum(inst);

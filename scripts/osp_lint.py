@@ -30,11 +30,11 @@ registry the checks run from, so it can never drift):
                       src/stats/json.*) only via the sanctioned "%a"
                       (hexfloat round trip) and "%.17g" (JsonSink) forms;
                       iostream float manipulators are banned there too.
-  registrar-anchor    every translation unit with *Registrar statics
-                      defines a `void link_*() {}` force-link anchor, the
-                      matching *_registry.cpp calls it, and every anchor
-                      called is defined — so a static-archive link can
-                      never silently drop a registered policy/ranker.
+  layering            a quoted include names the including file's own
+                      src/ directory or one of a lower rank on the layer
+                      map: util; hash, field; core; algos, design, gen,
+                      stats, testing; engine; net; api — so no lower layer
+                      reaches up into one built on it.
   assert-side-effect  no assert() whose argument mutates state (++/--/
                       assignment/container mutation): NDEBUG builds would
                       change behavior.
@@ -299,64 +299,6 @@ def rule_wire_float_format(src, findings):
                 "format through the sanctioned snprintf helpers instead"))
 
 
-REGISTRAR_STATIC = re.compile(r"\b(\w+)Registrar\s+\w+\s*\{")
-ANCHOR_DEF = re.compile(r"\bvoid\s+(link_\w+)\s*\(\s*\)\s*\{\s*\}")
-ANCHOR_CALL = re.compile(r"^\s*(link_\w+)\s*\(\s*\)\s*;", re.MULTILINE)
-
-
-def check_registrar_anchors(sources, findings):
-    """Cross-file rule: registrar TU <-> registry force-link anchors."""
-    registries = {}   # "Policy" -> registry SourceFile
-    registrars = []   # (src, first_line, kind)
-    anchors_defined = {}  # name -> (src, line)
-    for src in sources:
-        if not src.rel.endswith(".cpp"):
-            continue
-        if src.rel.endswith("_registry.cpp"):
-            kind = pathlib.PurePosixPath(src.rel).name[:-len("_registry.cpp")]
-            registries[kind] = src
-        for m in ANCHOR_DEF.finditer(src.code):
-            anchors_defined[m.group(1)] = (src, src.line_of(m.start()))
-        for m in REGISTRAR_STATIC.finditer(src.code):
-            if src.rel.endswith("_registry.cpp"):
-                continue  # the registry's own helpers are not registrars
-            registrars.append((src, src.line_of(m.start()),
-                               m.group(1).lower()))
-
-    anchors_called = {}  # name -> registry src
-    for kind, reg in registries.items():
-        for m in ANCHOR_CALL.finditer(reg.code):
-            anchors_called[m.group(1)] = reg
-
-    seen = set()
-    for src, line, kind in registrars:
-        if src.rel in seen:
-            continue
-        seen.add(src.rel)
-        defined_here = [a for a, (s, _) in anchors_defined.items()
-                        if s is src]
-        if not defined_here:
-            findings.append(Finding(
-                src.rel, line, "registrar-anchor",
-                f"{kind}-registrar statics without a force-link anchor — "
-                f"define `void link_<name>() {{}}` here and call it from "
-                f"the registry, or a static-archive link will drop these "
-                f"registrations"))
-            continue
-        if not any(a in anchors_called for a in defined_here):
-            findings.append(Finding(
-                src.rel, line, "registrar-anchor",
-                f"anchor {defined_here[0]}() is defined but no "
-                f"*_registry.cpp calls it — the force-link chain is "
-                f"broken"))
-    for name, reg in anchors_called.items():
-        if name not in anchors_defined:
-            findings.append(Finding(
-                reg.rel, 1, "registrar-anchor",
-                f"registry calls {name}() but no translation unit defines "
-                f"it — stale anchor"))
-
-
 ASSERT_CALL = re.compile(r"(?<!static_)(?<!_)\bassert\s*\(")
 MUTATION = re.compile(
     r"\+\+|--|(?<![=!<>+\-*/%&|^])=(?![=])|"
@@ -425,6 +367,33 @@ def _check_includes(src, findings, root):
                 f"stale path"))
 
 
+# The layer map, lowest rank first; directories of one rank are peers.
+LAYERS = ("util", "hash field", "core", "algos design gen stats testing",
+          "engine", "net", "api")
+LAYER_RANK = {d: rank for rank, dirs in enumerate(LAYERS)
+              for d in dirs.split()}
+LAYER_MAP = "; ".join(", ".join(dirs.split()) for dirs in LAYERS)
+
+
+def rule_layering(src, findings):
+    own = src.rel.split("/")[1]
+    for lineno, line in enumerate(src.raw_lines, start=1):
+        m = QUOTED_INCLUDE.match(line)
+        if not m or "/" not in m.group(1):
+            continue  # a file of the same directory
+        target = m.group(1).split("/")[0]
+        # An unranked directory may include only itself and is below none.
+        if target == own or (LAYER_RANK.get(target, len(LAYERS)) <
+                             LAYER_RANK.get(own, -1)):
+            continue
+        findings.append(Finding(
+            src.rel, lineno, "layering",
+            f'#include "{m.group(1)}" does not point down the layer map '
+            f"({LAYER_MAP}) from src/{own} — include only the file's own "
+            f"directory and lower ranks (a new directory needs a rank in "
+            f"LAYERS)"))
+
+
 NOLINT = re.compile(r"NOLINT(?:NEXTLINE|BEGIN|END)?")
 NOLINT_OK = re.compile(
     r"NOLINT(?:NEXTLINE|BEGIN|END)?\([\w,.\- *]+\)\s*\S.{9,}")
@@ -440,8 +409,7 @@ def rule_nolint_justification(src, findings):
 
 
 # ----------------------------------------------------------------------
-# Rule registry: (id, scope predicate, per-file fn or None, description).
-# check_registrar_anchors is the one cross-file rule and runs separately.
+# Rule registry: (id, scope predicate, per-file fn, description).
 
 RULES = (
     ("raw-random", outside_dirs("src/util/"), rule_raw_random,
@@ -460,10 +428,10 @@ RULES = (
      in_dirs("src/api/", "src/stats/json."), rule_wire_float_format,
      "wire/JSON float output only via the sanctioned '%a' and '%.17g' "
      "helpers; no iostream float manipulators in that layer"),
-    ("registrar-anchor", None, None,
-     "every *Registrar translation unit defines a void link_*() {} "
-     "anchor, the matching *_registry.cpp calls it, and every called "
-     "anchor is defined"),
+    ("layering", in_dirs("src/"), rule_layering,
+     "a quoted include names the file's own src/ directory or one of a "
+     "lower rank on the layer map: util; hash, field; core; algos, design, "
+     "gen, stats, testing; engine; net; api"),
     ("assert-side-effect", in_dirs("src/"), rule_assert_side_effect,
      "no assert() whose argument mutates state — NDEBUG builds would "
      "change behavior"),
@@ -497,8 +465,6 @@ def run_rules(root, sources):
     for src in sources:
         waivers[src.rel] = collect_waivers(src, findings)
     for rule_id, scope, fn, _ in RULES:
-        if fn is None:
-            continue
         for src in sources:
             if not scope(src.rel):
                 continue
@@ -507,7 +473,6 @@ def run_rules(root, sources):
                     fn(src, findings, root)
             else:
                 fn(src, findings)
-    check_registrar_anchors(sources, findings)
     kept = []
     for f in findings:
         if (f.rule, f.line) in waivers.get(f.rel, set()):

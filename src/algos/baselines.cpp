@@ -168,49 +168,3 @@ std::vector<std::unique_ptr<OnlineAlgorithm>> make_deterministic_baselines() {
 }
 
 }  // namespace osp
-
-// ---------------------------------------------------------------------
-// Self-registration into the experiment API's policy registry, in
-// make_deterministic_baselines() order (the benches' historical sweep
-// order).  Aliases keep the display names and legacy CLI spellings.
-
-#include "api/policy_registry.hpp"
-
-namespace osp::api {
-
-/// Linker anchor referenced by policies(); see link_randpr_policies().
-void link_baseline_policies() {}
-
-namespace {
-
-template <class Alg>
-PolicyFactory stateless() {
-  return [](Rng) { return std::make_unique<Alg>(); };
-}
-
-PolicyRegistrar r_first{
-    {"greedy:first", "earliest-id active candidate wins",
-     {"greedy-first"}, stateless<GreedyFirst>()}};
-PolicyRegistrar r_maxw{
-    {"greedy:maxw", "heaviest active candidate wins",
-     {"greedy-maxw"}, stateless<GreedyMaxWeight>()}};
-PolicyRegistrar r_progress{
-    {"greedy:progress", "most-invested active candidate wins (sunk cost)",
-     {"greedy-progress"}, stateless<GreedyMostProgress>()}};
-PolicyRegistrar r_srpt{
-    {"greedy:srpt", "fewest-remaining active candidate wins",
-     {"greedy-srpt"}, stateless<GreedyFewestRemaining>()}};
-PolicyRegistrar r_density{
-    {"greedy:density", "max weight-per-remaining-element wins",
-     {"greedy-density"}, stateless<GreedyDensity>()}};
-PolicyRegistrar r_rr{
-    {"round-robin", "rotating id cursor over active candidates",
-     {},
-     stateless<RoundRobin>()}};
-PolicyRegistrar r_uniform{
-    {"uniform-random", "memoryless uniformly random admissible choice",
-     {},
-     [](Rng r) { return std::make_unique<UniformRandomChoice>(r); }}};
-
-}  // namespace
-}  // namespace osp::api

@@ -1,128 +1,92 @@
 #include "api/policy_registry.hpp"
 
-#include <algorithm>
-#include <sstream>
-
-#include "api/markdown.hpp"
-#include "util/require.hpp"
+#include "algos/baselines.hpp"
+#include "core/rand_pr.hpp"
 
 namespace osp::api {
 
-// Anchor functions defined in the self-registering translation units.
-// policies() references them so the linker can never drop those objects
-// (and with them the PolicyRegistrar statics) from a static-library link:
-// any binary that uses the registry is guaranteed to see every entry.
-void link_randpr_policies();
-void link_baseline_policies();
+namespace {
 
-std::string PolicyInfo::family() const {
-  return name.substr(0, name.find(':'));
+std::unique_ptr<OnlineAlgorithm> make_randpr(Rng rng, RandPrOptions options) {
+  return std::make_unique<RandPr>(rng, options);
 }
 
-void PolicyRegistry::add(PolicyInfo info) {
-  OSP_REQUIRE_MSG(!info.name.empty(), "policy registered without a name");
-  OSP_REQUIRE_MSG(info.make != nullptr,
-                  "policy '" << info.name << "' registered without a factory");
-  auto taken = [&](const std::string& name) {
-    for (const PolicyInfo& e : entries_) {
-      if (e.name == name) return true;
-      for (const std::string& a : e.aliases)
-        if (a == name) return true;
-    }
-    return false;
-  };
-  OSP_REQUIRE_MSG(!taken(info.name),
-                  "duplicate policy registration '" << info.name << "'");
-  for (const std::string& a : info.aliases)
-    OSP_REQUIRE_MSG(!taken(a), "duplicate policy alias '"
-                                   << a << "' (registering '" << info.name
-                                   << "')");
-  entries_.push_back(std::move(info));
+template <class Alg>
+PolicyFactory stateless() {
+  return [](Rng) { return std::make_unique<Alg>(); };
 }
 
-const PolicyInfo* PolicyRegistry::find(const std::string& spec) const {
-  for (const PolicyInfo& e : entries_) {
-    if (e.name == spec) return &e;
-    for (const std::string& a : e.aliases)
-      if (a == spec) return &e;
-  }
-  return nullptr;
-}
+}  // namespace
 
-const PolicyInfo& PolicyRegistry::at(const std::string& spec) const {
-  if (const PolicyInfo* e = find(spec)) return *e;
-
-  // Family exists but the variant does not: list that family's variants.
-  const std::string family = spec.substr(0, spec.find(':'));
-  std::vector<std::string> variants;
-  for (const PolicyInfo& e : entries_)
-    if (e.family() == family) variants.push_back(e.name);
-  if (!variants.empty()) {
-    std::ostringstream msg;
-    msg << "unknown variant in policy spec '" << spec << "'; family '"
-        << family << "' provides:";
-    for (const std::string& v : variants) msg << ' ' << v;
-    OSP_REQUIRE_MSG(false, msg.str());
-  }
-
-  OSP_REQUIRE_MSG(false, "unknown policy '"
-                             << spec << "'; registered policies:\n"
-                             << render_catalog());
-  // Unreachable; OSP_REQUIRE_MSG throws.
-  static PolicyInfo dummy;
-  return dummy;
-}
-
-std::unique_ptr<OnlineAlgorithm> PolicyRegistry::make(const std::string& spec,
-                                                      Rng rng) const {
-  return at(spec).make(rng);
-}
-
-std::vector<std::string> PolicyRegistry::names() const {
-  std::vector<std::string> out;
-  out.reserve(entries_.size());
-  for (const PolicyInfo& e : entries_) out.push_back(e.name);
-  return out;
-}
-
-std::string PolicyRegistry::render_catalog() const {
-  std::size_t width = 0;
-  for (const PolicyInfo& e : entries_)
-    width = std::max(width, e.name.size());
-  std::ostringstream os;
-  for (const PolicyInfo& e : entries_) {
-    os << "  " << e.name
-       << std::string(width - e.name.size() + 2, ' ') << e.description
-       << '\n';
-  }
-  return os.str();
-}
-
-std::string PolicyRegistry::render_markdown() const {
-  std::vector<std::vector<std::string>> rows;
-  for (const PolicyInfo& e : entries_)
-    rows.push_back(
-        {'`' + e.name + '`', e.description, detail::code_list(e.aliases)});
-  return detail::markdown_table({"spec", "description", "aliases"}, rows);
-}
-
-PolicyRegistry& PolicyRegistry_instance() {
-  // Function-local static: safe to use from the registrar constructors,
-  // which run during static initialization of other translation units.
-  static PolicyRegistry registry;
-  return registry;
-}
-
-PolicyRegistry& policies() {
-  // Referencing the anchors (not their return values) forces the linker
-  // to include the registering objects; the calls themselves are no-ops.
-  link_randpr_policies();
-  link_baseline_policies();
-  return PolicyRegistry_instance();
-}
-
-PolicyRegistrar::PolicyRegistrar(PolicyInfo info) {
-  PolicyRegistry_instance().add(std::move(info));
+const Registry<PolicyInfo>& policies() {
+  // docs/CATALOG.md's order.  Aliases keep the historical CLI spellings and
+  // the display names resolvable.  The baselines follow
+  // make_deterministic_baselines() order (the benches' historical sweep
+  // order), then the memoryless uniform-random choice.
+  static const Registry<PolicyInfo> catalog(
+      {"policy", "policies", {"spec", "description", "aliases"},
+       alias_cell<PolicyInfo>},
+      {
+          {"randpr", "the paper's randPr: fixed R_w priorities, top-b(u) wins",
+           {"randPr"},
+           [](Rng r) { return make_randpr(r, {}); }},
+          {"randpr:filt", "randPr that never assigns to dead sets (ablation)",
+           {"randpr-filt", "randPr/filt"},
+           [](Rng r) {
+             return make_randpr(r, RandPrOptions{.filter_dead = true});
+           }},
+          {"randpr:filt1", "dead-set filtering with one allowed miss",
+           {"randPr/filt1"},
+           [](Rng r) {
+             RandPrOptions o;
+             o.filter_dead = true;
+             o.allowed_misses = 1;
+             return make_randpr(r, o);
+           }},
+          {"randpr:unif", "weight-blind priorities (all R_1; ablation)",
+           {"randPr/unif"},
+           [](Rng r) {
+             return make_randpr(r, RandPrOptions{.ignore_weights = true});
+           }},
+          {"randpr:fresh", "priorities redrawn per element (negative control)",
+           {"randPr/fresh"},
+           [](Rng r) {
+             RandPrOptions o;
+             o.fresh_priorities_per_element = true;
+             return make_randpr(r, o);
+           }},
+          {"hashpr", "distributed randPr over an 8-independent polynomial hash",
+           {"hashPr", "hashPr/poly8"},
+           [](Rng r) { return HashedRandPr::with_polynomial(8, r); }},
+          {"hashpr:tab", "distributed randPr over a tabulation hash",
+           {"hashPr/tab"},
+           [](Rng r) { return HashedRandPr::with_tabulation(r); }},
+          {"hashpr:ms", "distributed randPr over a multiply-shift hash",
+           {"hashPr/ms"},
+           [](Rng r) { return HashedRandPr::with_multiply_shift(r); }},
+          {"hashpr:filt", "hashed priorities plus dead-set filtering",
+           {"hashPr/poly8/filt"},
+           [](Rng r) {
+             return HashedRandPr::with_polynomial(
+                 8, r, RandPrOptions{.filter_dead = true});
+           }},
+          {"greedy:first", "earliest-id active candidate wins",
+           {"greedy-first"}, stateless<GreedyFirst>()},
+          {"greedy:maxw", "heaviest active candidate wins",
+           {"greedy-maxw"}, stateless<GreedyMaxWeight>()},
+          {"greedy:progress", "most-invested active candidate wins (sunk cost)",
+           {"greedy-progress"}, stateless<GreedyMostProgress>()},
+          {"greedy:srpt", "fewest-remaining active candidate wins",
+           {"greedy-srpt"}, stateless<GreedyFewestRemaining>()},
+          {"greedy:density", "max weight-per-remaining-element wins",
+           {"greedy-density"}, stateless<GreedyDensity>()},
+          {"round-robin", "rotating id cursor over active candidates",
+           {}, stateless<RoundRobin>()},
+          {"uniform-random", "memoryless uniformly random admissible choice",
+           {},
+           [](Rng r) { return std::make_unique<UniformRandomChoice>(r); }},
+      });
+  return catalog;
 }
 
 }  // namespace osp::api

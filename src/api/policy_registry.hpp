@@ -1,9 +1,9 @@
-// PolicyRegistry — the single front door for constructing online policies.
+// The policy catalog — the single front door for constructing online
+// policies.
 //
-// Every policy the library ships registers itself here (self-registering
-// PolicyRegistrar statics live next to the implementations in
-// algos/baselines.cpp and core/rand_pr.cpp), under a canonical spec string
-// with a `family:variant` param syntax:
+// Every policy the library ships is one entry of the list in
+// policy_registry.cpp, under a canonical spec string with a
+// `family:variant` param syntax:
 //
 //   "randpr"          the paper's randPr, exactly
 //   "randpr:filt"     randPr with dead-set filtering
@@ -11,11 +11,10 @@
 //   "greedy:srpt"     shortest-remaining greedy baseline
 //
 // Callers resolve a spec with policies().make(spec, rng); unknown specs
-// throw a RequireError whose message enumerates the registered catalog
-// (per-family variants when the family exists), so every entry point —
-// CLI, benches, tests — shares one error surface and one name table.
-// The registry is enumerable in registration order, which is what
-// `osp_cli list`, `--help`, and the test sweeps iterate.
+// throw a RequireError whose message enumerates the catalog (per-family
+// variants when the family exists; see Registry::at).  The list's order
+// is what `osp_cli list`, `--help`, the test sweeps and every "all
+// policies" grid iterate.
 #pragma once
 
 #include <functional>
@@ -23,17 +22,18 @@
 #include <string>
 #include <vector>
 
+#include "api/registry.hpp"
 #include "core/algorithm.hpp"
 #include "util/rng.hpp"
 
 namespace osp::api {
 
 /// Builds a fresh policy from a per-trial seeded Rng.  Structurally
-/// identical to engine::AlgFactory, so registry entries drop straight
-/// into engine::AlgSpec grid columns.
+/// identical to engine::AlgFactory, so catalog entries drop straight into
+/// engine::AlgSpec grid columns.
 using PolicyFactory = std::function<std::unique_ptr<OnlineAlgorithm>(Rng)>;
 
-/// One registered policy.
+/// One policy of the catalog.
 struct PolicyInfo {
   /// Canonical spec, `family` or `family:variant` (e.g. "greedy:srpt").
   std::string name;
@@ -42,52 +42,10 @@ struct PolicyInfo {
   /// Accepted alternate spellings (legacy CLI names, display names).
   std::vector<std::string> aliases;
   PolicyFactory make;
-
-  /// The part of `name` before the ':' (the whole name if none).
-  std::string family() const;
 };
 
-class PolicyRegistry {
- public:
-  /// Registers `info`; duplicate canonical names or aliases throw.
-  void add(PolicyInfo info);
-
-  /// Looks `spec` up by canonical name or alias; nullptr when absent.
-  const PolicyInfo* find(const std::string& spec) const;
-
-  /// find() that throws a RequireError on failure.  The message names the
-  /// known variants when the family exists ("randpr:bogus") and the whole
-  /// catalog otherwise, so callers never maintain their own name lists.
-  const PolicyInfo& at(const std::string& spec) const;
-
-  /// at() + construction in one call.
-  std::unique_ptr<OnlineAlgorithm> make(const std::string& spec,
-                                        Rng rng) const;
-
-  /// All entries in registration order.
-  const std::vector<PolicyInfo>& entries() const { return entries_; }
-
-  /// Canonical names in registration order.
-  std::vector<std::string> names() const;
-
-  /// "  name  description" lines (one per entry) for help text and errors.
-  std::string render_catalog() const;
-
-  /// "| spec | description | aliases |" markdown table (docs/CATALOG.md).
-  std::string render_markdown() const;
-
- private:
-  std::vector<PolicyInfo> entries_;
-};
-
-/// The process-wide registry, populated by the self-registering entries in
-/// algos/baselines.cpp and core/rand_pr.cpp before main() runs.
-PolicyRegistry& policies();
-
-/// Registers one policy into policies() from a static initializer:
-///   static PolicyRegistrar r{{"greedy:srpt", "…", {"greedy-srpt"}, …}};
-struct PolicyRegistrar {
-  explicit PolicyRegistrar(PolicyInfo info);
-};
+/// The policy catalog: randPr and its ablations, the hashed variants, then
+/// the deterministic and memoryless baselines (docs/CATALOG.md's order).
+const Registry<PolicyInfo>& policies();
 
 }  // namespace osp::api

@@ -1,104 +1,30 @@
 #include "api/ranker_registry.hpp"
 
-#include <algorithm>
-#include <sstream>
-
-#include "api/markdown.hpp"
-#include "util/require.hpp"
-
 namespace osp::api {
 
-// Anchor function defined in the self-registering translation unit
-// (net/router_sim.cpp).  rankers() references it so the linker can never
-// drop that object — and with it the RankerRegistrar statics — from a
-// static-library link.
-void link_router_rankers();
-
-void RankerRegistry::add(RankerInfo info) {
-  OSP_REQUIRE_MSG(!info.name.empty(), "ranker registered without a name");
-  OSP_REQUIRE_MSG(info.make != nullptr,
-                  "ranker '" << info.name << "' registered without a factory");
-  auto taken = [&](const std::string& name) {
-    for (const RankerInfo& e : entries_) {
-      if (e.name == name) return true;
-      for (const std::string& a : e.aliases)
-        if (a == name) return true;
-    }
-    return false;
-  };
-  OSP_REQUIRE_MSG(!taken(info.name),
-                  "duplicate ranker registration '" << info.name << "'");
-  for (const std::string& a : info.aliases)
-    OSP_REQUIRE_MSG(!taken(a), "duplicate ranker alias '"
-                                   << a << "' (registering '" << info.name
-                                   << "')");
-  entries_.push_back(std::move(info));
-}
-
-const RankerInfo* RankerRegistry::find(const std::string& name) const {
-  for (const RankerInfo& e : entries_) {
-    if (e.name == name) return &e;
-    for (const std::string& a : e.aliases)
-      if (a == name) return &e;
-  }
-  return nullptr;
-}
-
-const RankerInfo& RankerRegistry::at(const std::string& name) const {
-  const RankerInfo* e = find(name);
-  OSP_REQUIRE_MSG(e != nullptr, "unknown ranker '"
-                                    << name << "'; registered rankers:\n"
-                                    << render_catalog());
-  return *e;
-}
-
-std::unique_ptr<FrameRanker> RankerRegistry::make(const std::string& name,
-                                                  Rng rng) const {
-  return at(name).make(rng);
-}
-
-std::vector<std::string> RankerRegistry::names() const {
-  std::vector<std::string> out;
-  out.reserve(entries_.size());
-  for (const RankerInfo& e : entries_) out.push_back(e.name);
-  return out;
-}
-
-std::string RankerRegistry::render_catalog() const {
-  std::size_t width = 0;
-  for (const RankerInfo& e : entries_)
-    width = std::max(width, e.name.size());
-  std::ostringstream os;
-  for (const RankerInfo& e : entries_)
-    os << "  " << e.name << std::string(width - e.name.size() + 2, ' ')
-       << e.description << '\n';
-  return os.str();
-}
-
-std::string RankerRegistry::render_markdown() const {
-  std::vector<std::vector<std::string>> rows;
-  for (const RankerInfo& e : entries_)
-    rows.push_back(
-        {'`' + e.name + '`', e.description, detail::code_list(e.aliases)});
-  return detail::markdown_table({"name", "description", "aliases"}, rows);
-}
-
-RankerRegistry& RankerRegistry_instance() {
-  // Function-local static: safe to use from the registrar constructors,
-  // which run during static initialization of other translation units.
-  static RankerRegistry registry;
-  return registry;
-}
-
-RankerRegistry& rankers() {
-  // Referencing the anchor (not its return value) forces the linker to
-  // include the registering object; the call itself is a no-op.
-  link_router_rankers();
-  return RankerRegistry_instance();
-}
-
-RankerRegistrar::RankerRegistrar(RankerInfo info) {
-  RankerRegistry_instance().add(std::move(info));
+const Registry<RankerInfo>& rankers() {
+  // The listed names are the rankers' display names — the keys the router
+  // benches' tables and BENCH_router.json rows use.
+  static const Registry<RankerInfo> catalog(
+      {"ranker", "rankers", {"name", "description", "aliases"},
+       alias_cell<RankerInfo>},
+      {
+          {"randPr",
+           "persistent random R_w frame priorities (the paper's policy)",
+           {"randpr"},
+           [](Rng rng) { return std::make_unique<RandPrRanker>(rng); }},
+          {"by-weight", "deterministic: protect the heaviest frames",
+           {},
+           [](Rng) { return std::make_unique<WeightRanker>(); }},
+          {"drop-tail",
+           "no preference: later arrivals lose (classic drop-tail)",
+           {},
+           [](Rng) { return std::make_unique<FifoRanker>(); }},
+          {"random-drop", "uniform random priorities regardless of weight",
+           {"random"},
+           [](Rng rng) { return std::make_unique<RandomRanker>(rng); }},
+      });
+  return catalog;
 }
 
 }  // namespace osp::api

@@ -1,9 +1,8 @@
-// RankerRegistry — the single front door for the buffered router's
-// FrameRankers, mirroring PolicyRegistry.
+// The ranker catalog — the single front door for the buffered router's
+// FrameRankers, on the same Registry as the policy catalog.
 //
-// Every ranker the library ships registers itself here (self-registering
-// RankerRegistrar statics live next to the implementations at the bottom
-// of net/router_sim.cpp), under the display name the router benches key
+// Every ranker the library ships is one entry of the list in
+// ranker_registry.cpp, under the display name the router benches key
 // their tables and BENCH_router.json rows on:
 //
 //   "randPr"       persistent random R_w frame priorities (the paper)
@@ -16,9 +15,8 @@
 // FrameRanker::reseed(), so api::Session's ranker runs construct one per
 // worker and re-arm it per draw with the draw's ranker stream
 // (randomized rankers consume the rng; deterministic ones ignore it).
-// The registry is enumerable in registration order — what `osp_cli
-// list`, `osp_cli bench --ranker`, and the router benches iterate,
-// killing their hand-built ranker lists.
+// The list's order is what `osp_cli list`, `osp_cli bench --ranker`, and
+// the router benches iterate.
 #pragma once
 
 #include <functional>
@@ -26,6 +24,7 @@
 #include <string>
 #include <vector>
 
+#include "api/registry.hpp"
 #include "net/router_sim.hpp"
 #include "util/rng.hpp"
 
@@ -35,7 +34,7 @@ namespace osp::api {
 /// rankers ignore it).
 using RankerFactory = std::function<std::unique_ptr<FrameRanker>(Rng)>;
 
-/// One registered ranker.
+/// One ranker of the catalog.
 struct RankerInfo {
   /// Display name — must equal the constructed ranker's name(), which is
   /// what the router benches key their JSON rows on.
@@ -47,43 +46,7 @@ struct RankerInfo {
   RankerFactory make;
 };
 
-class RankerRegistry {
- public:
-  /// Registers `info`; duplicate names or aliases throw.
-  void add(RankerInfo info);
-
-  /// Looks `name` up by display name or alias; nullptr when absent.
-  const RankerInfo* find(const std::string& name) const;
-
-  /// find() that throws a RequireError enumerating the catalog.
-  const RankerInfo& at(const std::string& name) const;
-
-  /// at() + construction in one call.
-  std::unique_ptr<FrameRanker> make(const std::string& name, Rng rng) const;
-
-  /// All entries in registration order.
-  const std::vector<RankerInfo>& entries() const { return entries_; }
-
-  /// Display names in registration order.
-  std::vector<std::string> names() const;
-
-  /// "  name  description" lines for help text and errors.
-  std::string render_catalog() const;
-
-  /// "| name | description | aliases |" markdown table (docs/CATALOG.md).
-  std::string render_markdown() const;
-
- private:
-  std::vector<RankerInfo> entries_;
-};
-
-/// The process-wide registry, populated by the self-registering entries in
-/// net/router_sim.cpp before main() runs.
-RankerRegistry& rankers();
-
-/// Registers one ranker into rankers() from a static initializer.
-struct RankerRegistrar {
-  explicit RankerRegistrar(RankerInfo info);
-};
+/// The ranker catalog, in bench_router's historical order.
+const Registry<RankerInfo>& rankers();
 
 }  // namespace osp::api

@@ -6,7 +6,6 @@
 #include <sstream>
 
 #include "algos/baselines.hpp"
-#include "api/markdown.hpp"
 #include "design/lower_bounds.hpp"
 #include "gen/schedule.hpp"
 #include "util/require.hpp"
@@ -409,38 +408,6 @@ MultiHopWorkload build_multihop(const ScenarioSpec& spec, Rng& rng) {
   return make_multihop_workload(params, rng);
 }
 
-void ScenarioRegistry::add(ScenarioSpec spec) {
-  OSP_REQUIRE_MSG(!spec.name.empty(), "scenario registered without a name");
-  OSP_REQUIRE_MSG(find(spec.name) == nullptr,
-                  "duplicate scenario registration '" << spec.name << "'");
-  entries_.push_back(std::move(spec));
-}
-
-const ScenarioSpec* ScenarioRegistry::find(const std::string& name) const {
-  for (const ScenarioSpec& s : entries_)
-    if (s.name == name) return &s;
-  return nullptr;
-}
-
-const ScenarioSpec& ScenarioRegistry::at(const std::string& name) const {
-  const ScenarioSpec* s = find(name);
-  OSP_REQUIRE_MSG(s != nullptr, "unknown scenario '"
-                                    << name << "'; registered scenarios:\n"
-                                    << render_catalog());
-  return *s;
-}
-
-std::string ScenarioRegistry::render_catalog() const {
-  std::size_t width = 0;
-  for (const ScenarioSpec& s : entries_)
-    width = std::max(width, s.name.size());
-  std::ostringstream os;
-  for (const ScenarioSpec& s : entries_)
-    os << "  " << s.name << std::string(width - s.name.size() + 2, ' ')
-       << s.description << '\n';
-  return os.str();
-}
-
 namespace {
 
 /// "sigma=2,3,4" for a single-key axis, "m,n,k=64/128/4;1024/2048/4;…"
@@ -458,44 +425,36 @@ std::string axis_summary(const SweepAxis& axis) {
   return os.str();
 }
 
-}  // namespace
-
-std::string ScenarioRegistry::render_markdown() const {
-  std::vector<std::vector<std::string>> rows;
-  for (const ScenarioSpec& s : entries_) {
-    std::vector<std::string> axes;
-    for (const SweepAxis& axis : s.sweep) axes.push_back(axis_summary(axis));
-    rows.push_back({'`' + s.name + '`', s.description,
-                    detail::code_list(axes, " × ")});
-  }
-  return detail::markdown_table({"name", "description", "sweep"}, rows);
+/// The catalog table's sweep column: one summary per axis.
+std::string sweep_cell(const ScenarioSpec& s) {
+  std::vector<std::string> axes;
+  for (const SweepAxis& axis : s.sweep) axes.push_back(axis_summary(axis));
+  return detail::code_list(axes, " × ");
 }
 
-namespace {
-
-ScenarioRegistry build_catalog() {
-  ScenarioRegistry reg;
+std::vector<ScenarioSpec> build_catalog() {
+  std::vector<ScenarioSpec> list;
 
   {  // The seed CLI's generator families, defaults preserved.
     ScenarioSpec s;
     s.name = "random";
     s.description = "m sets of size k over n slots (Theorem 1/5 family)";
     s.family = ScenarioFamily::kRandom;
-    reg.add(s);
+    list.push_back(s);
   }
   {
     ScenarioSpec s;
     s.name = "regular";
     s.description = "bi-regular: size k and load sigma (Corollary 7 family)";
     s.family = ScenarioFamily::kRegular;
-    reg.add(s);
+    list.push_back(s);
   }
   {
     ScenarioSpec s;
     s.name = "fixedload";
     s.description = "uniform load sigma, varying sizes (Theorem 6 family)";
     s.family = ScenarioFamily::kFixedLoad;
-    reg.add(s);
+    list.push_back(s);
   }
   {
     ScenarioSpec s;
@@ -504,35 +463,35 @@ ScenarioRegistry build_catalog() {
     s.family = ScenarioFamily::kRandomCapacity;
     s.m = 22;
     s.n = 20;
-    reg.add(s);
+    list.push_back(s);
   }
   {
     ScenarioSpec s;
     s.name = "video";
     s.description = "GOP video streams through a bottleneck link";
     s.family = ScenarioFamily::kVideo;
-    reg.add(s);
+    list.push_back(s);
   }
   {
     ScenarioSpec s;
     s.name = "multihop";
     s.description = "packets crossing a switch pipeline ((time, hop) slots)";
     s.family = ScenarioFamily::kMultihop;
-    reg.add(s);
+    list.push_back(s);
   }
   {
     ScenarioSpec s;
     s.name = "weaklb";
     s.description = "Section 4.2 warm-up gadget (t^2 sets)";
     s.family = ScenarioFamily::kWeakLb;
-    reg.add(s);
+    list.push_back(s);
   }
   {
     ScenarioSpec s;
     s.name = "lemma9";
     s.description = "Figure 1 / Lemma 9 lower-bound distribution";
     s.family = ScenarioFamily::kLemma9;
-    reg.add(s);
+    list.push_back(s);
   }
 
   // ---------------------------------------------------------------
@@ -567,7 +526,7 @@ ScenarioRegistry build_catalog() {
                        {"8192", "262144", "512"}},
                       {"legacy/64", "legacy/1024", "legacy/4096",
                        "router/32k", "router/128k", "overload/256k"}));
-    reg.add(s);
+    list.push_back(s);
   }
 
   // bench_uniform's three sweeps (E3: Theorems 5/6, Corollary 7).
@@ -588,7 +547,7 @@ ScenarioRegistry build_catalog() {
                                        {"48", "6"},
                                        {"64", "8"},
                                        {"96", "12"}}));
-    reg.add(s);
+    list.push_back(s);
   }
   {
     ScenarioSpec s;
@@ -600,7 +559,7 @@ ScenarioRegistry build_catalog() {
     s.k = 2;
     s.default_trials = 600;
     s.vary(sweep_axis("k", "2,3,4,5"));
-    reg.add(s);
+    list.push_back(s);
   }
   {
     ScenarioSpec s;
@@ -612,7 +571,7 @@ ScenarioRegistry build_catalog() {
     s.sigma = 2;
     s.default_trials = 600;
     s.vary(sweep_axis("sigma", "2,3,4,6,8"));
-    reg.add(s);
+    list.push_back(s);
   }
 
   // bench_capacity's two sweeps (E6: Theorem 4).
@@ -627,7 +586,7 @@ ScenarioRegistry build_catalog() {
     s.cap_max = 1;
     s.default_trials = 600;
     s.vary(sweep_axis("cap-max", "1,2,3,4,6,8"));
-    reg.add(s);
+    list.push_back(s);
   }
   {
     ScenarioSpec s;
@@ -639,7 +598,7 @@ ScenarioRegistry build_catalog() {
     s.k = 3;
     s.default_trials = 600;
     s.vary(sweep_axis("capacity", "1..4"));
-    reg.add(s);
+    list.push_back(s);
   }
 
   // bench_router's sweeps (E7 sections (a), (b), (d)/(e)).
@@ -652,7 +611,7 @@ ScenarioRegistry build_catalog() {
     s.frames = 24;
     s.default_trials = 25;
     s.vary(sweep_axis("streams", "4,8,12"));
-    reg.add(s);
+    list.push_back(s);
   }
   {
     ScenarioSpec s;
@@ -664,7 +623,7 @@ ScenarioRegistry build_catalog() {
     s.service_rate = 1;
     s.default_trials = 25;
     s.vary(sweep_axis("buffer", "0,2,4,8,16,32,64"));
-    reg.add(s);
+    list.push_back(s);
   }
   {
     ScenarioSpec s;
@@ -676,7 +635,7 @@ ScenarioRegistry build_catalog() {
     s.service_rate = 1;
     s.default_trials = 4;
     s.vary(sweep_axis("buffer", "0,4,16"));
-    reg.add(s);
+    list.push_back(s);
   }
   {  // bench_router's big buffered scenario (sections (d)/(e)).
     ScenarioSpec s;
@@ -690,7 +649,7 @@ ScenarioRegistry build_catalog() {
     s.buffer = 256;
     s.default_trials = 3;
     s.vary(sweep_axis("buffer", "256,1024,4096"));
-    reg.add(s);
+    list.push_back(s);
   }
   {
     ScenarioSpec s;
@@ -703,7 +662,7 @@ ScenarioRegistry build_catalog() {
     s.buffer = 16;
     s.default_trials = 2;
     s.vary(sweep_axis("buffer", "16,64"));
-    reg.add(s);
+    list.push_back(s);
   }
 
   // The sustained serving runtime's workloads (bench_router section (f)
@@ -722,7 +681,7 @@ ScenarioRegistry build_catalog() {
     s.buffer = 1024;
     s.window = 256;
     s.default_trials = 1;
-    reg.add(s);
+    list.push_back(s);
   }
   {
     ScenarioSpec s;
@@ -739,7 +698,7 @@ ScenarioRegistry build_catalog() {
     s.window = 128;
     s.default_trials = 1;
     s.vary(sweep_axis("service-rate", "16,32,64,128,256"));
-    reg.add(s);
+    list.push_back(s);
   }
   {
     ScenarioSpec s;
@@ -753,7 +712,7 @@ ScenarioRegistry build_catalog() {
     s.buffer = 32;
     s.window = 16;
     s.default_trials = 1;
-    reg.add(s);
+    list.push_back(s);
   }
   {
     ScenarioSpec s;
@@ -768,7 +727,7 @@ ScenarioRegistry build_catalog() {
     s.window = 16;
     s.default_trials = 1;
     s.vary(sweep_axis("service-rate", "2,8"));
-    reg.add(s);
+    list.push_back(s);
   }
 
   // ----------------------------------------------------------------
@@ -790,7 +749,7 @@ ScenarioRegistry build_catalog() {
     s.default_trials = 300;  // randPr's trials on each transcript
     s.vary(sweep_axis("sigma", "2,3,4"));
     s.vary(sweep_axis("k", "2,3,4"));
-    reg.add(s);
+    list.push_back(s);
   }
   {
     ScenarioSpec s;
@@ -801,7 +760,7 @@ ScenarioRegistry build_catalog() {
     s.k = 2;
     s.default_trials = 50;
     s.vary(sweep_axis({"sigma", "k"}, {{"2", "2"}, {"3", "2"}}));
-    reg.add(s);
+    list.push_back(s);
   }
   {
     ScenarioSpec s;
@@ -812,7 +771,7 @@ ScenarioRegistry build_catalog() {
     s.t = 4;
     s.default_trials = 40;  // gadget draws per t
     s.vary(sweep_axis("t", "4,6,8,12,16,24"));
-    reg.add(s);
+    list.push_back(s);
   }
   {
     ScenarioSpec s;
@@ -822,7 +781,7 @@ ScenarioRegistry build_catalog() {
     s.t = 4;
     s.default_trials = 8;
     s.vary(sweep_axis("t", "4,6"));
-    reg.add(s);
+    list.push_back(s);
   }
   {
     ScenarioSpec s;
@@ -833,7 +792,7 @@ ScenarioRegistry build_catalog() {
     s.ell = 2;
     s.default_trials = 12;  // gadget draws per ell
     s.vary(sweep_axis("ell", "2,3,4,5"));
-    reg.add(s);
+    list.push_back(s);
   }
   {
     ScenarioSpec s;
@@ -843,7 +802,7 @@ ScenarioRegistry build_catalog() {
     s.ell = 2;
     s.default_trials = 4;
     s.vary(sweep_axis("ell", "2,3"));
-    reg.add(s);
+    list.push_back(s);
   }
 
   // bench_theorem1's eight random shapes (E2), one zipped (m, n, k) axis;
@@ -867,7 +826,7 @@ ScenarioRegistry build_catalog() {
                        {"24", "12", "3"},
                        {"28", "10", "3"},
                        {"32", "8", "3"}}));
-    reg.add(s);
+    list.push_back(s);
   }
 
   // bench_ablation's (a,b,c) instance families as a weights axis.
@@ -883,17 +842,19 @@ ScenarioRegistry build_catalog() {
     s.k = 3;
     s.default_trials = 800;
     s.vary(sweep_axis("weights", "unit,uniform,zipf"));
-    reg.add(s);
+    list.push_back(s);
   }
 
-  return reg;
+  return list;
 }
 
 }  // namespace
 
-ScenarioRegistry& scenarios() {
-  static ScenarioRegistry registry = build_catalog();
-  return registry;
+const Registry<ScenarioSpec>& scenarios() {
+  static const Registry<ScenarioSpec> catalog(
+      {"scenario", "scenarios", {"name", "description", "sweep"}, sweep_cell},
+      build_catalog());
+  return catalog;
 }
 
 std::vector<ScenarioSpec> engine_shapes() {

@@ -1,9 +1,10 @@
-// ScenarioSpec + ScenarioRegistry — declarative workload descriptions.
+// ScenarioSpec and the scenario catalog — declarative workload descriptions.
 //
 // A scenario names a generator family plus its shape parameters (sizes,
-// loads, weights, traffic knobs).  The registry holds the curated catalog
-// that previously lived scattered across bench_common.hpp's workload
-// table, bench_router's sweep configs, and osp_cli's `gen` families:
+// loads, weights, traffic knobs).  The catalog, api::scenarios(), is the
+// curated list that previously lived scattered across bench_common.hpp's
+// workload table, bench_router's sweep configs, and osp_cli's `gen`
+// families, served by the same Registry as the policies and rankers:
 //
 //   "random", "regular", "fixedload", "capacity"   set-system families
 //   "video", "multihop"                            traffic workloads
@@ -16,7 +17,7 @@
 //   "router/overload[-smoke]"                      bench_router's big
 //                                                  buffered scenario
 //
-// Specs are value types: copy one out of the registry, override fields
+// Specs are value types: copy one out of the catalog, override fields
 // (directly or via set(key, value) from CLI-style strings), and compile it
 // with build_instance() / build_video() / build_multihop().
 //
@@ -33,6 +34,7 @@
 #include <string>
 #include <vector>
 
+#include "api/registry.hpp"
 #include "core/instance.hpp"
 #include "gen/multihop.hpp"
 #include "gen/random_instances.hpp"
@@ -83,7 +85,7 @@ SweepAxis sweep_axis(std::vector<std::string> keys,
 /// A declarative workload description.  Field meaning depends on family;
 /// unused fields are ignored by build_*().
 struct ScenarioSpec {
-  std::string name;         // registry key, e.g. "engine/overload-256k"
+  std::string name;         // catalog key, e.g. "engine/overload-256k"
   std::string description;  // one line for `osp_cli list`
   ScenarioFamily family = ScenarioFamily::kRandom;
 
@@ -127,7 +129,7 @@ struct ScenarioSpec {
   /// Throws RequireError naming the key on unknown keys or bad values.
   ScenarioSpec& set(const std::string& key, const std::string& value);
 
-  /// Appends a sweep axis (builder style for catalog registration).
+  /// Appends a sweep axis (builder style for catalog entries).
   ScenarioSpec& vary(SweepAxis axis) {
     sweep.push_back(std::move(axis));
     return *this;
@@ -135,7 +137,7 @@ struct ScenarioSpec {
 
   /// Parses a key=value scenario config ('#' comments, blank lines
   /// ignored).  The first directive must be `scenario = <base>` naming the
-  /// registry entry to copy; later lines override fields through set()
+  /// catalog entry to copy; later lines override fields through set()
   /// (strict unknown-key errors, prefixed with origin:line), with the
   /// extra keys `name`, `label`, `trials`, and `sweep.<key> = <values>`
   /// (one single-key axis per line, sweep_axis() value syntax).
@@ -168,27 +170,12 @@ VideoWorkload build_video(const ScenarioSpec& spec, Rng& rng);
 /// Compiles a kMultihop scenario into the pipeline workload.
 MultiHopWorkload build_multihop(const ScenarioSpec& spec, Rng& rng);
 
-class ScenarioRegistry {
- public:
-  void add(ScenarioSpec spec);
-  const ScenarioSpec* find(const std::string& name) const;
-  /// find() that throws a RequireError enumerating the catalog.
-  const ScenarioSpec& at(const std::string& name) const;
-  const std::vector<ScenarioSpec>& entries() const { return entries_; }
-  std::string render_catalog() const;
-  /// "| name | description | sweep |" markdown table (docs/CATALOG.md).
-  std::string render_markdown() const;
-
- private:
-  std::vector<ScenarioSpec> entries_;
-};
-
-/// The process-wide catalog (populated at first use).
-ScenarioRegistry& scenarios();
+/// The scenario catalog: the list scenario.cpp builds on first use.
+const Registry<ScenarioSpec>& scenarios();
 
 /// The engine-throughput ladder — the expansion of the scenarios with
-/// engine_shape set (the "engine/ladder" zipped sweep), in registration
-/// order; bench_perf's workload table.  The last entry is the "largest
+/// engine_shape set (the "engine/ladder" zipped sweep), in catalog order;
+/// bench_perf's workload table.  The last entry is the "largest
 /// workload" the perf gates are measured on.
 std::vector<ScenarioSpec> engine_shapes();
 

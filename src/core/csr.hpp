@@ -9,8 +9,8 @@
 // batched PRAM-style graph processing.
 //
 // C++17 has no std::span, so Span<T> below is the minimal read-only view
-// the library needs.  It converts implicitly to std::vector<T> and compares
-// against vectors so legacy call sites and gtest matchers keep working.
+// the library needs.  It compares against vectors so gtest matchers keep
+// working; a copy into a vector is always the explicit to_vector().
 #pragma once
 
 #include <algorithm>
@@ -44,11 +44,8 @@ class Span {
   const T& front() const { return data_[0]; }
   const T& back() const { return data_[size_ - 1]; }
 
+  /// Copies the view into a vector; the one way a Span allocates.
   std::vector<T> to_vector() const { return std::vector<T>(begin(), end()); }
-
-  /// Implicit materialization keeps pre-CSR call sites (which passed
-  /// vectors around) compiling; the flat paths never invoke it.
-  operator std::vector<T>() const { return to_vector(); }
 
  private:
   const T* data_ = nullptr;
@@ -86,20 +83,6 @@ class CsrArray {
  public:
   CsrArray() : offsets_(1, 0) {}
 
-  /// Flattens `rows`; the result holds the same data contiguously.
-  static CsrArray from_rows(const std::vector<std::vector<T>>& rows) {
-    CsrArray csr;
-    csr.offsets_.reserve(rows.size() + 1);
-    std::size_t total = 0;
-    for (const auto& r : rows) total += r.size();
-    csr.values_.reserve(total);
-    for (const auto& r : rows) {
-      csr.values_.insert(csr.values_.end(), r.begin(), r.end());
-      csr.offsets_.push_back(csr.values_.size());
-    }
-    return csr;
-  }
-
   /// Builds from per-row sizes, leaving values default-initialized; fill
   /// through mutable_row() afterwards.
   static CsrArray from_sizes(const std::vector<std::size_t>& sizes) {
@@ -135,6 +118,12 @@ class CsrArray {
   void push_row(It first, It last) {
     values_.insert(values_.end(), first, last);
     offsets_.push_back(values_.size());
+  }
+
+  /// Removes the rows that hold no values; the values stay as they are.
+  void drop_empty_rows() {
+    offsets_.erase(std::unique(offsets_.begin(), offsets_.end()),
+                   offsets_.end());
   }
 
   std::size_t num_rows() const { return offsets_.size() - 1; }

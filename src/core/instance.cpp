@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <sstream>
+#include <utility>
 
 #include "util/require.hpp"
 
@@ -66,7 +67,9 @@ void Instance::validate() const {
   OSP_REQUIRE(parents_.num_rows() == capacities_.size());
   OSP_REQUIRE(parents_.total_values() == members_.total_values());
   for (std::size_t s = 0; s < weights_.size(); ++s) {
-    OSP_REQUIRE_MSG(weights_[s] >= 0, "negative weight for set " << s);
+    OSP_REQUIRE_MSG(weights_[s] >= 0 && std::isfinite(weights_[s]),
+                    "weight of set " << s
+                                     << " must be finite and non-negative");
     OSP_REQUIRE(members_.row_size(s) == set_sizes_[s]);
     for (ElementId u : members_.row(s)) {
       OSP_REQUIRE(u < num_elements());
@@ -122,37 +125,50 @@ ElementId InstanceBuilder::add_element(std::vector<SetId> parents,
   return static_cast<ElementId>(arrivals_.size() - 1);
 }
 
-Instance InstanceBuilder::build() {
+Instance Instance::from_csr(std::vector<Weight> weights,
+                            std::vector<Capacity> capacities,
+                            CsrArray<SetId> parents) {
+  OSP_REQUIRE_MSG(parents.num_rows() == capacities.size(),
+                  parents.num_rows() << " parent rows for "
+                                     << capacities.size() << " elements");
   Instance inst;
-  inst.weights_ = std::move(weights_);
+  inst.weights_ = std::move(weights);
+  inst.capacities_ = std::move(capacities);
+  inst.parents_ = std::move(parents);
   inst.set_sizes_.assign(inst.weights_.size(), 0);
-  inst.capacities_.reserve(arrivals_.size());
-  for (const Arrival& a : arrivals_) {
-    inst.capacities_.push_back(a.capacity);
-    inst.max_capacity_ = std::max(inst.max_capacity_, a.capacity);
-    for (SetId s : a.parents) ++inst.set_sizes_[s];
+  for (SetId s : inst.parents_.values()) {
+    OSP_REQUIRE_MSG(s < inst.weights_.size(), "unknown set id " << s);
+    ++inst.set_sizes_[s];
   }
+  for (Capacity b : inst.capacities_)
+    inst.max_capacity_ = std::max(inst.max_capacity_, b);
 
-  // Flatten parent lists (already per-element) and scatter the transpose
-  // into the per-set member CSR using set_sizes_ as row extents.
-  {
-    std::vector<std::vector<SetId>> rows;
-    rows.reserve(arrivals_.size());
-    for (Arrival& a : arrivals_) rows.push_back(std::move(a.parents));
-    inst.parents_ = CsrArray<SetId>::from_rows(rows);
-  }
+  // Scatter the transpose into the per-set member CSR using set_sizes_ as
+  // row extents.
   inst.members_ = CsrArray<ElementId>::from_sizes(inst.set_sizes_);
-  {
-    std::vector<std::size_t> fill(inst.weights_.size(), 0);
-    for (ElementId u = 0; u < inst.num_elements(); ++u)
-      for (SetId s : inst.parents_.row(u))
-        inst.members_.mutable_row(s)[fill[s]++] = u;
-  }
+  std::vector<std::size_t> fill(inst.weights_.size(), 0);
+  for (ElementId u = 0; u < inst.num_elements(); ++u)
+    for (SetId s : inst.parents_.row(u))
+      inst.members_.mutable_row(s)[fill[s]++] = u;
 
   inst.validate();
-  weights_.clear();
-  arrivals_.clear();
   return inst;
+}
+
+Instance InstanceBuilder::build() {
+  std::size_t total = 0;
+  for (const Arrival& a : arrivals_) total += a.parents.size();
+  std::vector<Capacity> capacities;
+  capacities.reserve(arrivals_.size());
+  CsrArray<SetId> parents;
+  parents.reserve(arrivals_.size(), total);
+  for (const Arrival& a : arrivals_) {
+    capacities.push_back(a.capacity);
+    parents.push_row(a.parents.begin(), a.parents.end());
+  }
+  arrivals_.clear();  // frees the per-element rows before the transpose
+  return Instance::from_csr(std::exchange(weights_, {}),
+                            std::move(capacities), std::move(parents));
 }
 
 }  // namespace osp

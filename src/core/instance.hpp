@@ -57,11 +57,20 @@ struct InstanceStats {
 
 /// Immutable online set packing instance.
 ///
-/// Construction goes through InstanceBuilder, which validates the input.
-/// Per the paper, algorithms know each set's weight and size up front but
-/// learn membership only as elements arrive.
+/// Construction goes through from_csr(), directly or through
+/// InstanceBuilder; both validate the input.  Per the paper, algorithms
+/// know each set's weight and size up front but learn membership only as
+/// elements arrive.
 class Instance {
  public:
+  /// Builds an instance from the set weights, the element capacities and
+  /// each element's parent row (sorted, distinct) in CSR form: counts the
+  /// set sizes, transposes the parents into per-set member rows and
+  /// validates the result (throws RequireError on inconsistent input).
+  static Instance from_csr(std::vector<Weight> weights,
+                           std::vector<Capacity> capacities,
+                           CsrArray<SetId> parents);
+
   std::size_t num_sets() const { return weights_.size(); }
   std::size_t num_elements() const { return capacities_.size(); }
 
@@ -114,15 +123,13 @@ class Instance {
   InstanceStats stats() const;
 
   /// Checks internal consistency; throws RequireError when violated.
-  /// Exposed mainly for tests; Instance objects built through
-  /// InstanceBuilder always validate.
+  /// Exposed mainly for tests; from_csr() always validates.
   void validate() const;
 
   /// Human-readable one-line description ("m=12 n=40 kmax=4 smax=6 ...").
   std::string describe() const;
 
  private:
-  friend class InstanceBuilder;
   std::vector<Weight> weights_;
   std::vector<std::size_t> set_sizes_;
   std::vector<Capacity> capacities_;   // per element

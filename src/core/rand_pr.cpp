@@ -317,77 +317,3 @@ void HashedRandPr::decide_batch(const ArrivalBlock& block,
 }
 
 }  // namespace osp
-
-// ---------------------------------------------------------------------
-// Self-registration into the experiment API's policy registry.  Aliases
-// keep the historical CLI spellings and the display names resolvable.
-
-#include "api/policy_registry.hpp"
-
-namespace osp::api {
-
-/// Linker anchor referenced by policies(); guarantees this translation
-/// unit (and with it the registrars below) is linked into any binary
-/// that uses the registry.
-void link_randpr_policies() {}
-
-namespace {
-
-std::unique_ptr<OnlineAlgorithm> make_randpr(Rng rng, RandPrOptions options) {
-  return std::make_unique<RandPr>(rng, options);
-}
-
-PolicyRegistrar r_randpr{
-    {"randpr", "the paper's randPr: fixed R_w priorities, top-b(u) wins",
-     {"randPr"},
-     [](Rng r) { return make_randpr(r, {}); }}};
-PolicyRegistrar r_randpr_filt{
-    {"randpr:filt", "randPr that never assigns to dead sets (ablation)",
-     {"randpr-filt", "randPr/filt"},
-     [](Rng r) { return make_randpr(r, RandPrOptions{.filter_dead = true}); }}};
-PolicyRegistrar r_randpr_filt1{
-    {"randpr:filt1", "dead-set filtering with one allowed miss",
-     {"randPr/filt1"},
-     [](Rng r) {
-       RandPrOptions o;
-       o.filter_dead = true;
-       o.allowed_misses = 1;
-       return make_randpr(r, o);
-     }}};
-PolicyRegistrar r_randpr_unif{
-    {"randpr:unif", "weight-blind priorities (all R_1; ablation)",
-     {"randPr/unif"},
-     [](Rng r) {
-       return make_randpr(r, RandPrOptions{.ignore_weights = true});
-     }}};
-PolicyRegistrar r_randpr_fresh{
-    {"randpr:fresh", "priorities redrawn per element (negative control)",
-     {"randPr/fresh"},
-     [](Rng r) {
-       RandPrOptions o;
-       o.fresh_priorities_per_element = true;
-       return make_randpr(r, o);
-     }}};
-
-PolicyRegistrar r_hashpr{
-    {"hashpr", "distributed randPr over an 8-independent polynomial hash",
-     {"hashPr", "hashPr/poly8"},
-     [](Rng r) { return HashedRandPr::with_polynomial(8, r); }}};
-PolicyRegistrar r_hashpr_tab{
-    {"hashpr:tab", "distributed randPr over a tabulation hash",
-     {"hashPr/tab"},
-     [](Rng r) { return HashedRandPr::with_tabulation(r); }}};
-PolicyRegistrar r_hashpr_ms{
-    {"hashpr:ms", "distributed randPr over a multiply-shift hash",
-     {"hashPr/ms"},
-     [](Rng r) { return HashedRandPr::with_multiply_shift(r); }}};
-PolicyRegistrar r_hashpr_filt{
-    {"hashpr:filt", "hashed priorities plus dead-set filtering",
-     {"hashPr/poly8/filt"},
-     [](Rng r) {
-       return HashedRandPr::with_polynomial(
-           8, r, RandPrOptions{.filter_dead = true});
-     }}};
-
-}  // namespace
-}  // namespace osp::api

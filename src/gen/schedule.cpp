@@ -63,15 +63,15 @@ CsrArray<SetId> FrameSchedule::slot_frames() const {
   return out;
 }
 
+// The slots that carry packets are the elements, in slot order; their
+// frame rows come out of slot_frames() sorted and distinct.
 Instance FrameSchedule::to_instance(Capacity link_capacity) const {
   OSP_REQUIRE(link_capacity >= 1);
-  const CsrArray<SetId> bursts = slot_frames();
-  InstanceBuilder builder;
-  for (Weight w : frames.weights()) builder.add_set(w);
-  for (std::size_t slot = 0; slot < horizon; ++slot)
-    if (bursts.row_size(slot) > 0)
-      builder.add_element(bursts.row(slot), link_capacity);
-  return builder.build();
+  CsrArray<SetId> bursts = slot_frames();
+  bursts.drop_empty_rows();
+  std::vector<Capacity> capacities(bursts.num_rows(), link_capacity);
+  return Instance::from_csr(frames.weights(), std::move(capacities),
+                            std::move(bursts));
 }
 
 }  // namespace osp

@@ -51,37 +51,3 @@ void RandomRanker::start(const std::vector<SetMeta>& frames) {
 }
 
 }  // namespace osp
-
-// Self-registering RankerRegistry entries: the rankers live here, so
-// their registrations do too (one file to add a ranker, like policies).
-// The registered names are the rankers' display names — the keys the
-// router benches' tables and BENCH_router.json rows use.
-#include "api/ranker_registry.hpp"
-
-namespace osp::api {
-
-// Anchor referenced from rankers() so a static-library link can never
-// drop this translation unit (and with it the registrars below).
-void link_router_rankers() {}
-
-namespace {
-
-RankerRegistrar rk_randpr{
-    {"randPr", "persistent random R_w frame priorities (the paper's policy)",
-     {"randpr"},
-     [](Rng rng) { return std::make_unique<RandPrRanker>(rng); }}};
-RankerRegistrar rk_weight{
-    {"by-weight", "deterministic: protect the heaviest frames",
-     {},
-     [](Rng) { return std::make_unique<WeightRanker>(); }}};
-RankerRegistrar rk_fifo{
-    {"drop-tail", "no preference: later arrivals lose (classic drop-tail)",
-     {},
-     [](Rng) { return std::make_unique<FifoRanker>(); }}};
-RankerRegistrar rk_random{
-    {"random-drop", "uniform random priorities regardless of weight",
-     {"random"},
-     [](Rng rng) { return std::make_unique<RandomRanker>(rng); }}};
-
-}  // namespace
-}  // namespace osp::api

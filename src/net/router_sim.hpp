@@ -55,10 +55,9 @@ struct RouterStats {
 RouterStats simulate_router(const FrameSchedule& schedule,
                             OnlineAlgorithm& alg, Capacity service_rate = 1);
 
-/// Per-frame priority oracle for the buffered router.  Shipped rankers
-/// self-register in api::rankers() (api/ranker_registry.hpp; registrar
-/// statics at the bottom of router_sim.cpp), which is what the router
-/// benches and `osp_cli bench --ranker` enumerate.
+/// Per-frame priority oracle for the buffered router.  Shipped rankers are
+/// listed in api::rankers() (api/ranker_registry.cpp), which is what the
+/// router benches and `osp_cli bench --ranker` enumerate.
 class FrameRanker {
  public:
   virtual ~FrameRanker() = default;

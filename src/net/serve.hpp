@@ -10,8 +10,8 @@
 // of the paper's open problem 2: the router benches and the ranker grid
 // (api::Session::run_rankers) call it that way and read
 // SustainedStats::router.  Frame drop priorities come from the same
-// FrameRanker oracles the RankerRegistry enumerates, so every registered
-// ranker is a drop policy with no code change.
+// FrameRanker oracles the ranker catalog (api::rankers()) lists, so every
+// listed ranker is a drop policy with no code change.
 //
 // Determinism contract (the shard/merge discipline, applied to threads):
 // all randomness is consumed serially before workers start — the ranker

@@ -38,9 +38,9 @@ namespace {
 // ---------------------------------------------------------------------
 // PolicyRegistry.
 
-TEST(PolicyRegistry, CatalogIsPopulatedBySelfRegistration) {
+TEST(PolicyRegistry, CatalogListsTheShippedPolicies) {
   // The acceptance bar the CLI's `list` relies on: every entry point sees
-  // the full catalog, linked in through the registry's anchor references.
+  // the full catalog.
   EXPECT_GE(api::policies().entries().size(), 10u);
   for (const char* expected :
        {"randpr", "randpr:filt", "hashpr", "hashpr:tab", "greedy:first",
@@ -109,6 +109,34 @@ TEST(PolicyRegistry, UnknownVariantErrorsNameTheFamily) {
   }
   EXPECT_THROW(api::policies().at("greedy:bogus"), RequireError);
   EXPECT_THROW(api::policies().at(""), RequireError);
+}
+
+TEST(Registry, ConstructionRejectsEmptyAndDuplicateSpellings) {
+  // Each catalog is checked once, when its list is built: a name or alias
+  // that answers to two entries would make lookups ambiguous.
+  const api::CatalogFormat<api::RankerInfo> format{
+      "ranker", "rankers", {"name", "description", "aliases"},
+      api::alias_cell<api::RankerInfo>};
+  auto make = [](Rng) { return std::make_unique<FifoRanker>(); };
+  using Entries = std::vector<api::RankerInfo>;
+  EXPECT_NO_THROW(api::Registry<api::RankerInfo>(
+      format, Entries{{"a", "first", {"x"}, make}, {"b", "second", {}, make}}));
+  EXPECT_THROW(api::Registry<api::RankerInfo>(
+                   format, Entries{{"a", "first", {}, make},
+                                   {"", "unnamed", {}, make}}),
+               RequireError);
+  EXPECT_THROW(api::Registry<api::RankerInfo>(
+                   format, Entries{{"a", "first", {}, make},
+                                   {"a", "again", {}, make}}),
+               RequireError);
+  EXPECT_THROW(api::Registry<api::RankerInfo>(
+                   format, Entries{{"a", "first", {"x"}, make},
+                                   {"b", "second", {"x"}, make}}),
+               RequireError);
+  EXPECT_THROW(api::Registry<api::RankerInfo>(
+                   format, Entries{{"a", "first", {}, make},
+                                   {"b", "second", {"a"}, make}}),
+               RequireError);
 }
 
 // ---------------------------------------------------------------------

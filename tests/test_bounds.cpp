@@ -5,10 +5,11 @@
 #include <cmath>
 
 #include "core/bounds.hpp"
+#include "core/game.hpp"
 #include "gen/random_instances.hpp"
-#include "stats/competitive.hpp"
 #include "core/rand_pr.hpp"
 #include "algos/offline.hpp"
+#include "stats/summary.hpp"
 #include "util/require.hpp"
 #include "util/rng.hpp"
 
@@ -123,28 +124,6 @@ TEST(Bounds, NaiveDominatesCorollary6) {
   }
 }
 
-TEST(RatioEstimator, AgreesWithManualLoop) {
-  Rng gen(4);
-  Instance inst = random_instance(15, 18, 3, WeightModel::unit(), gen);
-  OfflineResult opt = exact_optimum(inst);
-
-  Rng m1(99), m2(99);
-  RatioEstimate est = estimate_ratio(
-      inst,
-      [](Rng r) { return std::make_unique<RandPr>(r); },
-      opt.value, m1, 200);
-
-  RunningStat manual;
-  for (int t = 0; t < 200; ++t) {
-    RandPr alg(m2.split(t));
-    manual.add(play(inst, alg).benefit);
-  }
-  EXPECT_DOUBLE_EQ(est.benefit.mean(), manual.mean());
-  EXPECT_DOUBLE_EQ(est.ratio(), opt.value / manual.mean());
-  EXPECT_GE(est.ratio_upper(), est.ratio());
-  EXPECT_LE(est.ratio_lower(), est.ratio());
-}
-
 TEST(LemmaBounds, ProofStructureHoldsEmpirically) {
   // The actual proof of Theorem 1: E[w(alg)] must exceed BOTH Lemma 4's
   // and Lemma 5's floors on every instance.  Check statistically.
@@ -181,16 +160,6 @@ TEST(LemmaBounds, HandValues) {
   // Lemma 5: 144 / (9 * 16) = 1.
   EXPECT_NEAR(lemma5_lower_bound(st), 1.0, 1e-12);
   EXPECT_NEAR(theorem1_benefit_floor(st, 6.0), 1.0, 1e-12);
-}
-
-TEST(RatioEstimator, Validation) {
-  Rng gen(5);
-  Instance inst = random_instance(5, 6, 2, WeightModel::unit(), gen);
-  Rng master(1);
-  EXPECT_THROW(estimate_ratio(
-                   inst, [](Rng r) { return std::make_unique<RandPr>(r); },
-                   1.0, master, 0),
-               RequireError);
 }
 
 }  // namespace

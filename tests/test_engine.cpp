@@ -188,9 +188,9 @@ struct Maker {
   std::function<std::unique_ptr<OnlineAlgorithm>(Rng)> make;
 };
 
-/// Every policy in the library — the PolicyRegistry's full catalog, so a
-/// newly registered policy is swept automatically — plus two test-only
-/// degenerate hash configurations.  This is the population both the
+/// Every policy in the library — the policy catalog, so a newly listed
+/// policy is swept automatically — plus two test-only degenerate hash
+/// configurations.  This is the population both the
 /// engine-equivalence and the decide_batch fuzz suites quantify over.
 std::vector<Maker> all_policy_makers() {
   std::vector<Maker> makers;
@@ -221,6 +221,18 @@ std::vector<Maker> all_policy_makers() {
                           RandPrOptions{.filter_dead = true});
                     }});
   return makers;
+}
+
+TEST(PolicyCatalog, OrderIsTheListedOrderInEveryBinary) {
+  // docs/CATALOG.md's order, in this binary as in osp_cli.  An "all
+  // policies" grid's column index feeds engine::trial_seed, so an order
+  // that followed the link (the baselines first) would draw other streams.
+  const std::vector<std::string> expected = {
+      "randpr", "randpr:filt", "randpr:filt1", "randpr:unif", "randpr:fresh",
+      "hashpr", "hashpr:tab", "hashpr:ms", "hashpr:filt",
+      "greedy:first", "greedy:maxw", "greedy:progress", "greedy:srpt",
+      "greedy:density", "round-robin", "uniform-random"};
+  EXPECT_EQ(api::policies().names(), expected);
 }
 
 // ---------------------------------------------------------------------

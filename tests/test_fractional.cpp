@@ -76,7 +76,8 @@ TEST(Fractional, MonotoneDecreaseOnly) {
   InstanceBuilder b;
   for (SetId s = 0; s < full.num_sets(); ++s) b.add_set(full.weight(s));
   for (ElementId u = 0; u + 5 < full.num_elements(); ++u)
-    b.add_element(full.arrival(u).parents, full.arrival(u).capacity);
+    b.add_element(full.arrival(u).parents.to_vector(),
+                  full.arrival(u).capacity);
   Instance prefix = b.build();
   FractionalOutcome part = fractional_online(prefix);
   for (SetId s = 0; s < full.num_sets(); ++s)

@@ -135,6 +135,44 @@ TEST(FrameSchedule, ReductionMatchesPaper) {
   EXPECT_DOUBLE_EQ(inst.weight(0), 2.0);
 }
 
+TEST(FrameSchedule, ToInstanceEqualsTheBuilderReduction) {
+  // to_instance hands slot_frames()' rows straight to Instance::from_csr;
+  // the reduction spelled out through InstanceBuilder must agree with it.
+  auto built = [](const FrameSchedule& sched, Capacity rate) {
+    const CsrArray<SetId> bursts = sched.slot_frames();
+    InstanceBuilder b;
+    for (Weight w : sched.frames.weights()) b.add_set(w);
+    for (std::size_t slot = 0; slot < sched.horizon; ++slot)
+      if (bursts.row_size(slot) > 0)
+        b.add_element(bursts.row(slot).to_vector(), rate);
+    return b.build();
+  };
+  Rng rng(41);
+  VideoParams video;
+  video.num_streams = 6;
+  video.frames_per_stream = 12;
+  PoissonBursts poisson(2.0);
+  const FrameSchedule schedules[] = {
+      make_video_workload(video, rng).schedule,
+      bursty_schedule(poisson, 60, 3, rng, 1.5)};
+  for (const FrameSchedule& sched : schedules) {
+    for (Capacity rate : {1u, 3u}) {
+      const Instance got = sched.to_instance(rate);
+      const Instance want = built(sched, rate);
+      EXPECT_EQ(got.weights(), want.weights());
+      EXPECT_EQ(got.set_sizes(), want.set_sizes());
+      EXPECT_EQ(got.max_capacity(), want.max_capacity());
+      ASSERT_EQ(got.num_elements(), want.num_elements());
+      for (ElementId u = 0; u < got.num_elements(); ++u) {
+        EXPECT_EQ(got.capacity(u), want.capacity(u)) << u;
+        EXPECT_EQ(got.parents(u), want.parents(u)) << u;
+      }
+      for (SetId s = 0; s < got.num_sets(); ++s)
+        EXPECT_EQ(got.elements_of(s), want.elements_of(s)) << s;
+    }
+  }
+}
+
 TEST(FrameSchedule, BurstProfile) {
   FrameSchedule sched;
   sched.add_frame(1.0, {0, 1});
