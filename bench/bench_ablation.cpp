@@ -85,30 +85,23 @@ void hash_ablation() {
 
   struct Maker {
     std::string name;
-    std::function<std::unique_ptr<OnlineAlgorithm>(Rng&)> make;
+    api::PolicyFactory make;
   };
   for (const Maker& mk : {
            Maker{"poly 2-indep",
-                 [](Rng& r) { return HashedRandPr::with_polynomial(2, r); }},
+                 [](Rng r) { return HashedRandPr::with_polynomial(2, r); }},
            Maker{"poly 4-indep",
-                 [](Rng& r) { return HashedRandPr::with_polynomial(4, r); }},
+                 [](Rng r) { return HashedRandPr::with_polynomial(4, r); }},
            Maker{"poly 8-indep",
-                 [](Rng& r) { return HashedRandPr::with_polynomial(8, r); }},
+                 [](Rng r) { return HashedRandPr::with_polynomial(8, r); }},
            Maker{"tabulation",
-                 [](Rng& r) { return HashedRandPr::with_tabulation(r); }},
+                 [](Rng r) { return HashedRandPr::with_tabulation(r); }},
            Maker{"multiply-shift",
-                 [](Rng& r) {
-                   return HashedRandPr::with_multiply_shift(r);
-                 }},
+                 [](Rng r) { return HashedRandPr::with_multiply_shift(r); }},
        }) {
+    // Trial t seeds its hash family from hruns.split(t).
     Rng hruns = master.split(3);
-    RunningStat stat = bench::session().measure_serial(
-        inst,
-        [&](std::uint64_t t) {
-          Rng r = hruns.split(t);
-          return mk.make(r);
-        },
-        trials);
+    RunningStat stat = bench::session().measure(inst, mk.make, hruns, trials);
     table.row({mk.name, bench::fmt_mean_ci(stat),
                fmt(stat.mean() / truth.mean(), 3) + "x"});
   }

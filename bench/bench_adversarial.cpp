@@ -35,10 +35,6 @@
 namespace osp {
 namespace {
 
-double safe_ratio(double opt, double mean) {
-  return mean > 0 ? opt / mean : opt;
-}
-
 /// Running aggregates one family sweep folds into its summary row.
 struct FamilySummary {
   std::size_t cells = 0;
@@ -57,24 +53,26 @@ struct FamilySummary {
         std::min(randpr_margin_min, randpr_mean - det_max_mean);
   }
 
-  void emit(api::JsonSink& json, const std::string& family) const {
-    json.write(api::Row{}
-                   .add("sweep", "summary")
-                   .add("family", family)
-                   .add("cells", cells)
-                   .add("policies", policies)
-                   .add("det_alg_max", det_alg_max)
-                   .add("det_ratio_min", det_ratio_min)
-                   .add("randpr_margin_min", randpr_margin_min)
-                   .add("gate", gate_met ? "MET" : "MISSED"));
+  void emit(api::Session& summaries, const std::string& family) const {
+    summaries.emit(api::Row{}
+                       .add("sweep", "summary")
+                       .add("family", family)
+                       .add("cells", cells)
+                       .add("policies", policies)
+                       .add("det_alg_max", det_alg_max)
+                       .add("det_ratio_min", det_ratio_min)
+                       .add("randpr_margin_min", randpr_margin_min)
+                       .add("gate", gate_met ? "MET" : "MISSED"));
   }
 };
 
-void theorem3_sweep(api::JsonSink& json) {
+void theorem3_sweep(api::JsonSink& json, api::Session& summaries) {
   std::cout << "-- Theorem 3: adaptive adversary, every deterministic "
                "baseline trapped --\n";
-  Table table({"sigma", "k", "opt", "det max benefit", "det ratio min",
-               "E[randPr]", "randPr ratio", "Thm3 bound"});
+  api::Session session;
+  api::TableSink table;
+  session.attach(json);
+  session.attach(table);
   // randPr's streams: master(11), split keyed on the cell's (sigma, k) —
   // the seed repo's E4 control, kept so the rows stay comparable.
   Rng master(11);
@@ -85,6 +83,27 @@ void theorem3_sweep(api::JsonSink& json) {
     const std::size_t sigma = cell.sigma;
     const std::size_t k = cell.k;
     const double bound = theorem3_lower_bound(sigma, k);
+    // One row per policy, against that policy's own transcript.
+    auto emit = [&](const std::string& policy, bool deterministic, int trials,
+                    double mean, double ci95, double witness,
+                    const api::OptDenominator& den) {
+      session.emit(api::Row{}
+                       .add("sweep", "theorem3")
+                       .add("scenario", cell.display_label())
+                       .add("sigma", sigma)
+                       .add("k", k)
+                       .add("policy", policy)
+                       .add("deterministic", deterministic)
+                       .add("trials", trials)
+                       .add("alg_mean", mean)
+                       .add("alg_ci95", ci95)
+                       .add("witness", witness)
+                       .add("opt", den.opt)
+                       .add("opt_exact", den.opt_exact)
+                       .add("lp_upper", den.lp_upper)
+                       .add("ratio", api::competitive_ratio(den.opt, mean))
+                       .add("bound", bound));
+    };
 
     double det_max = 0;
     double det_ratio_min = std::numeric_limits<double>::infinity();
@@ -96,27 +115,12 @@ void theorem3_sweep(api::JsonSink& json) {
       const api::OptDenominator den =
           api::opt_denominator(r.transcript, r.opt_lower_bound);
       const double benefit = r.alg_outcome.benefit;
-      const double ratio = safe_ratio(den.opt, benefit);
+      const double ratio = api::competitive_ratio(den.opt, benefit);
       det_max = std::max(det_max, benefit);
       det_ratio_min = std::min(det_ratio_min, ratio);
       summary.gate_met = summary.gate_met && benefit <= 1.0 + 1e-9 &&
                          den.opt + 1e-9 >= r.opt_lower_bound;
-      json.write(api::Row{}
-                     .add("sweep", "theorem3")
-                     .add("scenario", cell.display_label())
-                     .add("sigma", sigma)
-                     .add("k", k)
-                     .add("policy", alg->name())
-                     .add("deterministic", true)
-                     .add("trials", 1)
-                     .add("alg_mean", benefit)
-                     .add("alg_ci95", 0.0)
-                     .add("witness", r.opt_lower_bound)
-                     .add("opt", den.opt)
-                     .add("opt_exact", den.opt_exact)
-                     .add("lp_upper", den.lp_upper)
-                     .add("ratio", ratio)
-                     .add("bound", bound));
+      emit(alg->name(), true, 1, benefit, 0.0, r.opt_lower_bound, den);
     }
 
     // randPr replays the greedy-first transcript obliviously (the E4
@@ -127,32 +131,15 @@ void theorem3_sweep(api::JsonSink& json) {
         api::opt_denominator(adv.instance, adv.witness_value);
     Rng runs = master.split(sigma * 10 + k);
     RunningStat rp =
-        bench::measure_randpr(adv.instance, runs, cell.default_trials);
-    const double rp_ratio = safe_ratio(den.opt, rp.mean());
+        session.measure(adv.instance, api::policies().at("randpr").make,
+                        runs, cell.default_trials);
     summary.gate_met = summary.gate_met && rp.mean() > det_max;
     summary.fold_cell(det_max, det_ratio_min, rp.mean());
-    json.write(api::Row{}
-                   .add("sweep", "theorem3")
-                   .add("scenario", cell.display_label())
-                   .add("sigma", sigma)
-                   .add("k", k)
-                   .add("policy", "randPr")
-                   .add("deterministic", false)
-                   .add("trials", cell.default_trials)
-                   .add("alg_mean", rp.mean())
-                   .add("alg_ci95", rp.ci95_halfwidth())
-                   .add("witness", adv.witness_value)
-                   .add("opt", den.opt)
-                   .add("opt_exact", den.opt_exact)
-                   .add("lp_upper", den.lp_upper)
-                   .add("ratio", rp_ratio)
-                   .add("bound", bound));
-    table.row({fmt(sigma), fmt(k), fmt(den.opt, 1), fmt(det_max, 1),
-               fmt_ratio(det_ratio_min), bench::fmt_mean_ci(rp),
-               fmt_ratio(rp_ratio), fmt(bound, 1)});
+    emit("randPr", false, cell.default_trials, rp.mean(),
+         rp.ci95_halfwidth(), adv.witness_value, den);
   }
-  summary.emit(json, "theorem3");
   table.print(std::cout);
+  summary.emit(summaries, "theorem3");
   std::cout << "Expected shape: every deterministic baseline stuck at "
                "benefit <= 1 (ratio = the Thm3 bound); randPr clears the "
                "deterministic ceiling on every cell.\n\n";
@@ -161,14 +148,17 @@ void theorem3_sweep(api::JsonSink& json) {
 /// Shared driver for the two distribution families (weak-lb, lemma9):
 /// `draws` fresh instances per cell, every policy measured on the same
 /// draws, the denominator aggregated per draw through opt_denominator.
-void distribution_sweep(api::JsonSink& json, const std::string& sweep_key,
+void distribution_sweep(api::JsonSink& json, api::Session& summaries,
+                        const std::string& sweep_key,
                         const std::string& scenario_name,
                         std::uint64_t master_seed,
                         std::uint64_t instance_key_base,
                         std::uint64_t randpr_key_base,
                         std::size_t lp_row_limit) {
-  Table table({"cell", "opt", "det max benefit", "det ratio min",
-               "E[randPr]", "randPr ratio", "bound"});
+  api::Session session;
+  api::TableSink table;
+  session.attach(json);
+  session.attach(table);
   Rng master(master_seed);
   FamilySummary summary;
   summary.policies = make_deterministic_baselines().size() + 1;
@@ -177,10 +167,14 @@ void distribution_sweep(api::JsonSink& json, const std::string& sweep_key,
     const int draws = cell.default_trials;
     const std::size_t shape =
         cell.family == api::ScenarioFamily::kWeakLb ? cell.t : cell.ell;
-    const std::size_t num_det = make_deterministic_baselines().size();
-    std::vector<RunningStat> det_stats(num_det);
-    std::vector<std::string> det_names(num_det);
-    RunningStat randpr_stat, opt_stat, lp_stat;
+    // One row per policy: the deterministic baselines, then randPr.
+    std::vector<std::string> names;
+    for (const auto& alg : make_deterministic_baselines())
+      names.push_back(alg->name());
+    const std::size_t num_det = names.size();
+    names.push_back("randPr");
+    std::vector<RunningStat> stats(names.size());
+    RunningStat opt_stat, lp_stat;
     bool all_exact = true;
     bool all_lp = true;
     double witness_value = 0;
@@ -200,63 +194,44 @@ void distribution_sweep(api::JsonSink& json, const std::string& sweep_key,
       else all_lp = false;
 
       auto algs = make_deterministic_baselines();
-      for (std::size_t i = 0; i < num_det; ++i) {
-        det_names[i] = algs[i]->name();
-        det_stats[i].add(play(adv.instance, *algs[i]).benefit);
-      }
+      for (std::size_t i = 0; i < num_det; ++i)
+        stats[i].add(play(adv.instance, *algs[i]).benefit);
       RandPr rp(master.split(randpr_key_base + key));
-      randpr_stat.add(play(adv.instance, rp).benefit);
+      stats[num_det].add(play(adv.instance, rp).benefit);
     }
     const double opt = opt_stat.mean();
     const double lp_upper = all_lp ? lp_stat.mean() : 0.0;
 
     double det_max = 0;
     double det_ratio_min = std::numeric_limits<double>::infinity();
-    for (std::size_t i = 0; i < num_det; ++i) {
-      const double mean = det_stats[i].mean();
-      const double ratio = safe_ratio(opt, mean);
-      det_max = std::max(det_max, mean);
-      det_ratio_min = std::min(det_ratio_min, ratio);
-      json.write(api::Row{}
-                     .add("sweep", sweep_key)
-                     .add("scenario", cell.display_label())
-                     .add(sweep_key == "weaklb" ? "t" : "ell", shape)
-                     .add("policy", det_names[i])
-                     .add("deterministic", true)
-                     .add("trials", draws)
-                     .add("alg_mean", mean)
-                     .add("alg_ci95", det_stats[i].ci95_halfwidth())
-                     .add("witness", witness_value)
-                     .add("opt", opt)
-                     .add("opt_exact", all_exact)
-                     .add("lp_upper", lp_upper)
-                     .add("ratio", ratio)
-                     .add("bound", bound));
+    for (std::size_t i = 0; i < names.size(); ++i) {
+      const double mean = stats[i].mean();
+      const double ratio = api::competitive_ratio(opt, mean);
+      if (i < num_det) {
+        det_max = std::max(det_max, mean);
+        det_ratio_min = std::min(det_ratio_min, ratio);
+      }
+      session.emit(api::Row{}
+                       .add("sweep", sweep_key)
+                       .add("scenario", cell.display_label())
+                       .add(sweep_key == "weaklb" ? "t" : "ell", shape)
+                       .add("policy", names[i])
+                       .add("deterministic", i < num_det)
+                       .add("trials", draws)
+                       .add("alg_mean", mean)
+                       .add("alg_ci95", stats[i].ci95_halfwidth())
+                       .add("witness", witness_value)
+                       .add("opt", opt)
+                       .add("opt_exact", all_exact)
+                       .add("lp_upper", lp_upper)
+                       .add("ratio", ratio)
+                       .add("bound", bound));
     }
-    const double rp_ratio = safe_ratio(opt, randpr_stat.mean());
     summary.gate_met = summary.gate_met && det_ratio_min >= 1.0;
-    summary.fold_cell(det_max, det_ratio_min, randpr_stat.mean());
-    json.write(api::Row{}
-                   .add("sweep", sweep_key)
-                   .add("scenario", cell.display_label())
-                   .add(sweep_key == "weaklb" ? "t" : "ell", shape)
-                   .add("policy", "randPr")
-                   .add("deterministic", false)
-                   .add("trials", draws)
-                   .add("alg_mean", randpr_stat.mean())
-                   .add("alg_ci95", randpr_stat.ci95_halfwidth())
-                   .add("witness", witness_value)
-                   .add("opt", opt)
-                   .add("opt_exact", all_exact)
-                   .add("lp_upper", lp_upper)
-                   .add("ratio", rp_ratio)
-                   .add("bound", bound));
-    table.row({cell.display_label(), fmt(opt, 2), fmt(det_max, 2),
-               fmt_ratio(det_ratio_min), bench::fmt_mean_ci(randpr_stat),
-               fmt_ratio(rp_ratio), fmt(bound, 2)});
+    summary.fold_cell(det_max, det_ratio_min, stats[num_det].mean());
   }
-  summary.emit(json, sweep_key);
   table.print(std::cout);
+  summary.emit(summaries, sweep_key);
 }
 
 }  // namespace
@@ -271,14 +246,20 @@ int main() {
       "on theorem3 (ratio = sigma^(k-1)); everyone is polylog on lemma9; "
       "the warm-up gadget costs Omega(t/log t).");
   osp::api::JsonSink json("adversarial", osp::bench::session().threads());
-  osp::theorem3_sweep(json);
+  // Each family's summary row follows its sweep's rows in the artifact;
+  // the console prints the three together at the end.
+  osp::api::Session summaries;
+  osp::api::TableSink summary_table;
+  summaries.attach(json);
+  summaries.attach(summary_table);
+  osp::theorem3_sweep(json, summaries);
 
   std::cout << "-- Section 4.2 warm-up (t^2 sets, ratio Omega(t/log t)) "
                "--\n";
   // The seed repo's E5 warm-up streams: master(314159), instance split
   // t*1000+d, randPr split 50000 + t*1000+d.
-  osp::distribution_sweep(json, "weaklb", "adversarial/weak-lb", 314159,
-                          1000, 50000, osp::api::kDefaultLpRowLimit);
+  osp::distribution_sweep(json, summaries, "weaklb", "adversarial/weak-lb",
+                          314159, 1000, 50000, osp::api::kDefaultLpRowLimit);
   std::cout << "Expected shape: every policy's ratio grows with t roughly "
                "like t/log t (survivors are O(log t) of the t planted "
                "sets).\n\n";
@@ -292,10 +273,13 @@ int main() {
   // pinned below the ell = 3 tableau size.  A cell's instance shape (sets,
   // elements, kmax, sigma max) is what
   // `osp_cli gen adversarial/lemma9 --ell <ell> | osp_cli stats -` prints.
-  osp::distribution_sweep(json, "lemma9", "adversarial/lemma9", 271828,
-                          100, 7000, 200);
+  osp::distribution_sweep(json, summaries, "lemma9", "adversarial/lemma9",
+                          271828, 100, 7000, 200);
   std::cout << "Expected shape: E[alg] stays polylog(ell) for every "
                "policy while opt grows like ell^3, so every ratio grows "
-               "polynomially, tracking the Thm2 expression.\n";
+               "polynomially, tracking the Thm2 expression.\n\n";
+
+  std::cout << "-- per-family summary (every gate must read MET) --\n";
+  summary_table.print(std::cout);
   return 0;
 }

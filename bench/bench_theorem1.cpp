@@ -7,7 +7,6 @@
 // should grow with k and sqrt(σ).
 #include <iostream>
 
-#include "algos/offline.hpp"
 #include "bench_common.hpp"
 #include "core/bounds.hpp"
 
@@ -15,8 +14,9 @@ namespace osp {
 namespace {
 
 void sweep(bool weighted) {
-  Table table({"m", "n", "k", "smax", "opt", "E[alg]", "L4+L5 floor",
-               "ratio", "Thm1 bound", "Cor6 bound"});
+  api::Session session;
+  api::TableSink table(2);
+  session.attach(table);
   Rng master(weighted ? 777 : 555);
 
   // The eight (m, n, k) shapes live in the random/theorem1 catalog entry;
@@ -27,22 +27,24 @@ void sweep(bool weighted) {
   for (api::ScenarioSpec cell :
        api::expand(api::scenarios().at("random/theorem1"))) {
     if (weighted) cell.weights = WeightModel::uniform(1, 8);
-    const int trials = cell.default_trials;
     Rng gen = master.split(cell.m * 100 + cell.k);
     Instance inst = api::build_instance(cell, gen);
     InstanceStats st = inst.stats();
-    OfflineResult opt = exact_optimum(inst);
-
     Rng runs = master.split(909 + cell.m);
-    RunningStat alg = bench::measure_randpr(inst, runs, trials);
-    double ratio = alg.mean() > 0 ? opt.value / alg.mean() : 0;
-
-    table.row({fmt(cell.m), fmt(inst.num_elements()), fmt(cell.k),
-               fmt(st.sigma_max), fmt(opt.value, 2),
-               bench::fmt_mean_ci(alg),
-               fmt(theorem1_benefit_floor(st, opt.value), 2),
-               fmt_ratio(ratio), fmt(theorem1_bound(st), 2),
-               fmt(corollary6_bound(st), 2)});
+    const api::RatioCell r = session.measure_ratio(
+        inst, api::policies().at("randpr").make, runs, cell.default_trials);
+    session.emit(api::Row{}
+                     .add("m", cell.m)
+                     .add("n", inst.num_elements())
+                     .add("k", cell.k)
+                     .add("smax", st.sigma_max)
+                     .add("opt", r.opt)
+                     .add("alg_mean", r.alg.mean())
+                     .add("alg_ci95", r.alg.ci95_halfwidth())
+                     .add("l4l5_floor", theorem1_benefit_floor(st, r.opt))
+                     .add("ratio", r.ratio)
+                     .add("thm1_bound", theorem1_bound(st))
+                     .add("cor6_bound", corollary6_bound(st)));
   }
   table.print(std::cout);
 }
@@ -52,11 +54,11 @@ void run() {
       "E2 / Theorem 1 + Corollary 6",
       "Measured competitive ratio of randPr vs the proven bounds on random "
       "instances (top: unweighted, bottom: weights U[1,8]).  opt is exact "
-      "(branch & bound).  Expect ratio <= Thm1 <= Cor6 everywhere, ratio "
-      "growing with k and with density (smax).  'L4+L5 floor' is the "
-      "max of the Lemma 4 and Lemma 5 lower bounds on E[alg] — the "
-      "intermediate quantities of the paper's proof — and must sit below "
-      "the measured E[alg].");
+      "(branch & bound).  Expect ratio <= thm1_bound <= cor6_bound "
+      "everywhere, ratio growing with k and with density (smax).  "
+      "'l4l5_floor' is the max of the Lemma 4 and Lemma 5 lower bounds on "
+      "E[alg] — the intermediate quantities of the paper's proof — and "
+      "must sit below the measured alg_mean.");
 
   std::cout << "-- unweighted --\n";
   sweep(false);

@@ -6,126 +6,110 @@
 // The Corollary 7 table is the paper's headline special case: on
 // bi-regular instances the measured ratio must stay near/below k and stay
 // FLAT as σ grows, while the general bound kmax·sqrt(σmax) keeps rising.
+//
+// Every sweep's rows go once through a Session into BENCH_uniform.json and
+// the sweep's console table.  The swept cells live in the scenario
+// catalog; the Rng split keys derive from the cell values, so the
+// declarative sweeps reproduce the historical loops' streams bit for bit.
 #include <iostream>
 
-#include "algos/offline.hpp"
 #include "bench_common.hpp"
 #include "core/bounds.hpp"
 
 namespace osp {
 namespace {
 
-void corollary7_sweep(osp::api::JsonSink& json) {
+void corollary7_sweep(api::JsonSink& json) {
   std::cout << "-- Corollary 7: bi-regular instances, k = 3 fixed, sigma "
                "rising --\n";
-  Table table({"m", "k", "sigma", "opt", "E[alg]", "ratio", "Cor7 bound(k)",
-               "Cor6 bound"});
+  api::Session session;
+  api::TableSink table;
+  session.attach(json);
+  session.attach(table);
   Rng master(31337);
-  // The swept (m, sigma) cells live in the scenario catalog; the Rng
-  // split keys below derive from the cell values, so the declarative
-  // sweep reproduces the historical loop's streams bit for bit.
   for (const api::ScenarioSpec& cell :
        api::expand(api::scenarios().at("uniform/corollary7"))) {
-    const int trials = cell.default_trials;
-    const std::size_t k = cell.k;
-    const std::size_t sigma = cell.sigma;
-    const std::size_t m = cell.m;
-    Rng gen = master.split(sigma);
+    Rng gen = master.split(cell.sigma);
     Instance inst = api::build_instance(cell, gen);
     InstanceStats st = inst.stats();
-    OfflineResult opt = exact_optimum(inst);
-
-    Rng runs = master.split(100 + sigma);
-    RunningStat alg = bench::measure_randpr(inst, runs, trials);
-    double ratio = alg.mean() > 0 ? opt.value / alg.mean() : 0;
-    table.row({fmt(m), fmt(k), fmt(sigma), fmt(opt.value, 1),
-               bench::fmt_mean_ci(alg), fmt_ratio(ratio),
-               fmt(corollary7_bound(st), 1), fmt(corollary6_bound(st), 2)});
-    json.write(api::Row{}
-                   .add("sweep", "corollary7")
-                   .add("m", m)
-                   .add("k", k)
-                   .add("sigma", sigma)
-                   .add("opt", opt.value)
-                   .add("alg_mean", alg.mean())
-                   .add("alg_ci95", alg.ci95_halfwidth())
-                   .add("ratio", ratio)
-                   .add("cor7_bound", corollary7_bound(st))
-                   .add("cor6_bound", corollary6_bound(st)));
+    Rng runs = master.split(100 + cell.sigma);
+    const api::RatioCell r = session.measure_ratio(
+        inst, api::policies().at("randpr").make, runs, cell.default_trials);
+    session.emit(api::Row{}
+                     .add("sweep", "corollary7")
+                     .add("m", cell.m)
+                     .add("k", cell.k)
+                     .add("sigma", cell.sigma)
+                     .add("opt", r.opt)
+                     .add("alg_mean", r.alg.mean())
+                     .add("alg_ci95", r.alg.ci95_halfwidth())
+                     .add("ratio", r.ratio)
+                     .add("cor7_bound", corollary7_bound(st))
+                     .add("cor6_bound", corollary6_bound(st)));
   }
   table.print(std::cout);
   std::cout << "Expected shape: ratio column stays flat near or below k=3 "
-               "while Cor6 grows like sqrt(sigma).\n\n";
+               "while cor6_bound grows like sqrt(sigma).\n\n";
 }
 
-void theorem5_sweep(osp::api::JsonSink& json) {
+void theorem5_sweep(api::JsonSink& json) {
   std::cout << "-- Theorem 5: uniform size k, loads vary (random "
                "instances) --\n";
-  Table table({"m", "n", "k", "avg(s^2)/avg(s)^2", "opt", "E[alg]", "ratio",
-               "Thm5 bound"});
+  api::Session session;
+  api::TableSink table;
+  session.attach(json);
+  session.attach(table);
   Rng master(999);
   for (const api::ScenarioSpec& cell :
        api::expand(api::scenarios().at("uniform/theorem5"))) {
-    const int trials = cell.default_trials;
-    const std::size_t k = cell.k;
-    Rng gen = master.split(k);
+    Rng gen = master.split(cell.k);
     Instance inst = api::build_instance(cell, gen);
     InstanceStats st = inst.stats();
-    OfflineResult opt = exact_optimum(inst);
-    Rng runs = master.split(100 + k);
-    RunningStat alg = bench::measure_randpr(inst, runs, trials);
-    double ratio = alg.mean() > 0 ? opt.value / alg.mean() : 0;
-    double dispersion = st.sigma_sq_avg / (st.sigma_avg * st.sigma_avg);
-    table.row({fmt(cell.m), fmt(inst.num_elements()), fmt(k),
-               fmt(dispersion, 3), fmt(opt.value, 1),
-               bench::fmt_mean_ci(alg), fmt_ratio(ratio),
-               fmt(theorem5_bound(st), 2)});
-    json.write(api::Row{}
-                   .add("sweep", "theorem5")
-                   .add("m", cell.m)
-                   .add("n", inst.num_elements())
-                   .add("k", k)
-                   .add("dispersion", dispersion)
-                   .add("opt", opt.value)
-                   .add("alg_mean", alg.mean())
-                   .add("ratio", ratio)
-                   .add("thm5_bound", theorem5_bound(st)));
+    Rng runs = master.split(100 + cell.k);
+    const api::RatioCell r = session.measure_ratio(
+        inst, api::policies().at("randpr").make, runs, cell.default_trials);
+    session.emit(api::Row{}
+                     .add("sweep", "theorem5")
+                     .add("m", cell.m)
+                     .add("n", inst.num_elements())
+                     .add("k", cell.k)
+                     .add("dispersion",
+                          st.sigma_sq_avg / (st.sigma_avg * st.sigma_avg))
+                     .add("opt", r.opt)
+                     .add("alg_mean", r.alg.mean())
+                     .add("ratio", r.ratio)
+                     .add("thm5_bound", theorem5_bound(st)));
   }
   table.print(std::cout);
-  std::cout << "Expected shape: ratio below the Thm5 bound; bound scales "
+  std::cout << "Expected shape: ratio below thm5_bound; the bound scales "
                "with k times the load dispersion.\n\n";
 }
 
-void theorem6_sweep(osp::api::JsonSink& json) {
+void theorem6_sweep(api::JsonSink& json) {
   std::cout << "-- Theorem 6: uniform load sigma, sizes vary --\n";
-  Table table({"m", "n", "sigma", "kbar", "opt", "E[alg]", "ratio",
-               "Thm6 bound"});
+  api::Session session;
+  api::TableSink table;
+  session.attach(json);
+  session.attach(table);
   Rng master(4242);
   for (const api::ScenarioSpec& cell :
        api::expand(api::scenarios().at("uniform/theorem6"))) {
-    const int trials = cell.default_trials;
-    const std::size_t sigma = cell.sigma;
-    Rng gen = master.split(sigma);
+    Rng gen = master.split(cell.sigma);
     Instance inst = api::build_instance(cell, gen);
     InstanceStats st = inst.stats();
-    OfflineResult opt = exact_optimum(inst);
-    Rng runs = master.split(100 + sigma);
-    RunningStat alg = bench::measure_randpr(inst, runs, trials);
-    double ratio = alg.mean() > 0 ? opt.value / alg.mean() : 0;
-    table.row({fmt(cell.m), fmt(inst.num_elements()), fmt(sigma),
-               fmt(st.k_avg, 2), fmt(opt.value, 1),
-               bench::fmt_mean_ci(alg), fmt_ratio(ratio),
-               fmt(theorem6_bound(st), 2)});
-    json.write(api::Row{}
-                   .add("sweep", "theorem6")
-                   .add("m", cell.m)
-                   .add("n", inst.num_elements())
-                   .add("sigma", sigma)
-                   .add("k_avg", st.k_avg)
-                   .add("opt", opt.value)
-                   .add("alg_mean", alg.mean())
-                   .add("ratio", ratio)
-                   .add("thm6_bound", theorem6_bound(st)));
+    Rng runs = master.split(100 + cell.sigma);
+    const api::RatioCell r = session.measure_ratio(
+        inst, api::policies().at("randpr").make, runs, cell.default_trials);
+    session.emit(api::Row{}
+                     .add("sweep", "theorem6")
+                     .add("m", cell.m)
+                     .add("n", inst.num_elements())
+                     .add("sigma", cell.sigma)
+                     .add("k_avg", st.k_avg)
+                     .add("opt", r.opt)
+                     .add("alg_mean", r.alg.mean())
+                     .add("ratio", r.ratio)
+                     .add("thm6_bound", theorem6_bound(st)));
   }
   table.print(std::cout);
   std::cout << "Expected shape: ratio below kbar*sqrt(sigma), growing "

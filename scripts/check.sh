@@ -13,8 +13,9 @@
 #      set against scripts/tidy_baseline.txt (SKIPs with a notice when
 #      clang-tidy is not installed; the CI analysis job requires it);
 #   5. examples smoke: runs osp_cli end to end off the policy/scenario
-#      registries (list, gen | run pipe, a small bench grid) plus
-#      quickstart, so the examples cannot silently rot;
+#      registries (list, gen | run pipe, a small bench grid), quickstart,
+#      and the console-only benches (bench_theorem1, bench_fractional,
+#      bench_ablation), so none of them can silently rot;
 #   6. shard smoke: bench --shard / merge bit-identity round trip;
 #   7. deterministic artifacts: BENCH_adversarial/uniform/capacity.json
 #      regenerate byte-identically and re-pass their gates (the paper's
@@ -81,7 +82,7 @@ if [[ "${mode}" == "quick" ]]; then
   echo
   echo "== quick mode: SKIPPED stages (CI runs them all) =="
   echo "   - clang-tidy baseline (scripts/run_tidy.sh; or check.sh --tidy)"
-  echo "   - examples smoke (osp_cli + quickstart)"
+  echo "   - examples smoke (osp_cli + quickstart + console-only benches)"
   echo "   - shard smoke (bench --shard / merge bit-identity)"
   echo "   - benchmark smoke (perfbench/run.py, every workload, 1 s)"
   echo "   - ASan/UBSan suites + bench_router --smoke"
@@ -95,7 +96,7 @@ echo "== clang-tidy baseline (scripts/run_tidy.sh) =="
 scripts/run_tidy.sh
 
 echo
-echo "== examples smoke: osp_cli (registry-driven) + quickstart =="
+echo "== examples smoke: osp_cli (registry-driven) + quickstart + console-only benches =="
 ./build/osp_cli list > /dev/null
 ./build/osp_cli gen random --seed 3 | ./build/osp_cli run --alg randpr
 ./build/osp_cli bench --scenario random --alg randpr,greedy:maxw --trials 50
@@ -120,6 +121,11 @@ rm -f build/check_sustained_err.txt
 # docs/CATALOG.md is generated output: regenerate and fail on drift.
 ./build/osp_cli list --markdown | diff -u docs/CATALOG.md -
 ./build/quickstart > /dev/null
+# The benches without an artifact: each must run to completion (a ratio
+# cell whose optimum branch and bound cannot prove exits non-zero).
+for bench in theorem1 fractional ablation; do
+  OSP_THREADS=1 "./build/bench_$bench" > /dev/null
+done
 
 echo
 echo "== shard smoke: bench --shard / merge bit-identity =="

@@ -35,6 +35,9 @@ validates, with the standard library only:
                  tracking the t/ln t and ell^3/polylog envelopes; opt
                  never drops below the witness, lp_upper (when computed)
                  dominates opt, and the three summary rows all gate MET;
+      - uniform, capacity: every row of a sweep with a paper bound
+                 (RATIO_BOUNDS) keeps its measured ratio <= that bound,
+                 per row: Corollary 7, Theorems 5 and 6, and Theorem 4;
   * every numeric value is finite.
 
 Files beginning with the "osp-shard 1" magic are validated as sharded
@@ -156,6 +159,17 @@ WEAKLB_RATIO_FLOORS = {
 LEMMA9_RATIO_FLOORS = {
     # reference minima across policies: 2.40 / 7.04 / 17.45 / 30.0
     2: 1.55, 3: 4.5, 4: 11.0, 5: 19.5,
+}
+
+# The paper's upper bound on each ratio sweep of BENCH_uniform.json and
+# BENCH_capacity.json: every row of the sweep must carry the bound column
+# named here and keep ratio <= bound.  A sweep mapped to None has no bound
+# column (uniform_capacity reports Theorem 4's shape only); a sweep not
+# listed fails the check, so a new sweep must declare its bound here.
+RATIO_BOUNDS = {
+    "uniform": {"corollary7": "cor7_bound", "theorem5": "thm5_bound",
+                "theorem6": "thm6_bound"},
+    "capacity": {"random_capacity": "thm4_bound", "uniform_capacity": None},
 }
 
 
@@ -367,8 +381,33 @@ def check_adversarial(path, results):
                    f"{sorted(families)}")
 
 
+def check_ratio_bounds(path, results, bounds):
+    seen = set()
+    for i, row in enumerate(results):
+        sweep = row.get("sweep")
+        if sweep not in bounds:
+            fail(path, f"results[{i}] has unknown sweep {sweep!r} (known: "
+                       f"{', '.join(sorted(bounds))})")
+        seen.add(sweep)
+        key = bounds[sweep]
+        if key is None:
+            continue
+        context = f"results[{i}] ({sweep})"
+        require_keys(path, row, ("ratio", key), context)
+        if row["ratio"] > row[key]:
+            fail(path, f"{context}: ratio {row['ratio']:.4g} exceeds the "
+                       f"paper's {key} {row[key]:.4g}")
+    missing = set(bounds) - seen
+    if missing:
+        fail(path, f"no rows for sweep(s) {', '.join(sorted(missing))}")
+
+
 BENCH_CHECKS = {"engine": check_engine, "router": check_router,
-                "adversarial": check_adversarial}
+                "adversarial": check_adversarial,
+                "uniform": lambda path, results: check_ratio_bounds(
+                    path, results, RATIO_BOUNDS["uniform"]),
+                "capacity": lambda path, results: check_ratio_bounds(
+                    path, results, RATIO_BOUNDS["capacity"])}
 
 # Row fields that wall-clock timing decides; --same-decisions ignores them.
 TIMING_FIELDS = ("seconds", "packets_per_sec", "slots_per_sec",
@@ -586,6 +625,11 @@ def describe():
     print("  lemma9 per-ell ratio floors (ell^3/polylog envelope):")
     for ell, floor in sorted(LEMMA9_RATIO_FLOORS.items()):
         print(f"    ell={ell}: >= {floor}")
+    print("  uniform/capacity ratio gates (per row, ratio <= bound):")
+    for bench, sweeps in RATIO_BOUNDS.items():
+        for sweep, key in sweeps.items():
+            print(f"    {bench} {sweep}: "
+                  + (f"ratio <= {key}" if key else "no bound column"))
     print("  block_vs_flat per-workload floors "
           "(default %s):" % BLOCK_VS_FLAT_DEFAULT_FLOOR)
     for workload, floor in sorted(BLOCK_VS_FLAT_FLOORS.items()):

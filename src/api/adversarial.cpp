@@ -43,8 +43,12 @@ AdversarialCell build_adversarial_cell(const ScenarioSpec& spec, Rng& rng) {
   AdversarialCell cell;
   switch (spec.family) {
     case ScenarioFamily::kTheorem3: {
-      // Must mirror build_instance(): the grid path and the dashboard
-      // must describe the same transcript byte for byte.
+      // The Theorem 3 adversary is adaptive: the instance depends on the
+      // policy it plays against.  The cell pins the transcript to the
+      // canonical greedy-first victim (fully deterministic, no rng
+      // draws), so every policy of a grid replays the same oblivious
+      // transcript and shard slices stay bit-identical.  The per-policy
+      // adaptive runs live in bench_adversarial.
       GreedyFirst victim;
       AdaptiveAdversaryResult r =
           run_theorem3_adversary(victim, spec.sigma, spec.k);

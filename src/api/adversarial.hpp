@@ -39,11 +39,11 @@ struct AdversarialCell {
 };
 
 /// Compiles an adversarial spec (family kTheorem3, kWeakLb, or kLemma9)
-/// into its cell.  The instance is the SAME one build_instance() yields
-/// for the spec with an equal-state rng — this function additionally
-/// surfaces the planted witness and verifies it (is_feasible + value ==
-/// the documented bound).  Throws RequireError for other families or a
-/// broken witness.
+/// into its cell, verifying the planted witness (is_feasible + value ==
+/// the documented bound).  build_instance() returns this cell's instance
+/// for the three families, so a grid cell and the dashboard draw the same
+/// instance from an equal-state rng.  Throws RequireError for other
+/// families or a broken witness.
 AdversarialCell build_adversarial_cell(const ScenarioSpec& spec, Rng& rng);
 
 /// The denominator of a measured competitive ratio.

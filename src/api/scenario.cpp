@@ -5,8 +5,7 @@
 #include <istream>
 #include <sstream>
 
-#include "algos/baselines.hpp"
-#include "design/lower_bounds.hpp"
+#include "api/adversarial.hpp"
 #include "gen/schedule.hpp"
 #include "util/require.hpp"
 
@@ -273,9 +272,7 @@ ScenarioSpec ScenarioSpec::from_stream(std::istream& in,
         spec.set(key, value);
       }
     } catch (const RequireError& e) {
-      // Re-thrown with the config location composed in directly — a
-      // second OSP_REQUIRE wrap would bury the message under another
-      // "requirement failed at scenario.cpp:…" preamble.
+      // Re-thrown with the config location in front of the message.
       throw RequireError(origin + ":" + std::to_string(lineno) + ": " +
                          e.what());
     }
@@ -342,19 +339,9 @@ Instance build_instance(const ScenarioSpec& spec, Rng& rng) {
     case ScenarioFamily::kMultihop:
       return build_multihop(spec, rng).instance;
     case ScenarioFamily::kWeakLb:
-      return build_weak_lb_instance(spec.t, rng).instance;
     case ScenarioFamily::kLemma9:
-      return build_lemma9_instance(spec.ell, rng).instance;
-    case ScenarioFamily::kTheorem3: {
-      // The Theorem 3 adversary is adaptive: the instance depends on the
-      // policy it plays against.  As a GRID family the transcript is
-      // pinned to the canonical greedy-first victim (fully deterministic,
-      // no rng draws), so every policy in a sweep replays the same
-      // oblivious transcript and shard slices stay bit-identical.  The
-      // per-policy adaptive runs live in bench_adversarial.
-      GreedyFirst victim;
-      return run_theorem3_adversary(victim, spec.sigma, spec.k).transcript;
-    }
+    case ScenarioFamily::kTheorem3:
+      return build_adversarial_cell(spec, rng).instance;
   }
   OSP_REQUIRE_MSG(false, "scenario '" << spec.name << "' has an unknown family");
   return InstanceBuilder{}.build();
@@ -516,7 +503,6 @@ std::vector<ScenarioSpec> build_catalog() {
     s.n = 128;
     s.k = 4;
     s.weights = WeightModel::unit();
-    s.engine_shape = true;
     s.vary(sweep_axis({"m", "n", "k"},
                       {{"64", "128", "4"},
                        {"1024", "2048", "4"},
@@ -858,12 +844,7 @@ const Registry<ScenarioSpec>& scenarios() {
 }
 
 std::vector<ScenarioSpec> engine_shapes() {
-  std::vector<ScenarioSpec> out;
-  for (const ScenarioSpec& s : scenarios().entries()) {
-    if (!s.engine_shape) continue;
-    for (ScenarioSpec& cell : expand(s)) out.push_back(std::move(cell));
-  }
-  return out;
+  return expand(scenarios().at("engine/ladder"));
 }
 
 }  // namespace osp::api

@@ -115,7 +115,6 @@ struct ScenarioSpec {
   // Bench plumbing.
   std::string label;         // table/JSON label; name when empty
   int default_trials = 100;  // suggested trial count for `osp_cli bench`
-  bool engine_shape = false; // member of the engine-throughput ladder
 
   /// Swept dimensions; empty for a plain single-cell scenario.
   std::vector<SweepAxis> sweep;
@@ -173,10 +172,9 @@ MultiHopWorkload build_multihop(const ScenarioSpec& spec, Rng& rng);
 /// The scenario catalog: the list scenario.cpp builds on first use.
 const Registry<ScenarioSpec>& scenarios();
 
-/// The engine-throughput ladder — the expansion of the scenarios with
-/// engine_shape set (the "engine/ladder" zipped sweep), in catalog order;
-/// bench_perf's workload table.  The last entry is the "largest
-/// workload" the perf gates are measured on.
+/// The engine-throughput ladder — the expansion of the "engine/ladder"
+/// zipped sweep; bench_perf's workload table.  The last entry is the
+/// "largest workload" the perf gates are measured on.
 std::vector<ScenarioSpec> engine_shapes();
 
 /// Strict non-negative integer parse for CLI flags and spec overrides;

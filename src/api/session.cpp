@@ -1,5 +1,6 @@
 #include "api/session.hpp"
 
+#include "algos/offline.hpp"
 #include "engine/trial.hpp"
 #include "net/router_sim.hpp"
 #include "net/serve.hpp"
@@ -13,6 +14,10 @@ namespace {
 // Split key of a draw's ranker stream (see the header); workload draws
 // stay below it because trials are capped at 1e9.
 constexpr std::uint64_t kRankerStream = 1000000000;
+
+// Branch-and-bound nodes a ratio cell may spend proving its optimum
+// (exact_optimum's default, named so the error can state it).
+constexpr std::uint64_t kRatioNodeLimit = 20000000;
 
 Row sustained_row(const ScenarioSpec& cell, const std::string& ranker,
                   std::size_t workers, const VideoWorkload& vw,
@@ -101,26 +106,21 @@ RunningStat Session::measure(const Instance& inst,
   return measure(inst, policies().at(policy_spec).make, master, trials);
 }
 
-RunningStat Session::measure_serial(
-    const Instance& inst,
-    const std::function<std::unique_ptr<OnlineAlgorithm>(std::uint64_t)>&
-        make_alg,
-    int trials) const {
-  // Factories often close over a shared Rng and split it per trial, so
-  // they run serially in trial order (exactly as the seed loops did).
-  std::vector<std::unique_ptr<OnlineAlgorithm>> algs;
-  algs.reserve(static_cast<std::size_t>(trials));
-  for (int t = 0; t < trials; ++t)
-    algs.push_back(make_alg(static_cast<std::uint64_t>(t)));
-
-  auto benefits = runner_->map<Weight>(
-      static_cast<std::size_t>(trials),
-      [&](std::size_t t, engine::TrialContext& ctx) {
-        return play_flat(inst, *algs[t], ctx.scratch).benefit;
-      });
-  RunningStat stat;
-  for (Weight b : benefits) stat.add(b);
-  return stat;
+RatioCell Session::measure_ratio(const Instance& inst,
+                                 const PolicyFactory& make, Rng& master,
+                                 int trials) const {
+  const OfflineResult opt = exact_optimum(inst, kRatioNodeLimit);
+  OSP_REQUIRE_MSG(opt.exact,
+                  "branch and bound hit its node limit of "
+                      << kRatioNodeLimit << " before proving the optimum of a "
+                      << inst.num_sets() << "-set instance (best found "
+                      << opt.value << "); no competitive ratio without a "
+                                      "proven optimum");
+  RatioCell cell;
+  cell.opt = opt.value;
+  cell.alg = measure(inst, make, master, trials);
+  cell.ratio = competitive_ratio(cell.opt, cell.alg.mean());
+  return cell;
 }
 
 std::vector<engine::CellStats> Session::run_grid(
@@ -288,6 +288,10 @@ std::vector<Row> Session::run_sustained(
     }
   }
   return rows;
+}
+
+double competitive_ratio(double opt, double mean) {
+  return mean > 0 ? opt / mean : opt;
 }
 
 engine::AlgSpec grid_column(const PolicyInfo& info) {

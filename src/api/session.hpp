@@ -8,11 +8,12 @@
 // printed through a Session are bit-identical to the historical serial
 // loops at any thread count.
 //
-// Each measurement kind is implemented once, here: the policy grid
-// (run_grid), the buffered-router ranker grid (run_rankers) and the
-// sustained multi-link serving run (run_sustained).  bench_router and
-// `osp_cli bench` both call these, so a bench row and the CLI line that
-// names the same scenario, rankers and seed print the same values.
+// Each measurement kind is implemented once, here: the competitive-ratio
+// cell (measure_ratio), the policy grid (run_grid), the buffered-router
+// ranker grid (run_rankers) and the sustained multi-link serving run
+// (run_sustained).  bench_router and `osp_cli bench` both call the last
+// three, so a bench row and the CLI line that names the same scenario,
+// rankers and seed print the same values.
 //
 // Streams of the ranker grid and the sustained run.  One master
 // Rng(seed) splits cell c's stream as master.split(c), in cell order.
@@ -23,7 +24,6 @@
 // ranker list.  A sustained run is draw 0.
 #pragma once
 
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -37,6 +37,18 @@
 #include "stats/summary.hpp"
 
 namespace osp::api {
+
+/// A policy's competitive ratio on one instance (Session::measure_ratio).
+struct RatioCell {
+  double opt = 0;     // the proven optimum
+  RunningStat alg;    // the policy's benefit over the trials
+  double ratio = 0;   // competitive_ratio(opt, alg.mean())
+};
+
+/// The competitive ratio opt / mean.  A policy that earns nothing is
+/// charged as if it had earned one unit of weight, so the ratio is opt
+/// (0 when opt is 0 too): finite, as strict JSON needs.
+double competitive_ratio(double opt, double mean);
 
 class Session {
  public:
@@ -64,13 +76,13 @@ class Session {
   RunningStat measure(const Instance& inst, const std::string& policy_spec,
                       Rng& master, int trials) const;
 
-  /// Factories that own their Rng splitting (hash families seeded per
-  /// trial, …): invoked serially in trial order, plays batched.
-  RunningStat measure_serial(
-      const Instance& inst,
-      const std::function<std::unique_ptr<OnlineAlgorithm>(std::uint64_t)>&
-          make_alg,
-      int trials) const;
+  /// One competitive-ratio cell: the optimum that branch and bound proves
+  /// for `inst`, the policy's benefit measured exactly as measure() does,
+  /// and their competitive_ratio().  Throws RequireError, naming the node
+  /// limit, when branch and bound stops at that limit before it has
+  /// proven the optimum: an unproven value is never published as opt.
+  RatioCell measure_ratio(const Instance& inst, const PolicyFactory& make,
+                          Rng& master, int trials) const;
 
   /// Runs an (instances × policies × trials) grid on the runner and emits
   /// one row per cell to the attached sinks:

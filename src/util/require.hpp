@@ -20,11 +20,21 @@ class RequireError : public std::logic_error {
 
 namespace detail {
 
+/// The file name without its directories: an error text must not depend
+/// on where the tree was checked out.
+inline const char* source_name(const char* path) {
+  const char* name = path;
+  for (const char* c = path; *c != '\0'; ++c)
+    if (*c == '/' || *c == '\\') name = c + 1;
+  return name;
+}
+
+/// A bare requirement names the failed expression and where it sits.
 [[noreturn]] inline void require_fail(const char* expr, const char* file,
-                                      int line, const std::string& msg) {
+                                      int line) {
   std::ostringstream os;
-  os << "requirement failed: " << expr << " at " << file << ":" << line;
-  if (!msg.empty()) os << " — " << msg;
+  os << "requirement failed: " << expr << " at " << source_name(file) << ":"
+     << line;
   throw RequireError(os.str());
 }
 
@@ -35,10 +45,12 @@ namespace detail {
 #define OSP_REQUIRE(expr)                                              \
   do {                                                                 \
     if (!(expr))                                                       \
-      ::osp::detail::require_fail(#expr, __FILE__, __LINE__, {});      \
+      ::osp::detail::require_fail(#expr, __FILE__, __LINE__);          \
   } while (0)
 
-/// Precondition check with an explanatory message (streamed).  The local
+/// Precondition check with an explanatory message (streamed).  The error
+/// text is the message alone: it is written for whoever supplied the bad
+/// input, so it carries no expression or source location.  The local
 /// stream carries a macro-private name: a plain `os_` shadows same-named
 /// members in classes whose methods use the macro (ShardSink::os_ did).
 #define OSP_REQUIRE_MSG(expr, msg)                                     \
@@ -46,8 +58,7 @@ namespace detail {
     if (!(expr)) {                                                     \
       std::ostringstream osp_require_os_;                              \
       osp_require_os_ << msg;                                          \
-      ::osp::detail::require_fail(#expr, __FILE__, __LINE__,           \
-                                  osp_require_os_.str());              \
+      throw ::osp::RequireError(osp_require_os_.str());                \
     }                                                                  \
   } while (0)
 

@@ -16,6 +16,7 @@
 #include <limits>
 #include <sstream>
 
+#include "algos/offline.hpp"
 #include "api/policy_registry.hpp"
 #include "api/ranker_registry.hpp"
 #include "api/result_sink.hpp"
@@ -612,9 +613,6 @@ TEST(Session, RunGridEmitsOneRowPerCellToEverySink) {
   EXPECT_NE(json_text.str().find("\"results\":["), std::string::npos);
 }
 
-// ---------------------------------------------------------------------
-// Session: the ranker grid and the sustained run.
-
 /// Runs `fn`, expecting a RequireError, and returns its message.
 template <class Fn>
 std::string error_of(Fn&& fn) {
@@ -626,6 +624,57 @@ std::string error_of(Fn&& fn) {
   ADD_FAILURE() << "expected a RequireError";
   return {};
 }
+
+TEST(Session, MeasureRatioIsTheProvenOptimumOverTheMeasuredMean) {
+  // The first uniform/corollary7 cell on bench_uniform's streams, against
+  // the hand-written exact_optimum + measure + divide loop.
+  const api::ScenarioSpec cell =
+      api::expand(api::scenarios().at("uniform/corollary7")).front();
+  Rng master(31337);
+  Rng gen = master.split(cell.sigma);
+  const Instance inst = api::build_instance(cell, gen);
+  const api::PolicyFactory& randpr = api::policies().at("randpr").make;
+  api::Session session;
+
+  Rng runs = master.split(100 + cell.sigma);
+  Rng runs_by_hand = runs;
+  const api::RatioCell got =
+      session.measure_ratio(inst, randpr, runs, cell.default_trials);
+
+  const OfflineResult opt = exact_optimum(inst);
+  ASSERT_TRUE(opt.exact);
+  const RunningStat alg =
+      session.measure(inst, randpr, runs_by_hand, cell.default_trials);
+  EXPECT_EQ(got.opt, opt.value);
+  EXPECT_EQ(got.alg.count(), alg.count());
+  EXPECT_EQ(got.alg.mean(), alg.mean());
+  EXPECT_EQ(got.alg.stddev(), alg.stddev());
+  EXPECT_EQ(got.ratio, opt.value / alg.mean());
+}
+
+TEST(Session, MeasureRatioRefusesAnUnprovenOptimum) {
+  // The next bi-regular step past uniform/corollary7 (m = 112, sigma = 14):
+  // branch and bound hits its node limit before it proves the optimum.
+  Rng master(31337);
+  Rng rng = master.split(14);
+  const Instance inst = regular_instance(112, 3, 14, WeightModel::unit(), rng);
+  Rng runs(1);
+  const std::string msg = error_of([&] {
+    api::Session().measure_ratio(inst, api::policies().at("randpr").make,
+                                 runs, 10);
+  });
+  EXPECT_NE(msg.find("node limit of 20000000"), std::string::npos) << msg;
+  EXPECT_EQ(msg.find('\n'), std::string::npos) << msg;
+}
+
+TEST(Session, CompetitiveRatioChargesZeroBenefitAsOneUnit) {
+  EXPECT_EQ(api::competitive_ratio(6, 3), 2);
+  EXPECT_EQ(api::competitive_ratio(6, 0), 6);
+  EXPECT_EQ(api::competitive_ratio(0, 0), 0);
+}
+
+// ---------------------------------------------------------------------
+// Session: the ranker grid and the sustained run.
 
 /// A row as canonical wire text (readable in failure messages), without
 /// the wall-clock cells when `untimed`.

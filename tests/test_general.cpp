@@ -14,14 +14,15 @@ namespace {
 
 // Random general instance: m sets, n elements; each element has capacity
 // in [1, cap_max] and each set demands 1..d_max units of each of its k
-// random elements.
+// random elements.  Set weights are U[1, 5), or 1 (drawing nothing) when
+// `weighted` is false.
 GeneralInstance random_general(std::size_t m, std::size_t n, std::size_t k,
                                std::uint32_t cap_max, std::uint32_t d_max,
-                               Rng& rng) {
+                               Rng& rng, bool weighted = true) {
   GeneralInstanceBuilder b;
   std::vector<std::vector<UnitDemand>> per_element(n);
   for (std::size_t s = 0; s < m; ++s) {
-    b.add_set(1.0 + rng.uniform() * 4);
+    b.add_set(weighted ? 1.0 + rng.uniform() * 4 : 1.0);
     std::vector<std::size_t> slots;
     while (slots.size() < k) {
       std::size_t v = rng.below(n);
@@ -193,6 +194,69 @@ TEST(GeneralRandPrAlg, CompetitiveOnRandomFamilies) {
     double bound = static_cast<double>(st.k_max) * std::sqrt(st.nu_max);
     EXPECT_GE(alg.mean() + alg.ci95_halfwidth(), opt.value / bound);
   }
+}
+
+// randPr's mean benefit over 500 trials on `inst`, trial t seeded from
+// runs.split(t).
+RunningStat general_randpr_benefit(const GeneralInstance& inst, Rng& runs) {
+  RunningStat alg;
+  for (int t = 0; t < 500; ++t) {
+    GeneralRandPr a(runs.split(static_cast<std::uint64_t>(t)));
+    alg.add(play_general(inst, a).benefit);
+  }
+  return alg;
+}
+
+TEST(GeneralRandPrAlg, RatioRisesWithDemandScale) {
+  // 16 unit-weight sets of 3 elements on 14 elements of capacity U[1,6]:
+  // larger demands per set crowd the same capacities, so the ratio
+  // against the exact optimum grows with d_max (1.39 at d_max = 1 up to
+  // 2.58 at 6 on these streams) and stays under the natural generalization
+  // of Corollary 6, kmax*sqrt(numax).
+  Rng master(3141);
+  std::vector<double> ratios;
+  for (std::uint32_t d_max : {1, 2, 3, 4, 6}) {
+    Rng gen = master.split(d_max);
+    GeneralInstance inst = random_general(16, 14, 3, 6, d_max, gen, false);
+    GeneralOfflineResult opt = general_exact_optimum(inst);
+    ASSERT_TRUE(opt.exact);
+    Rng runs = master.split(100 + d_max);
+    RunningStat alg = general_randpr_benefit(inst, runs);
+    ASSERT_GT(alg.mean(), 0) << "d_max " << d_max;
+    GeneralStats st = inst.stats();
+    ratios.push_back(opt.value / alg.mean());
+    EXPECT_LE(ratios.back(),
+              static_cast<double>(st.k_max) * std::sqrt(st.nu_max))
+        << "d_max " << d_max;
+  }
+  for (std::size_t i = 1; i < ratios.size(); ++i)
+    EXPECT_GT(ratios[i], ratios[i - 1]) << "sweep step " << i;
+}
+
+TEST(GeneralRandPrAlg, RatioFallsWithCapacity) {
+  // Demands U[1,3]: more capacity means a smaller adjusted load and a
+  // smaller ratio, Theorem 4's direction in the unit-demand model (3.01,
+  // 1.47, 1.20 at cap_max = 4, 8, 12 on these streams).  At cap_max 1 and
+  // 2 no set fits at all (opt = 0), so there is no ratio to compare.
+  Rng master(2718);
+  std::vector<double> ratios;
+  for (std::uint32_t cap_max : {1, 2, 4, 8, 12}) {
+    Rng gen = master.split(cap_max);
+    GeneralInstance inst = random_general(16, 14, 3, cap_max, 3, gen, false);
+    GeneralOfflineResult opt = general_exact_optimum(inst);
+    ASSERT_TRUE(opt.exact);
+    Rng runs = master.split(100 + cap_max);
+    RunningStat alg = general_randpr_benefit(inst, runs);
+    if (opt.value <= 0) {
+      EXPECT_EQ(alg.mean(), 0) << "cap_max " << cap_max;
+      continue;
+    }
+    ASSERT_GT(alg.mean(), 0) << "cap_max " << cap_max;
+    ratios.push_back(opt.value / alg.mean());
+  }
+  ASSERT_EQ(ratios.size(), 3u);
+  for (std::size_t i = 1; i < ratios.size(); ++i)
+    EXPECT_LT(ratios[i], ratios[i - 1]) << "sweep step " << i;
 }
 
 TEST(GeneralPlay, EngineRejectsOverCapacityAlgorithms) {

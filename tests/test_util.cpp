@@ -460,11 +460,25 @@ TEST(Require, MacroThrows) {
 }
 
 TEST(Require, MessageIncluded) {
+  // A messaged failure leads with its message; a bare one names the
+  // expression and the file's base name.  Neither carries a directory, so
+  // no error text depends on where the tree was built.
   try {
     OSP_REQUIRE_MSG(false, "context " << 42);
     FAIL() << "should have thrown";
   } catch (const RequireError& e) {
-    EXPECT_NE(std::string(e.what()).find("context 42"), std::string::npos);
+    const std::string what = e.what();
+    EXPECT_EQ(what.rfind("context 42", 0), 0u) << what;
+    EXPECT_EQ(what.find('/'), std::string::npos) << what;
+  }
+  try {
+    OSP_REQUIRE(1 + 1 == 3);
+    FAIL() << "should have thrown";
+  } catch (const RequireError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("1 + 1 == 3"), std::string::npos) << what;
+    EXPECT_NE(what.find("test_util.cpp:"), std::string::npos) << what;
+    EXPECT_EQ(what.find('/'), std::string::npos) << what;
   }
 }
 
