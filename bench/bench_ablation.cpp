@@ -157,10 +157,11 @@ void distributed_ablation() {
 }  // namespace osp
 
 int main() {
-  osp::bench::banner("E8 / design ablations",
-                     "What each ingredient of randPr buys.");
-  osp::priority_ablation();
-  osp::hash_ablation();
-  osp::distributed_ablation();
-  return 0;
+  return osp::bench::guarded_main([] {
+    osp::bench::banner("E8 / design ablations",
+                       "What each ingredient of randPr buys.");
+    osp::priority_ablation();
+    osp::hash_ablation();
+    osp::distributed_ablation();
+  });
 }

@@ -237,7 +237,9 @@ void distribution_sweep(api::JsonSink& json, api::Session& summaries,
 }  // namespace
 }  // namespace osp
 
-int main() {
+namespace {
+
+void run_dashboard() {
   osp::bench::banner(
       "E4+E5 / competitive-ratio dashboard (BENCH_adversarial.json)",
       "Every deterministic baseline and randPr measured against a "
@@ -281,5 +283,8 @@ int main() {
 
   std::cout << "-- per-family summary (every gate must read MET) --\n";
   summary_table.print(std::cout);
-  return 0;
 }
+
+}  // namespace
+
+int main() { return osp::bench::guarded_main(run_dashboard); }

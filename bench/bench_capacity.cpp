@@ -97,12 +97,13 @@ void uniform_capacity_sweep(api::JsonSink& json) {
 }  // namespace osp
 
 int main() {
-  osp::bench::banner(
-      "E6 / Theorem 4 (variable capacity, adjusted load)",
-      "Competitive ratio tracks kmax*sqrt(avg(nu*sigma$)/avg(sigma$)) as "
-      "capacities grow.");
-  osp::api::JsonSink json("capacity", osp::bench::session().threads());
-  osp::random_capacity_sweep(json);
-  osp::uniform_capacity_sweep(json);
-  return 0;
+  return osp::bench::guarded_main([] {
+    osp::bench::banner(
+        "E6 / Theorem 4 (variable capacity, adjusted load)",
+        "Competitive ratio tracks kmax*sqrt(avg(nu*sigma$)/avg(sigma$)) as "
+        "capacities grow.");
+    osp::api::JsonSink json("capacity", osp::bench::session().threads());
+    osp::random_capacity_sweep(json);
+    osp::uniform_capacity_sweep(json);
+  });
 }

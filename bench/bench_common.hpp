@@ -13,6 +13,7 @@
 // plumbing each binary shares.
 #pragma once
 
+#include <exception>
 #include <iostream>
 #include <string>
 
@@ -26,6 +27,21 @@
 #include "util/rng.hpp"
 
 namespace osp::bench {
+
+/// Every bench's main: runs `body` and returns 0, or prints an escaping
+/// exception as one line, "error: <message>", and returns 1 — an
+/// artifact that cannot be written or a ratio cell whose optimum cannot
+/// be proven must not end the process in std::terminate.
+template <class Body>
+int guarded_main(Body&& body) {
+  try {
+    body();
+    return 0;
+  } catch (const std::exception& e) {
+    std::cerr << "error: " << e.what() << "\n";
+    return 1;
+  }
+}
 
 /// Prints the standard experiment banner.
 inline void banner(const std::string& id, const std::string& claim) {

@@ -67,10 +67,11 @@ void run() {
 }  // namespace osp
 
 int main() {
-  osp::bench::banner(
-      "E12 / related-work comparator (fractional rows-online packing)",
-      "The same instances under the Buchbinder-Naor-style fractional "
-      "model vs the paper's integral all-or-nothing model.");
-  osp::run();
-  return 0;
+  return osp::bench::guarded_main([] {
+    osp::bench::banner(
+        "E12 / related-work comparator (fractional rows-online packing)",
+        "The same instances under the Buchbinder-Naor-style fractional "
+        "model vs the paper's integral all-or-nothing model.");
+    osp::run();
+  });
 }

@@ -149,7 +149,9 @@ std::string fmt_meps(double eps) { return fmt(eps / 1e6, 2) + "M"; }
 }  // namespace
 }  // namespace osp
 
-int main() {
+namespace {
+
+void run_throughput() {
   using namespace osp;
   bench::banner(
       "E9 / engine throughput (flat + block engines vs seed engine)",
@@ -241,5 +243,8 @@ int main() {
           .add("target_5x_met", final_speedup >= 5.0)
           .add("block_target_1p3x_met", final_block_vs_flat >= 1.3));
   json.close();
-  return 0;
 }
+
+}  // namespace
+
+int main() { return osp::bench::guarded_main(run_throughput); }

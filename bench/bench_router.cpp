@@ -10,13 +10,14 @@
 //  (c) burstiness sweep with on/off traffic: burstier arrivals (larger
 //      σmax) hurt everyone, randPr degrades most gracefully in value;
 //  (d) multi-stream overload: 64 streams / ≥1M packets into a link at a
-//      third of the offered load — the heavy-traffic regime the indexed
-//      heap queue (net/queue.hpp) exists for;
+//      third of the offered load — the heavy-traffic regime the packet
+//      queue (net/queue.hpp) exists for;
 //  (e) queue-structure throughput: slots/sec of the buffered router on
 //      the largest buffered workload through both implementations of the
-//      buffered link at one link — serve_sustained on the indexed-heap
-//      queue ("heap") and serve_sustained_reference on a sorted vector
-//      ("sort") — with a full stats-identity cross-check between them;
+//      buffered link at one link — serve_sustained on the run-stack
+//      queue ("heap", the row key the indexed-heap queue it replaced
+//      wrote) and serve_sustained_reference on a sorted vector ("sort")
+//      — with a full stats-identity cross-check between them;
 //  (f) sustained multi-link serving (net/serve.hpp): the event-machine
 //      runtime on the sustained/* scenarios — steady state across worker
 //      counts plus a saturation ramp, every run proven stats-identical
@@ -327,7 +328,7 @@ void throughput_section(api::JsonSink& json, bool smoke) {
       vw.schedule, vw.stream_of, *ranker, one_link);
   const double sort_s = clock.seconds();
 
-  // Heap path: the runtime on the indexed-heap PacketQueue.
+  // "heap" path: the runtime on its run-stack PacketQueue.
   ranker->reseed(Rng(7));
   clock.restart();
   const SustainedStats heap_stats =
@@ -442,22 +443,24 @@ int main(int argc, char** argv) {
   bool smoke = false;
   for (int i = 1; i < argc; ++i)
     if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
-  osp::bench::banner(
-      "E7 / Section 1 motivation (bottleneck router, video frames)",
-      std::string("Frame-aware random priorities vs classic drop heuristics "
-                  "on the simulated router; the buffering extension runs on "
-                  "the indexed-heap PacketQueue.  All trials run on the "
-                  "shared batch runner.") +
-          (smoke ? "  [--smoke: toy sizes]" : ""));
-  // Smoke runs write a separate artifact so a toy-size run can never
-  // overwrite the committed full-size BENCH_router.json.
-  osp::api::JsonSink json(smoke ? "router_smoke" : "router",
-                          osp::bench::session().threads());
-  osp::unbuffered_video(json, smoke);
-  osp::buffered_sweep(json, smoke);
-  osp::burstiness_sweep(json, smoke);
-  osp::overload_sweep(json, smoke);
-  osp::throughput_section(json, smoke);
-  osp::sustained_section(json, smoke);
-  return 0;
+  return osp::bench::guarded_main([smoke] {
+    osp::bench::banner(
+        "E7 / Section 1 motivation (bottleneck router, video frames)",
+        std::string(
+            "Frame-aware random priorities vs classic drop heuristics on "
+            "the simulated router; the buffering extension runs on the "
+            "run-stack PacketQueue.  All trials run on the shared batch "
+            "runner.") +
+            (smoke ? "  [--smoke: toy sizes]" : ""));
+    // Smoke runs write a separate artifact so a toy-size run can never
+    // overwrite the committed full-size BENCH_router.json.
+    osp::api::JsonSink json(smoke ? "router_smoke" : "router",
+                            osp::bench::session().threads());
+    osp::unbuffered_video(json, smoke);
+    osp::buffered_sweep(json, smoke);
+    osp::burstiness_sweep(json, smoke);
+    osp::overload_sweep(json, smoke);
+    osp::throughput_section(json, smoke);
+    osp::sustained_section(json, smoke);
+  });
 }

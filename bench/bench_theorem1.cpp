@@ -72,7 +72,4 @@ void run() {
 }  // namespace
 }  // namespace osp
 
-int main() {
-  osp::run();
-  return 0;
-}
+int main() { return osp::bench::guarded_main(osp::run); }

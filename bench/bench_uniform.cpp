@@ -120,13 +120,14 @@ void theorem6_sweep(api::JsonSink& json) {
 }  // namespace osp
 
 int main() {
-  osp::bench::banner(
-      "E3 / Theorems 5, 6 and Corollary 7",
-      "Refined bounds under uniform structure; the key signature is the "
-      "sigma-INDEPENDENCE of the ratio for uniform size+load (Cor 7).");
-  osp::api::JsonSink json("uniform", osp::bench::session().threads());
-  osp::corollary7_sweep(json);
-  osp::theorem5_sweep(json);
-  osp::theorem6_sweep(json);
-  return 0;
+  return osp::bench::guarded_main([] {
+    osp::bench::banner(
+        "E3 / Theorems 5, 6 and Corollary 7",
+        "Refined bounds under uniform structure; the key signature is the "
+        "sigma-INDEPENDENCE of the ratio for uniform size+load (Cor 7).");
+    osp::api::JsonSink json("uniform", osp::bench::session().threads());
+    osp::corollary7_sweep(json);
+    osp::theorem5_sweep(json);
+    osp::theorem6_sweep(json);
+  });
 }

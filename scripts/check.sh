@@ -15,7 +15,8 @@
 #   5. examples smoke: runs osp_cli end to end off the policy/scenario
 #      registries (list, gen | run pipe, a small bench grid), quickstart,
 #      and the console-only benches (bench_theorem1, bench_fractional,
-#      bench_ablation), so none of them can silently rot;
+#      bench_ablation), so none of them can silently rot, and checks that
+#      a bench which cannot write its artifact exits 1 with one line;
 #   6. shard smoke: bench --shard / merge bit-identity round trip;
 #   7. deterministic artifacts: BENCH_adversarial/uniform/capacity.json
 #      regenerate byte-identically and re-pass their gates (the paper's
@@ -126,6 +127,21 @@ rm -f build/check_sustained_err.txt
 for bench in theorem1 fractional ablation; do
   OSP_THREADS=1 "./build/bench_$bench" > /dev/null
 done
+# A bench that fails prints one line and exits 1, never an abort: with a
+# directory in its artifact's place, bench_capacity's JSON sink throws
+# before any measurement runs.
+rm -rf build/probe && mkdir -p build/probe/BENCH_capacity.json
+status=0
+(cd build/probe && ../bench_capacity > /dev/null 2> err.txt) || status=$?
+if [[ "${status}" -ne 1 ]] ||
+    ! grep -qx "error: cannot open BENCH_capacity.json for writing" \
+      build/probe/err.txt ||
+    grep -q "terminate called" build/probe/err.txt; then
+  echo "bench_capacity did not fail with one line (exit ${status}):" >&2
+  cat build/probe/err.txt >&2
+  exit 1
+fi
+rm -rf build/probe
 
 echo
 echo "== shard smoke: bench --shard / merge bit-identity =="
@@ -252,9 +268,10 @@ echo
 echo "== TSan: threaded suites + sustained smoke (race detection) =="
 # The determinism proofs (batch runner at 1/2/5 threads, serve workers
 # 1/2/4 vs the serial reference) assert equal OUTPUT; ThreadSanitizer
-# asserts the stronger property that no heap cell is ever touched by two
-# threads without a happens-before edge, so a benign-looking race cannot
-# hide behind a lucky schedule.  scripts/tsan.supp is empty on purpose.
+# asserts the stronger property that no memory location is ever touched
+# by two threads without a happens-before edge, so a benign-looking race
+# cannot hide behind a lucky schedule.  scripts/tsan.supp is empty on
+# purpose.
 cmake -B build-tsan -S . -DOSP_SANITIZE=thread
 cmake --build build-tsan -j "${jobs}" --target test_engine test_serve osp_cli
 export TSAN_OPTIONS="suppressions=$(pwd)/scripts/tsan.supp"

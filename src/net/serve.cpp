@@ -75,16 +75,8 @@ struct LinkState {
   std::vector<SetId> frames;          // local id -> global frame id
   CsrArray<SetId> arrivals;           // slot -> local ids, ascending
   std::vector<std::uint32_t> served;  // local id -> packets served
-  PacketQueue queue;                  // frames by local id, packet_key keys
+  PacketQueue queue;                  // keyed (arrival slot, local id)
 };
-
-std::uint64_t packet_key(std::size_t slot, SetId local) {
-  return std::uint64_t{slot} << 32 | local;
-}
-
-std::size_t arrival_slot(std::uint64_t key) {
-  return static_cast<std::size_t>(key >> 32);
-}
 
 // One counting pass sizes every link's rows; one scatter pass in ascending
 // global frame id assigns the local ids and fills the rows in order.
@@ -119,13 +111,13 @@ void build_links(const FrameSchedule& schedule, const StreamMap& stream,
   }
 }
 
-// Tracing only: replaces each served packet's queue key with its global
+// Tracing only: replaces each served packet's arrival slot with its global
 // seq — the packets of every earlier slot plus the frames ahead of it in
 // its slot's ascending frame ids.
 void rebuild_trace_seqs(const FrameSchedule& schedule, ServeTrace& trace) {
   const CsrArray<SetId> slot_frames = schedule.slot_frames();
   for (ServeTrace::Served& p : trace.served) {
-    const std::size_t slot = arrival_slot(p.seq);
+    const auto slot = static_cast<std::size_t>(p.seq);
     const Span<SetId> row = slot_frames.row(slot);
     p.seq = slot_frames.offsets()[slot] +
             static_cast<std::uint64_t>(
@@ -380,7 +372,7 @@ SustainedStats serve_sustained(const FrameSchedule& schedule,
         continue;
       }
       const SetId f = link.frames[local];
-      link.queue.push(local, ranker.rank(f), packet_key(slot, local));
+      link.queue.push(local, ranker.rank(f), slot);
       ++stream_live[stream(f)];
     }
     backlog[l] = link.queue.live_size();
@@ -394,20 +386,20 @@ SustainedStats serve_sustained(const FrameSchedule& schedule,
     LinkTally& t = tallies[l];
     for (std::size_t i = 0; i < grant; ++i) {
       SetId local;
-      std::uint64_t key;
-      const bool ok = q.pop_best(&local, &key);
+      std::size_t arrived;
+      const bool ok = q.pop_best(&local, &arrived);
       OSP_REQUIRE_MSG(ok, "allocation exceeded live backlog");
       const SetId f = link.frames[local];
       ++t.served;
-      t.serve_latency.add(slot - arrival_slot(key));
+      t.serve_latency.add(slot - arrived);
       const std::size_t s = stream(f);
       --stream_live[s];
       last_served_slot[s] = slot;
       const Frame frame = schedule.frames[f];
       if (++link.served[local] == frame.packet_slots.size())
         t.window_delivered[slot / spec.window] += frame.weight;
-      if (tracing)  // seq holds the key until rebuild_trace_seqs
-        t.trace.push_back(ServeTrace::Served{slot, l, f, key});
+      if (tracing)  // seq holds the arrival slot until rebuild_trace_seqs
+        t.trace.push_back(ServeTrace::Served{slot, l, f, arrived});
     }
     if (tracing) t.slot_served[slot] = grant;
 
@@ -416,11 +408,11 @@ SustainedStats serve_sustained(const FrameSchedule& schedule,
     // are written off with it (lazily), which often ends the trim early.
     while (q.live_size() > spec.buffer) {
       SetId local;
-      std::uint64_t key;
-      q.pop_worst(&local, &key);
+      std::size_t arrived;
+      q.pop_worst(&local, &arrived);
       ++t.dropped;
       ++t.evictions;
-      t.drop_latency.add(slot - arrival_slot(key));
+      t.drop_latency.add(slot - arrived);
       const std::size_t s = stream(link.frames[local]);
       --stream_live[s];
       if (spec.drop_dead_frames) {
@@ -560,8 +552,8 @@ SustainedStats serve_sustained_reference(
       std::vector<QueuedPacket>& q = queues[l];
       LinkTally& t = tallies[l];
       // (rank desc, seq asc) — seqs are unique, so this is a total order
-      // and the front `alloc[l]` packets are exactly what the heap's
-      // pop_best sequence serves.
+      // and the front `alloc[l]` packets are exactly what the runtime
+      // queue's pop_best sequence serves.
       std::sort(q.begin(), q.end(),
                 [](const QueuedPacket& a, const QueuedPacket& b) {
                   if (a.rank != b.rank) return a.rank > b.rank;
@@ -585,7 +577,7 @@ SustainedStats serve_sustained_reference(
       q.erase(q.begin(), q.begin() + static_cast<std::ptrdiff_t>(alloc[l]));
       if (tracing) t.slot_served[slot] = alloc[l];
 
-      // Trim from the tail — (rank asc, seq desc), the evict-heap order.
+      // Trim from the tail — (rank asc, seq desc), the pop_worst order.
       while (q.size() > spec.buffer) {
         const QueuedPacket worst = q.back();
         q.pop_back();

@@ -1,100 +1,25 @@
-// Tests for the indexed priority structures behind the buffered router:
-// the position-indexed d-ary heap (pop order, erase by id) and the
-// double-ended PacketQueue with lazy dead-frame deletion, fuzzed against a
-// naive sorted-vector reference.
+// Tests for the buffered link's PacketQueue (net/queue.hpp): the serve and
+// evict orders, lazy dead-frame deletion, the rank edge cases, and two
+// fuzzes against a std::multiset reference — a shallow one with arbitrary
+// interleavings, and a deep one that holds ~20k packets and so builds a
+// tall stack of runs.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <iterator>
+#include <limits>
+#include <set>
+#include <utility>
 #include <vector>
 
 #include "net/queue.hpp"
+#include "util/require.hpp"
 #include "util/rng.hpp"
 
 namespace osp {
 namespace {
-
-// A max-heap over ids keyed by an external double array.
-struct KeyedHigher {
-  const std::vector<double>* keys;
-  bool operator()(std::uint32_t a, std::uint32_t b) const {
-    if ((*keys)[a] != (*keys)[b]) return (*keys)[a] > (*keys)[b];
-    return a < b;  // total order, deterministic pops
-  }
-};
-
-TEST(IndexedDaryHeap, PopsInSortedOrder) {
-  Rng rng(1);
-  std::vector<double> keys(200);
-  for (double& k : keys) k = rng.uniform();
-  IndexedDaryHeap<KeyedHigher> heap{KeyedHigher{&keys}};
-  for (std::uint32_t id = 0; id < keys.size(); ++id) heap.push(id);
-
-  std::vector<std::uint32_t> order(keys.size());
-  for (std::uint32_t& id : order) id = 0;
-  std::vector<std::uint32_t> expected(keys.size());
-  for (std::uint32_t id = 0; id < keys.size(); ++id) expected[id] = id;
-  std::sort(expected.begin(), expected.end(), KeyedHigher{&keys});
-
-  for (std::size_t i = 0; i < keys.size(); ++i) order[i] = heap.pop();
-  EXPECT_TRUE(heap.empty());
-  EXPECT_EQ(order, expected);
-}
-
-TEST(IndexedDaryHeap, EraseRemovesExactlyTheEntry) {
-  std::vector<double> keys{5, 1, 4, 2, 3, 0.5, 6};
-  IndexedDaryHeap<KeyedHigher> heap{KeyedHigher{&keys}};
-  for (std::uint32_t id = 0; id < keys.size(); ++id) heap.push(id);
-  heap.erase(6);  // the current top
-  heap.erase(3);  // an interior entry
-  EXPECT_FALSE(heap.contains(6));
-  EXPECT_FALSE(heap.contains(3));
-  EXPECT_EQ(heap.size(), 5u);
-  std::vector<std::uint32_t> order;
-  while (!heap.empty()) order.push_back(heap.pop());
-  EXPECT_EQ(order, (std::vector<std::uint32_t>{0, 2, 4, 1, 5}));
-}
-
-TEST(IndexedDaryHeap, RejectsDuplicateAndAbsentIds) {
-  std::vector<double> keys{1, 2};
-  IndexedDaryHeap<KeyedHigher> heap{KeyedHigher{&keys}};
-  heap.push(0);
-  EXPECT_THROW(heap.push(0), RequireError);
-  EXPECT_THROW(heap.erase(1), RequireError);
-}
-
-TEST(IndexedDaryHeap, RandomizedAgainstSortReference) {
-  Rng rng(7);
-  for (int round = 0; round < 50; ++round) {
-    const std::size_t n = 1 + rng.below(300);
-    std::vector<double> keys(n);
-    for (double& k : keys)
-      k = rng.chance(0.3) ? 1.0 : rng.uniform();  // force ties
-    IndexedDaryHeap<KeyedHigher> heap{KeyedHigher{&keys}};
-    std::vector<std::uint32_t> alive;
-    for (std::uint32_t id = 0; id < n; ++id) {
-      heap.push(id);
-      alive.push_back(id);
-    }
-    // Random erases, and re-keys as erase + push under the new key.
-    for (int op = 0; op < 40 && !alive.empty(); ++op) {
-      std::size_t pick = rng.below(alive.size());
-      heap.erase(alive[pick]);
-      if (rng.chance(0.5)) {
-        alive.erase(alive.begin() + static_cast<std::ptrdiff_t>(pick));
-      } else {
-        keys[alive[pick]] = rng.uniform() * 2;
-        heap.push(alive[pick]);
-      }
-    }
-    std::sort(alive.begin(), alive.end(), KeyedHigher{&keys});
-    std::vector<std::uint32_t> order;
-    while (!heap.empty()) order.push_back(heap.pop());
-    EXPECT_EQ(order, alive) << "round " << round;
-  }
-}
-
-// ---------------------------------------------------------------------
-// PacketQueue.
 
 TEST(PacketQueue, ServesByRankThenFifoAndEvictsTheReverse) {
   PacketQueue q;
@@ -106,18 +31,36 @@ TEST(PacketQueue, ServesByRankThenFifoAndEvictsTheReverse) {
   EXPECT_EQ(q.live_size(), 4u);
 
   SetId f;
-  std::uint64_t s;
-  ASSERT_TRUE(q.pop_best(&f, &s));
+  std::size_t slot;
+  ASSERT_TRUE(q.pop_best(&f, &slot));
   EXPECT_EQ(f, 1u);  // highest rank
-  ASSERT_TRUE(q.pop_worst(&f, &s));
+  ASSERT_TRUE(q.pop_worst(&f, &slot));
   EXPECT_EQ(f, 2u);  // lowest rank, later arrival loses the tie
-  EXPECT_EQ(s, 2u);
-  ASSERT_TRUE(q.pop_best(&f, &s));
+  EXPECT_EQ(slot, 2u);
+  ASSERT_TRUE(q.pop_best(&f, &slot));
   EXPECT_EQ(f, 3u);
-  ASSERT_TRUE(q.pop_best(&f, &s));
+  ASSERT_TRUE(q.pop_best(&f, &slot));
   EXPECT_EQ(f, 0u);
   EXPECT_FALSE(q.pop_best(&f));
   EXPECT_EQ(q.live_size(), 0u);
+}
+
+TEST(PacketQueue, SameSlotTiesBreakByFrame) {
+  PacketQueue q;
+  q.reset(3);
+  q.push(2, 1.0, 5);
+  q.push(0, 1.0, 5);
+  q.push(1, 1.0, 4);
+  SetId f;
+  std::size_t slot;
+  ASSERT_TRUE(q.pop_best(&f, &slot));
+  EXPECT_EQ(f, 1u);  // the earliest slot
+  EXPECT_EQ(slot, 4u);
+  ASSERT_TRUE(q.pop_best(&f, &slot));
+  EXPECT_EQ(f, 0u);  // then the lower frame within slot 5
+  ASSERT_TRUE(q.pop_worst(&f, &slot));
+  EXPECT_EQ(f, 2u);
+  EXPECT_EQ(slot, 5u);
 }
 
 TEST(PacketQueue, KillFrameLazilyDeletesItsPackets) {
@@ -145,7 +88,7 @@ TEST(PacketQueue, KillFrameLazilyDeletesItsPackets) {
   EXPECT_FALSE(q.pop_best(&f));
 }
 
-TEST(PacketQueue, PushingToADeadFrameIsBornStale) {
+TEST(PacketQueue, PushingToADeadFrameIsDiscarded) {
   PacketQueue q;
   q.reset(2);
   q.kill_frame(0);
@@ -172,97 +115,209 @@ TEST(PacketQueue, ResetReusesStorageAndClearsDeadness) {
   EXPECT_EQ(f, 0u);
 }
 
-// Naive reference: a vector re-scanned per operation.
-struct NaivePacket {
-  SetId frame;
+// -0.0 == +0.0 as doubles, so the two ranks tie and the key decides, in
+// both directions and whichever sign arrives first.
+TEST(PacketQueue, SignedZeroRanksTieAndTheKeyDecides) {
+  for (bool negative_first : {true, false}) {
+    PacketQueue q;
+    q.reset(2);
+    q.push(0, negative_first ? -0.0 : 0.0, 0);
+    q.push(1, negative_first ? 0.0 : -0.0, 1);
+    SetId f;
+    ASSERT_TRUE(q.pop_best(&f));
+    EXPECT_EQ(f, 0u) << "earlier arrival first, negative_first "
+                     << negative_first;
+
+    q.reset(2);
+    q.push(0, negative_first ? -0.0 : 0.0, 0);
+    q.push(1, negative_first ? 0.0 : -0.0, 1);
+    ASSERT_TRUE(q.pop_worst(&f));
+    EXPECT_EQ(f, 1u) << "later arrival evicted, negative_first "
+                     << negative_first;
+  }
+}
+
+TEST(PacketQueue, NegativeInfinityRankIsTheWorst) {
+  const double inf = std::numeric_limits<double>::infinity();
+  PacketQueue q;
+  q.reset(3);
+  q.push(0, -std::numeric_limits<double>::max(), 1);
+  q.push(1, -inf, 0);
+  q.push(2, inf, 2);
+  SetId f;
+  ASSERT_TRUE(q.pop_worst(&f));
+  EXPECT_EQ(f, 1u);
+  ASSERT_TRUE(q.pop_best(&f));
+  EXPECT_EQ(f, 2u);
+  ASSERT_TRUE(q.pop_best(&f));
+  EXPECT_EQ(f, 0u);
+}
+
+TEST(PacketQueue, RejectsNanRanksUnknownFramesAndWideSlots) {
+  PacketQueue q;
+  q.reset(2);
+  EXPECT_THROW(q.push(0, std::nan(""), 0), RequireError);
+  EXPECT_THROW(q.push(2, 1.0, 0), RequireError);
+  EXPECT_THROW(q.push(0, 1.0, std::size_t{1} << 32), RequireError);
+  EXPECT_THROW(q.kill_frame(2), RequireError);
+  EXPECT_EQ(q.live_size(), 0u);
+}
+
+// ---------------------------------------------------------------------
+// Fuzz against a reference.  The multiset orders packets best first —
+// (rank desc, slot asc, frame asc) — and holds only live packets.
+
+struct RefPacket {
   double rank;
-  std::uint64_t seq;
+  std::size_t slot;
+  SetId frame;
+  bool operator<(const RefPacket& o) const {
+    if (rank != o.rank) return rank > o.rank;
+    if (slot != o.slot) return slot < o.slot;
+    return frame < o.frame;
+  }
 };
 
-TEST(PacketQueue, FuzzAgainstNaiveReference) {
+class Reference {
+ public:
+  explicit Reference(std::size_t num_frames) : slots_(num_frames) {}
+
+  void push(SetId frame, double rank, std::size_t slot) {
+    if (dead_.count(frame) != 0) return;
+    packets_.insert(RefPacket{rank, slot, frame});
+    slots_[frame].push_back(std::make_pair(rank, slot));
+  }
+
+  // The packet pop_best (best) or pop_worst must return, or nullptr.
+  const RefPacket* peek(bool best) const {
+    if (packets_.empty()) return nullptr;
+    return best ? &*packets_.begin() : &*packets_.rbegin();
+  }
+
+  void pop(bool best) {
+    packets_.erase(best ? packets_.begin() : std::prev(packets_.end()));
+  }
+
+  std::size_t kill(SetId frame) {
+    if (!dead_.insert(frame).second) return 0;
+    std::size_t killed = 0;
+    for (const auto& [rank, slot] : slots_[frame])
+      killed += packets_.erase(RefPacket{rank, slot, frame});
+    return killed;
+  }
+
+  std::size_t size() const { return packets_.size(); }
+
+ private:
+  std::multiset<RefPacket> packets_;
+  std::set<SetId> dead_;
+  std::vector<std::vector<std::pair<double, std::size_t>>> slots_;
+};
+
+// Pops one end of both and checks they agree; false on a mismatch.
+::testing::AssertionResult pop_and_compare(PacketQueue& q, Reference& ref,
+                                           bool best) {
+  SetId f = 0;
+  std::size_t slot = 0;
+  const bool ok = best ? q.pop_best(&f, &slot) : q.pop_worst(&f, &slot);
+  const RefPacket* want = ref.peek(best);
+  if (want == nullptr) {
+    if (ok) return ::testing::AssertionFailure() << "popped from empty";
+    return ::testing::AssertionSuccess();
+  }
+  if (!ok) return ::testing::AssertionFailure() << "empty, expected a packet";
+  if (f != want->frame || slot != want->slot)
+    return ::testing::AssertionFailure()
+           << (best ? "pop_best" : "pop_worst") << " gave frame " << f
+           << " slot " << slot << ", expected frame " << want->frame
+           << " slot " << want->slot;
+  ref.pop(best);
+  return ::testing::AssertionSuccess();
+}
+
+// Short queues, arbitrary interleavings: pops land between pushes of one
+// slot, ranks tie often (rank is frame-determined), frames die at random.
+TEST(PacketQueue, FuzzAgainstReference) {
   Rng rng(0xfeed);
   for (int round = 0; round < 30; ++round) {
     const std::size_t num_frames = 2 + rng.below(12);
     PacketQueue q;
     q.reset(num_frames);
-    std::vector<NaivePacket> naive;
-    std::vector<bool> dead(num_frames, false);
-    std::uint64_t seq = 0;
-
-    auto naive_best = [&]() {
-      std::size_t best = naive.size();
-      for (std::size_t i = 0; i < naive.size(); ++i) {
-        if (dead[naive[i].frame]) continue;
-        if (best == naive.size() || naive[i].rank > naive[best].rank ||
-            (naive[i].rank == naive[best].rank &&
-             naive[i].seq < naive[best].seq))
-          best = i;
-      }
-      return best;
-    };
-    auto naive_worst = [&]() {
-      std::size_t worst = naive.size();
-      for (std::size_t i = 0; i < naive.size(); ++i) {
-        if (dead[naive[i].frame]) continue;
-        if (worst == naive.size() || naive[i].rank < naive[worst].rank ||
-            (naive[i].rank == naive[worst].rank &&
-             naive[i].seq > naive[worst].seq))
-          worst = i;
-      }
-      return worst;
-    };
+    Reference ref(num_frames);
+    std::size_t slot = 0;
+    std::vector<bool> pushed(num_frames, false);  // in this slot
 
     for (int op = 0; op < 400; ++op) {
       const double which = rng.uniform();
-      if (which < 0.5) {
+      if (which < 0.1) {
+        ++slot;
+        pushed.assign(num_frames, false);
+      } else if (which < 0.5) {
         const SetId f = static_cast<SetId>(rng.below(num_frames));
-        // Ties are common on purpose: rank is frame-determined.
+        if (pushed[f]) continue;  // one packet per frame per slot
+        pushed[f] = true;
         const double rank = static_cast<double>(f % 3);
-        q.push(f, rank, seq);
-        if (!dead[f]) naive.push_back(NaivePacket{f, rank, seq});
-        ++seq;
-      } else if (which < 0.7) {
-        SetId f;
-        std::uint64_t s;
-        const std::size_t i = naive_best();
-        if (i == naive.size()) {
-          EXPECT_FALSE(q.pop_best(&f, &s));
-        } else {
-          ASSERT_TRUE(q.pop_best(&f, &s));
-          EXPECT_EQ(f, naive[i].frame);
-          EXPECT_EQ(s, naive[i].seq);
-          naive.erase(naive.begin() + static_cast<std::ptrdiff_t>(i));
-        }
+        q.push(f, rank, slot);
+        ref.push(f, rank, slot);
       } else if (which < 0.9) {
-        SetId f;
-        std::uint64_t s;
-        const std::size_t i = naive_worst();
-        if (i == naive.size()) {
-          EXPECT_FALSE(q.pop_worst(&f, &s));
-        } else {
-          ASSERT_TRUE(q.pop_worst(&f, &s));
-          EXPECT_EQ(f, naive[i].frame);
-          EXPECT_EQ(s, naive[i].seq);
-          naive.erase(naive.begin() + static_cast<std::ptrdiff_t>(i));
-        }
+        ASSERT_TRUE(pop_and_compare(q, ref, which < 0.7))
+            << "round " << round << " op " << op;
       } else {
         const SetId f = static_cast<SetId>(rng.below(num_frames));
-        const std::size_t expected =
-            dead[f] ? 0
-                    : static_cast<std::size_t>(std::count_if(
-                          naive.begin(), naive.end(),
-                          [&](const NaivePacket& p) { return p.frame == f; }));
-        EXPECT_EQ(q.kill_frame(f), expected);
-        dead[f] = true;
-        naive.erase(std::remove_if(naive.begin(), naive.end(),
-                                   [&](const NaivePacket& p) {
-                                     return p.frame == f;
-                                   }),
-                    naive.end());
+        EXPECT_EQ(q.kill_frame(f), ref.kill(f));
       }
-      ASSERT_EQ(q.live_size(), naive.size()) << "round " << round;
+      ASSERT_EQ(q.live_size(), ref.size()) << "round " << round;
     }
   }
+}
+
+// A deep queue shaped like a link's slots: 1-4 arrivals per slot, then
+// best-first pops and worst-first trims, with frames killed in between.
+// It fills to ~20k packets, drains and fills again, so the stack of runs
+// grows tall, merges at every depth and empties; ranks tie often.
+TEST(PacketQueue, DeepFuzzAgainstReference) {
+  Rng rng(0xdeeb);
+  const std::size_t num_frames = 100000;
+  std::vector<double> rank(num_frames);  // a frame's rank is fixed
+  for (std::size_t f = 0; f < num_frames; ++f)
+    rank[f] = rng.chance(0.3) ? static_cast<double>(f % 5) : rng.uniform();
+  PacketQueue q;
+  q.reset(num_frames);
+  Reference ref(num_frames);
+  std::size_t born = 0;  // frames 0..born-1 have had a packet
+  std::size_t peak = 0;
+  std::vector<SetId> arrivals;
+  for (std::size_t slot = 0; slot < 60000; ++slot) {
+    // Half the arrivals continue one of the last four frames, half start
+    // a new one; a frame has at most one packet per slot.
+    arrivals.clear();
+    for (std::size_t i = 1 + rng.below(4); i > 0; --i) {
+      const std::size_t recent = std::min<std::size_t>(born, 4);
+      const auto f = static_cast<SetId>(
+          recent > 0 && rng.chance(0.5) ? born - 1 - rng.below(recent)
+                                        : born++);
+      if (std::find(arrivals.begin(), arrivals.end(), f) != arrivals.end())
+        continue;
+      arrivals.push_back(f);
+      q.push(f, rank[f], slot);
+      ref.push(f, rank[f], slot);
+    }
+    const bool filling = (slot / 15000) % 2 == 0;
+    for (std::size_t i = filling ? rng.below(3) : 2 + rng.below(5); i > 0; --i)
+      ASSERT_TRUE(pop_and_compare(q, ref, rng.chance(0.6))) << "slot " << slot;
+    if (rng.chance(0.2)) {
+      const auto f = static_cast<SetId>(rng.below(born));
+      ASSERT_EQ(q.kill_frame(f), ref.kill(f)) << "slot " << slot;
+    }
+    ASSERT_EQ(q.live_size(), ref.size()) << "slot " << slot;
+    peak = std::max(peak, ref.size());
+  }
+  EXPECT_GE(peak, 15000u);
+  while (ref.size() > 0)
+    ASSERT_TRUE(pop_and_compare(q, ref, rng.chance(0.5)));
+  SetId f;
+  EXPECT_FALSE(q.pop_best(&f));
+  EXPECT_FALSE(q.pop_worst(&f));
 }
 
 }  // namespace

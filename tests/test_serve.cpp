@@ -213,6 +213,62 @@ TEST(ServeSustained, RandomSchedulesMatchSerialReference) {
   }
 }
 
+// Deep queues, which the fuzzes above never build (their buffers stay
+// below 24).  Four streams per link each start a 1-3 packet frame every
+// 1-3 slots, about four arrivals per link per slot against a service rate
+// of 2, so every link's backlog climbs to ~1600 packets and its queue
+// stacks many sorted runs.  A buffer as large as the whole workload never
+// trims; a 600-packet buffer trims from a deep queue every slot.
+TEST(ServeSustained, DeepQueuesMatchSerialReference) {
+  Rng rng(2024);
+  FrameSchedule schedule;
+  schedule.horizon = 800;
+  std::vector<std::uint32_t> stream_of;
+  std::vector<std::size_t> slots;
+  for (std::uint32_t stream = 0; stream < 16; ++stream) {
+    for (std::size_t start = rng.below(3); start < schedule.horizon;
+         start += 1 + rng.below(3)) {
+      slots.clear();
+      for (std::size_t i = 1 + rng.below(3), slot = start;
+           i > 0 && slot < schedule.horizon; --i, ++slot)
+        slots.push_back(slot);
+      schedule.add_frame(0.5 + static_cast<double>(rng.below(4)), slots);
+      stream_of.push_back(stream);
+    }
+  }
+
+  RandPrRanker rand_pr{Rng(5)};
+  WeightRanker by_weight;
+  FifoRanker fifo;
+  struct Case {
+    FrameRanker* ranker;
+    std::size_t buffer;
+    bool drop_dead;
+  };
+  const Case cases[] = {{&rand_pr, schedule.total_packets(), true},
+                        {&fifo, schedule.total_packets(), false},
+                        {&by_weight, 600, true},
+                        {&rand_pr, 600, false}};
+  for (const Case& c : cases) {
+    ServeSpec spec;
+    spec.links = 4;
+    spec.service_rate = 2;
+    spec.buffer = c.buffer;
+    spec.drop_dead_frames = c.drop_dead;
+    spec.window = 64;
+    const SustainedStats st = expect_matches_reference(
+        schedule, stream_of, *c.ranker, Rng(6), spec,
+        "deep buffer " + std::to_string(c.buffer) +
+            (c.drop_dead ? " drop-dead" : " keep-dead"));
+    if (c.buffer == schedule.total_packets()) {
+      EXPECT_EQ(st.evictions, 0u);
+      EXPECT_GT(st.leftover, 6000u);  // the backlog the horizon cut off
+    } else {
+      EXPECT_GT(st.evictions, 1500u);
+    }
+  }
+}
+
 // -------------------------------------------------------------------
 // One link: the buffered router of the paper's open problem 2
 
@@ -223,14 +279,14 @@ FrameSchedule sample_schedule(std::uint64_t seed, std::size_t frames,
   return bursty_schedule(bursts, frames, k, rng);
 }
 
-// The heap runtime and the sorted-vector reference must be
+// The runtime and the sorted-vector reference must be
 // decision-identical at one link: same serviced packet (frame AND arrival
 // seq) in every service step of every slot, and same stats — across
 // rankers, buffer sizes (zero included), service rates, and both
 // dead-frame modes — and every packet must be accounted for.  Unit frame
 // weights make rank ties ubiquitous, which is exactly where ordering bugs
 // would hide.
-TEST(SingleLink, HeapMatchesSortReferenceSlotForSlot) {
+TEST(SingleLink, RuntimeMatchesSortReferenceSlotForSlot) {
   RandPrRanker randpr{Rng(0)};
   WeightRanker weight;
   FifoRanker fifo;
