@@ -51,6 +51,7 @@
 #include "core/bounds.hpp"
 #include "core/game.hpp"
 #include "core/io.hpp"
+#include "engine/batch_runner.hpp"
 #include "engine/trial.hpp"
 #include "stats/summary.hpp"
 #include "stats/table.hpp"
@@ -320,8 +321,9 @@ int bench_router_kind(const Args& args, api::Session& session,
       sustained && !args.has("ranker") ? std::vector<std::string>{"randPr"}
                                        : split_commas(args.get("ranker", ""));
   const std::size_t workers = args.get_num("workers", 1);
-  OSP_REQUIRE_MSG(workers >= 1 && workers <= 256,
-                  "flag --workers must be in [1, 256], got " << workers);
+  OSP_REQUIRE_MSG(workers >= 1 && workers <= engine::kMaxThreads,
+                  "flag --workers must be in [1, " << engine::kMaxThreads
+                                                  << "], got " << workers);
   // Fail on an unknown ranker or a non-video scenario before the --json
   // sink creates its never-overwrite artifact file.
   api::resolve_ranker_run(cells, rankers);

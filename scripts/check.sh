@@ -13,11 +13,16 @@
 #      set against scripts/tidy_baseline.txt (SKIPs with a notice when
 #      clang-tidy is not installed; the CI analysis job requires it);
 #   5. examples smoke: runs osp_cli end to end off the policy/scenario
-#      registries (list, gen | run pipe, a small bench grid), quickstart,
-#      and the console-only benches (bench_theorem1, bench_fractional,
-#      bench_ablation), so none of them can silently rot, and checks that
-#      a bench which cannot write its artifact exits 1 with one line;
-#   6. shard smoke: bench --shard / merge bit-identity round trip;
+#      registries (list, gen | run and gen | stats pipes, bench grids, a
+#      config-file sweep, the ranker and sustained modes, --dry-run, the
+#      catalog drift gate), its one-line error paths (malformed flags,
+#      unknown policies, rankers and scenarios, --workers without
+#      --sustained, a bad config line), quickstart, and the console-only
+#      benches (bench_theorem1, bench_fractional, bench_ablation), so none
+#      of them can silently rot, and checks that a bench which cannot
+#      write its artifact exits 1 with one line;
+#   6. shard smoke: bench --shard / merge bit-identity round trip, and
+#      the gap, overlap and fingerprint-mismatch merge errors;
 #   7. deterministic artifacts: BENCH_adversarial/uniform/capacity.json
 #      regenerate byte-identically and re-pass their gates (the paper's
 #      bounds included), a fresh BENCH_router.json makes the committed
@@ -58,6 +63,22 @@ for arg in "$@"; do
 done
 
 jobs="$(nproc 2>/dev/null || echo 2)"
+
+# expect_error PATTERN COMMAND...: COMMAND must fail with exit status 1
+# (a one-line error, not a crash) and print PATTERN on stderr.
+expect_error() {
+  local pattern="$1"
+  shift
+  local status=0
+  "$@" 2> build/check_err.txt || status=$?
+  if [[ "${status}" -ne 1 ]] || ! grep -q -- "${pattern}" build/check_err.txt
+  then
+    echo "expected exit 1 and '${pattern}' (got ${status}) from: $*" >&2
+    cat build/check_err.txt >&2
+    exit 1
+  fi
+  rm -f build/check_err.txt
+}
 
 if [[ "${mode}" == "tidy" ]]; then
   echo "== clang-tidy baseline (scripts/run_tidy.sh) =="
@@ -100,7 +121,19 @@ echo
 echo "== examples smoke: osp_cli (registry-driven) + quickstart + console-only benches =="
 ./build/osp_cli list > /dev/null
 ./build/osp_cli gen random --seed 3 | ./build/osp_cli run --alg randpr
+./build/osp_cli gen regular --m 12 --sigma 3 | ./build/osp_cli stats - \
+  > /dev/null
 ./build/osp_cli bench --scenario random --alg randpr,greedy:maxw --trials 50
+# --dry-run prints the expanded cell grid and must run nothing.
+./build/osp_cli bench --scenario engine/ladder --alg randpr,greedy:maxw \
+  --dry-run | grep -q "dry run, nothing executed"
+# Malformed flags and unknown specs are one-line errors that name the
+# flag or enumerate the catalog.
+expect_error "--shard" ./build/osp_cli bench --scenario random --shard 3/2 \
+  --out build/check_x.part
+expect_error "registered policies" ./build/osp_cli run --alg no-such-policy \
+  /dev/null
+expect_error "--m" ./build/osp_cli gen random --m not-a-number
 # Config-file scenario (with a sweep axis) and the buffered-ranker mode.
 printf '%s\n' 'scenario = regular' 'm = 12' 'sigma = 3' 'sweep.k = 2,3' \
   > build/check_demo.cfg
@@ -112,13 +145,26 @@ printf '%s\n' 'scenario = regular' 'm = 12' 'sigma = 3' 'sweep.k = 2,3' \
 # which must enumerate the catalog rather than fail bare.
 ./build/osp_cli bench --scenario sustained/steady-smoke --sustained \
   --workers 2
-if ./build/osp_cli bench --scenario sustained/no-such --sustained \
-    2> build/check_sustained_err.txt; then
-  echo "unknown sustained scenario unexpectedly succeeded" >&2
+expect_error "registered scenarios" ./build/osp_cli bench \
+  --scenario sustained/no-such --sustained
+# --workers without --sustained is an error naming the flag, never
+# silently ignored.
+expect_error "--workers" ./build/osp_cli bench --scenario random \
+  --alg randpr --workers 4
+expect_error "--workers" ./build/osp_cli bench \
+  --scenario router/buffered-smoke --ranker randPr --trials 2 --workers 4
+# An unknown ranker fails with the catalog before --json creates its
+# artifact file.
+expect_error "registered rankers" ./build/osp_cli bench \
+  --scenario router/buffered-smoke --ranker randPr,no-such --json badranker
+if [[ -e BENCH_badranker.json ]]; then
+  echo "an unknown ranker left BENCH_badranker.json behind" >&2
   exit 1
 fi
-grep -q "registered scenarios" build/check_sustained_err.txt
-rm -f build/check_sustained_err.txt
+# Config errors name the file:line and the offending key.
+printf '%s\n' 'scenario = regular' 'frobnicate = 1' > build/bad.cfg
+expect_error "bad.cfg:2" ./build/osp_cli bench --config build/bad.cfg
+expect_error "frobnicate" ./build/osp_cli bench --config build/bad.cfg
 # docs/CATALOG.md is generated output: regenerate and fail on drift.
 ./build/osp_cli list --markdown | diff -u docs/CATALOG.md -
 ./build/quickstart > /dev/null
@@ -162,16 +208,22 @@ done
 python3 scripts/check_bench_json.py build/shardsmoke_*.part
 ./build/osp_cli merge build/shardsmoke_*.part --out build/shardsmoke_merged.json
 cmp BENCH_shardsmoke.json build/shardsmoke_merged.json
-# Overlapping partials must fail with an enumerated error, not merge.
-if ./build/osp_cli merge build/shardsmoke_0.part build/shardsmoke_0.part \
-    build/shardsmoke_1.part build/shardsmoke_2.part \
-    --out build/shardsmoke_bad.json 2> build/shardsmoke_err.txt; then
-  echo "overlapping-partials merge unexpectedly succeeded" >&2
-  exit 1
-fi
-grep -q "overlap" build/shardsmoke_err.txt
+# Malformed merges fail with an enumerated error, not a merge: a missing
+# slice (gap), the same slice twice (overlap), and a slice of another
+# seed's grid (fingerprint mismatch).
+expect_error "gap" ./build/osp_cli merge build/shardsmoke_0.part \
+  build/shardsmoke_2.part --out build/shardsmoke_bad.json
+expect_error "overlap" ./build/osp_cli merge build/shardsmoke_0.part \
+  build/shardsmoke_0.part build/shardsmoke_1.part build/shardsmoke_2.part \
+  --out build/shardsmoke_bad.json
+./build/osp_cli bench --scenario engine/ladder --alg randpr,greedy:maxw \
+  --trials 3 --seed 12 --json shardsmoke \
+  --shard 0/3 --out build/shardsmoke_alien.part > /dev/null
+expect_error "fingerprint mismatch" ./build/osp_cli merge \
+  build/shardsmoke_alien.part build/shardsmoke_1.part build/shardsmoke_2.part \
+  --out build/shardsmoke_bad.json
 rm -f BENCH_shardsmoke.json build/shardsmoke_*.part \
-  build/shardsmoke_merged.json build/shardsmoke_err.txt
+  build/shardsmoke_merged.json
 
 echo
 echo "== deterministic artifacts: regenerate + gates + shard smoke =="
@@ -180,7 +232,7 @@ echo "== deterministic artifacts: regenerate + gates + shard smoke =="
 # (which pins every Rng stream the grids draw) and re-pass the gates in
 # check_bench_json.py, the paper's bounds included.  The theorem3 smoke
 # grid then exercises the adversarial families through the generic shard
-# pipeline (CI's examples job runs the same probe at N in {1, 2}).
+# pipeline at N in {1, 2}.
 # The results are thread-count-independent; OSP_THREADS pins only the
 # preamble's recorded worker count to the committed value.
 for bench in adversarial uniform capacity; do
@@ -198,18 +250,21 @@ python3 scripts/check_bench_json.py BENCH_adversarial.json \
 python3 scripts/check_bench_json.py --same-decisions BENCH_router.json \
   build/BENCH_router.json
 rm -f build/BENCH_router.json
-rm -f BENCH_advsmoke.json build/advsmoke_*.part build/advsmoke_merged.json
+rm -f BENCH_advsmoke.json build/advsmoke_*
 ./build/osp_cli bench --scenario adversarial/theorem3-smoke \
   --alg randpr,greedy:first --trials 25 --seed 11 --json advsmoke > /dev/null
-for i in 0 1; do
-  ./build/osp_cli bench --scenario adversarial/theorem3-smoke \
-    --alg randpr,greedy:first --trials 25 --seed 11 --json advsmoke \
-    --shard "$i/2" --out "build/advsmoke_$i.part" > /dev/null
+for n in 1 2; do
+  for ((i = 0; i < n; ++i)); do
+    ./build/osp_cli bench --scenario adversarial/theorem3-smoke \
+      --alg randpr,greedy:first --trials 25 --seed 11 --json advsmoke \
+      --shard "$i/$n" --out "build/advsmoke_${n}_$i.part" > /dev/null
+  done
+  python3 scripts/check_bench_json.py build/advsmoke_"${n}"_*.part
+  ./build/osp_cli merge build/advsmoke_"${n}"_*.part \
+    --out "build/advsmoke_merged_$n.json"
+  cmp BENCH_advsmoke.json "build/advsmoke_merged_$n.json"
 done
-python3 scripts/check_bench_json.py build/advsmoke_*.part
-./build/osp_cli merge build/advsmoke_*.part --out build/advsmoke_merged.json
-cmp BENCH_advsmoke.json build/advsmoke_merged.json
-rm -f BENCH_advsmoke.json build/advsmoke_*.part build/advsmoke_merged.json
+rm -f BENCH_advsmoke.json build/advsmoke_*
 
 echo
 echo "== benchmark smoke: perfbench builds from src/ and its oracles pass =="

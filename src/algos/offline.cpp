@@ -20,126 +20,66 @@ bool is_feasible(const Instance& inst, const std::vector<SetId>& chosen) {
   return true;
 }
 
+std::vector<SetId> weight_order(const std::vector<Weight>& weights,
+                                const std::vector<std::size_t>& sizes) {
+  std::vector<SetId> order(weights.size());
+  std::iota(order.begin(), order.end(), SetId{0});
+  std::sort(order.begin(), order.end(), [&](SetId a, SetId b) {
+    if (weights[a] != weights[b]) return weights[a] > weights[b];
+    return sizes[a] < sizes[b];
+  });
+  return order;
+}
+
 namespace {
 
-/// Shared state of the branch & bound search.
-struct Search {
-  const Instance& inst;
-  std::vector<SetId> order;            // sets by descending weight
-  std::vector<Weight> suffix;          // suffix weight sums over `order`
-  std::vector<std::size_t> slack;      // remaining capacity per element
-  std::vector<SetId> current;
-  std::vector<SetId> best;
-  Weight best_value = -1;
-  std::uint64_t nodes = 0;
-  std::uint64_t node_limit;
-  bool truncated = false;
-
-  Search(const Instance& i, std::uint64_t limit)
-      : inst(i), node_limit(limit) {
-    order.resize(inst.num_sets());
-    std::iota(order.begin(), order.end(), SetId{0});
-    std::sort(order.begin(), order.end(), [&](SetId a, SetId b) {
-      if (inst.weight(a) != inst.weight(b))
-        return inst.weight(a) > inst.weight(b);
-      return inst.set_size(a) < inst.set_size(b);
-    });
-    suffix.assign(order.size() + 1, 0);
-    for (std::size_t i2 = order.size(); i2-- > 0;)
-      suffix[i2] = suffix[i2 + 1] + inst.weight(order[i2]);
-    slack.resize(inst.num_elements());
+/// Fit test of program (1): element u has b(u) slots and a set takes one
+/// slot of each of its elements.
+class UnitSlack {
+ public:
+  explicit UnitSlack(const Instance& inst)
+      : inst_(inst), slack_(inst.num_elements()) {
     for (ElementId u = 0; u < inst.num_elements(); ++u)
-      slack[u] = inst.arrival(u).capacity;
+      slack_[u] = inst.capacity(u);
   }
 
-  bool addable(SetId s) const {
-    for (ElementId u : inst.elements_of(s))
-      if (slack[u] == 0) return false;
+  bool add(SetId s) {
+    for (ElementId u : inst_.elements_of(s))
+      if (slack_[u] == 0) return false;
+    for (ElementId u : inst_.elements_of(s)) --slack_[u];
     return true;
   }
 
-  void add(SetId s) {
-    for (ElementId u : inst.elements_of(s)) --slack[u];
-    current.push_back(s);
-  }
-
   void remove(SetId s) {
-    for (ElementId u : inst.elements_of(s)) ++slack[u];
-    current.pop_back();
+    for (ElementId u : inst_.elements_of(s)) ++slack_[u];
   }
 
-  void recurse(std::size_t idx, Weight value) {
-    if (++nodes > node_limit) {
-      truncated = true;
-      return;
-    }
-    if (value > best_value) {
-      best_value = value;
-      best = current;
-    }
-    if (idx == order.size()) return;
-    // Prune: even taking every remaining set cannot beat the incumbent.
-    if (value + suffix[idx] <= best_value) return;
-
-    SetId s = order[idx];
-    if (addable(s)) {
-      add(s);
-      recurse(idx + 1, value + inst.weight(s));
-      remove(s);
-      if (truncated) return;
-    }
-    recurse(idx + 1, value);
-  }
+ private:
+  const Instance& inst_;
+  std::vector<Capacity> slack_;  // free slots per element
 };
 
 }  // namespace
 
 OfflineResult exact_optimum(const Instance& inst, std::uint64_t node_limit) {
-  Search search(inst, node_limit);
   // Seed the incumbent with greedy so pruning bites immediately.
-  OfflineResult seed = greedy_offline(inst);
-  search.best = seed.chosen;
-  search.best_value = seed.value;
-  search.recurse(0, 0);
-
-  OfflineResult out;
-  out.chosen = std::move(search.best);
-  std::sort(out.chosen.begin(), out.chosen.end());
-  out.value = search.best_value;
-  out.exact = !search.truncated;
-  out.nodes = search.nodes;
+  OfflineResult out =
+      BranchAndBound(UnitSlack(inst), inst.weights(), inst.set_sizes(),
+                     node_limit)
+          .run(greedy_offline(inst));
   OSP_ASSERT(is_feasible(inst, out.chosen));
   return out;
 }
 
 OfflineResult greedy_offline(const Instance& inst) {
-  std::vector<SetId> order(inst.num_sets());
-  std::iota(order.begin(), order.end(), SetId{0});
-  std::sort(order.begin(), order.end(), [&](SetId a, SetId b) {
-    if (inst.weight(a) != inst.weight(b))
-      return inst.weight(a) > inst.weight(b);
-    return inst.set_size(a) < inst.set_size(b);
-  });
-
-  std::vector<std::size_t> slack(inst.num_elements());
-  for (ElementId u = 0; u < inst.num_elements(); ++u)
-    slack[u] = inst.arrival(u).capacity;
-
+  UnitSlack fit(inst);
   OfflineResult out;
-  for (SetId s : order) {
-    bool ok = true;
-    for (ElementId u : inst.elements_of(s))
-      if (slack[u] == 0) {
-        ok = false;
-        break;
-      }
-    if (!ok) continue;
-    for (ElementId u : inst.elements_of(s)) --slack[u];
+  for (SetId s : weight_order(inst.weights(), inst.set_sizes())) {
+    if (!fit.add(s)) continue;
     out.chosen.push_back(s);
     out.value += inst.weight(s);
   }
   std::sort(out.chosen.begin(), out.chosen.end());
-  out.exact = false;
   return out;
 }
 

@@ -1,7 +1,6 @@
 #include "algos/partial_offline.hpp"
 
 #include <algorithm>
-#include <numeric>
 
 #include "algos/flow.hpp"
 #include "algos/simplex.hpp"
@@ -54,56 +53,26 @@ bool partial_feasible(const Instance& inst, const std::vector<SetId>& chosen,
 
 namespace {
 
-struct PartialSearch {
-  const Instance& inst;
-  const PartialCreditRule& rule;
-  std::vector<SetId> order;
-  std::vector<Weight> suffix;
-  std::vector<SetId> current;
-  std::vector<SetId> best;
-  Weight best_value = -1;
-  std::uint64_t nodes = 0;
-  std::uint64_t node_limit;
-  bool truncated = false;
+/// Fit test under partial credit: the whole collection must pass the
+/// max-flow check, which is monotone because a set only adds demand.
+class PartialFlow {
+ public:
+  PartialFlow(const Instance& inst, const PartialCreditRule& rule)
+      : inst_(inst), rule_(rule) {}
 
-  PartialSearch(const Instance& i, const PartialCreditRule& r,
-                std::uint64_t limit)
-      : inst(i), rule(r), node_limit(limit) {
-    order.resize(inst.num_sets());
-    std::iota(order.begin(), order.end(), SetId{0});
-    std::sort(order.begin(), order.end(), [&](SetId a, SetId b) {
-      if (inst.weight(a) != inst.weight(b))
-        return inst.weight(a) > inst.weight(b);
-      return inst.set_size(a) < inst.set_size(b);
-    });
-    suffix.assign(order.size() + 1, 0);
-    for (std::size_t i2 = order.size(); i2-- > 0;)
-      suffix[i2] = suffix[i2 + 1] + inst.weight(order[i2]);
+  bool add(SetId s) {
+    chosen_.push_back(s);
+    if (partial_feasible(inst_, chosen_, rule_)) return true;
+    chosen_.pop_back();
+    return false;
   }
 
-  void recurse(std::size_t idx, Weight value) {
-    if (++nodes > node_limit) {
-      truncated = true;
-      return;
-    }
-    if (value > best_value) {
-      best_value = value;
-      best = current;
-    }
-    if (idx == order.size()) return;
-    if (value + suffix[idx] <= best_value) return;
+  void remove(SetId) { chosen_.pop_back(); }
 
-    SetId s = order[idx];
-    current.push_back(s);
-    // Feasibility must hold for the whole collection; the flow check is
-    // monotone (adding sets only adds demand), so pruning on failure is
-    // sound.
-    if (partial_feasible(inst, current, rule))
-      recurse(idx + 1, value + inst.weight(s));
-    current.pop_back();
-    if (truncated) return;
-    recurse(idx + 1, value);
-  }
+ private:
+  const Instance& inst_;
+  PartialCreditRule rule_;
+  std::vector<SetId> chosen_;
 };
 
 }  // namespace
@@ -114,16 +83,9 @@ OfflineResult partial_exact_optimum(const Instance& inst,
   OSP_REQUIRE_MSG(!rule.prorated,
                   "exact search supports the threshold rule; use "
                   "partial_lp_upper_bound for prorated scoring");
-  PartialSearch search(inst, rule, node_limit);
-  search.recurse(0, 0);
-
-  OfflineResult out;
-  out.chosen = std::move(search.best);
-  std::sort(out.chosen.begin(), out.chosen.end());
-  out.value = std::max<Weight>(search.best_value, 0);
-  out.exact = !search.truncated;
-  out.nodes = search.nodes;
-  return out;
+  return BranchAndBound(PartialFlow(inst, rule), inst.weights(),
+                        inst.set_sizes(), node_limit)
+      .run(OfflineResult{});
 }
 
 double partial_lp_upper_bound(const Instance& inst,

@@ -21,8 +21,9 @@ bool partial_feasible(const Instance& inst, const std::vector<SetId>& chosen,
                       const PartialCreditRule& rule);
 
 /// Exact maximum total weight of a partially-creditable collection under
-/// the threshold (non-prorated) rule, via branch & bound with max-flow
-/// feasibility checks.  Practical for benchmark-scale m.
+/// the threshold (non-prorated) rule: exact_optimum's branch & bound with
+/// partial_feasible as the fit test, searched from the empty collection.
+/// Practical for benchmark-scale m.
 OfflineResult partial_exact_optimum(const Instance& inst,
                                     const PartialCreditRule& rule,
                                     std::uint64_t node_limit = 2'000'000);

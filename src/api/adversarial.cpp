@@ -93,7 +93,6 @@ OptDenominator opt_denominator(const Instance& inst, double witness_value,
   d.opt = witness_value;
   if (inst.num_sets() <= kExactMaxSets) {
     const OfflineResult r = exact_optimum(inst);
-    d.nodes = r.nodes;
     if (r.exact) {
       const double v = static_cast<double>(r.value);
       OSP_REQUIRE_MSG(v + 1e-9 >= witness_value,

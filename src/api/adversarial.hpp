@@ -20,7 +20,7 @@
 //    stays small enough.
 #pragma once
 
-#include <cstdint>
+#include <cstddef>
 #include <vector>
 
 #include "api/scenario.hpp"
@@ -51,7 +51,6 @@ struct OptDenominator {
   double opt = 0;        // exact optimum when opt_exact, else witness value
   bool opt_exact = false;
   double lp_upper = 0;   // LP relaxation value; 0 when not computed
-  std::uint64_t nodes = 0;  // B&B nodes explored (0 when B&B skipped)
 };
 
 /// Default ceiling on simplex rows (elements + sets) before lp_upper is

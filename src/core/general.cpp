@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <functional>
-#include <numeric>
 
 #include "util/require.hpp"
 
@@ -175,109 +174,6 @@ std::vector<SetId> GeneralGreedyWeight::on_element(
 std::vector<SetId> GeneralFirstFit::on_element(
     ElementId, const GeneralArrival& arrival) {
   return priority_fill(arrival, [](SetId a, SetId b) { return a < b; });
-}
-
-bool general_feasible(const GeneralInstance& inst,
-                      const std::vector<SetId>& chosen) {
-  std::vector<bool> take(inst.num_sets(), false);
-  for (SetId s : chosen) {
-    if (s >= inst.num_sets() || take[s]) return false;
-    take[s] = true;
-  }
-  for (ElementId u = 0; u < inst.num_elements(); ++u) {
-    const GeneralArrival& a = inst.arrival(u);
-    std::uint64_t used = 0;
-    for (const UnitDemand& d : a.demands)
-      if (take[d.set]) used += d.units;
-    if (used > a.capacity) return false;
-  }
-  return true;
-}
-
-namespace {
-
-struct GeneralSearch {
-  const GeneralInstance& inst;
-  std::vector<SetId> order;
-  std::vector<Weight> suffix;
-  // Remaining capacity per element for the current partial choice.
-  std::vector<std::int64_t> slack;
-  // Per set, the list of (element, units) it demands.
-  std::vector<std::vector<std::pair<ElementId, std::uint32_t>>> demands_of;
-  std::vector<SetId> current, best;
-  Weight best_value = -1;
-  std::uint64_t nodes = 0, node_limit;
-  bool truncated = false;
-
-  GeneralSearch(const GeneralInstance& i, std::uint64_t limit)
-      : inst(i), node_limit(limit) {
-    order.resize(inst.num_sets());
-    std::iota(order.begin(), order.end(), SetId{0});
-    std::sort(order.begin(), order.end(), [&](SetId a, SetId b) {
-      if (inst.weight(a) != inst.weight(b))
-        return inst.weight(a) > inst.weight(b);
-      return inst.appearances(a) < inst.appearances(b);
-    });
-    suffix.assign(order.size() + 1, 0);
-    for (std::size_t i2 = order.size(); i2-- > 0;)
-      suffix[i2] = suffix[i2 + 1] + inst.weight(order[i2]);
-    slack.resize(inst.num_elements());
-    demands_of.resize(inst.num_sets());
-    for (ElementId u = 0; u < inst.num_elements(); ++u) {
-      slack[u] = inst.arrival(u).capacity;
-      for (const UnitDemand& d : inst.arrival(u).demands)
-        demands_of[d.set].emplace_back(u, d.units);
-    }
-  }
-
-  bool addable(SetId s) const {
-    for (auto [u, units] : demands_of[s])
-      if (slack[u] < units) return false;
-    return true;
-  }
-
-  void apply(SetId s, int sign) {
-    for (auto [u, units] : demands_of[s])
-      slack[u] += sign * static_cast<std::int64_t>(units);
-  }
-
-  void recurse(std::size_t idx, Weight value) {
-    if (++nodes > node_limit) {
-      truncated = true;
-      return;
-    }
-    if (value > best_value) {
-      best_value = value;
-      best = current;
-    }
-    if (idx == order.size() || value + suffix[idx] <= best_value) return;
-    SetId s = order[idx];
-    if (addable(s)) {
-      apply(s, -1);
-      current.push_back(s);
-      recurse(idx + 1, value + inst.weight(s));
-      current.pop_back();
-      apply(s, +1);
-      if (truncated) return;
-    }
-    recurse(idx + 1, value);
-  }
-};
-
-}  // namespace
-
-GeneralOfflineResult general_exact_optimum(const GeneralInstance& inst,
-                                           std::uint64_t node_limit) {
-  GeneralSearch search(inst, node_limit);
-  search.recurse(0, 0);
-  GeneralOfflineResult out;
-  out.chosen = std::move(search.best);
-  std::sort(out.chosen.begin(), out.chosen.end());
-  out.value = std::max<Weight>(search.best_value, 0);
-  out.exact = !search.truncated;
-  out.nodes = search.nodes;
-  OSP_ASSERT(general_feasible(inst, out.chosen));
-  return out;
 }
 
 }  // namespace osp

@@ -59,8 +59,10 @@ class GeneralInstance {
   std::size_t num_sets() const { return weights_.size(); }
   std::size_t num_elements() const { return arrivals_.size(); }
   Weight weight(SetId s) const { return weights_[s]; }
-  /// Number of elements that list set s.
+  const std::vector<Weight>& weights() const { return weights_; }
+  /// Number of elements that list set s (its size).
   std::size_t appearances(SetId s) const { return appearances_[s]; }
+  const std::vector<std::size_t>& set_sizes() const { return appearances_; }
   const GeneralArrival& arrival(ElementId u) const { return arrivals_[u]; }
   GeneralStats stats() const;
   void validate() const;
@@ -145,22 +147,5 @@ class GeneralFirstFit final : public GeneralAlgorithm {
   std::vector<SetId> on_element(ElementId u,
                                 const GeneralArrival& arrival) override;
 };
-
-/// Exact offline optimum by branch & bound (suffix-weight pruning).
-struct GeneralOfflineResult {
-  Weight value = 0;
-  std::vector<SetId> chosen;
-  bool exact = false;
-  std::uint64_t nodes = 0;
-};
-GeneralOfflineResult general_exact_optimum(const GeneralInstance& inst,
-                                           std::uint64_t node_limit =
-                                               20'000'000);
-
-/// True iff the chosen sets' demands fit every element capacity.
-bool general_feasible(const GeneralInstance& inst,
-                      const std::vector<SetId>& chosen);
-// The LP relaxation upper bound lives in algos/general_lp.hpp (it needs
-// the simplex solver, which sits above this library in the layering).
 
 }  // namespace osp

@@ -141,21 +141,31 @@ std::size_t filter_active(const ActiveTracking& tracker,
 
 }  // namespace
 
-RandPr::RandPr(Rng rng, RandPrOptions options)
-    : rng_(rng), options_(options) {}
-
 namespace {
 
-/// Display-name suffix shared by RandPr and the hashed factories.
+/// Display-name suffix shared by RandPr and the hashed factories; a miss
+/// budget follows the filter ("/filt1").
 std::string options_suffix(const RandPrOptions& options) {
   std::string n;
   if (options.ignore_weights) n += "/unif";
   if (options.filter_dead) n += "/filt";
+  if (options.allowed_misses > 0) n += std::to_string(options.allowed_misses);
   if (options.fresh_priorities_per_element) n += "/fresh";
   return n;
 }
 
+/// Rejects the option sets in which a knob would do nothing.
+const RandPrOptions& checked(const RandPrOptions& options) {
+  OSP_REQUIRE_MSG(options.filter_dead || options.allowed_misses == 0,
+                  "randPr's allowed_misses needs filter_dead: without the "
+                  "filter a miss budget does nothing");
+  return options;
+}
+
 }  // namespace
+
+RandPr::RandPr(Rng rng, RandPrOptions options)
+    : rng_(rng), options_(checked(options)) {}
 
 std::string RandPr::name() const { return "randPr" + options_suffix(options_); }
 
@@ -217,8 +227,12 @@ void RandPr::decide_batch(const ArrivalBlock& block, BlockScratch& scratch,
 
 HashedRandPr::HashedRandPr(HashFn hash, std::string label,
                            RandPrOptions options)
-    : hash_(std::move(hash)), label_(std::move(label)), options_(options) {
+    : hash_(std::move(hash)), label_(std::move(label)),
+      options_(checked(options)) {
   OSP_REQUIRE(hash_ != nullptr);
+  OSP_REQUIRE_MSG(!options_.fresh_priorities_per_element,
+                  "hashed randPr cannot redraw priorities per element: its "
+                  "priorities are the hash of the set id");
 }
 
 namespace {

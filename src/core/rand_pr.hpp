@@ -38,6 +38,7 @@ struct RandPrOptions {
   /// With filter_dead: a set counts as dead once it missed MORE than this
   /// many elements.  0 reproduces strict all-or-nothing scoring; r > 0
   /// matches a PartialCreditRule with max_misses = r (open problem 3).
+  /// r > 0 without filter_dead throws RequireError.
   std::size_t allowed_misses = 0;
 
   /// If true, ignore weights when drawing priorities (all R_1), an
@@ -46,7 +47,8 @@ struct RandPrOptions {
 
   /// If true, redraw priorities at every element instead of fixing them
   /// per set — breaks the algorithm's consistency and serves as a negative
-  /// control in bench_ablation.
+  /// control in bench_ablation.  RandPr only: HashedRandPr throws
+  /// RequireError, since its priorities are a hash of the set id.
   bool fresh_priorities_per_element = false;
 };
 

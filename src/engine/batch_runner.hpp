@@ -30,7 +30,12 @@ struct BatchOptions {
   std::size_t num_threads = 0;
 };
 
-/// Resolves `requested` (0 = auto) against the hardware and OSP_THREADS.
+/// The most worker threads OSP_THREADS (and osp_cli's --workers) accepts.
+constexpr std::size_t kMaxThreads = 256;
+
+/// Resolves `requested` (0 = auto) against OSP_THREADS and the hardware:
+/// an OSP_THREADS that is set and not empty must be an integer in
+/// [1, kMaxThreads], or this throws RequireError.
 std::size_t resolve_num_threads(std::size_t requested);
 
 class BatchRunner {

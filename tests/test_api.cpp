@@ -86,6 +86,15 @@ TEST(PolicyRegistry, AliasesResolveToTheSameEntry) {
   }
 }
 
+TEST(PolicyRegistry, EveryDisplayNameResolvesToItsOwnEntry) {
+  // A policy's name() labels tables and traces; looked up again it must
+  // name the policy that printed it, not a sibling variant.
+  for (const api::PolicyInfo& p : api::policies().entries()) {
+    const std::string shown = p.make(Rng(0))->name();
+    EXPECT_EQ(&api::policies().at(shown), &p) << p.name << " shows " << shown;
+  }
+}
+
 TEST(PolicyRegistry, UnknownSpecErrorsEnumerateTheCatalog) {
   try {
     api::policies().at("definitely-not-a-policy");

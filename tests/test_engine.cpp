@@ -11,7 +11,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdlib>
 #include <memory>
+#include <optional>
+#include <string>
 
 #include "algos/baselines.hpp"
 #include "api/policy_registry.hpp"
@@ -609,6 +612,38 @@ TEST(BatchRunner, PropagatesExceptions) {
                         return 0;
                       }),
       RequireError);
+}
+
+TEST(BatchRunner, OspThreadsMustBeAnIntegerFromOneTo256) {
+  // resolve_num_threads(0) only reads the variable; it starts no thread.
+  struct RestoreEnv {
+    std::optional<std::string> saved;
+    RestoreEnv() {
+      if (const char* v = std::getenv("OSP_THREADS")) saved = v;
+    }
+    ~RestoreEnv() {
+      if (saved)
+        setenv("OSP_THREADS", saved->c_str(), 1);
+      else
+        unsetenv("OSP_THREADS");
+    }
+  } restore;
+  const auto resolve_with = [](const char* value) {
+    setenv("OSP_THREADS", value, 1);
+    return engine::resolve_num_threads(0);
+  };
+  EXPECT_EQ(resolve_with("1"), 1u);
+  EXPECT_EQ(resolve_with("256"), engine::kMaxThreads);
+  for (const char* bad : {"abc", "-1", "0", "257", "4x", " 4", "+4",
+                          "18446744073709551617"})
+    EXPECT_THROW(resolve_with(bad), RequireError) << bad;
+  // An explicit count wins over the variable.
+  EXPECT_EQ(engine::resolve_num_threads(3), 3u);
+  // Empty means unset: the hardware count.
+  const std::size_t hardware = resolve_with("");
+  unsetenv("OSP_THREADS");
+  EXPECT_EQ(engine::resolve_num_threads(0), hardware);
+  EXPECT_GE(hardware, 1u);
 }
 
 TEST(BatchRunner, TrialSeedsAreStableAndDistinct) {

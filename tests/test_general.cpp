@@ -3,7 +3,7 @@
 
 #include <cmath>
 
-#include "algos/general_lp.hpp"
+#include "algos/general_offline.hpp"
 #include "core/general.hpp"
 #include "stats/summary.hpp"
 #include "util/require.hpp"
@@ -145,7 +145,7 @@ TEST(GeneralExact, MatchesBruteForce) {
   for (int trial = 0; trial < 15; ++trial) {
     Rng gen = master.split(trial);
     GeneralInstance inst = random_general(9, 10, 2, 4, 3, gen);
-    GeneralOfflineResult res = general_exact_optimum(inst);
+    OfflineResult res = general_exact_optimum(inst);
     ASSERT_TRUE(res.exact);
     // Brute force over all subsets.
     Weight best = 0;
@@ -163,12 +163,26 @@ TEST(GeneralExact, MatchesBruteForce) {
   }
 }
 
+TEST(GeneralExact, TinyNodeLimitHonoredWithFeasiblePartial) {
+  Rng master(5);
+  for (int trial = 0; trial < 6; ++trial) {
+    Rng gen = master.split(trial);
+    GeneralInstance inst = random_general(14, 12, 3, 4, 3, gen);
+    OfflineResult res = general_exact_optimum(inst, /*node_limit=*/3);
+    EXPECT_FALSE(res.exact);
+    EXPECT_TRUE(general_feasible(inst, res.chosen));
+    Weight w = 0;
+    for (SetId s : res.chosen) w += inst.weight(s);
+    EXPECT_NEAR(w, res.value, 1e-9);
+  }
+}
+
 TEST(GeneralLp, UpperBoundsExact) {
   Rng master(3);
   for (int trial = 0; trial < 10; ++trial) {
     Rng gen = master.split(trial);
     GeneralInstance inst = random_general(10, 12, 3, 4, 3, gen);
-    GeneralOfflineResult res = general_exact_optimum(inst);
+    OfflineResult res = general_exact_optimum(inst);
     ASSERT_TRUE(res.exact);
     EXPECT_GE(general_lp_upper_bound(inst) + 1e-6, res.value);
   }
@@ -182,7 +196,7 @@ TEST(GeneralRandPrAlg, CompetitiveOnRandomFamilies) {
     Rng gen = master.split(trial);
     GeneralInstance inst = random_general(14, 14, 3, 5, 3, gen);
     GeneralStats st = inst.stats();
-    GeneralOfflineResult opt = general_exact_optimum(inst);
+    OfflineResult opt = general_exact_optimum(inst);
     ASSERT_TRUE(opt.exact);
     if (opt.value <= 0) continue;
 
@@ -218,7 +232,7 @@ TEST(GeneralRandPrAlg, RatioRisesWithDemandScale) {
   for (std::uint32_t d_max : {1, 2, 3, 4, 6}) {
     Rng gen = master.split(d_max);
     GeneralInstance inst = random_general(16, 14, 3, 6, d_max, gen, false);
-    GeneralOfflineResult opt = general_exact_optimum(inst);
+    OfflineResult opt = general_exact_optimum(inst);
     ASSERT_TRUE(opt.exact);
     Rng runs = master.split(100 + d_max);
     RunningStat alg = general_randpr_benefit(inst, runs);
@@ -243,7 +257,7 @@ TEST(GeneralRandPrAlg, RatioFallsWithCapacity) {
   for (std::uint32_t cap_max : {1, 2, 4, 8, 12}) {
     Rng gen = master.split(cap_max);
     GeneralInstance inst = random_general(16, 14, 3, cap_max, 3, gen, false);
-    GeneralOfflineResult opt = general_exact_optimum(inst);
+    OfflineResult opt = general_exact_optimum(inst);
     ASSERT_TRUE(opt.exact);
     Rng runs = master.split(100 + cap_max);
     RunningStat alg = general_randpr_benefit(inst, runs);

@@ -3,6 +3,8 @@
 // tolerance on the measured competitive ratio.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "algos/partial_offline.hpp"
 #include "core/game.hpp"
 #include "core/partial.hpp"
@@ -143,6 +145,55 @@ TEST(PartialExact, MatchesClassicAtZeroMisses) {
         partial_exact_optimum(inst, PartialCreditRule{});
     ASSERT_TRUE(partial.exact);
     EXPECT_NEAR(classic.value, partial.value, 1e-9) << inst.describe();
+  }
+}
+
+// Total weight of `chosen`.
+Weight weight_of(const Instance& inst, const std::vector<SetId>& chosen) {
+  Weight w = 0;
+  for (SetId s : chosen) w += inst.weight(s);
+  return w;
+}
+
+TEST(PartialExact, MatchesBruteForceWithMisses) {
+  // Ten 3-element sets over six elements: at r = 1 a set needs two of its
+  // elements and at r = 2 one, so the capacities still bind.
+  Rng master(9);
+  for (int trial = 0; trial < 8; ++trial) {
+    Rng gen = master.split(trial);
+    const WeightModel weights = WeightModel::uniform(1, 6);
+    Instance inst = trial % 2
+                        ? random_capacity_instance(10, 6, 3, 2, weights, gen)
+                        : random_instance(10, 6, 3, weights, gen);
+    for (std::size_t r : {1u, 2u}) {
+      const PartialCreditRule rule{.max_misses = r};
+      OfflineResult res = partial_exact_optimum(inst, rule);
+      ASSERT_TRUE(res.exact);
+      Weight best = 0;
+      for (std::uint64_t mask = 0; mask < (1ULL << inst.num_sets()); ++mask) {
+        std::vector<SetId> chosen;
+        for (std::size_t s = 0; s < inst.num_sets(); ++s)
+          if (mask & (1ULL << s)) chosen.push_back(static_cast<SetId>(s));
+        if (partial_feasible(inst, chosen, rule))
+          best = std::max(best, weight_of(inst, chosen));
+      }
+      EXPECT_NEAR(res.value, best, 1e-9) << inst.describe() << " r=" << r;
+      EXPECT_TRUE(partial_feasible(inst, res.chosen, rule));
+      EXPECT_NEAR(weight_of(inst, res.chosen), res.value, 1e-9);
+    }
+  }
+}
+
+TEST(PartialExact, TinyNodeLimitHonoredWithFeasiblePartial) {
+  Rng master(10);
+  for (int trial = 0; trial < 6; ++trial) {
+    Rng gen = master.split(trial);
+    Instance inst = random_instance(14, 12, 3, WeightModel::uniform(1, 6), gen);
+    const PartialCreditRule rule{.max_misses = trial % 3u};
+    OfflineResult res = partial_exact_optimum(inst, rule, /*node_limit=*/3);
+    EXPECT_FALSE(res.exact);
+    EXPECT_TRUE(partial_feasible(inst, res.chosen, rule));
+    EXPECT_NEAR(weight_of(inst, res.chosen), res.value, 1e-9);
   }
 }
 

@@ -15,6 +15,7 @@
 #include "core/rand_pr.hpp"
 #include "gen/random_instances.hpp"
 #include "stats/summary.hpp"
+#include "util/require.hpp"
 #include "util/rng.hpp"
 
 namespace osp {
@@ -193,7 +194,22 @@ TEST(Reseed, HashedRandPrFactoriesInstallARehashRecipe) {
 TEST(RandPr, NameReflectsOptions) {
   EXPECT_EQ(RandPr(Rng(1)).name(), "randPr");
   EXPECT_EQ(RandPr(Rng(1), {.filter_dead = true}).name(), "randPr/filt");
+  EXPECT_EQ(RandPr(Rng(1), {.filter_dead = true, .allowed_misses = 2}).name(),
+            "randPr/filt2");
   EXPECT_EQ(RandPr(Rng(1), {.ignore_weights = true}).name(), "randPr/unif");
+}
+
+TEST(RandPrOptions, KnobsThatWouldDoNothingAreRejected) {
+  // A miss budget only matters to the dead-set filter.
+  EXPECT_THROW(RandPr(Rng(1), {.allowed_misses = 1}), RequireError);
+  Rng rng(2);
+  EXPECT_THROW(HashedRandPr::with_tabulation(rng, {.allowed_misses = 1}),
+               RequireError);
+  // Hashed priorities are a function of the set id: nothing to redraw.
+  EXPECT_THROW(HashedRandPr::with_polynomial(
+                   8, rng, {.fresh_priorities_per_element = true}),
+               RequireError);
+  EXPECT_NO_THROW(RandPr(Rng(1), {.fresh_priorities_per_element = true}));
 }
 
 // Property sweep: on random families, E[w(alg)] >= opt / (kmax sqrt(smax))
