@@ -270,10 +270,10 @@ void run_dashboard() {
   // The seed repo's E5 Lemma 9 streams for ell <= 4 (master(271828),
   // instance split ell*100+d, randPr split 7000 + the same key); ell = 5
   // is re-baselined from 6 draws to the catalog's 12, and ell = 7 is
-  // dropped from the sweep (runtime).  The dense simplex returns a
-  // nonsense objective on this gadget past ell = 2, so the LP row limit is
-  // pinned below the ell = 3 tableau size.  A cell's instance shape (sets,
-  // elements, kmax, sigma max) is what
+  // dropped from the sweep (runtime).  The dense simplex stops at its
+  // pivot limit without an optimum on the ell = 3 gadget, so the LP row
+  // limit is pinned below the ell = 3 tableau size.  A cell's instance
+  // shape (sets, elements, kmax, sigma max) is what
   // `osp_cli gen adversarial/lemma9 --ell <ell> | osp_cli stats -` prints.
   osp::distribution_sweep(json, summaries, "lemma9", "adversarial/lemma9",
                           271828, 100, 7000, 200);

@@ -17,10 +17,11 @@
 #      config-file sweep, the ranker and sustained modes, --dry-run, the
 #      catalog drift gate), its one-line error paths (malformed flags,
 #      unknown policies, rankers and scenarios, --workers without
-#      --sustained, a bad config line), quickstart, and the console-only
-#      benches (bench_theorem1, bench_fractional, bench_ablation), so none
-#      of them can silently rot, and checks that a bench which cannot
-#      write its artifact exits 1 with one line;
+#      --sustained, a bad config line), quickstart, `solve` on the lemma9
+#      ell = 3 instance within 60 s with branch and bound's exact 27, and
+#      the console-only benches (bench_theorem1, bench_fractional,
+#      bench_ablation), so none of them can silently rot, and checks that
+#      a bench which cannot write its artifact exits 1 with one line;
 #   6. shard smoke: bench --shard / merge bit-identity round trip, and
 #      the gap, overlap and fingerprint-mismatch merge errors;
 #   7. deterministic artifacts: BENCH_adversarial/uniform/capacity.json
@@ -168,6 +169,21 @@ expect_error "frobnicate" ./build/osp_cli bench --config build/bad.cfg
 # docs/CATALOG.md is generated output: regenerate and fail on drift.
 ./build/osp_cli list --markdown | diff -u docs/CATALOG.md -
 ./build/quickstart > /dev/null
+# `solve` never hangs: on lemma9 at ell = 3 the simplex stops at its pivot
+# limit and only the LP row is lost, while branch and bound still proves
+# the optimum, 27.
+./build/osp_cli gen adversarial/lemma9 --ell 3 > build/check_l9.txt
+status=0
+timeout 60 ./build/osp_cli solve build/check_l9.txt > build/check_solve.txt ||
+  status=$?
+if [[ "${status}" -ne 0 ]] ||
+    ! grep -Eq '^ *branch & bound +27 +exact$' build/check_solve.txt; then
+  echo "osp_cli solve on lemma9 ell=3 did not print branch & bound 27," \
+    "exact (exit ${status}):" >&2
+  cat build/check_solve.txt >&2
+  exit 1
+fi
+rm -f build/check_l9.txt build/check_solve.txt
 # The benches without an artifact: each must run to completion (a ratio
 # cell whose optimum branch and bound cannot prove exits non-zero).
 for bench in theorem1 fractional ablation; do

@@ -35,6 +35,7 @@ LpResult simplex_maximize(const std::vector<std::vector<double>>& a,
   std::vector<std::size_t> basis(m);
   for (std::size_t i = 0; i < m; ++i) basis[i] = n + i;
 
+  const std::uint64_t pivot_limit = kSimplexPivotsPerDimension * (m + n);
   LpResult res;
   while (true) {
     // Bland's rule: entering variable = lowest index with negative
@@ -47,6 +48,11 @@ LpResult simplex_maximize(const std::vector<std::vector<double>>& a,
       }
     }
     if (pivot_col == cols) break;  // optimal
+    OSP_REQUIRE_MSG(res.pivots < pivot_limit,
+                    "simplex stopped at its pivot limit of "
+                        << pivot_limit << " (" << kSimplexPivotsPerDimension
+                        << " per row and column of a " << m << " x " << n
+                        << " LP) without an optimum");
 
     // Ratio test; ties by lowest basis index (Bland).
     std::size_t pivot_row = m;  // sentinel

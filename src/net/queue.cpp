@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "core/priority.hpp"
 #include "util/require.hpp"
 
 namespace osp {
@@ -41,8 +42,7 @@ void PacketQueue::seal_batch() {
   const std::size_t begin = runs_.empty() ? 0 : runs_.back().tail;
   buf_.erase(buf_.begin() + static_cast<std::ptrdiff_t>(begin),
              buf_.begin() + static_cast<std::ptrdiff_t>(pending_));
-  std::sort(buf_.begin() + static_cast<std::ptrdiff_t>(begin), buf_.end(),
-            worse);
+  sort_batch(buf_.data() + begin, buf_.size() - begin);
   runs_.push_back(Run{begin, buf_.size()});
   for (std::size_t i = runs_.size() - 1; i > 0; --i) {
     const Run& older = runs_[i - 1];
@@ -50,6 +50,79 @@ void PacketQueue::seal_batch() {
     if (older.tail - older.head < 2 * (newer.tail - newer.head)) merge(i - 1);
   }
   pending_ = buf_.size();
+}
+
+// Sorts a batch of n > 0 entries worst first, in place: an insertion sort
+// by the exact order, after the radix sort has put a wide batch in image
+// order, so that only image ties move.
+void PacketQueue::sort_batch(Entry* batch, std::size_t n) {
+  if (n >= kRadixMinBatch)
+    radix_sort(batch, n);
+  else  // the runtime pushes ascending keys: reversed, equal ranks are sorted
+    std::reverse(batch, batch + n);
+  for (std::size_t i = 1; i < n; ++i) {
+    const Entry e = batch[i];
+    std::size_t j = i;
+    for (; j > 0 && worse(e, batch[j - 1]); --j) batch[j] = batch[j - 1];
+    batch[j] = e;
+  }
+}
+
+// Puts the batch in the order of its ranks' quantized_key_rank images,
+// ties in key descending order: a stable LSD radix sort of the words
+// image << 32 | index, then one gather through merged_.
+void PacketQueue::radix_sort(Entry* batch, std::size_t n) {
+  OSP_REQUIRE_MSG(n >> 32 == 0, "a batch of " << n << " packets is too wide");
+  auto image = [](double rank) -> std::uint64_t {
+    return quantized_key_rank(rank);
+  };
+
+  // Stable passes keep image ties in input order, so the words go in key
+  // descending, the worse-first tie order.  The runtime pushes a batch in
+  // ascending key order, so it is read backwards; any other push order is
+  // key-sorted first.
+  words_.resize(n);
+  bool ascending = true;
+  for (std::size_t i = 1; i < n && ascending; ++i)
+    ascending = batch[i - 1].key < batch[i].key;
+  if (ascending) {
+    for (std::size_t j = 0; j < n; ++j) {
+      const std::size_t i = n - 1 - j;
+      words_[j] = image(batch[i].rank) << 32 | i;
+    }
+  } else {
+    for (std::size_t i = 0; i < n; ++i) words_[i] = i;
+    std::sort(words_.begin(), words_.end(),
+              [batch](std::uint64_t a, std::uint64_t b) {
+                return batch[a].key > batch[b].key;
+              });
+    for (std::uint64_t& w : words_) w |= image(batch[w].rank) << 32;
+  }
+
+  // Four byte passes over the image; a pass whose digit is the same for
+  // every word would move nothing and is skipped (drop-tail skips all).
+  std::uint32_t count[4][256] = {};
+  for (std::uint64_t w : words_)
+    for (unsigned d = 0; d < 4; ++d) ++count[d][(w >> (32 + 8 * d)) & 0xff];
+  words_scratch_.resize(n);
+  for (unsigned d = 0; d < 4; ++d) {
+    const unsigned shift = 32 + 8 * d;
+    std::uint32_t* c = count[d];
+    if (c[(words_[0] >> shift) & 0xff] == n) continue;
+    std::uint32_t sum = 0;
+    for (unsigned v = 0; v < 256; ++v) {
+      const std::uint32_t k = c[v];
+      c[v] = sum;
+      sum += k;
+    }
+    for (std::uint64_t w : words_) words_scratch_[c[(w >> shift) & 0xff]++] = w;
+    words_.swap(words_scratch_);
+  }
+
+  merged_.resize(n);
+  for (std::size_t i = 0; i < n; ++i)
+    merged_[i] = batch[words_[i] & 0xffffffff];
+  std::copy(merged_.begin(), merged_.end(), batch);
 }
 
 // Merges runs i and i + 1 into run i, placed right after run i - 1 so the

@@ -7,12 +7,27 @@
 // best-first pops, then the worst-first trim.
 //
 //   * push appends to a pending batch: O(1).
-//   * The first pop after a push sorts the batch once (O(b log b) for the
-//     slot's b arrivals) and stacks it as the newest run.  Adjacent runs are
-//     then merged while one is not at least twice the size of the next
-//     newer one (timsort's collapse rule), so a queue of Q packets holds
-//     O(log(Q/b)) runs and each packet is merged O(log(Q/b)) times,
-//     amortized.
+//   * The first pop after a push sorts the batch once, in place, and stacks
+//     it as the newest run.  An insertion sort by the exact (rank, key)
+//     order does the sorting.  A batch of kRadixMinBatch (32) packets or
+//     more is first put in the order of its ranks' 32-bit
+//     quantized_key_rank images (core/priority.hpp) by a stable LSD radix
+//     sort: at most 4 byte passes, each skipped when its digit is the same
+//     across the batch (drop-tail's all-zero ranks skip all 4), then one
+//     gather of the 16-byte entries.  A larger image means a larger rank,
+//     so the insertion then moves only image ties.  The passes keep ties
+//     in input order, so they read the batch in key descending order, the
+//     worse-first tie order: the runtime pushes in ascending key order, so
+//     that is the batch read backwards, and any other push order costs a
+//     key sort first.  A narrower batch skips the passes, whose fixed cost
+//     (a 4 KB count table, up to four 256-step prefix sums) exceeds the
+//     insertion's there, and is reversed for the same tie order.  A batch
+//     of b packets costs O(b) plus the ties' insertions, and 16 B of
+//     scratch per packet of the batch.
+//   * Adjacent runs are then merged while one is not at least twice the
+//     size of the next newer one (timsort's collapse rule), so a queue of Q
+//     packets holds O(log(Q/b)) runs and each packet is merged O(log(Q/b))
+//     times, amortized.
 //   * Every run is sorted worst first, so pop_best takes the best of the
 //     runs' backs and pop_worst the worst of their fronts: O(runs) per pop,
 //     with no position index and nothing to erase from a second structure.
@@ -85,8 +100,12 @@ class PacketQueue {
     std::size_t tail;  // one past its last entry, the run's best
   };
 
+  static constexpr std::size_t kRadixMinBatch = 32;  // see the file comment
+
   static bool worse(const Entry& a, const Entry& b);
   void seal_batch();
+  void sort_batch(Entry* batch, std::size_t n);
+  void radix_sort(Entry* batch, std::size_t n);
   void merge(std::size_t i);
   template <bool kBest>
   bool pop(SetId* frame, std::size_t* slot);
@@ -94,7 +113,9 @@ class PacketQueue {
   std::vector<Entry> buf_;    // the runs oldest first, then the batch
   std::vector<Run> runs_;     // oldest first, none empty
   std::size_t pending_ = 0;   // buf_[pending_, end) is the unsorted batch
-  std::vector<Entry> merged_;  // merge scratch
+  std::vector<Entry> merged_;  // merge scratch, and the sorted batch
+  std::vector<std::uint64_t> words_;          // the batch sort's words
+  std::vector<std::uint64_t> words_scratch_;  // and its other buffer
 
   // Per frame: its queued live packets, or kDead once it died.  One word
   // holds both, so a pop reads one cache line of frame state.

@@ -63,7 +63,10 @@ RunShape check_inputs(const FrameSchedule& schedule, const StreamMap& stream,
 // The runtime's set-up: link-owned arrival rows.  Each link renumbers its
 // frames 0.. in ascending global frame id and gets one row per slot of the
 // link-local ids arriving there, so the only per-packet state is a 4-byte
-// row entry and a worker reads only its own links' rows.
+// row entry and a worker reads only its own links' rows.  Its streams are
+// renumbered the same way: stream s is link s mod K's stream s / K, so a
+// link's stream counters are one contiguous block that only its worker
+// writes.
 //
 // A frame has at most one packet per slot, so (arrival slot, local id)
 // names a packet uniquely, and because local ids ascend with global ids it
@@ -72,16 +75,20 @@ RunShape check_inputs(const FrameSchedule& schedule, const StreamMap& stream,
 // tie-break, and so every decision, is the one a global seq would give.
 
 struct LinkState {
-  std::vector<SetId> frames;          // local id -> global frame id
-  CsrArray<SetId> arrivals;           // slot -> local ids, ascending
-  std::vector<std::uint32_t> served;  // local id -> packets served
-  PacketQueue queue;                  // keyed (arrival slot, local id)
+  std::vector<SetId> frames;             // local id -> global frame id
+  CsrArray<SetId> arrivals;              // slot -> local ids, ascending
+  std::vector<std::uint32_t> remaining;  // local id -> packets not served
+  PacketQueue queue;                     // keyed (arrival slot, local id)
+  // Per stream of the link, by its link-local index:
+  std::vector<std::size_t> stream_live;  // live queued packets
+  std::vector<std::size_t> last_served_slot;
+  std::vector<std::uint64_t> starved;    // SustainedStats::starved_slots
 };
 
 // One counting pass sizes every link's rows; one scatter pass in ascending
 // global frame id assigns the local ids and fills the rows in order.
 void build_links(const FrameSchedule& schedule, const StreamMap& stream,
-                 std::vector<LinkState>& links) {
+                 std::size_t num_streams, std::vector<LinkState>& links) {
   const std::size_t K = links.size();
   const std::size_t H = schedule.horizon;
   OSP_REQUIRE_MSG(H <= (std::uint64_t{1} << 32),
@@ -95,18 +102,26 @@ void build_links(const FrameSchedule& schedule, const StreamMap& stream,
       ++cursor[l * H + slot];
   }
   for (std::size_t l = 0; l < K; ++l) {
-    links[l].frames.reserve(num_frames[l]);
-    links[l].arrivals.assign_sizes(cursor.data() + l * H, H);
-    links[l].served.assign(num_frames[l], 0);
-    links[l].queue.reset(num_frames[l]);
+    LinkState& link = links[l];
+    link.frames.reserve(num_frames[l]);
+    link.arrivals.assign_sizes(cursor.data() + l * H, H);
+    link.remaining.resize(num_frames[l]);
+    link.queue.reset(num_frames[l]);
+    const std::size_t link_streams = (num_streams + K - 1 - l) / K;
+    link.stream_live.assign(link_streams, 0);
+    link.last_served_slot.assign(link_streams,
+                                 std::numeric_limits<std::size_t>::max());
+    link.starved.assign(link_streams, 0);
   }
   std::fill(cursor.begin(), cursor.end(), 0);
   for (std::size_t f = 0; f < schedule.frames.size(); ++f) {
     const std::size_t l = stream(f) % K;
     LinkState& link = links[l];
     const auto local = static_cast<SetId>(link.frames.size());
+    const Span<std::uint32_t> packets = schedule.frames[f].packet_slots;
     link.frames.push_back(static_cast<SetId>(f));
-    for (std::size_t slot : schedule.frames[f].packet_slots)
+    link.remaining[local] = static_cast<std::uint32_t>(packets.size());
+    for (std::size_t slot : packets)
       link.arrivals.mutable_row(slot)[cursor[l * H + slot]++] = local;
   }
 }
@@ -337,17 +352,17 @@ SustainedStats serve_sustained(const FrameSchedule& schedule,
   const bool tracing = trace != nullptr;
 
   // Shared state.  Each element is written by exactly one worker: link
-  // state and tallies are per link, the per-stream arrays are only touched
-  // through the owning link, and backlog[l] is written in the ingest phase
-  // and read (by everyone) only after the barrier.
+  // state and tallies are per link, and backlog[slot % 2][l] is written in
+  // slot's ingest phase and read (by everyone) only after slot's barrier.
+  // Its two buffers alternate by slot parity, so one barrier per slot
+  // suffices: a worker writes slot t + 2's buffer only after passing slot
+  // t + 1's barrier, which every worker reaches after its slot t
+  // allocation read.
   std::vector<LinkState> links(K);
-  build_links(schedule, stream, links);
+  build_links(schedule, stream, num_streams, links);
   std::vector<LinkTally> tallies(K);
-  std::vector<std::size_t> backlog(K, 0);
-  std::vector<std::size_t> stream_live(num_streams, 0);
-  std::vector<std::size_t> last_served_slot(
-      num_streams, std::numeric_limits<std::size_t>::max());
-  std::vector<std::uint64_t> starved(num_streams, 0);
+  std::vector<std::size_t> backlog[2] = {std::vector<std::size_t>(K, 0),
+                                         std::vector<std::size_t>(K, 0)};
   for (LinkTally& t : tallies) {
     t.window_delivered.assign(shape.window_offered.size(), 0.0);
     if (tracing) {
@@ -373,10 +388,10 @@ SustainedStats serve_sustained(const FrameSchedule& schedule,
       }
       const SetId f = link.frames[local];
       link.queue.push(local, ranker.rank(f), slot);
-      ++stream_live[stream(f)];
+      ++link.stream_live[stream(f) / K];
     }
-    backlog[l] = link.queue.live_size();
-    if (tracing) t.slot_backlog[slot] = backlog[l];
+    backlog[slot % 2][l] = link.queue.live_size();
+    if (tracing) t.slot_backlog[slot] = link.queue.live_size();
   };
 
   auto serve_and_trim = [&](std::size_t l, std::size_t slot,
@@ -392,12 +407,11 @@ SustainedStats serve_sustained(const FrameSchedule& schedule,
       const SetId f = link.frames[local];
       ++t.served;
       t.serve_latency.add(slot - arrived);
-      const std::size_t s = stream(f);
-      --stream_live[s];
-      last_served_slot[s] = slot;
-      const Frame frame = schedule.frames[f];
-      if (++link.served[local] == frame.packet_slots.size())
-        t.window_delivered[slot / spec.window] += frame.weight;
+      const std::size_t s = stream(f) / K;
+      --link.stream_live[s];
+      link.last_served_slot[s] = slot;
+      if (--link.remaining[local] == 0)
+        t.window_delivered[slot / spec.window] += schedule.frames[f].weight;
       if (tracing)  // seq holds the arrival slot until rebuild_trace_seqs
         t.trace.push_back(ServeTrace::Served{slot, l, f, arrived});
     }
@@ -413,18 +427,19 @@ SustainedStats serve_sustained(const FrameSchedule& schedule,
       ++t.dropped;
       ++t.evictions;
       t.drop_latency.add(slot - arrived);
-      const std::size_t s = stream(link.frames[local]);
-      --stream_live[s];
+      const std::size_t s = stream(link.frames[local]) / K;
+      --link.stream_live[s];
       if (spec.drop_dead_frames) {
         const std::size_t killed = q.kill_frame(local);
         t.dropped += killed;
         t.cascade_drops += killed;
-        stream_live[s] -= killed;
+        link.stream_live[s] -= killed;
       }
     }
 
-    for (std::size_t s = l; s < num_streams; s += K)  // link l's streams
-      if (stream_live[s] > 0 && last_served_slot[s] != slot) ++starved[s];
+    for (std::size_t s = 0; s < link.starved.size(); ++s)
+      if (link.stream_live[s] > 0 && link.last_served_slot[s] != slot)
+        ++link.starved[s];
   };
 
   auto run_worker = [&](std::size_t w, SlotBarrier* barrier) {
@@ -434,9 +449,8 @@ SustainedStats serve_sustained(const FrameSchedule& schedule,
     for (std::size_t slot = 0; slot < horizon; ++slot) {
       for (std::size_t l = lo; l < hi; ++l) ingest(l, slot);
       if (barrier != nullptr) barrier->arrive_and_wait();
-      compute_alloc(spec, backlog, alloc);
+      compute_alloc(spec, backlog[slot % 2], alloc);
       for (std::size_t l = lo; l < hi; ++l) serve_and_trim(l, slot, alloc[l]);
-      if (barrier != nullptr) barrier->arrive_and_wait();
     }
     for (std::size_t l = lo; l < hi; ++l) {
       tallies[l].leftover = links[l].queue.live_size();
@@ -467,6 +481,9 @@ SustainedStats serve_sustained(const FrameSchedule& schedule,
       if (e) std::rethrow_exception(e);
   }
 
+  std::vector<std::uint64_t> starved(num_streams);
+  for (std::size_t s = 0; s < num_streams; ++s)
+    starved[s] = links[s % K].starved[s / K];
   SustainedStats out = finalize(schedule, std::move(shape), tallies,
                                 std::move(starved), trace);
   // Ascending global frame ids visit each link's local ids in order.
@@ -475,7 +492,8 @@ SustainedStats serve_sustained(const FrameSchedule& schedule,
       schedule,
       [&](std::size_t f) {
         const std::size_t l = stream(f) % K;
-        return links[l].served[next_local[l]++];
+        return schedule.frames[f].packet_slots.size() -
+               links[l].remaining[next_local[l]++];
       },
       out.router);
   if (tracing) rebuild_trace_seqs(schedule, *trace);

@@ -1,19 +1,22 @@
 // Tests for the buffered link's PacketQueue (net/queue.hpp): the serve and
-// evict orders, lazy dead-frame deletion, the rank edge cases, and two
+// evict orders, lazy dead-frame deletion, the rank edge cases, and three
 // fuzzes against a std::multiset reference — a shallow one with arbitrary
-// interleavings, and a deep one that holds ~20k packets and so builds a
-// tall stack of runs.
+// interleavings, a deep one that holds ~20k packets and so builds a tall
+// stack of runs, and a wide one whose batches of hundreds of packets run
+// every pass of the batch sort.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <iterator>
 #include <limits>
 #include <set>
 #include <utility>
 #include <vector>
 
+#include "core/priority.hpp"
 #include "net/queue.hpp"
 #include "util/require.hpp"
 #include "util/rng.hpp"
@@ -318,6 +321,106 @@ TEST(PacketQueue, DeepFuzzAgainstReference) {
   SetId f;
   EXPECT_FALSE(q.pop_best(&f));
   EXPECT_FALSE(q.pop_worst(&f));
+}
+
+// A double whose top 32 order-preserving bits are `x`'s and whose low 32
+// mantissa bits are `low`: it shares x's quantized_key_rank, so only the
+// batch sort's exact tie fix-up orders the two.
+double with_low_bits(double x, std::uint32_t low) {
+  std::uint64_t bits;
+  std::memcpy(&bits, &x, sizeof(bits));
+  bits = (bits & ~std::uint64_t{0xffffffff}) | low;
+  double y;
+  std::memcpy(&y, &bits, sizeof(y));
+  return y;
+}
+
+// Wide batches, the size a loaded link sees each slot (serve-overload
+// brings about 142): 16-600 packets between pops, pushed in ascending,
+// descending or shuffled key order, sometimes two slots' worth at once.
+// Ranks mix the edge cases (±0.0, ±inf, ±DBL_MAX), values many frames
+// share, and families of ranks that share one quantized_key_rank image
+// but differ in their low mantissa bits.
+TEST(PacketQueue, WideBatchFuzzAgainstReference) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double max = std::numeric_limits<double>::max();
+  Rng rng(0x5eed);
+  const std::size_t num_frames = 60000;
+  std::vector<double> family;  // one image, distinct low bits
+  for (int i = 0; i < 6; ++i) {
+    const double base = (rng.chance(0.5) ? -1.0 : 1.0) * 8.0 * rng.uniform();
+    family.push_back(base);
+    for (int j = 0; j < 5; ++j)
+      family.push_back(
+          with_low_bits(base, static_cast<std::uint32_t>(rng())));
+  }
+  for (std::size_t i = 1; i < family.size(); ++i)
+    ASSERT_EQ(quantized_key_rank(family[i]),
+              quantized_key_rank(family[i - i % 6]));
+  const double edges[] = {0.0, -0.0, inf, -inf, -max, max, 1.0, -1.0};
+  std::vector<double> rank(num_frames);
+  for (double& r : rank) {
+    const double which = rng.uniform();
+    if (which < 0.4)
+      r = family[rng.below(family.size())];
+    else if (which < 0.6)
+      r = edges[rng.below(std::size(edges))];
+    else if (which < 0.7)
+      r = static_cast<double>(rng.below(4));  // repeats
+    else
+      r = std::log(rng.uniform()) / (1.0 + rng.below(8));  // randPr-like
+  }
+
+  PacketQueue q;
+  q.reset(num_frames);
+  Reference ref(num_frames);
+  std::size_t born = 0;  // frames 0..born-1 have had a packet
+  std::vector<SetId> batch;
+  std::vector<bool> in_batch(num_frames, false);
+  std::size_t slot = 0;
+  for (; born + 600 < num_frames; ++slot) {
+    // Up to 600 distinct frames: the rest of a window of recent frames,
+    // then new ones.  The smallest batches fall under the 32 packets from
+    // which the batch sort's radix passes run, so both of its paths do.
+    batch.clear();
+    const std::size_t want = 16 + rng.below(585);
+    for (std::size_t i = 0; i < want; ++i) {
+      const std::size_t recent = std::min<std::size_t>(born, 800);
+      const auto f = static_cast<SetId>(
+          recent > 0 && rng.chance(0.5) ? born - 1 - rng.below(recent)
+                                        : born++);
+      if (in_batch[f]) continue;
+      in_batch[f] = true;
+      batch.push_back(f);
+    }
+    std::sort(batch.begin(), batch.end());
+    const std::size_t order = slot % 3;
+    if (order == 1) std::reverse(batch.begin(), batch.end());
+    if (order == 2) rng.shuffle(batch.begin(), batch.end());
+    for (SetId f : batch) {
+      in_batch[f] = false;
+      q.push(f, rank[f], slot);
+      ref.push(f, rank[f], slot);
+    }
+    if (rng.chance(0.15)) continue;  // the next slot joins this batch
+
+    // Serve some, kill some, then trim to a 4000-packet buffer.
+    for (std::size_t i = rng.below(300); i > 0; --i)
+      ASSERT_TRUE(pop_and_compare(q, ref, rng.chance(0.7)))
+          << "slot " << slot << " order " << order;
+    for (std::size_t i = rng.below(4); i > 0; --i) {
+      const auto f = static_cast<SetId>(rng.below(born));
+      ASSERT_EQ(q.kill_frame(f), ref.kill(f)) << "slot " << slot;
+    }
+    while (ref.size() > 4000)
+      ASSERT_TRUE(pop_and_compare(q, ref, false)) << "slot " << slot;
+    ASSERT_EQ(q.live_size(), ref.size()) << "slot " << slot;
+  }
+  EXPECT_GE(slot, 150u);
+  while (ref.size() > 0)
+    ASSERT_TRUE(pop_and_compare(q, ref, rng.chance(0.5)));
+  SetId f;
+  EXPECT_FALSE(q.pop_best(&f));
 }
 
 }  // namespace

@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "core/priority.hpp"
 #include "gen/traffic.hpp"
 #include "gen/video.hpp"
 #include "net/router_sim.hpp"
@@ -265,6 +266,68 @@ TEST(ServeSustained, DeepQueuesMatchSerialReference) {
       EXPECT_GT(st.leftover, 6000u);  // the backlog the horizon cut off
     } else {
       EXPECT_GT(st.evictions, 1500u);
+    }
+  }
+}
+
+// Wide batches, which the cases above never bring (the deep one brings
+// 4-6 packets per link-slot).  256 streams per link each keep a 1-4 packet
+// frame going in nearly every slot, so every link-slot brings 100-256
+// arrivals, the batch size of a loaded link (serve-overload's is about
+// 142), and each queue batch runs the radix passes.  Frame weights come in
+// groups that share one quantized_key_rank image but differ in their low
+// mantissa bits, so by-weight ranks tie in the image and only the batch
+// sort's exact fix-up orders them.
+TEST(ServeSustained, WideBatchesMatchSerialReference) {
+  Rng rng(4242);
+  FrameSchedule schedule;
+  schedule.horizon = 40;
+  std::vector<std::uint32_t> stream_of;
+  std::vector<std::size_t> slots;
+  for (std::uint32_t stream = 0; stream < 512; ++stream) {
+    for (std::size_t start = rng.below(2); start < schedule.horizon;) {
+      slots.clear();
+      for (std::size_t i = 1 + rng.below(4);
+           i > 0 && start < schedule.horizon; --i)
+        slots.push_back(start++);
+      schedule.add_frame(0.5 + static_cast<double>(rng.below(4)) +
+                             0x1p-40 * static_cast<double>(rng.below(4)),
+                         slots);
+      stream_of.push_back(stream);
+      start += rng.chance(0.1) ? 1 : 0;  // an occasional idle slot
+    }
+  }
+  ASSERT_EQ(quantized_key_rank(0.5), quantized_key_rank(0.5 + 0x1p-40 * 3));
+  const CsrArray<SetId> slot_frames = schedule.slot_frames();
+  for (std::size_t slot = 0; slot < schedule.horizon; ++slot) {
+    std::size_t per_link[2] = {0, 0};
+    for (SetId f : slot_frames.row(slot)) ++per_link[stream_of[f] % 2];
+    ASSERT_GE(std::min(per_link[0], per_link[1]), 100u) << "slot " << slot;
+  }
+
+  RandPrRanker rand_pr{Rng(5)};
+  WeightRanker by_weight;
+  FifoRanker drop_tail;
+  RandomRanker random_drop{Rng(5)};
+  FrameRanker* rankers[] = {&rand_pr, &by_weight, &drop_tail, &random_drop};
+  for (FrameRanker* ranker : rankers) {
+    for (std::size_t buffer : {std::size_t{64}, schedule.total_packets()}) {
+      for (bool drop_dead : {true, false}) {
+        ServeSpec spec;
+        spec.links = 2;
+        spec.service_rate = 96;
+        spec.buffer = buffer;
+        spec.drop_dead_frames = drop_dead;
+        spec.window = 16;
+        const SustainedStats st = expect_matches_reference(
+            schedule, stream_of, *ranker, Rng(6), spec,
+            "wide buffer " + std::to_string(buffer) +
+                (drop_dead ? " drop-dead" : " keep-dead"));
+        if (buffer == 64)
+          EXPECT_GT(st.evictions, 0u);
+        else
+          EXPECT_GT(st.leftover, 0u);
+      }
     }
   }
 }

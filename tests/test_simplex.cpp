@@ -1,6 +1,10 @@
 // Tests for the dense simplex solver.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <string>
+#include <vector>
+
 #include "algos/simplex.hpp"
 #include "util/require.hpp"
 #include "util/rng.hpp"
@@ -88,6 +92,42 @@ TEST(Simplex, ValueMatchesRecomputation) {
   LpResult r = simplex_maximize({{2, 1}, {1, 3}}, {8, 9}, {5, 4});
   ASSERT_EQ(r.status, LpResult::Status::kOptimal);
   EXPECT_NEAR(r.value, 5 * r.x[0] + 4 * r.x[1], 1e-9);
+}
+
+// The Klee-Minty cube of dimension n: max sum 2^(n-1-i) x_i subject to
+// sum_{j<i} 2^(i-j+1) x_j + x_i <= 5^(i+1), with optimum 5^n.  Bland's
+// rule walks a number of its vertices that grows exponentially with n:
+// 41, 67, 109, 177, 287 and 465 pivots at n = 7 to 12.
+LpResult klee_minty(std::size_t n) {
+  std::vector<std::vector<double>> a(n, std::vector<double>(n, 0.0));
+  std::vector<double> b(n), c(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < i; ++j)
+      a[i][j] = std::ldexp(1.0, static_cast<int>(i - j + 1));
+    a[i][i] = 1.0;
+    b[i] = std::pow(5.0, static_cast<double>(i + 1));
+    c[i] = std::ldexp(1.0, static_cast<int>(n - 1 - i));
+  }
+  return simplex_maximize(a, b, c);
+}
+
+TEST(Simplex, PivotLimitEndsAStalledSolveWithOneLine) {
+  // Dimension 7 takes 41 pivots, under its limit of 4 * (7 + 7).
+  const LpResult small = klee_minty(7);
+  ASSERT_EQ(small.status, LpResult::Status::kOptimal);
+  EXPECT_NEAR(small.value, std::pow(5.0, 7), 1e-6);
+  EXPECT_LT(small.pivots, kSimplexPivotsPerDimension * 14);
+
+  // Dimension 12 needs 465 pivots; the solve stops at 96.
+  try {
+    klee_minty(12);
+    FAIL() << "expected the pivot limit";
+  } catch (const RequireError& e) {
+    const std::string message = e.what();
+    EXPECT_NE(message.find("pivot limit of 96"), std::string::npos)
+        << message;
+    EXPECT_EQ(message.find('\n'), std::string::npos) << message;
+  }
 }
 
 }  // namespace
