@@ -30,7 +30,9 @@
 // `--sustained` line docs/BENCHMARKS.md lists for it prints (timing
 // aside); they pass the historical master seeds 200, 400 and 500.  This
 // file keeps only what is its own: sections (a) and (c), the (e)
-// heap-vs-sort timing and the sustained packets/sec gate.
+// heap-vs-sort timing and the sustained packets/sec gate.  Every section
+// emits each row once, through a Session holding the artifact's JsonSink
+// and the section's TableSink, so the console tables show the JSON keys.
 //
 // Sections (a) and (c) share one helper, route_draws, which runs their
 // workload draws as independent trials on the shared batch runner:
@@ -114,8 +116,10 @@ std::vector<std::vector<RouterStats>> route_draws(
 
 void unbuffered_video(api::JsonSink& json, bool smoke) {
   std::cout << "-- (a) unbuffered router, GOP video workload --\n";
-  Table table({"streams", "policy", "frames ok", "of", "value ok", "of",
-               "goodput"});
+  api::Session session;
+  api::TableSink table;
+  session.attach(json);
+  session.attach(table);
   Rng master(100);
   const api::ScenarioSpec& scenario =
       api::scenarios().at("router/unbuffered");
@@ -158,20 +162,15 @@ void unbuffered_video(api::JsonSink& json, bool smoke) {
         total_frames += static_cast<double>(row[p].frames_total);
         total_value += row[p].value_total;
       }
-      table.row({fmt(streams), policy_names[p], fmt(frames / draws, 1),
-                 fmt(total_frames / draws, 0), fmt(value / draws, 1),
-                 fmt(total_value / draws, 0),
-                 fmt(value / total_value, 3)});
-      json.write(
-          api::Row{}
-              .add("sweep", "unbuffered_video")
-              .add("streams", streams)
-              .add("policy", policy_names[p])
-              .add("frames_ok", frames / draws)
-              .add("frames_total", total_frames / draws)
-              .add("value_ok", value / draws)
-              .add("value_total", total_value / draws)
-              .add("goodput", value / total_value));
+      session.emit(api::Row{}
+                       .add("sweep", "unbuffered_video")
+                       .add("streams", streams)
+                       .add("policy", policy_names[p])
+                       .add("frames_ok", frames / draws)
+                       .add("frames_total", total_frames / draws)
+                       .add("value_ok", value / draws)
+                       .add("value_total", total_value / draws)
+                       .add("goodput", value / total_value));
     }
   }
   table.print(std::cout);
@@ -213,8 +212,10 @@ void buffered_sweep(api::JsonSink& json, bool smoke) {
 void burstiness_sweep(api::JsonSink& json, bool smoke) {
   std::cout << "-- (c) burstiness sweep (on/off traffic, frames of 3 "
                "packets) --\n";
-  Table table({"burst profile", "smax", "policy", "value ok", "of",
-               "goodput"});
+  api::Session session;
+  api::TableSink table;
+  session.attach(json);
+  session.attach(table);
   Rng master(300);
   const int draws = smoke ? 4 : 25;
   const std::vector<RoutedPolicy> policies = {
@@ -260,18 +261,14 @@ void burstiness_sweep(api::JsonSink& json, bool smoke) {
         value += row[p].value_delivered;
         total += row[p].value_total;
       }
-      table.row({prof.name, fmt(smax_acc / draws, 1), policy_names[p],
-                 fmt(value / draws, 1), fmt(total / draws, 0),
-                 fmt(value / total, 3)});
-      json.write(
-          api::Row{}
-              .add("sweep", "burstiness")
-              .add("profile", prof.name)
-              .add("smax", smax_acc / draws)
-              .add("policy", policy_names[p])
-              .add("value_ok", value / draws)
-              .add("value_total", total / draws)
-              .add("goodput", value / total));
+      session.emit(api::Row{}
+                       .add("sweep", "burstiness")
+                       .add("profile", prof.name)
+                       .add("smax", smax_acc / draws)
+                       .add("policy", policy_names[p])
+                       .add("value_ok", value / draws)
+                       .add("value_total", total / draws)
+                       .add("goodput", value / total));
     }
   }
   table.print(std::cout);
@@ -308,8 +305,10 @@ void throughput_section(api::JsonSink& json, bool smoke) {
   const std::size_t buffer = api::expand(spec).back().buffer;
   std::cout << "-- (e) queue-structure throughput (buffer " << buffer
             << ", largest overload workload) --\n";
-  Table table({"path", "slots", "packets", "seconds", "slots/sec",
-               "speedup"});
+  api::Session session;
+  api::TableSink table;
+  session.attach(json);
+  session.attach(table);
 
   Rng wl_rng(4242);
   VideoWorkload vw = api::build_video(spec, wl_rng);
@@ -338,28 +337,21 @@ void throughput_section(api::JsonSink& json, bool smoke) {
   // counter before their timings mean anything.
   OSP_REQUIRE(heap_stats == sort_stats);
 
-  const double sort_rate = slots / sort_s;
-  const double heap_rate = slots / heap_s;
   const double speedup = sort_s / heap_s;
-  table.row({"sort", fmt(slots, 0), fmt(packets, 0), fmt(sort_s, 3),
-             fmt(sort_rate, 0), "1.0"});
-  table.row({"heap", fmt(slots, 0), fmt(packets, 0), fmt(heap_s, 3),
-             fmt(heap_rate, 0), fmt(speedup, 1)});
-  table.print(std::cout);
   for (const char* path : {"sort", "heap"}) {
-    const bool heap = std::strcmp(path, "heap") == 0;
-    json.write(
-          api::Row{}
-              .add("sweep", "throughput")
-              .add("path", path)
-              .add("buffer", buffer)
-              .add("slots", slots)
-              .add("packets", packets)
-              .add("seconds", heap ? heap_s : sort_s)
-              .add("slots_per_sec", heap ? heap_rate : sort_rate)
-              .add("speedup_vs_sort", heap ? speedup : 1.0)
-              .add("cross_check", "pass"));
+    const double seconds = std::strcmp(path, "heap") == 0 ? heap_s : sort_s;
+    session.emit(api::Row{}
+                     .add("sweep", "throughput")
+                     .add("path", path)
+                     .add("buffer", buffer)
+                     .add("slots", slots)
+                     .add("packets", packets)
+                     .add("seconds", seconds)
+                     .add("slots_per_sec", slots / seconds)
+                     .add("speedup_vs_sort", sort_s / seconds)
+                     .add("cross_check", "pass"));
   }
+  table.print(std::cout);
   std::cout << "Cross-check: heap and sort paths decision-identical.  "
             << "Gate (heap >= 3x sort on the largest buffered sweep): "
             << (speedup >= 3.0 ? "MET" : "NOT MET") << " (" << fmt(speedup, 1)

@@ -7,25 +7,28 @@
 //     even randPr cannot beat the construction.
 //
 //   $ ./adversarial_gadget [sigma] [k] [ell]
-#include <cstdlib>
+//
+// A bad argument, like any other error, prints "error: <message>" and
+// exits 1.
+#include <exception>
 #include <iostream>
 
 #include "algos/baselines.hpp"
 #include "algos/offline.hpp"
+#include "api/scenario.hpp"
 #include "core/bounds.hpp"
 #include "core/rand_pr.hpp"
 #include "design/lower_bounds.hpp"
 #include "stats/summary.hpp"
 #include "stats/table.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace osp;
   const std::size_t sigma =
-      argc > 1 ? static_cast<std::size_t>(std::atoi(argv[1])) : 4;
-  const std::size_t k =
-      argc > 2 ? static_cast<std::size_t>(std::atoi(argv[2])) : 3;
+      argc > 1 ? api::parse_size("argument sigma", argv[1]) : 4;
+  const std::size_t k = argc > 2 ? api::parse_size("argument k", argv[2]) : 3;
   const std::size_t ell =
-      argc > 3 ? static_cast<std::size_t>(std::atoi(argv[3])) : 4;
+      argc > 3 ? api::parse_size("argument ell", argv[3]) : 4;
 
   std::cout << "== Part 1: Theorem 3 adversary (sigma=" << sigma
             << ", k=" << k << ") ==\n";
@@ -85,4 +88,7 @@ int main(int argc, char** argv) {
             << "x  (Theorem 2 predicts growth like ell^2 * polylog "
                "factors).\n";
   return 0;
+} catch (const std::exception& e) {
+  std::cerr << "error: " << e.what() << "\n";
+  return 1;
 }

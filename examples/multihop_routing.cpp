@@ -5,19 +5,23 @@
 // message.
 //
 //   $ ./multihop_routing [num_packets]
-#include <cstdlib>
+//
+// A bad argument, like any other error, prints "error: <message>" and
+// exits 1.
+#include <exception>
 #include <iostream>
 
 #include "algos/baselines.hpp"
+#include "api/scenario.hpp"
 #include "core/rand_pr.hpp"
 #include "gen/multihop.hpp"
 #include "net/pipeline.hpp"
 #include "stats/table.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace osp;
   const std::size_t packets =
-      argc > 1 ? static_cast<std::size_t>(std::atoi(argv[1])) : 150;
+      argc > 1 ? api::parse_size("argument num_packets", argv[1]) : 150;
 
   MultiHopParams params;
   params.num_switches = 8;
@@ -70,4 +74,7 @@ int main(int argc, char** argv) {
          "packet that wins its first link keeps winning, so upstream "
          "service is never wasted on packets that die downstream.\n";
   return 0;
+} catch (const std::exception& e) {
+  std::cerr << "error: " << e.what() << "\n";
+  return 1;
 }

@@ -29,8 +29,8 @@
 // contiguous slice of the cells and writes a partial-result file; `merge`
 // validates that partial files tile the grid exactly (matching
 // fingerprints, no gaps, no overlaps — enumerated errors otherwise) and
-// replays the rows through JsonSink, producing a BENCH_*.json that is
-// bit-identical to the unsharded `bench --json` run.
+// appends the row texts through JsonSink, producing a BENCH_*.json that
+// is bit-identical to the unsharded `bench --json` run.
 #include <unistd.h>
 
 #include <cstdio>
@@ -563,9 +563,10 @@ int cmd_bench(const Args& args) {
 // merge
 
 /// `merge PART... (--json NAME | --out FILE)`: validates that the
-/// partial-result files tile one grid exactly and replays their rows, in
-/// canonical cell order, through the same JsonSink `bench --json` uses —
-/// so the merged artifact is bit-identical to an unsharded run's.
+/// partial-result files tile one grid exactly and appends their row
+/// texts, in canonical cell order, through the same JsonSink `bench
+/// --json` uses — so the merged artifact is bit-identical to an
+/// unsharded run's.
 int cmd_merge(const Args& args) {
   OSP_REQUIRE_MSG(!args.positionals.empty(),
                   "merge needs partial-result files: osp_cli merge PART... "
@@ -594,7 +595,7 @@ int cmd_merge(const Args& args) {
                     path << " already exists; refusing to overwrite "
                             "— pick another name or remove it first");
     api::JsonSink sink(name, merged.threads);
-    for (const api::Row& row : merged.rows) sink.write(row);
+    for (const std::string& row : merged.rows) sink.write_json(row);
     sink.close();
     std::cerr << "wrote " << path << " (" << merged.rows.size()
               << " rows from " << args.positionals.size() << " partials)\n";
@@ -603,7 +604,7 @@ int cmd_merge(const Args& args) {
     std::ofstream os(path);
     OSP_REQUIRE_MSG(os.good(), "cannot open '" << path << "' for writing");
     api::JsonSink sink(os, merged.bench, merged.threads);
-    for (const api::Row& row : merged.rows) sink.write(row);
+    for (const std::string& row : merged.rows) sink.write_json(row);
     sink.close();
     os << '\n';  // the file form's trailing newline, for byte-parity
     std::cerr << "wrote " << path << " (" << merged.rows.size()

@@ -7,23 +7,25 @@
 // through the router simulator under several drop policies, and reports
 // how much frame value each policy delivers.  It then runs the
 // buffered-router extension (the paper's open problem 2) on the same
-// shape through the experiment API's ranker grid (api::Session).
-#include <cstdlib>
+// shape through the experiment API's ranker grid (api::Session).  A bad
+// argument, like any other error, prints "error: <message>" and exits 1.
+#include <exception>
 #include <iostream>
 
 #include "algos/baselines.hpp"
+#include "api/scenario.hpp"
 #include "api/session.hpp"
 #include "core/rand_pr.hpp"
 #include "gen/video.hpp"
 #include "net/router_sim.hpp"
 #include "stats/table.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace osp;
   const std::size_t streams =
-      argc > 1 ? static_cast<std::size_t>(std::atoi(argv[1])) : 10;
+      argc > 1 ? api::parse_size("argument num_streams", argv[1]) : 10;
   const std::size_t buffer =
-      argc > 2 ? static_cast<std::size_t>(std::atoi(argv[2])) : 4;
+      argc > 2 ? api::parse_size("argument buffer", argv[2]) : 4;
 
   VideoParams params;
   params.num_streams = streams;
@@ -73,4 +75,7 @@ int main(int argc, char** argv) {
   std::cout << "\nTry: ./video_streaming 16 0   (heavier congestion, no "
                "buffer)\n";
   return 0;
+} catch (const std::exception& e) {
+  std::cerr << "error: " << e.what() << "\n";
+  return 1;
 }

@@ -17,13 +17,16 @@
 #      config-file sweep, the ranker and sustained modes, --dry-run, the
 #      catalog drift gate), its one-line error paths (malformed flags,
 #      unknown policies, rankers and scenarios, --workers without
-#      --sustained, a bad config line), quickstart, `solve` on the lemma9
+#      --sustained, a bad config line, a negative element capacity in an
+#      instance file, a --capacity or --service-rate past 2^32 - 1),
+#      quickstart and the three other examples (and video_streaming's
+#      one-line error on a negative argument), `solve` on the lemma9
 #      ell = 3 instance within 60 s with branch and bound's exact 27, and
 #      the console-only benches (bench_theorem1, bench_fractional,
 #      bench_ablation), so none of them can silently rot, and checks that
 #      a bench which cannot write its artifact exits 1 with one line;
 #   6. shard smoke: bench --shard / merge bit-identity round trip, and
-#      the gap, overlap and fingerprint-mismatch merge errors;
+#      the gap, overlap, fingerprint-mismatch and corrupted-row errors;
 #   7. deterministic artifacts: BENCH_adversarial/uniform/capacity.json
 #      regenerate byte-identically and re-pass their gates (the paper's
 #      bounds included), a fresh BENCH_router.json makes the committed
@@ -105,7 +108,7 @@ if [[ "${mode}" == "quick" ]]; then
   echo
   echo "== quick mode: SKIPPED stages (CI runs them all) =="
   echo "   - clang-tidy baseline (scripts/run_tidy.sh; or check.sh --tidy)"
-  echo "   - examples smoke (osp_cli + quickstart + console-only benches)"
+  echo "   - examples smoke (osp_cli + the examples + console-only benches)"
   echo "   - shard smoke (bench --shard / merge bit-identity)"
   echo "   - benchmark smoke (perfbench/run.py, every workload, 1 s)"
   echo "   - ASan/UBSan suites + bench_router --smoke"
@@ -119,7 +122,7 @@ echo "== clang-tidy baseline (scripts/run_tidy.sh) =="
 scripts/run_tidy.sh
 
 echo
-echo "== examples smoke: osp_cli (registry-driven) + quickstart + console-only benches =="
+echo "== examples smoke: osp_cli (registry-driven) + the examples + console-only benches =="
 ./build/osp_cli list > /dev/null
 ./build/osp_cli gen random --seed 3 | ./build/osp_cli run --alg randpr
 ./build/osp_cli gen regular --m 12 --sigma 3 | ./build/osp_cli stats - \
@@ -135,6 +138,17 @@ expect_error "--shard" ./build/osp_cli bench --scenario random --shard 3/2 \
 expect_error "registered policies" ./build/osp_cli run --alg no-such-policy \
   /dev/null
 expect_error "--m" ./build/osp_cli gen random --m not-a-number
+# Numbers are digits only and fit their type: a negative element capacity
+# must not load as 4294967295, nor a capacity or service rate past
+# 2^32 - 1 narrow silently.
+printf '%s\n' 'osp-instance v1' 'sets 2' '1' '1' 'elements 1' '-1 0 1' \
+  > build/check_negcap.txt
+expect_error "capacity '-1' at line 6" ./build/osp_cli stats \
+  build/check_negcap.txt
+rm -f build/check_negcap.txt
+expect_error "--capacity" ./build/osp_cli gen video --capacity 4294967297
+expect_error "--service-rate" ./build/osp_cli gen video \
+  --service-rate 4294967296
 # Config-file scenario (with a sweep axis) and the buffered-ranker mode.
 printf '%s\n' 'scenario = regular' 'm = 12' 'sigma = 3' 'sweep.k = 2,3' \
   > build/check_demo.cfg
@@ -169,6 +183,10 @@ expect_error "frobnicate" ./build/osp_cli bench --config build/bad.cfg
 # docs/CATALOG.md is generated output: regenerate and fail on drift.
 ./build/osp_cli list --markdown | diff -u docs/CATALOG.md -
 ./build/quickstart > /dev/null
+for example in video_streaming multihop_routing adversarial_gadget; do
+  "./build/$example" > /dev/null
+done
+expect_error "num_streams" ./build/video_streaming -5
 # `solve` never hangs: on lemma9 at ell = 3 the simplex stops at its pivot
 # limit and only the LP row is lost, while branch and bound still proves
 # the optimum, 27.
@@ -238,6 +256,15 @@ expect_error "overlap" ./build/osp_cli merge build/shardsmoke_0.part \
 expect_error "fingerprint mismatch" ./build/osp_cli merge \
   build/shardsmoke_alien.part build/shardsmoke_1.part build/shardsmoke_2.part \
   --out build/shardsmoke_bad.json
+# A row line that is not one JSON object of scalars (line 8 is the first
+# row) fails the merge with its file:line, and the partial validator.
+sed '8s/"policy":"/"policy":/' build/shardsmoke_1.part \
+  > build/shardsmoke_corrupt.part
+expect_error "shardsmoke_corrupt.part:8:" ./build/osp_cli merge \
+  build/shardsmoke_0.part build/shardsmoke_corrupt.part \
+  build/shardsmoke_2.part --out build/shardsmoke_bad.json
+expect_error "line 8" python3 scripts/check_bench_json.py \
+  build/shardsmoke_corrupt.part
 rm -f BENCH_shardsmoke.json build/shardsmoke_*.part \
   build/shardsmoke_merged.json
 

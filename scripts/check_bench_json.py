@@ -43,11 +43,11 @@ validates, with the standard library only:
 Files beginning with the "osp-shard 1" magic are validated as sharded
 partial-result files instead (`osp_cli bench --shard i/N --out PART`):
 manifest header (bench, 16-hex fingerprint, shard i/N with i < N, cell
-range begin..end/total, threads >= 1), `---` separator, row blocks
-(`row <cell>` with sequential global cell indices, typed `<tag> k=v`
-cell lines with finite hexfloat doubles, `end`), and a `total <rows>`
-footer matching the slice size — docs/BENCHMARKS.md documents the
-grammar.  Directories only glob BENCH_*.json; pass partial files
+range begin..end/total, threads >= 1), `---` separator, one
+`row <cell> <json>` line per row (sequential global cell indices, each
+JSON a non-empty object of finite scalar values, strict as above), and
+a `total <rows>` footer matching the slice size — docs/BENCHMARKS.md
+documents the grammar.  Directories only glob BENCH_*.json; pass partial files
 explicitly.
 
 With --same-decisions, two artifacts of one bench are compared instead:
@@ -456,31 +456,7 @@ def reject_constant(value):
 # Sharded partial-result files (osp_cli bench --shard i/N --out PART).
 
 SHARD_MAGIC = "osp-shard 1"
-SHARD_TAGS = "biuds"
 SHARD_HEX_FINGERPRINT = re.compile(r"^[0-9a-f]{16}$")
-
-
-def check_wire_payload(path, lineno, tag, payload):
-    where = f"line {lineno}"
-    if tag == "b":
-        if payload not in ("true", "false"):
-            fail(path, f"{where}: bool payload must be true/false, "
-                       f"got {payload!r}")
-    elif tag in ("i", "u"):
-        if not re.fullmatch(r"-?\d+" if tag == "i" else r"\d+", payload):
-            fail(path, f"{where}: malformed integer payload {payload!r}")
-    elif tag == "d":
-        try:
-            value = float.fromhex(payload)
-        except ValueError:
-            fail(path, f"{where}: double payload {payload!r} is not C "
-                       f"hexfloat")
-        if not math.isfinite(value):
-            fail(path, f"{where}: double payload {payload!r} is not finite")
-    # tag "s": any escaped one-line text is fine; escapes checked below.
-    if tag == "s" and re.search(r"\\(?![\\nr])", payload):
-        fail(path, f"{where}: string payload {payload!r} has an unknown "
-                   f"or dangling escape")
 
 
 def check_partial(path, text):
@@ -526,33 +502,27 @@ def check_partial(path, text):
 
     rows = 0
     while pos < len(lines) and lines[pos].startswith("row "):
-        cell = lines[pos][4:]
+        where = f"line {pos + 1}"
+        cell, _, text = lines[pos][4:].partition(" ")
         if not cell.isdigit() or int(cell) != begin + rows:
-            fail(path, f"line {pos + 1}: row cell {cell!r} breaks the "
+            fail(path, f"{where}: row cell {cell!r} breaks the "
                        f"sequential order from {begin}")
+        try:
+            row = json.loads(text, parse_constant=reject_constant)
+        except ValueError as err:
+            fail(path, f"{where}: row is not strict JSON: {err}")
+        if (not isinstance(row, dict) or not row
+                or any(isinstance(v, (dict, list)) for v in row.values())):
+            fail(path, f"{where}: row is not a non-empty object of "
+                       f"scalar values")
+        check_finite(path, row, where)
         pos += 1
-        cells_in_row = 0
-        while pos < len(lines) and lines[pos] != "end":
-            line = lines[pos]
-            if len(line) < 2 or line[0] not in SHARD_TAGS or line[1] != " ":
-                fail(path, f"line {pos + 1}: malformed cell line {line!r}")
-            key, eq, payload = line[2:].partition("=")
-            if not key or eq != "=":
-                fail(path, f"line {pos + 1}: cell line has no key=payload")
-            check_wire_payload(path, pos + 1, line[0], payload)
-            cells_in_row += 1
-            pos += 1
-        if pos >= len(lines):
-            fail(path, "row block is missing its 'end' line (truncated?)")
-        if cells_in_row == 0:
-            fail(path, f"line {pos + 1}: row block has no cell lines")
-        pos += 1  # consume "end"
         rows += 1
 
     footer = take("total ")
     if not footer.isdigit() or int(footer) != rows:
         fail(path, f"footer 'total {footer}' does not match the {rows} "
-                   f"row blocks present (truncated file?)")
+                   f"row lines present (truncated file?)")
     if rows != end - begin:
         fail(path, f"{rows} rows but the manifest slice holds "
                    f"{end - begin} cells")
@@ -643,11 +613,9 @@ def describe():
     print("  header: bench <name>, fingerprint <16 hex>, shard i/N (i < N),")
     print("          cells begin..end/total (begin <= end <= total),")
     print("          threads <int >= 1>, then '---'")
-    print("  rows: 'row <cell>' blocks with sequential cells from begin,")
-    print("        cell lines '<tag> key=payload' with tag in '%s',"
-          % SHARD_TAGS)
-    print("        doubles as finite C hexfloat; then 'end'")
-    print("  footer: 'total <rows>' matching both the blocks and the slice")
+    print("  rows: 'row <cell> <json>' lines with sequential cells from")
+    print("        begin, each JSON a non-empty object of finite scalars")
+    print("  footer: 'total <rows>' matching both the row lines and the slice")
     return 0
 
 

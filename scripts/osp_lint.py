@@ -4,8 +4,8 @@
 Generic tools (clang-tidy, the sanitizers) cannot see the invariants this
 repository's determinism guarantees hang on: a stray `rand()` in a
 decision path silently voids the worker-count-invariance proofs in
-test_engine/test_serve, one `%g` in the wire layer breaks the sharded
-merge's byte-identity, an unordered-container iteration feeding a
+test_engine/test_serve, one `%g` in the row renderer breaks the
+byte-identical artifacts, an unordered-container iteration feeding a
 decision leaks hash-order into traces the suite asserts are canonical.
 This linter encodes those rules, with the standard library only, in the
 style of check_bench_json.py.
@@ -26,9 +26,8 @@ registry the checks run from, so it can never drift):
   unordered-iteration no iteration over std::unordered_* in src/core,
                       src/engine, src/net — hash-order leaking into a
                       decision breaks trace determinism.
-  wire-float-format   float formatting in the wire/JSON layer (src/api,
-                      src/stats/json.*) only via the sanctioned "%a"
-                      (hexfloat round trip) and "%.17g" (JsonSink) forms;
+  wire-float-format   float formatting in the JSON layer (src/api) only
+                      via the sanctioned "%.17g" (row_json) form;
                       iostream float manipulators are banned there too.
   layering            a quoted include names the including file's own
                       src/ directory or one of a lower rank on the layer
@@ -275,7 +274,7 @@ def rule_unordered_iteration(src, findings):
 FLOAT_CONVERSION = re.compile(
     r"%[-+ #0]*(?:\d+|\*)?(?:\.(?:\d+|\*))?(?:hh|h|ll|l|L|z|j|t)?"
     r"([aAeEfFgG])")
-SANCTIONED_FLOAT = ("%a", "%.17g")
+SANCTIONED_FLOAT = ("%.17g",)
 IOS_FLOAT_MANIP = re.compile(
     r"\bsetprecision\b|std::\s*(?:fixed|scientific|hexfloat|defaultfloat)\b")
 
@@ -287,15 +286,14 @@ def rule_wire_float_format(src, findings):
                 continue
             findings.append(Finding(
                 src.rel, lineno, "wire-float-format",
-                f"float conversion '{m.group(0)}' in the wire/JSON layer — "
-                f"only the sanctioned '%a' (hexfloat, bit-exact round trip) "
-                f"and '%.17g' (JsonSink) forms keep shard merges and JSON "
-                f"artifacts byte-identical"))
+                f"float conversion '{m.group(0)}' in the JSON layer — only "
+                f"the sanctioned '%.17g' (row_json) form keeps the JSON "
+                f"artifacts and shard merges byte-identical"))
     for lineno, line in enumerate(src.code_lines, start=1):
         if IOS_FLOAT_MANIP.search(line):
             findings.append(Finding(
                 src.rel, lineno, "wire-float-format",
-                "iostream float manipulator in the wire/JSON layer — "
+                "iostream float manipulator in the JSON layer — "
                 "format through the sanctioned snprintf helpers instead"))
 
 
@@ -425,9 +423,9 @@ RULES = (
      "no iteration over std::unordered_* in src/core, src/engine, "
      "src/net — hash order must not leak into decisions or traces"),
     ("wire-float-format",
-     in_dirs("src/api/", "src/stats/json."), rule_wire_float_format,
-     "wire/JSON float output only via the sanctioned '%a' and '%.17g' "
-     "helpers; no iostream float manipulators in that layer"),
+     in_dirs("src/api/"), rule_wire_float_format,
+     "JSON float output only via the sanctioned '%.17g' form; no iostream "
+     "float manipulators in that layer"),
     ("layering", in_dirs("src/"), rule_layering,
      "a quoted include names the file's own src/ directory or one of a "
      "lower rank on the layer map: util; hash, field; core; algos, design, "

@@ -1,6 +1,8 @@
 #include "api/result_sink.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <cstdio>
 
 #include "util/require.hpp"
 
@@ -8,15 +10,42 @@ namespace osp::api {
 
 namespace {
 
-/// Replays one cell value onto the writer through the exact overload the
-/// benches used to call by hand, so the serialized bytes are identical.
-void replay(JsonWriter& writer, const Row::Value& value) {
+void append_json_string(std::string& out, const std::string& s) {
+  out += '"';
+  for (char c : s) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\t': out += "\\t"; break;
+      case '\r': out += "\\r"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof buf, "\\u%04x",
+                        static_cast<unsigned>(c));
+          out += buf;
+        } else {
+          out += c;
+        }
+    }
+  }
+  out += '"';
+}
+
+void append_json_value(std::string& out, const Row::Value& value) {
   switch (value.index()) {
-    case 0: writer.value(std::get<bool>(value)); break;
-    case 1: writer.value(std::get<std::int64_t>(value)); break;
-    case 2: writer.value(std::get<std::uint64_t>(value)); break;
-    case 3: writer.value(std::get<double>(value)); break;
-    default: writer.value(std::get<std::string>(value)); break;
+    case 0: out += std::get<bool>(value) ? "true" : "false"; break;
+    case 1: out += std::to_string(std::get<std::int64_t>(value)); break;
+    case 2: out += std::to_string(std::get<std::uint64_t>(value)); break;
+    case 3: {
+      const double v = std::get<double>(value);
+      char buf[32] = "null";  // JSON has no NaN or infinity
+      if (std::isfinite(v)) std::snprintf(buf, sizeof buf, "%.17g", v);
+      out += buf;
+      break;
+    }
+    default: append_json_string(out, std::get<std::string>(value));
   }
 }
 
@@ -40,43 +69,52 @@ const Row::Value& Row::at(const std::string& key) const {
   return it->second;
 }
 
+std::string row_json(const Row& row) {
+  std::string out = "{";
+  for (const auto& [key, value] : row.cells) {
+    if (out.size() > 1) out += ',';
+    append_json_string(out, key);
+    out += ':';
+    append_json_value(out, value);
+  }
+  out += '}';
+  return out;
+}
+
 JsonSink::JsonSink(const std::string& name, std::size_t threads)
-    : file_("BENCH_" + name + ".json"), writer_(file_) {
+    : file_("BENCH_" + name + ".json"), os_(&file_) {
   OSP_REQUIRE_MSG(file_.good(), "cannot open BENCH_" << name
                                                      << ".json for writing");
-  writer_.begin_object()
-      .kv("bench", name)
-      .kv("threads", static_cast<std::uint64_t>(threads))
-      .key("results")
-      .begin_array();
+  begin(name, threads);
 }
 
 JsonSink::JsonSink(std::ostream& os, const std::string& name,
                    std::size_t threads)
-    : writer_(os) {
-  writer_.begin_object()
-      .kv("bench", name)
-      .kv("threads", static_cast<std::uint64_t>(threads))
-      .key("results")
-      .begin_array();
+    : os_(&os) {
+  begin(name, threads);
+}
+
+void JsonSink::begin(const std::string& name, std::size_t threads) {
+  std::string preamble = "{\"bench\":";
+  append_json_string(preamble, name);
+  *os_ << preamble << ",\"threads\":" << threads << ",\"results\":[";
 }
 
 JsonSink::~JsonSink() { close(); }
 
-void JsonSink::write(const Row& row) {
+void JsonSink::write(const Row& row) { write_json(row_json(row)); }
+
+void JsonSink::write_json(const std::string& row_text) {
   OSP_REQUIRE_MSG(!closed_, "JsonSink written after close()");
-  writer_.begin_object();
-  for (const auto& [key, value] : row.cells) {
-    writer_.key(key);
-    replay(writer_, value);
-  }
-  writer_.end_object();
+  if (!empty_) *os_ << ',';
+  empty_ = false;
+  *os_ << row_text;
 }
 
 void JsonSink::close() {
   if (closed_) return;
   closed_ = true;
-  writer_.end_array().end_object();
+  *os_ << "]}";
   if (file_.is_open())
     file_ << '\n';
 }

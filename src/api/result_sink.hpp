@@ -1,15 +1,18 @@
 // ResultSink — pluggable row consumers for experiment output.
 //
-// A Row is an ordered list of (key, value) cells, typed exactly like the
-// JsonWriter scalar overloads (bool / signed / unsigned / double /
-// string), so replaying a row through a sink reproduces what a bench
-// hand-driving the writer used to emit, byte for byte.  Two sinks ship:
+// A Row is an ordered list of (key, value) cells (bool / signed /
+// unsigned / double / string).  row_json renders one as the compact JSON
+// object its artifact holds: the one serialized form a Row has.  Two
+// sinks ship here:
 //
 //   JsonSink   writes BENCH_<name>.json in the shared schema
 //              ({"bench", "threads", "results": [row…]}) — the ONE writer
 //              behind every perf-trajectory artifact (the seed repo had
 //              seven hand-rolled copies);
 //   TableSink  renders rows as an aligned console table for the CLI.
+//
+// (ShardSink, in shard.hpp, carries the same row texts in a partial
+// result file, and a merge appends them verbatim through JsonSink.)
 //
 // Sinks receive rows either directly (sink.write(row)) or fanned out
 // through a Session (session.emit(row) → every attached sink).
@@ -24,7 +27,6 @@
 #include <variant>
 #include <vector>
 
-#include "stats/json.hpp"
 #include "stats/table.hpp"
 
 namespace osp::api {
@@ -68,6 +70,13 @@ struct Row {
   const Value& at(const std::string& key) const;
 };
 
+/// `row` as the compact JSON object its artifact holds: keys in cell
+/// order, integers in decimal, doubles as "%.17g" (null when not finite:
+/// JSON has no NaN or infinity), strings with '"', '\\', '\n', '\t' and
+/// '\r' escaped and every other control character as \u00XX.  The
+/// output is one line.
+std::string row_json(const Row& row);
+
 /// Abstract row consumer.
 class ResultSink {
  public:
@@ -91,11 +100,16 @@ class JsonSink final : public ResultSink {
   ~JsonSink() override;
 
   void write(const Row& row) override;
+  /// Appends a row that row_json already rendered (a merged shard's row).
+  void write_json(const std::string& row_text);
   void close() override;
 
  private:
+  void begin(const std::string& name, std::size_t threads);
+
   std::ofstream file_;   // unused by the custom-stream form
-  JsonWriter writer_;
+  std::ostream* os_;
+  bool empty_ = true;
   bool closed_ = false;
 };
 

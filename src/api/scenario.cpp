@@ -3,10 +3,12 @@
 #include <algorithm>
 #include <fstream>
 #include <istream>
+#include <limits>
 #include <sstream>
 
 #include "api/adversarial.hpp"
 #include "gen/schedule.hpp"
+#include "util/parse.hpp"
 #include "util/require.hpp"
 
 namespace osp::api {
@@ -27,6 +29,8 @@ constexpr std::size_t kMaxRangeCells = 10000;
 /// Ceiling on a spec's whole expanded grid — the cartesian product of
 /// several in-bounds axes must not defeat the per-range cap above.
 constexpr std::size_t kMaxGridCells = 100000;
+
+constexpr std::size_t kCapacityMax = std::numeric_limits<Capacity>::max();
 
 /// Appends one value-list element to `out`: either a literal value or an
 /// inclusive lo..hi[..step] integer range.
@@ -60,22 +64,15 @@ void append_sweep_element(const std::string& key, const std::string& element,
 
 }  // namespace
 
-std::size_t parse_size(const std::string& what, const std::string& text) {
-  std::size_t consumed = 0;
-  unsigned long long value = 0;
-  try {
-    value = std::stoull(text, &consumed);
-  } catch (const std::exception&) {
-    OSP_REQUIRE_MSG(false, what << " expects a non-negative integer, got '"
-                               << text << "'");
-  }
-  // Reject trailing junk ("12x") and negative numbers ("-3", which
-  // stoull silently wraps).
-  OSP_REQUIRE_MSG(consumed == text.size() &&
-                      text.find('-') == std::string::npos,
-                  what << " expects a non-negative integer, got '" << text
-                       << "'");
-  return static_cast<std::size_t>(value);
+std::size_t parse_size(const std::string& what, const std::string& text,
+                       std::size_t max) {
+  const std::optional<std::uint64_t> value = parse_unsigned(text, max);
+  if (value) return static_cast<std::size_t>(*value);
+  if (max == std::numeric_limits<std::size_t>::max())
+    throw RequireError(what + " expects a non-negative integer, got '" +
+                       text + "'");
+  throw RequireError(what + " expects an integer in [0, " +
+                     std::to_string(max) + "], got '" + text + "'");
 }
 
 WeightModel weight_model_from(const std::string& name) {
@@ -297,7 +294,7 @@ ScenarioSpec& ScenarioSpec::set(const std::string& key,
   else if (key == "n") n = parse_size(what, value);
   else if (key == "k") k = parse_size(what, value);
   else if (key == "sigma") sigma = parse_size(what, value);
-  else if (key == "cap-max") cap_max = parse_size(what, value);
+  else if (key == "cap-max") cap_max = parse_size(what, value, kCapacityMax);
   else if (key == "ell") ell = parse_size(what, value);
   else if (key == "t") t = parse_size(what, value);
   else if (key == "streams") streams = parse_size(what, value);
@@ -305,9 +302,10 @@ ScenarioSpec& ScenarioSpec::set(const std::string& key,
   else if (key == "packets") packets = parse_size(what, value);
   else if (key == "switches") switches = parse_size(what, value);
   else if (key == "capacity")
-    capacity = static_cast<Capacity>(parse_size(what, value));
+    capacity = static_cast<Capacity>(parse_size(what, value, kCapacityMax));
   else if (key == "service-rate")
-    service_rate = static_cast<Capacity>(parse_size(what, value));
+    service_rate =
+        static_cast<Capacity>(parse_size(what, value, kCapacityMax));
   else if (key == "buffer") buffer = parse_size(what, value);
   else if (key == "links") links = parse_size(what, value);
   else if (key == "window") window = parse_size(what, value);

@@ -31,6 +31,7 @@
 
 #include <cstddef>
 #include <iosfwd>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -177,10 +178,13 @@ const Registry<ScenarioSpec>& scenarios();
 /// "largest workload" the perf gates are measured on.
 std::vector<ScenarioSpec> engine_shapes();
 
-/// Strict non-negative integer parse for CLI flags and spec overrides;
-/// throws RequireError naming `what` on malformed input (the seed CLI
-/// aborted with an uncaught std::invalid_argument here).
-std::size_t parse_size(const std::string& what, const std::string& text);
+/// Strict parse of a decimal integer in [0, max] (digits only) for CLI
+/// flags and spec overrides; throws RequireError naming `what` on
+/// anything else (the seed CLI aborted with an uncaught
+/// std::invalid_argument here).  Allocation-free when `text` is valid.
+std::size_t parse_size(
+    const std::string& what, const std::string& text,
+    std::size_t max = std::numeric_limits<std::size_t>::max());
 
 /// Weight-model lookup by CLI name (unit | uniform | zipf | exp).
 WeightModel weight_model_from(const std::string& name);

@@ -1,14 +1,16 @@
 #include "api/shard.hpp"
 
 #include <algorithm>
-#include <cerrno>
+#include <cctype>
 #include <cstdio>
 #include <cstdlib>
 #include <istream>
+#include <limits>
 #include <ostream>
 #include <sstream>
+#include <string_view>
 
-#include "api/wire.hpp"
+#include "util/parse.hpp"
 #include "util/require.hpp"
 
 namespace osp::api {
@@ -108,17 +110,72 @@ struct LineReader {
   }
 };
 
+constexpr std::size_t kSizeMax = std::numeric_limits<std::size_t>::max();
+
 std::size_t parse_manifest_size(const std::string& text,
                                 const std::string& where,
                                 const char* field) {
-  errno = 0;
-  char* endp = nullptr;
-  OSP_REQUIRE_MSG(!text.empty() && text.find('-') == std::string::npos,
+  const std::optional<std::uint64_t> v = parse_unsigned(text, kSizeMax);
+  OSP_REQUIRE_MSG(v.has_value(),
                   where << ": malformed " << field << " '" << text << "'");
-  const unsigned long long v = std::strtoull(text.c_str(), &endp, 10);
-  OSP_REQUIRE_MSG(errno == 0 && endp == text.c_str() + text.size(),
-                  where << ": malformed " << field << " '" << text << "'");
-  return static_cast<std::size_t>(v);
+  return static_cast<std::size_t>(*v);
+}
+
+/// The byte offset at which `s` stops being the shape row_json writes —
+/// one JSON object, without whitespace, whose values are strings,
+/// numbers, true, false or null — or npos when it has that shape.  The
+/// merge keeps row texts verbatim, so this is all it checks of them.
+std::size_t row_text_error(const std::string& s) {
+  std::size_t i = 0;
+  const auto eat = [&](std::string_view token) {
+    if (s.compare(i, token.size(), token) != 0) return false;
+    i += token.size();
+    return true;
+  };
+  const auto digits = [&] {
+    const std::size_t begin = i;
+    while (i < s.size() && s[i] >= '0' && s[i] <= '9') ++i;
+    return i > begin;
+  };
+  const auto string = [&] {
+    if (!eat("\"")) return false;
+    while (i < s.size() && static_cast<unsigned char>(s[i]) >= 0x20) {
+      const char c = s[i++];
+      if (c == '"') return true;
+      if (c != '\\') continue;
+      if (eat("u")) {
+        for (int k = 0; k < 4; ++k, ++i)
+          if (i == s.size() ||
+              !std::isxdigit(static_cast<unsigned char>(s[i])))
+            return false;
+      } else if (i == s.size() ||
+                 std::string_view("\"\\/bfnrt").find(s[i++]) ==
+                     std::string_view::npos) {
+        return false;
+      }
+    }
+    return false;
+  };
+  const auto number = [&] {
+    eat("-");
+    if (!eat("0") && !digits()) return false;
+    if (eat(".") && !digits()) return false;
+    if (!eat("e") && !eat("E")) return true;
+    if (!eat("+")) eat("-");
+    return digits();
+  };
+  const auto value = [&] {
+    if (i < s.size() && s[i] == '"') return string();
+    return eat("true") || eat("false") || eat("null") || number();
+  };
+  bool ok = eat("{");
+  if (ok && !eat("}")) {
+    do {
+      ok = string() && eat(":") && value();
+    } while (ok && eat(","));
+    ok = ok && eat("}");
+  }
+  return ok && i == s.size() ? std::string::npos : i;
 }
 
 }  // namespace
@@ -133,21 +190,14 @@ ShardPlan ShardPlan::parse(const std::string& what, const std::string& text) {
   if (slash == std::string::npos || slash == 0 ||
       slash + 1 >= text.size() || text.find('/', slash + 1) != std::string::npos)
     fail();
-  const std::string index_text = text.substr(0, slash);
-  const std::string count_text = text.substr(slash + 1);
-  for (const std::string& part : {index_text, count_text})
-    for (char c : part)
-      if (c < '0' || c > '9') fail();
-  errno = 0;
-  char* endp = nullptr;
-  const unsigned long long index =
-      std::strtoull(index_text.c_str(), &endp, 10);
-  const unsigned long long count =
-      std::strtoull(count_text.c_str(), &endp, 10);
-  if (errno != 0) fail();
-  if (count < 1 || index >= count) fail();
-  return ShardPlan{static_cast<std::size_t>(index),
-                   static_cast<std::size_t>(count)};
+  const std::string_view view(text);
+  const std::optional<std::uint64_t> index =
+      parse_unsigned(view.substr(0, slash), kSizeMax);
+  const std::optional<std::uint64_t> count =
+      parse_unsigned(view.substr(slash + 1), kSizeMax);
+  if (!index || !count || *count < 1 || *index >= *count) fail();
+  return ShardPlan{static_cast<std::size_t>(*index),
+                   static_cast<std::size_t>(*count)};
 }
 
 std::pair<std::size_t, std::size_t> ShardPlan::slice(
@@ -232,7 +282,8 @@ void ShardSink::write(const Row& row) {
                   "shard " << manifest_.shard_index << '/'
                            << manifest_.shard_count << " received more rows "
                            << "than its " << expected << "-cell slice");
-  write_wire_row(*os_, manifest_.cell_begin + rows_, row);
+  *os_ << "row " << manifest_.cell_begin + rows_ << ' ' << row_json(row)
+       << '\n';
   ++rows_;
 }
 
@@ -317,10 +368,11 @@ ShardPartial parse_shard_partial(std::istream& in,
                                        "manifest, got '"
                                     << sep << "'");
 
-  // Row blocks in cell order, then the row-count footer.  EOF anywhere
+  // Row lines in cell order, then the row-count footer.  EOF anywhere
   // before the footer means the file was truncated in flight.
   for (;;) {
-    const std::string head = lines.require_line("'row <cell>' or 'total'");
+    const std::string head =
+        lines.require_line("'row <cell> <json>' or 'total'");
     if (head.rfind("total ", 0) == 0) {
       const std::size_t total = parse_manifest_size(
           head.substr(6), lines.where(), "footer row count");
@@ -339,12 +391,13 @@ ShardPartial parse_shard_partial(std::istream& in,
                                        "'total' footer");
       return partial;
     }
-    OSP_REQUIRE_MSG(head.rfind("row ", 0) == 0,
-                    lines.where() << ": expected 'row <cell>' or "
+    const std::size_t space = head.find(' ', 4);
+    OSP_REQUIRE_MSG(head.rfind("row ", 0) == 0 && space != std::string::npos,
+                    lines.where() << ": expected 'row <cell> <json>' or "
                                      "'total <count>', got '"
                                   << head << "'");
-    const std::size_t cell =
-        parse_manifest_size(head.substr(4), lines.where(), "row cell index");
+    const std::size_t cell = parse_manifest_size(
+        head.substr(4, space - 4), lines.where(), "row cell index");
     const std::size_t expected = m.cell_begin + partial.rows.size();
     OSP_REQUIRE_MSG(cell == expected,
                     lines.where() << ": row for cell " << cell
@@ -352,14 +405,14 @@ ShardPartial parse_shard_partial(std::istream& in,
                                   << expected << " of ["
                                   << m.cell_begin << ", " << m.cell_end
                                   << "))");
-    Row row;
-    for (;;) {
-      const std::string line = lines.require_line("a row cell or 'end'");
-      if (line == "end") break;
-      auto [key, value] = parse_wire_line(line, lines.where());
-      row.cells.emplace_back(std::move(key), std::move(value));
-    }
-    partial.rows.push_back(std::move(row));
+    std::string text = head.substr(space + 1);
+    const std::size_t bad = row_text_error(text);
+    OSP_REQUIRE_MSG(bad == std::string::npos,
+                    lines.where() << ": row for cell " << cell
+                                  << " is not one compact JSON object of "
+                                     "scalar values (byte "
+                                  << bad << " of its text)");
+    partial.rows.push_back(std::move(text));
   }
 }
 
@@ -442,7 +495,7 @@ MergedShards merge_shards(std::vector<ShardPartial> partials) {
   merged.threads = first.threads;
   merged.shard_count = first.shard_count;
   for (ShardPartial& p : partials)
-    for (Row& row : p.rows) merged.rows.push_back(std::move(row));
+    for (std::string& row : p.rows) merged.rows.push_back(std::move(row));
   return merged;
 }
 

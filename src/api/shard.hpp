@@ -16,19 +16,21 @@
 //                    partials came from the same experiment;
 //   ShardSink        a ResultSink writing one partial-result file: a
 //                    manifest header (bench name, fingerprint, shard
-//                    index/count, cell range, threads) followed by the
-//                    slice's rows in canonical cell order (wire.hpp
-//                    format) and a row-count footer that detects
-//                    truncation;
+//                    index/count, cell range, threads) followed by one
+//                    `row <cell> <json>` line per row in canonical cell
+//                    order, the JSON being exactly the text row_json
+//                    renders for the artifact, and a row-count footer
+//                    that detects truncation;
 //   parse_shard_partial / merge_shards
 //                    the strict reader and the tiling validator: the
 //                    partials must cover cells [0, total) exactly —
 //                    no gaps, no overlaps, matching fingerprints /
 //                    bench names / threads / shard counts — with
 //                    enumerated RequireErrors otherwise.  merge_shards
-//                    returns the rows in canonical cell order; replayed
-//                    through JsonSink they reproduce the unsharded
-//                    BENCH_*.json bit for bit.
+//                    returns the row texts in canonical cell order;
+//                    appended through JsonSink::write_json they are the
+//                    unsharded BENCH_*.json by construction, since no
+//                    row is ever parsed back and rendered again.
 //
 // `osp_cli bench --shard i/N --out PART` writes one partial;
 // `osp_cli merge PART... --json NAME` recombines them (and
@@ -112,31 +114,33 @@ class ShardSink final : public ResultSink {
   bool closed_ = false;
 };
 
-/// One parsed partial: its manifest, its rows (in cell order), and the
-/// origin (file name) for merge error messages.
+/// One parsed partial: its manifest, its rows' JSON texts (in cell
+/// order, verbatim), and the origin (file name) for merge error messages.
 struct ShardPartial {
   ShardManifest manifest;
-  std::vector<Row> rows;
+  std::vector<std::string> rows;
   std::string origin;
 };
 
 /// Strict reader for one partial-result file; every error is prefixed
 /// origin:line.  Validates the manifest invariants (i < N,
-/// begin <= end <= total, threads >= 1), the row cell sequence, and the
+/// begin <= end <= total, threads >= 1), the row cell sequence, that
+/// each row text is one compact JSON object of scalar values, and the
 /// row-count footer (a missing footer means a truncated upload).
 ShardPartial parse_shard_partial(std::istream& in, const std::string& origin);
 
-/// What merge_shards hands back: the preamble fields plus every grid row
-/// in canonical cell order, ready to replay through JsonSink.
+/// What merge_shards hands back: the preamble fields plus every grid
+/// row's JSON text in canonical cell order, ready for
+/// JsonSink::write_json.
 struct MergedShards {
   std::string bench;
   std::size_t threads = 1;
   std::size_t shard_count = 1;
-  std::vector<Row> rows;
+  std::vector<std::string> rows;
 };
 
 /// Validates that `partials` tile the grid exactly and concatenates
-/// their rows in canonical cell order.  Enumerated RequireErrors name
+/// their row texts in canonical cell order.  Enumerated RequireErrors name
 /// the offending files: fingerprint/bench/threads/total/shard-count
 /// mismatches, gaps, and overlaps each have their own message.
 MergedShards merge_shards(std::vector<ShardPartial> partials);

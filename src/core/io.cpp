@@ -4,6 +4,7 @@
 #include <limits>
 #include <sstream>
 
+#include "util/parse.hpp"
 #include "util/require.hpp"
 
 namespace osp {
@@ -65,15 +66,26 @@ Instance read_instance(std::istream& is) {
                   "bad header at line " << reader.lineno() << ": '" << header
                                         << "'");
 
+  // Counts, capacities and parent ids are digits only: `istream >>` into
+  // an unsigned type reads "-1" as the type's maximum.
+  auto parse_number = [&](const std::string& token, std::uint64_t max,
+                          const char* what) {
+    const std::optional<std::uint64_t> v = parse_unsigned(token, max);
+    OSP_REQUIRE_MSG(v.has_value(), "bad " << what << " '" << token
+                                          << "' at line " << reader.lineno()
+                                          << " (expected an integer in [0, "
+                                          << max << "])");
+    return *v;
+  };
   auto parse_count = [&](const char* keyword) {
     std::string line = reader.next(keyword);
     std::istringstream ss(line);
-    std::string word;
-    std::size_t count = 0;
+    std::string word, count;
     OSP_REQUIRE_MSG(
         (ss >> word >> count) && word == keyword && ss.eof(),
         "expected '" << keyword << " <count>' at line " << reader.lineno());
-    return count;
+    return static_cast<std::size_t>(parse_number(
+        count, std::numeric_limits<std::size_t>::max(), "count"));
   };
 
   InstanceBuilder builder;
@@ -89,16 +101,15 @@ Instance read_instance(std::istream& is) {
 
   const std::size_t n = parse_count("elements");
   for (std::size_t u = 0; u < n; ++u) {
-    std::string line = reader.next("element line");
-    std::istringstream ss(line);
-    Capacity cap = 0;
-    OSP_REQUIRE_MSG(static_cast<bool>(ss >> cap),
-                    "bad element capacity at line " << reader.lineno());
+    std::istringstream ss(reader.next("element line"));
+    std::string token;
+    ss >> token;  // a returned line is never blank
+    const auto cap = static_cast<Capacity>(parse_number(
+        token, std::numeric_limits<Capacity>::max(), "element capacity"));
     std::vector<SetId> parents;
-    SetId s;
-    while (ss >> s) parents.push_back(s);
-    OSP_REQUIRE_MSG(ss.eof(),
-                    "trailing garbage at line " << reader.lineno());
+    while (ss >> token)
+      parents.push_back(static_cast<SetId>(parse_number(
+          token, std::numeric_limits<SetId>::max(), "parent set id")));
     builder.add_element(std::move(parents), cap);
   }
   return builder.build();

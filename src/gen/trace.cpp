@@ -1,12 +1,12 @@
 #include "gen/trace.hpp"
 
-#include <charconv>
 #include <cstdint>
 #include <fstream>
 #include <limits>
 #include <sstream>
 #include <vector>
 
+#include "util/parse.hpp"
 #include "util/require.hpp"
 
 namespace osp {
@@ -46,15 +46,19 @@ FrameSchedule read_trace(std::istream& is) {
 
   std::string counts = next("frame count");
   std::istringstream cs(counts);
-  std::string word;
-  std::size_t count = 0;
-  OSP_REQUIRE_MSG((cs >> word >> count) && word == "frames" && cs.eof(),
+  std::string word, count_text;
+  OSP_REQUIRE_MSG((cs >> word >> count_text) && word == "frames" && cs.eof(),
                   "expected 'frames <count>' at line " << lineno);
+  const std::optional<std::uint64_t> count =
+      parse_unsigned(count_text, std::numeric_limits<std::size_t>::max());
+  OSP_REQUIRE_MSG(count.has_value(), "bad frame count '" << count_text
+                                                         << "' at line "
+                                                         << lineno);
 
   FrameSchedule sched;
   std::vector<std::size_t> slots;
   std::string token;
-  for (std::size_t i = 0; i < count; ++i) {
+  for (std::uint64_t i = 0; i < *count; ++i) {
     std::istringstream fs(next("frame line"));
     Weight weight = 0;
     OSP_REQUIRE_MSG(static_cast<bool>(fs >> weight),
@@ -63,14 +67,12 @@ FrameSchedule read_trace(std::istream& is) {
     // slot a consumer can serve.
     slots.clear();
     while (fs >> token) {
-      std::uint64_t slot = 0;
-      const char* end = token.data() + token.size();
-      const auto parsed = std::from_chars(token.data(), end, slot);
-      OSP_REQUIRE_MSG(parsed.ec == std::errc() && parsed.ptr == end &&
-                          slot <= 0xffffffffULL,
+      const std::optional<std::uint64_t> slot =
+          parse_unsigned(token, 0xffffffffULL);
+      OSP_REQUIRE_MSG(slot.has_value(),
                       "bad slot '" << token << "' at line " << lineno
                                    << ": slots are integers in [0, 2^32)");
-      slots.push_back(slot);
+      slots.push_back(*slot);
     }
     try {
       sched.add_frame(weight, slots);

@@ -1,7 +1,7 @@
-// Known-bad fixture: unsanctioned float formatting in the wire layer.
+// Known-bad fixture: unsanctioned float formatting in the JSON layer.
 // "%f" truncates, "%.10g" loses bits, and stream manipulators depend on
 // locale/state — any of them breaks the byte-identity guarantee the
-// sharded merge and the JsonSink artifacts are proven against.
+// JsonSink artifacts and the sharded merge are proven against.
 //
 // osp-lint-expect: wire-float-format
 // osp-lint-expect: wire-float-format
@@ -25,7 +25,6 @@ std::string emit_stream(double v) {
 
 // The sanctioned forms must NOT fire.
 void emit_sanctioned(char* buf, std::size_t cap, double v) {
-  std::snprintf(buf, cap, "%a", v);
   std::snprintf(buf, cap, "%.17g", v);
   std::snprintf(buf, cap, "%04x", static_cast<unsigned>(cap));
 }

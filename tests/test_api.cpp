@@ -3,8 +3,9 @@
 // compilation, sweep-axis expansion, the key=value config loader, the
 // ranker registry's round-trip parity with the hand-built router list,
 // the Session measure/grid facade (bit-identical to the historical
-// serial loops), and a golden check that JsonSink output passes the
-// repository's BENCH_*.json schema validator.
+// serial loops), the one row rendering (row_json) with a golden check
+// that JsonSink output passes the repository's BENCH_*.json schema
+// validator, and the shard partial/merge pipeline.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -23,7 +24,6 @@
 #include "api/scenario.hpp"
 #include "api/session.hpp"
 #include "api/shard.hpp"
-#include "api/wire.hpp"
 #include "core/game.hpp"
 #include "core/rand_pr.hpp"
 #include "gen/random_instances.hpp"
@@ -203,6 +203,26 @@ TEST(ScenarioSpec, StringOverridesParseStrictly) {
   EXPECT_THROW(spec.set("m", "-3"), RequireError);
   EXPECT_THROW(spec.set("m", ""), RequireError);
   EXPECT_THROW(spec.set("weights", "heavy"), RequireError);
+  // Capacities are u32: a larger value fails naming its flag instead of
+  // narrowing (2^32 + 1 to capacity 1, 2^32 to a service rate of 0, a
+  // cap-max past 2^32 - 1 into wrapped capacity draws).
+  spec.set("capacity", "4294967295").set("service-rate", "4294967295");
+  EXPECT_EQ(spec.capacity, 4294967295u);
+  EXPECT_EQ(spec.service_rate, 4294967295u);
+  for (const auto& [key, value] :
+       {std::pair<const char*, const char*>{"capacity", "4294967297"},
+        {"service-rate", "4294967296"},
+        {"cap-max", "4294967296"}}) {
+    try {
+      spec.set(key, value);
+      FAIL() << key << " " << value << " was accepted";
+    } catch (const RequireError& e) {
+      EXPECT_NE(std::string(e.what()).find(std::string("--") + key),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  EXPECT_EQ(spec.capacity, 4294967295u);
   try {
     spec.set("frobnication", "9");
     FAIL() << "expected RequireError";
@@ -214,7 +234,8 @@ TEST(ScenarioSpec, StringOverridesParseStrictly) {
 
 TEST(ScenarioSpec, ParseSizeNamesTheFlag) {
   EXPECT_EQ(api::parse_size("flag --m", "42"), 42u);
-  for (const char* bad : {"", "x", "12x", "-5", "1.5"}) {
+  for (const char* bad : {"", "x", "12x", "-5", "1.5", " 5", "+5",
+                          "18446744073709551616"}) {
     try {
       api::parse_size("flag --m", bad);
       FAIL() << "expected RequireError for '" << bad << "'";
@@ -685,7 +706,7 @@ TEST(Session, CompetitiveRatioChargesZeroBenefitAsOneUnit) {
 // ---------------------------------------------------------------------
 // Session: the ranker grid and the sustained run.
 
-/// A row as canonical wire text (readable in failure messages), without
+/// A row as its artifact JSON (readable in failure messages), without
 /// the wall-clock cells when `untimed`.
 std::string text_of(api::Row row, bool untimed = false) {
   if (untimed)
@@ -695,9 +716,7 @@ std::string text_of(api::Row row, bool untimed = false) {
                                             cell.first == "packets_per_sec";
                                    }),
                     row.cells.end());
-  std::ostringstream os;
-  api::write_wire_row(os, 0, row);
-  return os.str();
+  return api::row_json(row);
 }
 
 template <class T>
@@ -969,6 +988,37 @@ TEST(JsonSink, GoldenOutputPassesTheSchemaChecker) {
 #endif
 }
 
+TEST(RowJson, PinsTheArtifactBytes) {
+  // Every artifact byte and every shard row comes from row_json: escapes,
+  // non-finite doubles as null, the integer extremes, the sign of zero
+  // and the 17 significant digits a double needs to round-trip.
+  const api::Row row =
+      api::Row{}
+          .add("text", std::string("\"\\\n\t\r\x01"))
+          .add("nan", std::numeric_limits<double>::quiet_NaN())
+          .add("inf", std::numeric_limits<double>::infinity())
+          .add("ninf", -std::numeric_limits<double>::infinity())
+          .add("i64", std::numeric_limits<std::int64_t>::min())
+          .add("u64", std::numeric_limits<std::uint64_t>::max())
+          .add("negzero", -0.0)
+          .add("third", 1.0 / 3.0)
+          .add("yes", true);
+  const std::string want =
+      R"({"text":"\"\\\n\t\r\u0001","nan":null,"inf":null,"ninf":null,)"
+      R"("i64":-9223372036854775808,"u64":18446744073709551615,)"
+      R"("negzero":-0,"third":0.33333333333333331,"yes":true})";
+  EXPECT_EQ(api::row_json(row), want);
+
+  std::ostringstream doc;
+  {
+    api::JsonSink sink(doc, "pin", 1);
+    sink.write(row);
+    sink.write_json(want);
+  }
+  EXPECT_EQ(doc.str(), R"({"bench":"pin","threads":1,"results":[)" + want +
+                           "," + want + "]}");
+}
+
 TEST(JsonSink, ZeroRowsStillFinishACompleteDocument) {
   // An empty shard slice must never leave a malformed body behind.
   std::ostringstream text;
@@ -977,81 +1027,6 @@ TEST(JsonSink, ZeroRowsStillFinishACompleteDocument) {
     sink.close();
   }
   EXPECT_EQ(text.str(), "{\"bench\":\"empty\",\"threads\":2,\"results\":[]}");
-}
-
-// ---------------------------------------------------------------------
-// Wire format: the canonical Row text codec the shard pipeline rides on.
-
-TEST(Wire, EveryVariantArmRoundTripsExactly) {
-  const api::Row::Value values[] = {
-      api::Row::Value(true),
-      api::Row::Value(false),
-      api::Row::Value(std::int64_t{0}),
-      api::Row::Value(std::int64_t{-7}),
-      api::Row::Value(std::numeric_limits<std::int64_t>::min()),
-      api::Row::Value(std::numeric_limits<std::int64_t>::max()),
-      api::Row::Value(std::uint64_t{0}),
-      api::Row::Value(std::numeric_limits<std::uint64_t>::max()),
-      api::Row::Value(0.0),
-      api::Row::Value(1.0 / 3.0),
-      api::Row::Value(-123.456789),
-      api::Row::Value(std::numeric_limits<double>::max()),
-      api::Row::Value(std::numeric_limits<double>::denorm_min()),
-      api::Row::Value(5e-324),
-      api::Row::Value(std::string("")),
-      api::Row::Value(std::string("plain words")),
-      api::Row::Value(std::string("esc \\ back\nnew\rret key=val")),
-  };
-  for (const api::Row::Value& v : values) {
-    const char tag = api::wire_tag(v);
-    const std::string payload = api::encode_wire_value(v);
-    const api::Row::Value back = api::parse_wire_value(tag, payload, "t");
-    EXPECT_EQ(back.index(), v.index()) << payload;
-    EXPECT_EQ(back, v) << payload;
-  }
-}
-
-TEST(Wire, NegativeZeroKeepsItsSignBit) {
-  const api::Row::Value v(-0.0);
-  const api::Row::Value back =
-      api::parse_wire_value('d', api::encode_wire_value(v), "t");
-  ASSERT_EQ(back.index(), 3u);
-  EXPECT_TRUE(std::signbit(std::get<double>(back)));
-}
-
-TEST(Wire, NonFiniteDoublesAreRejectedBothWays) {
-  for (double bad : {std::numeric_limits<double>::quiet_NaN(),
-                     std::numeric_limits<double>::infinity(),
-                     -std::numeric_limits<double>::infinity()})
-    EXPECT_THROW(api::encode_wire_value(api::Row::Value(bad)), RequireError);
-  for (const char* text : {"nan", "inf", "-inf", "0x1p+2000000"})
-    EXPECT_THROW(api::parse_wire_value('d', text, "t"), RequireError);
-}
-
-TEST(Wire, ParsingIsStrict) {
-  // Unknown tags, malformed payloads, trailing junk, broken escapes.
-  EXPECT_THROW(api::parse_wire_value('x', "1", "t"), RequireError);
-  EXPECT_THROW(api::parse_wire_value('b', "yes", "t"), RequireError);
-  EXPECT_THROW(api::parse_wire_value('i', "12abc", "t"), RequireError);
-  EXPECT_THROW(api::parse_wire_value('i', "", "t"), RequireError);
-  EXPECT_THROW(api::parse_wire_value('u', "-3", "t"), RequireError);
-  EXPECT_THROW(api::parse_wire_value('d', "1.5", "t"), RequireError);
-  EXPECT_THROW(api::parse_wire_value('s', "dangling\\", "t"), RequireError);
-  EXPECT_THROW(api::parse_wire_value('s', "bad\\q", "t"), RequireError);
-  EXPECT_THROW(api::parse_wire_line("i novalue", "t"), RequireError);
-  EXPECT_THROW(api::parse_wire_line("i=5", "t"), RequireError);
-  const std::string msg =
-      error_of([] { api::parse_wire_value('i', "12abc", "here:7"); });
-  EXPECT_NE(msg.find("here:7"), std::string::npos) << msg;
-}
-
-TEST(Wire, LineRoundTripPreservesKeyAndValue) {
-  const api::Row::Value v(std::string("a=b\nc"));
-  const std::string line = std::string(1, api::wire_tag(v)) + " label=" +
-                           api::encode_wire_value(v);
-  const auto [key, back] = api::parse_wire_line(line, "t");
-  EXPECT_EQ(key, "label");
-  EXPECT_EQ(back, v);
 }
 
 // ---------------------------------------------------------------------
@@ -1143,14 +1118,8 @@ TEST(ShardSink, PartialRoundTripsThroughTheParser) {
   EXPECT_EQ(part.manifest.total_cells, 4u);
   EXPECT_EQ(part.manifest.threads, 2u);
   ASSERT_EQ(part.rows.size(), 2u);
-  for (std::size_t c = 0; c < 2; ++c) {
-    const api::Row want = mixed_row(c);
-    ASSERT_EQ(part.rows[c].cells.size(), want.cells.size());
-    for (std::size_t k = 0; k < want.cells.size(); ++k) {
-      EXPECT_EQ(part.rows[c].cells[k].first, want.cells[k].first);
-      EXPECT_EQ(part.rows[c].cells[k].second, want.cells[k].second);
-    }
-  }
+  for (std::size_t c = 0; c < 2; ++c)
+    EXPECT_EQ(part.rows[c], api::row_json(mixed_row(c)));
 }
 
 TEST(ShardSink, EmptySliceIsAValidMergeablePartial) {
@@ -1188,6 +1157,25 @@ TEST(ShardPartial, TruncatedFilesAreRejected) {
   bad.replace(text.rfind("total 2"), 7, "total 9");
   std::istringstream in2(bad);
   EXPECT_THROW(api::parse_shard_partial(in2, "mem"), RequireError);
+}
+
+TEST(ShardPartial, ACorruptedRowFailsWithItsFileAndLine) {
+  // Line 9 is cell 1's row: 7 manifest lines, then cell 0's row.
+  const std::string text = partial_text(0, 2, 0, 2);
+  const std::string good = "\"policy\":\"randpr\"";
+  for (const std::string& corrupt :
+       {std::string("\"policy\":randpr"), std::string("\"policy\":[1]"),
+        std::string("\"policy\": \"randpr\""),
+        std::string("\"policy\":\"ran\\qpr\""),
+        std::string("\"policy\":\"randpr\"}")}) {
+    std::string bad = text;
+    bad.replace(text.rfind(good), good.size(), corrupt);
+    std::istringstream in(bad);
+    const std::string msg =
+        error_of([&] { api::parse_shard_partial(in, "part0"); });
+    EXPECT_EQ(msg.rfind("part0:9: row for cell 1 ", 0), 0u) << corrupt;
+    EXPECT_EQ(msg.find('\n'), std::string::npos) << msg;
+  }
 }
 
 TEST(MergeShards, EnumeratedErrorsNameTheProblem) {
@@ -1238,8 +1226,8 @@ TEST(MergeShards, EnumeratedErrorsNameTheProblem) {
 }
 
 // ---------------------------------------------------------------------
-// The headline guarantee: shard → merge → JsonSink replay is
-// byte-identical to the unsharded run, for every shard count.
+// The headline guarantee: shard → merge → JsonSink is byte-identical to
+// the unsharded run, for every shard count.
 
 TEST(ShardedGrid, MergedJsonIsByteIdenticalForAnyShardCount) {
   Rng gen(77);
@@ -1303,7 +1291,7 @@ TEST(ShardedGrid, MergedJsonIsByteIdenticalForAnyShardCount) {
     std::ostringstream got;
     {
       api::JsonSink sink(got, merged.bench, merged.threads);
-      for (const api::Row& row : merged.rows) sink.write(row);
+      for (const std::string& row : merged.rows) sink.write_json(row);
       sink.close();
     }
     EXPECT_EQ(got.str(), want.str()) << "shard count " << count;
@@ -1312,8 +1300,7 @@ TEST(ShardedGrid, MergedJsonIsByteIdenticalForAnyShardCount) {
 
 TEST(ShardedGrid, RatioRowsSurviveShardMergeByteIdentical) {
   // The adversarial dashboard's rows carry awkward doubles (ratios like
-  // 1/3 and 62.5/7, tiny LP values) that only survive the shard wire
-  // because doubles travel as hexfloat.  Push such rows through the full
+  // 1/3 and 62.5/7, tiny LP values).  Push such rows through the full
   // ShardSink → parse_shard_partial → merge_shards → JsonSink pipeline
   // and require byte-identity with the direct JsonSink document.
   auto ratio_row = [](std::size_t i) {
@@ -1369,7 +1356,7 @@ TEST(ShardedGrid, RatioRowsSurviveShardMergeByteIdentical) {
     std::ostringstream got;
     {
       api::JsonSink sink(got, merged.bench, merged.threads);
-      for (const api::Row& row : merged.rows) sink.write(row);
+      for (const std::string& row : merged.rows) sink.write_json(row);
       sink.close();
     }
     EXPECT_EQ(got.str(), want.str()) << "shard count " << count;

@@ -113,6 +113,40 @@ TEST(InstanceIo, RejectsTrailingGarbageOnElement) {
   EXPECT_THROW(read_instance(ss), RequireError);
 }
 
+TEST(InstanceIo, NumbersAreDigitsOnlyAndFailOnTheirLine) {
+  // `istream >>` into an unsigned type negates a '-': "-1" would load as
+  // capacity 4294967295 and a parent "-4294967295" as set 1.
+  const std::string head = "osp-instance v1\nsets 2\n1.0\n1.0\n";
+  const struct {
+    std::string text;
+    const char* line;
+  } cases[] = {
+      {head + "elements 1\n-1 0 1\n", "line 6"},
+      {head + "elements 1\n1 -4294967295\n", "line 6"},
+      {head + "elements 1\n4294967296 0\n", "line 6"},
+      {head + "elements 1\n1 4294967296\n", "line 6"},
+      {head + "elements 1\n+1 0\n", "line 6"},
+      {head + "elements 1\n1 0x1\n", "line 6"},
+      {head + "elements -1\n", "line 5"},
+      {"osp-instance v1\nsets -1\n", "line 2"},
+      {"osp-instance v1\nsets 18446744073709551616\n", "line 2"},
+  };
+  for (const auto& c : cases) {
+    std::stringstream ss(c.text);
+    try {
+      read_instance(ss);
+      ADD_FAILURE() << c.text << " was accepted";
+    } catch (const RequireError& e) {
+      EXPECT_NE(std::string(e.what()).find(c.line), std::string::npos)
+          << c.text << ": " << e.what();
+    }
+  }
+  std::stringstream largest(head + "elements 1\n4294967295 1\n");
+  const Instance inst = read_instance(largest);
+  EXPECT_EQ(inst.arrival(0).capacity, 4294967295u);
+  EXPECT_EQ(inst.arrival(0).parents, std::vector<SetId>{1});
+}
+
 TEST(InstanceIo, FileRoundTrip) {
   Rng gen(3);
   Instance inst = random_instance(10, 12, 2, WeightModel::unit(), gen);

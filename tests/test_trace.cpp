@@ -117,6 +117,19 @@ TEST(Trace, BadFrameLinesFailWithTheirLineNumber) {
   EXPECT_EQ(sched.frames[0].packet_slots[0], 4294967295u);
 }
 
+TEST(Trace, SignedFrameCountFailsOnItsLine) {
+  // A signed count fails on its own line instead of reading as 2^64 - 1
+  // frames and failing only at the end of the input.
+  std::stringstream ss("osp-trace v1\nframes -1\n1.0 0\n");
+  try {
+    read_trace(ss);
+    ADD_FAILURE() << "frames -1 was accepted";
+  } catch (const RequireError& e) {
+    EXPECT_NE(std::string(e.what()).find("line 2"), std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(Trace, RejectsTruncated) {
   std::stringstream ss("osp-trace v1\nframes 3\n1.0 0\n");
   EXPECT_THROW(read_trace(ss), RequireError);
