@@ -74,7 +74,8 @@ WorkloadResult measure_workload(const std::string& label, std::size_t m,
   r.trials = static_cast<int>(
       std::max<std::size_t>(6, 1'500'000 / std::max<std::size_t>(r.n, 1)));
 
-  const std::vector<Arrival> arrivals = seedref::materialize_arrivals(inst);
+  const std::vector<seedref::Arrival> arrivals =
+      seedref::materialize_arrivals(inst);
 
   Rng master(1);
   std::vector<Rng> rngs;

@@ -13,9 +13,11 @@
 #      set against scripts/tidy_baseline.txt (SKIPs with a notice when
 #      clang-tidy is not installed; the CI analysis job requires it);
 #   5. examples smoke: runs osp_cli end to end off the policy/scenario
-#      registries (list, gen | run and gen | stats pipes, bench grids, a
-#      config-file sweep, the ranker and sustained modes, --dry-run, the
-#      catalog drift gate), its one-line error paths (malformed flags,
+#      registries (list, gen | run and gen | stats pipes over the random,
+#      regular, fixed-load and capacity families, a capacity of 2^32 - 1
+#      played under randpr and greedy:first, bench grids, a config-file
+#      sweep, the ranker and sustained modes, --dry-run, the catalog
+#      drift gate), its one-line error paths (malformed flags,
 #      unknown policies, rankers and scenarios, --workers without
 #      --sustained, a bad config line, a negative element capacity in an
 #      instance file, a --capacity or --service-rate past 2^32 - 1),
@@ -127,6 +129,19 @@ echo "== examples smoke: osp_cli (registry-driven) + the examples + console-only
 ./build/osp_cli gen random --seed 3 | ./build/osp_cli run --alg randpr
 ./build/osp_cli gen regular --m 12 --sigma 3 | ./build/osp_cli stats - \
   > /dev/null
+# The fixed-load sampler and the capacity family through the instance
+# file reader.
+./build/osp_cli gen fixedload --seed 3 | ./build/osp_cli stats - > /dev/null
+./build/osp_cli gen capacity --cap-max 4 --seed 3 |
+  ./build/osp_cli run - --alg randpr
+# A capacity of 2^32 - 1 is valid and plays: a decision buffer is sized by
+# min(b(u), |C(u)|), never by the capacity alone.
+printf '%s\n' 'osp-instance v1' 'sets 2' '1' '1' 'elements 1' \
+  '4294967295 0 1' > build/check_bigcap.txt
+for alg in randpr greedy:first; do
+  ./build/osp_cli run build/check_bigcap.txt --alg "$alg" --trials 1
+done
+rm -f build/check_bigcap.txt
 ./build/osp_cli bench --scenario random --alg randpr,greedy:maxw --trials 50
 # --dry-run prints the expanded cell grid and must run nothing.
 ./build/osp_cli bench --scenario engine/ladder --alg randpr,greedy:maxw \

@@ -71,8 +71,8 @@ Outcome play_flat(const Instance& inst, OnlineAlgorithm& alg,
   alg.start(scratch.metas);
 
   scratch.got.assign(m, 0);
-  if (scratch.chosen.size() < inst.max_capacity())
-    scratch.chosen.resize(inst.max_capacity());
+  if (scratch.chosen.size() < inst.max_choices())
+    scratch.chosen.resize(inst.max_choices());
 
   Outcome out;
   for (ElementId u = 0; u < inst.num_elements(); ++u) {
@@ -213,7 +213,10 @@ std::vector<SetId> GameEngine::step(const std::vector<SetId>& parents,
               sorted_.end());
   for (SetId s : sorted_) OSP_REQUIRE(s < sets_.size());
 
-  if (chosen_.size() < capacity) chosen_.resize(capacity);
+  // A decision chooses at most min(b(u), |C(u)|) sets; a capacity alone
+  // may be as large as 2^32 - 1.
+  const std::size_t bound = std::min<std::size_t>(capacity, sorted_.size());
+  if (chosen_.size() < bound) chosen_.resize(bound);
   std::size_t n = alg_.decide(next_element_++, capacity, sorted_.data(),
                               sorted_.size(), chosen_.data());
   check_answer_flat(chosen_.data(), n, sorted_.data(), sorted_.size(),

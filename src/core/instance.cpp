@@ -62,28 +62,37 @@ InstanceStats Instance::stats() const {
 }
 
 void Instance::validate() const {
-  OSP_REQUIRE(set_sizes_.size() == weights_.size());
-  OSP_REQUIRE(members_.num_rows() == weights_.size());
+  const std::size_t m = weights_.size();
+  OSP_REQUIRE(set_sizes_.size() == m);
+  OSP_REQUIRE(members_.num_rows() == m);
   OSP_REQUIRE(parents_.num_rows() == capacities_.size());
   OSP_REQUIRE(parents_.total_values() == members_.total_values());
-  for (std::size_t s = 0; s < weights_.size(); ++s) {
+  for (std::size_t s = 0; s < m; ++s) {
     OSP_REQUIRE_MSG(weights_[s] >= 0 && std::isfinite(weights_[s]),
                     "weight of set " << s
                                      << " must be finite and non-negative");
     OSP_REQUIRE(members_.row_size(s) == set_sizes_[s]);
-    for (ElementId u : members_.row(s)) {
-      OSP_REQUIRE(u < num_elements());
-      Span<SetId> par = parents_.row(u);
-      OSP_REQUIRE(std::binary_search(par.begin(), par.end(),
-                                     static_cast<SetId>(s)));
-    }
   }
+  // One walk of the parent rows in arrival order, with a cursor per set
+  // into its member row: every membership (u, s) must be the entry under
+  // s's cursor, so each member row lists exactly the elements naming s,
+  // in arrival order.  A cursor advances once per membership and never
+  // past its row, and both CSRs hold the same number of values, so the
+  // walk consumes every member row to its end.
+  std::vector<std::size_t> cursor(m, 0);
   for (ElementId u = 0; u < num_elements(); ++u) {
     OSP_REQUIRE_MSG(capacities_[u] >= 1, "element capacity must be >= 1");
-    Span<SetId> par = parents_.row(u);
-    OSP_REQUIRE(std::is_sorted(par.begin(), par.end()));
-    OSP_REQUIRE(std::adjacent_find(par.begin(), par.end()) == par.end());
-    for (SetId s : par) OSP_REQUIRE(s < weights_.size());
+    const Span<SetId> par = parents_.row(u);
+    for (std::size_t i = 0; i < par.size(); ++i) {
+      const SetId s = par[i];
+      OSP_REQUIRE_MSG(s < m, "unknown set id " << s);
+      OSP_REQUIRE_MSG(i == 0 || par[i - 1] < s,
+                      "parents of element " << u
+                                            << " are not sorted and distinct");
+      const Span<ElementId> row = members_.row(s);
+      OSP_REQUIRE(cursor[s] < row.size() && row[cursor[s]] == u);
+      ++cursor[s];
+    }
   }
 }
 
@@ -119,10 +128,11 @@ ElementId InstanceBuilder::add_element(std::vector<SetId> parents,
   OSP_REQUIRE_MSG(std::adjacent_find(parents.begin(), parents.end()) ==
                       parents.end(),
                   "duplicate parent set in element");
-  for (SetId s : parents)
-    OSP_REQUIRE_MSG(s < weights_.size(), "unknown set id " << s);
-  arrivals_.push_back(Arrival{capacity, std::move(parents)});
-  return static_cast<ElementId>(arrivals_.size() - 1);
+  OSP_REQUIRE_MSG(parents.empty() || parents.back() < weights_.size(),
+                  "unknown set id " << parents.back());
+  parents_.push_row(parents.begin(), parents.end());
+  capacities_.push_back(capacity);
+  return static_cast<ElementId>(capacities_.size() - 1);
 }
 
 Instance Instance::from_csr(std::vector<Weight> weights,
@@ -135,18 +145,21 @@ Instance Instance::from_csr(std::vector<Weight> weights,
   inst.weights_ = std::move(weights);
   inst.capacities_ = std::move(capacities);
   inst.parents_ = std::move(parents);
-  inst.set_sizes_.assign(inst.weights_.size(), 0);
+  const std::size_t m = inst.weights_.size();
+  inst.set_sizes_.assign(m, 0);
   for (SetId s : inst.parents_.values()) {
-    OSP_REQUIRE_MSG(s < inst.weights_.size(), "unknown set id " << s);
+    OSP_REQUIRE_MSG(s < m, "unknown set id " << s);
     ++inst.set_sizes_[s];
   }
-  for (Capacity b : inst.capacities_)
-    inst.max_capacity_ = std::max(inst.max_capacity_, b);
+  for (ElementId u = 0; u < inst.num_elements(); ++u)
+    inst.max_choices_ = std::max<std::size_t>(
+        inst.max_choices_, std::min<std::size_t>(inst.capacities_[u],
+                                                 inst.parents_.row_size(u)));
 
-  // Scatter the transpose into the per-set member CSR using set_sizes_ as
-  // row extents.
+  // Scatter the transpose in arrival order, so each member row comes out
+  // ascending.
   inst.members_ = CsrArray<ElementId>::from_sizes(inst.set_sizes_);
-  std::vector<std::size_t> fill(inst.weights_.size(), 0);
+  std::vector<std::size_t> fill(m, 0);
   for (ElementId u = 0; u < inst.num_elements(); ++u)
     for (SetId s : inst.parents_.row(u))
       inst.members_.mutable_row(s)[fill[s]++] = u;
@@ -156,19 +169,9 @@ Instance Instance::from_csr(std::vector<Weight> weights,
 }
 
 Instance InstanceBuilder::build() {
-  std::size_t total = 0;
-  for (const Arrival& a : arrivals_) total += a.parents.size();
-  std::vector<Capacity> capacities;
-  capacities.reserve(arrivals_.size());
-  CsrArray<SetId> parents;
-  parents.reserve(arrivals_.size(), total);
-  for (const Arrival& a : arrivals_) {
-    capacities.push_back(a.capacity);
-    parents.push_row(a.parents.begin(), a.parents.end());
-  }
-  arrivals_.clear();  // frees the per-element rows before the transpose
   return Instance::from_csr(std::exchange(weights_, {}),
-                            std::move(capacities), std::move(parents));
+                            std::exchange(capacities_, {}),
+                            std::exchange(parents_, {}));
 }
 
 }  // namespace osp

@@ -5,6 +5,14 @@
 // Storage is flat (CSR): all parent lists live in one contiguous array and
 // all member lists in another, so the per-arrival decision path touches a
 // single cache-resident row instead of chasing a vector-of-vectors.
+//
+// Every instance is built in linear passes.  from_csr() takes the parent
+// rows as one CsrArray, counts the set sizes, scatters the transpose into
+// the member rows and validates; InstanceBuilder sorts and checks each
+// element's row as it arrives and appends it to its one parent CsrArray.
+// validate() proves that the member rows are the exact transpose of the
+// parent rows in one walk of the parent rows, with a cursor per set: O(n +
+// m + total membership) sequential work and no search.
 #pragma once
 
 #include <cstdint>
@@ -15,13 +23,6 @@
 #include "core/types.hpp"
 
 namespace osp {
-
-/// One online arrival as supplied to the builder: element u with capacity
-/// b(u) and parent sets C(u).
-struct Arrival {
-  Capacity capacity = 1;
-  std::vector<SetId> parents;  // sorted, distinct
-};
 
 /// Zero-copy view of one arrival inside a built Instance.
 struct ArrivalView {
@@ -109,9 +110,10 @@ class Instance {
   /// Load σ(u).
   std::size_t load(ElementId u) const { return parents_.row_size(u); }
 
-  /// Largest capacity over all elements (1 if there are none); used to
-  /// size decision buffers once per run.
-  Capacity max_capacity() const { return max_capacity_; }
+  /// Largest min(b(u), σ(u)) over all elements (0 if there are none): the
+  /// most sets one decision can choose, so it sizes decision buffers once
+  /// per run however large a capacity is.
+  std::size_t max_choices() const { return max_choices_; }
 
   /// Weighted load σ$(u) = total weight of sets containing u.
   Weight weighted_load(ElementId u) const;
@@ -122,8 +124,11 @@ class Instance {
   /// Computes all aggregate statistics (O(n + m + total membership)).
   InstanceStats stats() const;
 
-  /// Checks internal consistency; throws RequireError when violated.
-  /// Exposed mainly for tests; from_csr() always validates.
+  /// Checks internal consistency; throws RequireError when violated:
+  /// finite non-negative weights, capacities >= 1, parent rows sorted and
+  /// distinct over known set ids, and member rows that are exactly the
+  /// transpose of the parent rows (O(n + m + total membership)).  Exposed
+  /// mainly for tests; from_csr() always validates.
   void validate() const;
 
   /// Human-readable one-line description ("m=12 n=40 kmax=4 smax=6 ...").
@@ -135,10 +140,11 @@ class Instance {
   std::vector<Capacity> capacities_;   // per element
   CsrArray<SetId> parents_;            // per-element parent lists
   CsrArray<ElementId> members_;        // per-set element lists
-  Capacity max_capacity_ = 1;
+  std::size_t max_choices_ = 0;
 };
 
-/// Incremental constructor for Instance.
+/// Incremental constructor for Instance: the arrivals go straight into one
+/// parent CsrArray, which build() hands to Instance::from_csr.
 class InstanceBuilder {
  public:
   /// Declares a new set with the given weight (>= 0); returns its id.
@@ -149,18 +155,21 @@ class InstanceBuilder {
 
   /// Appends the next arriving element.  `parents` lists the sets that
   /// contain it (need not be sorted; duplicates are rejected); capacity
-  /// must be >= 1.  Returns the element id.
+  /// must be >= 1.  The row is sorted and checked before it is appended,
+  /// so a rejected element leaves the builder as it was.  Returns the
+  /// element id.
   ElementId add_element(std::vector<SetId> parents, Capacity capacity = 1);
 
   std::size_t num_sets() const { return weights_.size(); }
-  std::size_t num_elements() const { return arrivals_.size(); }
+  std::size_t num_elements() const { return capacities_.size(); }
 
   /// Validates and produces the instance; the builder is left empty.
   Instance build();
 
  private:
   std::vector<Weight> weights_;
-  std::vector<Arrival> arrivals_;
+  std::vector<Capacity> capacities_;  // per element
+  CsrArray<SetId> parents_;           // per-element parent rows, sorted
 };
 
 }  // namespace osp

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
-#include <unordered_set>
 
 #include "util/require.hpp"
 
@@ -26,49 +25,88 @@ Weight draw_weight(const WeightModel& model, std::size_t rank, Rng& rng) {
 
 namespace {
 
-// Draws k distinct values from [0, n).
-std::vector<std::size_t> sample_distinct(std::size_t k, std::size_t n,
-                                         Rng& rng) {
-  OSP_REQUIRE(k <= n);
-  std::unordered_set<std::size_t> seen;
-  std::vector<std::size_t> out;
-  out.reserve(k);
-  if (k * 3 >= n) {
-    // Dense: shuffle a full index vector.
-    std::vector<std::size_t> idx(n);
-    std::iota(idx.begin(), idx.end(), 0);
-    rng.shuffle(idx.begin(), idx.end());
-    idx.resize(k);
-    return idx;
+// Draws of distinct values from [0, n), each tested against a stamp per
+// value rather than a hash set: value v is taken in the current draw iff
+// stamp_[v] == epoch_, and a new draw only bumps the epoch.
+class DistinctDraws {
+ public:
+  explicit DistinctDraws(std::size_t n) : stamp_(n, 0) {
+    OSP_REQUIRE_MSG(n <= 0xffffffffULL, "at most 2^32 - 1 values to draw from");
   }
-  while (out.size() < k) {
-    std::size_t v = rng.below(n);
-    if (seen.insert(v).second) out.push_back(v);
-  }
-  return out;
-}
 
-// Common body for random_instance / random_capacity_instance.
+  // k distinct values by rejection, in draw order, into out[0..k).
+  void reject(std::size_t k, Rng& rng, std::uint32_t* out) {
+    OSP_REQUIRE(k <= stamp_.size());
+    if (++epoch_ == 0) {  // the epochs wrapped: forget every old stamp
+      std::fill(stamp_.begin(), stamp_.end(), 0);
+      epoch_ = 1;
+    }
+    for (std::size_t got = 0; got < k;) {
+      const auto v = static_cast<std::uint32_t>(rng.below(stamp_.size()));
+      if (stamp_[v] == epoch_) continue;
+      stamp_[v] = epoch_;
+      out[got++] = v;
+    }
+  }
+
+  // k distinct values, uniformly: by rejection while k·3 < n, else the
+  // first k of a shuffled [0, n).
+  void draw(std::size_t k, Rng& rng, std::uint32_t* out) {
+    const std::size_t n = stamp_.size();
+    OSP_REQUIRE(k <= n);
+    if (k * 3 < n) return reject(k, rng, out);
+    shuffled_.resize(n);
+    std::iota(shuffled_.begin(), shuffled_.end(), 0u);
+    rng.shuffle(shuffled_.begin(), shuffled_.end());
+    std::copy_n(shuffled_.begin(), k, out);
+  }
+
+ private:
+  std::vector<std::uint32_t> stamp_;
+  std::uint32_t epoch_ = 0;
+  std::vector<std::uint32_t> shuffled_;  // the dense path's permutation
+};
+
+// Common body for random_instance / random_capacity_instance.  Set s's k
+// slots go to picks[s·k, s·k + k); a count per slot then sizes the parent
+// rows, and a scatter in ascending set id fills every row already sorted.
+// The draws come in the order the instances are defined by: each set's
+// weight, then its slots, then one capacity per used slot.
 Instance build_random(std::size_t m, std::size_t n, std::size_t k,
                       std::size_t cap_max, const WeightModel& weights,
                       Rng& rng) {
   OSP_REQUIRE(m >= 1 && k >= 1 && k <= n);
-  // memberships[slot] = sets containing that slot.
-  std::vector<std::vector<SetId>> memberships(n);
-  InstanceBuilder builder;
-  for (std::size_t s = 0; s < m; ++s) {
-    builder.add_set(draw_weight(weights, s, rng));
-    for (std::size_t slot : sample_distinct(k, n, rng))
-      memberships[slot].push_back(static_cast<SetId>(s));
+  std::vector<Weight> set_weights(m);
+  std::vector<std::size_t> row_size(n, 0);
+  CsrArray<SetId> rows;
+  {
+    std::vector<std::uint32_t> picks(m * k);
+    DistinctDraws draws(n);
+    for (std::size_t s = 0; s < m; ++s) {
+      set_weights[s] = draw_weight(weights, s, rng);
+      draws.draw(k, rng, picks.data() + s * k);
+    }
+    for (std::uint32_t slot : picks) ++row_size[slot];
+    rows = CsrArray<SetId>::from_sizes(row_size);
+    // row_size becomes each row's write cursor.
+    std::copy(rows.offsets().begin(), rows.offsets().end() - 1,
+              row_size.begin());
+    SetId* values = rows.mutable_row(0);
+    for (std::size_t s = 0; s < m; ++s)
+      for (std::size_t i = s * k; i < (s + 1) * k; ++i)
+        values[row_size[picks[i]]++] = static_cast<SetId>(s);
   }
+  std::vector<Capacity> capacities;
   for (std::size_t slot = 0; slot < n; ++slot) {
-    if (memberships[slot].empty()) continue;  // unused slot: drop
-    Capacity cap = cap_max <= 1
-                       ? 1
-                       : static_cast<Capacity>(rng.range(1, static_cast<std::int64_t>(cap_max)));
-    builder.add_element(std::move(memberships[slot]), cap);
+    if (rows.row_size(slot) == 0) continue;  // unused slot: dropped below
+    capacities.push_back(
+        cap_max <= 1 ? 1
+                     : static_cast<Capacity>(rng.range(
+                           1, static_cast<std::int64_t>(cap_max))));
   }
-  return builder.build();
+  rows.drop_empty_rows();
+  return Instance::from_csr(std::move(set_weights), std::move(capacities),
+                            std::move(rows));
 }
 
 }  // namespace
@@ -95,34 +133,23 @@ Instance fixed_load_instance(std::size_t m, std::size_t n, std::size_t sigma,
     builder.add_set(draw_weight(weights, s, rng));
 
   // Covering prefix: element e takes sets e·σ .. e·σ+σ-1 (mod m), so after
-  // ceil(m/σ) elements every set belongs to at least one element.
+  // ceil(m/σ) elements every set belongs to at least one element.  With
+  // σ <= m the window wraps at most once, onto ids it has not reached, so
+  // it always holds exactly σ distinct sets.
   std::size_t covered = 0;
   std::size_t e = 0;
   for (; covered < m; ++e) {
     OSP_ASSERT(e < n);
-    std::vector<SetId> parents;
+    std::vector<SetId> parents(sigma);
     for (std::size_t i = 0; i < sigma; ++i)
-      parents.push_back(static_cast<SetId>((covered + i) % m));
-    std::sort(parents.begin(), parents.end());
-    parents.erase(std::unique(parents.begin(), parents.end()), parents.end());
-    // With σ <= m the window wraps at most once, so duplicates only occur
-    // when covered + σ > m wraps onto already-covered ids — still distinct
-    // ids, so the window always has exactly σ distinct sets.
-    OSP_ASSERT(parents.size() == sigma);
+      parents[i] = static_cast<SetId>((covered + i) % m);
     builder.add_element(std::move(parents), 1);
     covered += sigma;
   }
+  DistinctDraws draws(m);
   for (; e < n; ++e) {
-    std::vector<std::size_t> pick = [&] {
-      std::unordered_set<std::size_t> seen;
-      std::vector<std::size_t> out;
-      while (out.size() < sigma) {
-        std::size_t v = rng.below(m);
-        if (seen.insert(v).second) out.push_back(v);
-      }
-      return out;
-    }();
-    std::vector<SetId> parents(pick.begin(), pick.end());
+    std::vector<SetId> parents(sigma);
+    draws.reject(sigma, rng, parents.data());
     builder.add_element(std::move(parents), 1);
   }
   return builder.build();

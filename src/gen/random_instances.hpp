@@ -6,6 +6,18 @@
 //  * fixed_load_instance  — uniform load σ, varying sizes (Theorem 6);
 //  * regular_instance     — uniform size AND load (Corollary 7);
 // plus a variable-capacity variant for Theorem 4.
+//
+// Draw order is part of each generator's contract: the same Rng state
+// gives the same instance word for word, and every committed artifact
+// depends on it (test_gen's GeneratorOutput fingerprints pin it).  The
+// random family draws each set's weight, then its k distinct slots, then
+// one capacity per used slot in slot order.  A distinct draw rejects
+// repeats against a stamp per value while k·3 < n, and otherwise takes the
+// first k of a shuffled [0, n).  The random family writes its parent rows
+// straight into one CsrArray: a count per slot sizes the rows, and a
+// scatter in ascending set id fills each row already sorted, so the work
+// is O(1) per membership.  The other families build through
+// InstanceBuilder.
 #pragma once
 
 #include <cstddef>

@@ -21,6 +21,13 @@
 
 namespace osp::seedref {
 
+/// One arrival as the seed stored it: element u with capacity b(u) and its
+/// parent sets C(u) in a vector of their own.
+struct Arrival {
+  Capacity capacity = 1;
+  std::vector<SetId> parents;  // sorted, distinct
+};
+
 /// The seed repo's RandPr: allocating selection, partial_sort,
 /// unconditional activity bookkeeping.  Options-complete.  decide() runs
 /// the seed's allocating body (select()) on a copy of the candidates.

@@ -2,8 +2,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 
 #include "core/game.hpp"
+#include "core/rand_pr.hpp"
 #include "util/require.hpp"
 
 namespace osp {
@@ -110,6 +112,29 @@ TEST(Play, CapacityTwoAllowsBothSets) {
   Scripted alg({{0, 1}});
   Outcome out = play(inst, alg);
   EXPECT_EQ(out.completed.size(), 2u);
+}
+
+TEST(Play, AHugeCapacityIsBoundedByTheCandidates) {
+  // b(u) = 2^32 - 1 is a valid capacity, but a decision chooses at most
+  // |C(u)| sets: every engine must size its decision buffer by
+  // min(b(u), |C(u)|), not by b(u).
+  constexpr Capacity kHuge = std::numeric_limits<Capacity>::max();
+  InstanceBuilder b;
+  b.add_sets(2);
+  b.add_element({0, 1}, kHuge);
+  const Instance inst = b.build();
+  EXPECT_EQ(inst.max_choices(), 2u);
+  RandPr via_play(Rng(1));
+  EXPECT_EQ(play(inst, via_play).completed.size(), 2u);
+  PlayScratch scratch;
+  RandPr via_flat(Rng(1));
+  EXPECT_EQ(play_flat(inst, via_flat, scratch).completed.size(), 2u);
+  RandPr via_blocks(Rng(1));
+  EXPECT_EQ(play_flat_blocks(inst, via_blocks, scratch).completed.size(), 2u);
+  RandPr stepped(Rng(1));
+  GameEngine engine({{1.0, 1}, {1.0, 1}}, stepped);
+  EXPECT_EQ(engine.step({1, 0}, kHuge), (std::vector<SetId>{0, 1}));
+  EXPECT_EQ(engine.finish().completed.size(), 2u);
 }
 
 TEST(Play, EmptySetCompletesVacuously) {

@@ -2,9 +2,12 @@
 // structural guarantees each family promises.
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <functional>
 #include <limits>
 #include <set>
 
+#include "api/scenario.hpp"
 #include "gen/multihop.hpp"
 #include "gen/random_instances.hpp"
 #include "gen/schedule.hpp"
@@ -123,6 +126,104 @@ TEST(RegularInstance, DivisibilityEnforced) {
                RequireError);
 }
 
+// Folds every word that defines an instance: the counts, each weight's
+// bits, and each element's capacity and parent row.
+std::uint64_t fingerprint(const Instance& inst) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  auto add = [&h](std::uint64_t v) {
+    h = (h ^ v) * 0x100000001b3ULL;
+    h ^= h >> 29;
+  };
+  add(inst.num_sets());
+  add(inst.num_elements());
+  for (Weight w : inst.weights()) {
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &w, sizeof bits);
+    add(bits);
+  }
+  for (ElementId u = 0; u < inst.num_elements(); ++u) {
+    add(inst.capacity(u));
+    add(inst.load(u));
+    for (SetId s : inst.parents(u)) add(s);
+  }
+  return h;
+}
+
+// The generators' output, pinned word for word.  Every instance, every
+// decision and every committed artifact depends on each generator drawing
+// from its Rng in one fixed order (a set's weight, then its distinct
+// slots, then one capacity per used slot), so a rewrite of how instances
+// are built must reproduce these digests.  k·3 >= n takes the shuffle
+// path of the distinct draw and k·3 < n the rejection path; the two
+// random cases at n = 30 and n = 31 sit on either side of that switch.
+TEST(GeneratorOutput, FingerprintsArePinned) {
+  struct Case {
+    const char* name;
+    std::function<Instance(Rng&)> build;
+    std::uint64_t digest;     // fingerprint() of the instance
+    std::uint64_t next_draw;  // the Rng's next word after the build
+  };
+  const WeightModel unit = WeightModel::unit();
+  const WeightModel uniform = WeightModel::uniform(1, 10);
+  const WeightModel expo = WeightModel::exponential(0.5);
+  auto ladder_cell = [](const char* label) {
+    return [label](Rng& r) {
+      for (const api::ScenarioSpec& cell : api::engine_shapes())
+        if (cell.display_label() == label) return api::build_instance(cell, r);
+      ADD_FAILURE() << "engine/ladder has no cell " << label;
+      return InstanceBuilder{}.build();
+    };
+  };
+  const Case cases[] = {
+      {"random sparse unit",
+       [&](Rng& r) { return random_instance(64, 512, 8, unit, r); },
+       3786376542797235138ULL, 17488289162679671349ULL},
+      {"random sparse uniform",
+       [&](Rng& r) { return random_instance(64, 512, 8, uniform, r); },
+       14269151755848135207ULL, 11390158773411756511ULL},
+      {"random sparse exponential",
+       [&](Rng& r) { return random_instance(64, 512, 8, expo, r); },
+       15053959832663431038ULL, 17240635287186341116ULL},
+      {"random sparse at the switch",
+       [&](Rng& r) { return random_instance(24, 31, 10, uniform, r); },
+       18040385098706658402ULL, 16588102263395645649ULL},
+      {"random dense at the switch",
+       [&](Rng& r) { return random_instance(24, 30, 10, uniform, r); },
+       26099778210407771ULL, 1172781159617369930ULL},
+      {"random dense unit",
+       [&](Rng& r) { return random_instance(40, 24, 12, unit, r); },
+       14647679787813041686ULL, 13370942368096031030ULL},
+      {"random dense exponential",
+       [&](Rng& r) { return random_instance(40, 24, 24, expo, r); },
+       7565543191506173331ULL, 16989139911409345693ULL},
+      {"capacity cap-max 1",
+       [&](Rng& r) {
+         return random_capacity_instance(64, 256, 6, 1, uniform, r);
+       },
+       16206149167492403434ULL, 6679960933415552383ULL},
+      {"capacity cap-max 8",
+       [&](Rng& r) {
+         return random_capacity_instance(64, 256, 6, 8, uniform, r);
+       },
+       547869482076097764ULL, 6072134290827601544ULL},
+      {"fixed load",
+       [&](Rng& r) { return fixed_load_instance(48, 96, 4, uniform, r); },
+       2560558422467703488ULL, 2806473310180093979ULL},
+      {"regular",
+       [&](Rng& r) { return regular_instance(24, 4, 3, expo, r); },
+       4351427952529713093ULL, 8002532244942903510ULL},
+      {"engine/ladder router/32k", ladder_cell("router/32k"),
+       3162893129870989119ULL, 13963590478148564307ULL},
+  };
+  std::uint64_t seed = 101;
+  for (const Case& c : cases) {
+    Rng rng(seed++);
+    EXPECT_EQ(fingerprint(c.build(rng)), c.digest) << c.name;
+    EXPECT_EQ(rng(), c.next_draw) << c.name << ": the build drew a "
+                                  << "different number of words";
+  }
+}
+
 TEST(FrameSchedule, ReductionMatchesPaper) {
   FrameSchedule sched;
   sched.add_frame(2.0, {0, 1});
@@ -161,7 +262,7 @@ TEST(FrameSchedule, ToInstanceEqualsTheBuilderReduction) {
       const Instance want = built(sched, rate);
       EXPECT_EQ(got.weights(), want.weights());
       EXPECT_EQ(got.set_sizes(), want.set_sizes());
-      EXPECT_EQ(got.max_capacity(), want.max_capacity());
+      EXPECT_EQ(got.max_choices(), want.max_choices());
       ASSERT_EQ(got.num_elements(), want.num_elements());
       for (ElementId u = 0; u < got.num_elements(); ++u) {
         EXPECT_EQ(got.capacity(u), want.capacity(u)) << u;

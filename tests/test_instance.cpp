@@ -1,6 +1,9 @@
 // Tests for the Instance model: builder validation and statistics.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <string>
+
 #include "core/instance.hpp"
 #include "util/require.hpp"
 
@@ -80,6 +83,75 @@ TEST(InstanceBuilder, ResetAfterBuild) {
   Instance second = b.build();
   EXPECT_EQ(second.num_sets(), 1u);
   EXPECT_EQ(second.num_elements(), 0u);
+}
+
+// Feeds Instance::from_csr one parent row per element.
+Instance from_rows(std::vector<Weight> weights,
+                   std::vector<Capacity> capacities,
+                   const std::vector<std::vector<SetId>>& rows) {
+  CsrArray<SetId> parents;
+  for (const std::vector<SetId>& row : rows)
+    parents.push_row(row.begin(), row.end());
+  return Instance::from_csr(std::move(weights), std::move(capacities),
+                            std::move(parents));
+}
+
+// from_csr must refuse `build` with a RequireError that names the reason.
+template <class Build>
+void expect_refused(Build build, const std::string& reason) {
+  try {
+    build();
+    ADD_FAILURE() << "accepted input that should fail with: " << reason;
+  } catch (const RequireError& e) {
+    EXPECT_NE(std::string(e.what()).find(reason), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(FromCsr, AcceptsWhatTheBuilderBuilds) {
+  const Instance inst =
+      from_rows({1.0, 2.0, 3.0}, {1, 1, 1, 1}, {{0, 1}, {0, 2}, {1, 2}, {2}});
+  const Instance want = tiny();
+  EXPECT_EQ(inst.weights(), want.weights());
+  EXPECT_EQ(inst.set_sizes(), want.set_sizes());
+  for (SetId s = 0; s < inst.num_sets(); ++s)
+    EXPECT_EQ(inst.elements_of(s), want.elements_of(s)) << s;
+  for (ElementId u = 0; u < inst.num_elements(); ++u)
+    EXPECT_EQ(inst.parents(u), want.parents(u)) << u;
+}
+
+TEST(FromCsr, RejectsAnUnsortedParentRow) {
+  expect_refused([] { from_rows({1, 1}, {1}, {{1, 0}}); },
+                 "not sorted and distinct");
+}
+
+TEST(FromCsr, RejectsADuplicateParent) {
+  expect_refused([] { from_rows({1, 1}, {1, 1}, {{0}, {1, 1}}); },
+                 "not sorted and distinct");
+}
+
+TEST(FromCsr, RejectsAnUnknownSetId) {
+  expect_refused([] { from_rows({1, 1}, {1}, {{0, 2}}); }, "unknown set id 2");
+}
+
+TEST(FromCsr, RejectsCapacityZero) {
+  expect_refused([] { from_rows({1}, {1, 0}, {{0}, {0}}); },
+                 "element capacity must be >= 1");
+}
+
+TEST(FromCsr, RejectsANegativeOrNaNWeight) {
+  expect_refused([] { from_rows({1, -1}, {1}, {{0, 1}}); },
+                 "weight of set 1 must be finite and non-negative");
+  expect_refused(
+      [] { from_rows({std::nan(""), 1}, {1}, {{0, 1}}); },
+      "weight of set 0 must be finite and non-negative");
+}
+
+TEST(FromCsr, RejectsARowCountThatIsNotTheCapacityCount) {
+  expect_refused([] { from_rows({1}, {1, 1}, {{0}}); },
+                 "1 parent rows for 2 elements");
+  expect_refused([] { from_rows({1}, {1}, {{0}, {0}}); },
+                 "2 parent rows for 1 elements");
 }
 
 TEST(Instance, Loads) {
