@@ -89,15 +89,15 @@ void hash_ablation() {
   };
   for (const Maker& mk : {
            Maker{"poly 2-indep",
-                 [](Rng r) { return HashedRandPr::with_polynomial(2, r); }},
+                 [](Rng r) { return RandPr::with_polynomial(2, r); }},
            Maker{"poly 4-indep",
-                 [](Rng r) { return HashedRandPr::with_polynomial(4, r); }},
+                 [](Rng r) { return RandPr::with_polynomial(4, r); }},
            Maker{"poly 8-indep",
-                 [](Rng r) { return HashedRandPr::with_polynomial(8, r); }},
+                 [](Rng r) { return RandPr::with_polynomial(8, r); }},
            Maker{"tabulation",
-                 [](Rng r) { return HashedRandPr::with_tabulation(r); }},
+                 [](Rng r) { return RandPr::with_tabulation(r); }},
            Maker{"multiply-shift",
-                 [](Rng r) { return HashedRandPr::with_multiply_shift(r); }},
+                 [](Rng r) { return RandPr::with_multiply_shift(r); }},
        }) {
     // Trial t seeds its hash family from hruns.split(t).
     Rng hruns = master.split(3);
@@ -133,7 +133,7 @@ void distributed_ablation() {
     auto h = std::make_shared<PolynomialHash>(8, hash_rng);
     shared += static_cast<double>(
         simulate_pipeline(w, shape.switches, [&](std::size_t) {
-          return std::make_unique<HashedRandPr>(
+          return std::make_unique<RandPr>(
               [h](std::uint64_t key) { return h->unit(key); }, "shared");
         }).packets_delivered);
 

@@ -56,7 +56,8 @@ inline api::Session& session() {
 
 /// Mean benefit (with CI) of randPr over `trials` independent runs.
 /// Trial t plays RandPr(master.split(t)) — the same stream the serial
-/// seed loop used — on the flat engine, batched across worker threads.
+/// seed loop used — through Session::measure, batched across worker
+/// threads.
 inline RunningStat measure_randpr(const Instance& inst, Rng& master,
                                   int trials,
                                   RandPrOptions options = {}) {

@@ -45,7 +45,7 @@ int main(int argc, char** argv) try {
   auto shared_hash = std::make_shared<PolynomialHash>(8, hash_rng);
   PipelineStats shared = simulate_pipeline(
       w, params.num_switches, [&](std::size_t) {
-        return std::make_unique<HashedRandPr>(
+        return std::make_unique<RandPr>(
             [shared_hash](std::uint64_t id) { return shared_hash->unit(id); },
             "hashPr(shared)");
       });

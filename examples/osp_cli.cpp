@@ -242,9 +242,18 @@ int cmd_stats(const Args& args) {
   return 0;
 }
 
+/// --trials, bounded before any work so an out-of-range count is a
+/// one-line error, never an empty run or a count truncated to int.
+std::size_t trials_flag(const Args& args, std::size_t fallback) {
+  const std::size_t trials = args.get_num("trials", fallback);
+  OSP_REQUIRE_MSG(trials >= 1 && trials <= 1000000000,
+                  "flag --trials must be in [1, 1e9], got " << trials);
+  return trials;
+}
+
 int cmd_run(const Args& args) {
   const std::string name = args.get("alg", "randpr");
-  const std::size_t trials = args.get_num("trials", 1);
+  const std::size_t trials = trials_flag(args, 1);
   Rng master(args.get_num("seed", 1));
 
   // Resolve before touching the input so an unknown spec fails with the
@@ -385,14 +394,7 @@ int cmd_bench(const Args& args) {
     for (api::ScenarioSpec& cell : api::expand(spec))
       cells.push_back(std::move(cell));
   }
-  if (args.has("trials")) {
-    const std::size_t requested = args.get_num("trials", 100);
-    // Bound before narrowing to int so out-of-range values error instead
-    // of silently truncating to a wrong trial count.
-    OSP_REQUIRE_MSG(requested >= 1 && requested <= 1000000000,
-                    "flag --trials must be in [1, 1e9], got " << requested);
-    trials = static_cast<int>(requested);
-  }
+  if (args.has("trials")) trials = static_cast<int>(trials_flag(args, 100));
   OSP_REQUIRE_MSG(trials >= 1, "flag --trials must be at least 1");
 
   // --shard i/N slices the expanded (instance × policy) cell grid; --out

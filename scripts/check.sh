@@ -14,13 +14,16 @@
 #      clang-tidy is not installed; the CI analysis job requires it);
 #   5. examples smoke: runs osp_cli end to end off the policy/scenario
 #      registries (list, gen | run and gen | stats pipes over the random,
-#      regular, fixed-load and capacity families, a capacity of 2^32 - 1
-#      played under randpr and greedy:first, bench grids, a config-file
-#      sweep, the ranker and sustained modes, --dry-run, the catalog
-#      drift gate), its one-line error paths (malformed flags,
-#      unknown policies, rankers and scenarios, --workers without
-#      --sustained, a bad config line, a negative element capacity in an
-#      instance file, a --capacity or --service-rate past 2^32 - 1),
+#      regular, fixed-load and capacity families, the README quickstart
+#      `gen regular --sigma 8 | run --alg hashpr:tab`, `run --alg
+#      hashpr:filt --trials 5` and `run --alg round-robin`, a capacity of
+#      2^32 - 1 played under randpr and greedy:first, bench grids, a
+#      config-file sweep, the ranker and sustained modes, --dry-run, the
+#      catalog drift gate), its one-line error paths (malformed flags,
+#      `run --trials` 0 and 1000000001, unknown policies, rankers and
+#      scenarios, --workers without --sustained, a bad config line, a
+#      negative element capacity in an instance file, a --capacity or
+#      --service-rate past 2^32 - 1),
 #      quickstart and the three other examples (and video_streaming's
 #      one-line error on a negative argument), `solve` on the lemma9
 #      ell = 3 instance within 60 s with branch and bound's exact 27, and
@@ -127,6 +130,12 @@ echo
 echo "== examples smoke: osp_cli (registry-driven) + the examples + console-only benches =="
 ./build/osp_cli list > /dev/null
 ./build/osp_cli gen random --seed 3 | ./build/osp_cli run --alg randpr
+# The README quickstart, a hashed factory over several trials, and the
+# rotating-cursor baseline.
+./build/osp_cli gen regular --sigma 8 | ./build/osp_cli run --alg hashpr:tab
+./build/osp_cli gen random --seed 3 |
+  ./build/osp_cli run - --alg hashpr:filt --trials 5
+./build/osp_cli gen random --seed 3 | ./build/osp_cli run - --alg round-robin
 ./build/osp_cli gen regular --m 12 --sigma 3 | ./build/osp_cli stats - \
   > /dev/null
 # The fixed-load sampler and the capacity family through the instance
@@ -153,6 +162,10 @@ expect_error "--shard" ./build/osp_cli bench --scenario random --shard 3/2 \
 expect_error "registered policies" ./build/osp_cli run --alg no-such-policy \
   /dev/null
 expect_error "--m" ./build/osp_cli gen random --m not-a-number
+# run bounds --trials like bench does, before it reads an instance.
+expect_error "--trials must be in" ./build/osp_cli run --trials 0 /dev/null
+expect_error "--trials must be in" ./build/osp_cli run --trials 1000000001 \
+  /dev/null
 # Numbers are digits only and fit their type: a negative element capacity
 # must not load as 4294967295, nor a capacity or service rate past
 # 2^32 - 1 narrow silently.

@@ -7,9 +7,9 @@ namespace osp {
 namespace {
 
 // Fills `out` (capacity `capacity`) from `first` then `second`; returns the
-// number written.  The shared tail of every baseline: ranked actives first,
-// dead filler after ("filling leftover capacity with dead sets is harmless;
-// doing so keeps the policy total, like a real link").
+// number written: ranked actives first, dead filler after ("filling
+// leftover capacity with dead sets is harmless; doing so keeps the policy
+// total, like a real link").
 std::size_t fill_choice(const std::vector<SetId>& first,
                         const std::vector<SetId>& second, Capacity capacity,
                         SetId* out) {
@@ -27,18 +27,13 @@ std::size_t fill_choice(const std::vector<SetId>& first,
 
 }  // namespace
 
-void ScoredBaseline::partition(const SetId* candidates,
-                               std::size_t num_candidates) {
+std::size_t ScoredBaseline::decide(ElementId, Capacity capacity,
+                                   const SetId* candidates,
+                                   std::size_t num_candidates, SetId* out) {
   active_.clear();
   dead_.clear();
   for (std::size_t i = 0; i < num_candidates; ++i)
     (is_active(candidates[i]) ? active_ : dead_).push_back(candidates[i]);
-}
-
-std::size_t ScoredBaseline::decide(ElementId, Capacity capacity,
-                                   const SetId* candidates,
-                                   std::size_t num_candidates, SetId* out) {
-  partition(candidates, num_candidates);
   // (score desc, id asc) is a strict total order, so plain sort yields the
   // same unique ordering the seed's stable_sort produced.
   std::sort(active_.begin(), active_.end(), [&](SetId a, SetId b) {
@@ -49,18 +44,6 @@ std::size_t ScoredBaseline::decide(ElementId, Capacity capacity,
   std::size_t n = fill_choice(active_, dead_, capacity, out);
   record(candidates, num_candidates, out, n);
   return n;
-}
-
-void ScoredBaseline::decide_batch(const ArrivalBlock& block,
-                                  BlockScratch& /*scratch*/,
-                                  BlockChoices& out) {
-  decide_block_loop(block, out,
-                    [this](ElementId u, Capacity capacity,
-                           const SetId* candidates,
-                           std::size_t num_candidates, SetId* choice) {
-                      return ScoredBaseline::decide(u, capacity, candidates,
-                                                    num_candidates, choice);
-                    });
 }
 
 double GreedyFirst::score(SetId s) const {
@@ -89,39 +72,17 @@ void RoundRobin::start(const std::vector<SetMeta>& sets) {
   cursor_ = 0;
 }
 
-std::size_t RoundRobin::decide(ElementId, Capacity capacity,
+std::size_t RoundRobin::decide(ElementId u, Capacity capacity,
                                const SetId* candidates,
                                std::size_t num_candidates, SetId* out) {
-  active_.clear();
-  dead_.clear();
-  for (std::size_t i = 0; i < num_candidates; ++i)
-    (is_active(candidates[i]) ? active_ : dead_).push_back(candidates[i]);
-
-  // Rotate: candidates with id >= cursor first, then wrap-around.  The
-  // (wrap group, id) pair is a strict total order.
-  std::sort(active_.begin(), active_.end(), [&](SetId a, SetId b) {
-    bool wa = a >= cursor_, wb = b >= cursor_;
-    if (wa != wb) return wa;
-    return a < b;
-  });
-
-  std::size_t n = fill_choice(active_, dead_, capacity, out);
+  const std::size_t n =
+      ScoredBaseline::decide(u, capacity, candidates, num_candidates, out);
   if (n > 0) cursor_ = out[0] + 1;
   if (cursor_ >= meta().size()) cursor_ = 0;
-  record(candidates, num_candidates, out, n);
   return n;
 }
 
-void RoundRobin::decide_batch(const ArrivalBlock& block,
-                              BlockScratch& /*scratch*/, BlockChoices& out) {
-  decide_block_loop(block, out,
-                    [this](ElementId u, Capacity capacity,
-                           const SetId* candidates,
-                           std::size_t num_candidates, SetId* choice) {
-                      return RoundRobin::decide(u, capacity, candidates,
-                                                num_candidates, choice);
-                    });
-}
+double RoundRobin::score(SetId s) const { return s >= cursor_ ? 1.0 : 0.0; }
 
 std::size_t UniformRandomChoice::decide(ElementId, Capacity capacity,
                                         const SetId* candidates,
@@ -142,18 +103,6 @@ std::size_t UniformRandomChoice::decide(ElementId, Capacity capacity,
   }
   record(candidates, num_candidates, out, n);
   return n;
-}
-
-void UniformRandomChoice::decide_batch(const ArrivalBlock& block,
-                                       BlockScratch& /*scratch*/,
-                                       BlockChoices& out) {
-  decide_block_loop(
-      block, out,
-      [this](ElementId u, Capacity capacity, const SetId* candidates,
-             std::size_t num_candidates, SetId* choice) {
-        return UniformRandomChoice::decide(u, capacity, candidates,
-                                           num_candidates, choice);
-      });
 }
 
 std::vector<std::unique_ptr<OnlineAlgorithm>> make_deterministic_baselines() {

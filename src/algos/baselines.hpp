@@ -32,11 +32,6 @@ class ScoredBaseline : public ActiveTracking {
   std::size_t decide(ElementId u, Capacity capacity, const SetId* candidates,
                      std::size_t num_candidates, SetId* out) override;
 
-  /// Straightforward block loop: one virtual call per block, the
-  /// per-element selection unchanged (score() stays virtual).
-  void decide_batch(const ArrivalBlock& block, BlockScratch& scratch,
-                    BlockChoices& out) override;
-
   /// Deterministic: start() resets all decision-relevant state, so the
   /// default no-op reseed() is a complete re-arm.
   bool reseedable() const override { return true; }
@@ -45,9 +40,7 @@ class ScoredBaseline : public ActiveTracking {
   /// Score of candidate s for the current element; higher is better.
   virtual double score(SetId s) const = 0;
 
-  /// Splits candidates into the active_/dead_ scratch lists.
-  void partition(const SetId* candidates, std::size_t num_candidates);
-
+ private:
   std::vector<SetId> active_;  // scratch, reused across decisions
   std::vector<SetId> dead_;    // scratch, reused across decisions
 };
@@ -101,21 +94,20 @@ class GreedyDensity final : public ScoredBaseline {
 };
 
 /// Deterministic rotation: prefers active candidates with ids at or after
-/// a pointer that advances with every arrival.
-class RoundRobin final : public ActiveTracking {
+/// a pointer that advances with every arrival.  Scoring those ids 1 and
+/// the rest 0 ranks by (wrap group, id).
+class RoundRobin final : public ScoredBaseline {
  public:
   std::string name() const override { return "round-robin"; }
   void start(const std::vector<SetMeta>& sets) override;
   std::size_t decide(ElementId u, Capacity capacity, const SetId* candidates,
                      std::size_t num_candidates, SetId* out) override;
-  void decide_batch(const ArrivalBlock& block, BlockScratch& scratch,
-                    BlockChoices& out) override;
-  bool reseedable() const override { return true; }  // start() resets cursor
+
+ protected:
+  double score(SetId s) const override;
 
  private:
   std::size_t cursor_ = 0;
-  std::vector<SetId> active_;  // scratch
-  std::vector<SetId> dead_;    // scratch
 };
 
 /// Memoryless randomized control: a uniformly random admissible choice at
@@ -126,8 +118,6 @@ class UniformRandomChoice final : public ActiveTracking {
   std::string name() const override { return "uniform-random"; }
   std::size_t decide(ElementId u, Capacity capacity, const SetId* candidates,
                      std::size_t num_candidates, SetId* out) override;
-  void decide_batch(const ArrivalBlock& block, BlockScratch& scratch,
-                    BlockChoices& out) override;
   void reseed(Rng rng) override { rng_ = rng; }
   bool reseedable() const override { return true; }
 

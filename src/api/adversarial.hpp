@@ -64,9 +64,10 @@ constexpr std::size_t kDefaultLpRowLimit = 1100;
 /// otherwise.  The LP upper bound is attached whenever the dense simplex
 /// tableau has at most `lp_row_limit` rows — callers report it as the
 /// certified bracket [opt, lp_upper] around the true optimum.  Pass a
-/// smaller limit for families where the dense simplex is numerically
-/// fragile (the Lemma 9 gadget past ell = 2 drives it to a nonsense
-/// objective); any computed lp_upper below the denominator throws.
+/// smaller limit for families the dense simplex cannot solve (on the
+/// Lemma 9 gadget past ell = 2 it reaches its pivot limit and throws a
+/// one-line RequireError, see algos/simplex.hpp); any computed lp_upper
+/// below the denominator throws.
 OptDenominator opt_denominator(const Instance& inst, double witness_value,
                                std::size_t lp_row_limit = kDefaultLpRowLimit);
 

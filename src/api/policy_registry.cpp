@@ -57,17 +57,17 @@ const Registry<PolicyInfo>& policies() {
            }},
           {"hashpr", "distributed randPr over an 8-independent polynomial hash",
            {"hashPr", "hashPr/poly8"},
-           [](Rng r) { return HashedRandPr::with_polynomial(8, r); }},
+           [](Rng r) { return RandPr::with_polynomial(8, r); }},
           {"hashpr:tab", "distributed randPr over a tabulation hash",
            {"hashPr/tab"},
-           [](Rng r) { return HashedRandPr::with_tabulation(r); }},
+           [](Rng r) { return RandPr::with_tabulation(r); }},
           {"hashpr:ms", "distributed randPr over a multiply-shift hash",
            {"hashPr/ms"},
-           [](Rng r) { return HashedRandPr::with_multiply_shift(r); }},
+           [](Rng r) { return RandPr::with_multiply_shift(r); }},
           {"hashpr:filt", "hashed priorities plus dead-set filtering",
            {"hashPr/poly8/filt"},
            [](Rng r) {
-             return HashedRandPr::with_polynomial(
+             return RandPr::with_polynomial(
                  8, r, RandPrOptions{.filter_dead = true});
            }},
           {"greedy:first", "earliest-id active candidate wins",

@@ -88,15 +88,15 @@ RunningStat Session::measure(const Instance& inst, const PolicyFactory& make,
   for (int t = 0; t < trials; ++t)
     rngs.push_back(master.split(static_cast<std::uint64_t>(t)));
 
-  auto benefits = runner_->map<Weight>(
+  const engine::AlgSpec alg{"", make};
+  auto results = runner_->map<engine::TrialResult>(
       static_cast<std::size_t>(trials),
       [&](std::size_t t, engine::TrialContext& ctx) {
-        auto alg = make(rngs[t]);
-        return play_flat(inst, *alg, ctx.scratch).benefit;
+        return engine::run_play_trial_cached(inst, alg, 0, rngs[t], ctx);
       });
 
   RunningStat stat;
-  for (Weight b : benefits) stat.add(b);
+  for (const engine::TrialResult& r : results) stat.add(r.benefit);
   return stat;
 }
 

@@ -4,9 +4,9 @@
 // of attached ResultSinks: benches and the CLI build rows once and
 // emit() them to every sink (console table, BENCH_*.json, …).  The
 // measure helpers preserve the seed repo's exact per-trial Rng streams
-// (trial t plays make(master.split(t)) on the flat engine), so numbers
-// printed through a Session are bit-identical to the historical serial
-// loops at any thread count.
+// (trial t plays make(master.split(t)) through the grid's trial,
+// engine::run_play_trial_cached), so numbers printed through a Session
+// are bit-identical to the historical serial loops at any thread count.
 //
 // Each measurement kind is implemented once, here: the competitive-ratio
 // cell (measure_ratio), the policy grid (run_grid), the buffered-router
@@ -67,8 +67,11 @@ class Session {
   void close_sinks();
 
   /// Mean benefit (with CI) of `make(master.split(t))` over `trials`
-  /// independent flat-engine runs — the historical measure_randpr/measure
-  /// loop, batched across worker threads.
+  /// independent runs — the historical measure_randpr/measure loop,
+  /// batched across worker threads.  Each trial is
+  /// engine::run_play_trial_cached: a reseedable policy is built once per
+  /// worker and reseeded with master.split(t), which the reseed()
+  /// contract makes decision-identical to fresh construction.
   RunningStat measure(const Instance& inst, const PolicyFactory& make,
                       Rng& master, int trials) const;
 

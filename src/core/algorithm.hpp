@@ -71,25 +71,6 @@ struct BlockScratch {
 /// the 1k-4k range on the router workloads; see bench_perf).
 inline constexpr std::size_t kDefaultDecideBlock = 2048;
 
-/// Shared skeleton of every per-element decide_batch loop: sizes `out`
-/// once for the whole block (grow-only — zero allocations in steady
-/// state), then calls `decide_fn(u, capacity, candidates, n, out_ptr)`
-/// for each arrival in order, packing the answers back to back.
-/// `decide_fn` must honour the decide() contract (never write more than
-/// min(capacity, n) entries).
-template <class DecideFn>
-void decide_block_loop(const ArrivalBlock& block, BlockChoices& out,
-                       DecideFn&& decide_fn) {
-  prepare_block_output(block, out);
-  std::size_t written = 0;
-  for (std::size_t i = 0; i < block.count; ++i) {
-    written += decide_fn(block.element(i), block.capacity(i),
-                         block.candidates_of(i), block.num_candidates(i),
-                         out.ids.data() + written);
-    out.offsets[i + 1] = static_cast<std::uint32_t>(written);
-  }
-}
-
 /// Interface every online policy implements.
 ///
 /// The game engine calls start() once, then decide() once per arrival in
@@ -149,13 +130,16 @@ class OnlineAlgorithm {
   virtual void decide_batch(const ArrivalBlock& block, BlockScratch& scratch,
                             BlockChoices& out) {
     (void)scratch;
-    decide_block_loop(block, out,
-                      [this](ElementId u, Capacity capacity,
-                             const SetId* candidates,
-                             std::size_t num_candidates, SetId* choice) {
-                        return decide(u, capacity, candidates,
-                                      num_candidates, choice);
-                      });
+    // Sized once for the whole block (grow-only: zero allocations in
+    // steady state); the answers are packed back to back.
+    prepare_block_output(block, out);
+    std::size_t written = 0;
+    for (std::size_t i = 0; i < block.count; ++i) {
+      written += decide(block.element(i), block.capacity(i),
+                        block.candidates_of(i), block.num_candidates(i),
+                        out.ids.data() + written);
+      out.offsets[i + 1] = static_cast<std::uint32_t>(written);
+    }
   }
 };
 

@@ -143,8 +143,8 @@ std::size_t filter_active(const ActiveTracking& tracker,
 
 namespace {
 
-/// Display-name suffix shared by RandPr and the hashed factories; a miss
-/// budget follows the filter ("/filt1").
+/// Display-name suffix of the sampled policy and the hashed factories; a
+/// miss budget follows the filter ("/filt1").
 std::string options_suffix(const RandPrOptions& options) {
   std::string n;
   if (options.ignore_weights) n += "/unif";
@@ -165,9 +165,66 @@ const RandPrOptions& checked(const RandPrOptions& options) {
 }  // namespace
 
 RandPr::RandPr(Rng rng, RandPrOptions options)
-    : rng_(rng), options_(checked(options)) {}
+    : rng_(rng), label_("randPr" + options_suffix(options)),
+      options_(checked(options)) {}
 
-std::string RandPr::name() const { return "randPr" + options_suffix(options_); }
+RandPr::RandPr(HashFn hash, std::string label, RandPrOptions options,
+               Rehash rehash)
+    : hash_(std::move(hash)), rehash_(std::move(rehash)),
+      label_(std::move(label)), options_(checked(options)) {
+  OSP_REQUIRE(hash_ != nullptr);
+  OSP_REQUIRE_MSG(!options_.fresh_priorities_per_element,
+                  "hashed randPr cannot redraw priorities per element: its "
+                  "priorities are the hash of the set id");
+}
+
+namespace {
+
+// The rehash recipe of hash family Hash: every call draws a fresh
+// Hash(args..., rng).  A factory builds its first hash with the same
+// recipe, so reseed(rng) reproduces construction from the same rng.
+template <class Hash, class... Args>
+RandPr::Rehash unit_hash_recipe(Args... args) {
+  return [args...](Rng& rng) -> RandPr::HashFn {
+    auto h = std::make_shared<Hash>(args..., rng);
+    return [h](std::uint64_t key) { return h->unit(key); };
+  };
+}
+
+std::unique_ptr<RandPr> hashed(const std::string& family,
+                               RandPr::Rehash recipe, Rng& rng,
+                               const RandPrOptions& options) {
+  RandPr::HashFn hash = recipe(rng);
+  return std::make_unique<RandPr>(std::move(hash),
+                                  "hashPr/" + family + options_suffix(options),
+                                  options, std::move(recipe));
+}
+
+}  // namespace
+
+std::unique_ptr<RandPr> RandPr::with_polynomial(unsigned independence,
+                                                Rng& rng,
+                                                RandPrOptions options) {
+  return hashed("poly" + std::to_string(independence),
+                unit_hash_recipe<PolynomialHash>(independence), rng, options);
+}
+
+std::unique_ptr<RandPr> RandPr::with_tabulation(Rng& rng,
+                                                RandPrOptions options) {
+  return hashed("tab", unit_hash_recipe<TabulationHash>(), rng, options);
+}
+
+std::unique_ptr<RandPr> RandPr::with_multiply_shift(Rng& rng,
+                                                    RandPrOptions options) {
+  return hashed("ms", unit_hash_recipe<MultiplyShiftHash>(), rng, options);
+}
+
+void RandPr::reseed(Rng rng) {
+  OSP_REQUIRE_MSG(reseedable(),
+                  "a hashed randPr without a rehash recipe cannot reseed");
+  rng_ = rng;
+  if (rehash_ != nullptr) hash_ = rehash_(rng);
+}
 
 void RandPr::start(const std::vector<SetMeta>& sets) {
   ActiveTracking::start(sets);
@@ -175,8 +232,15 @@ void RandPr::start(const std::vector<SetMeta>& sets) {
   ties_.resize(sets.size());
   qranks_.resize(sets.size());
   for (SetId s = 0; s < sets.size(); ++s) {
-    double w = options_.ignore_weights ? 1.0 : std::max(sets[s].weight, 1e-12);
-    PriorityKey k = sample_rw_key(w, rng_);
+    const double w =
+        options_.ignore_weights ? 1.0 : std::max(sets[s].weight, 1e-12);
+    // A hash value is clamped into the open interval the key transform
+    // requires; collisions at the boundary are broken by the set id.
+    const PriorityKey k =
+        hash_ == nullptr
+            ? sample_rw_key(w, rng_)
+            : rw_key_from_uniform(std::clamp(hash_(s), 1e-15, 1.0 - 1e-15),
+                                  w, /*tie=*/s);
     keys_[s] = k.key;
     ties_[s] = k.tie;
     qranks_[s] = quantized_key_rank(k.key);
@@ -218,111 +282,6 @@ void RandPr::decide_batch(const ArrivalBlock& block, BlockScratch& scratch,
   // their side-effect order, so the block kernel is reserved for the
   // paper-exact fixed-priority configuration.
   if (options_.filter_dead || options_.fresh_priorities_per_element) {
-    OnlineAlgorithm::decide_batch(block, scratch, out);
-    return;
-  }
-  top_by_priority_soa_block(block, keys_.data(), ties_.data(),
-                            qranks_.data(), scratch, out);
-}
-
-HashedRandPr::HashedRandPr(HashFn hash, std::string label,
-                           RandPrOptions options)
-    : hash_(std::move(hash)), label_(std::move(label)),
-      options_(checked(options)) {
-  OSP_REQUIRE(hash_ != nullptr);
-  OSP_REQUIRE_MSG(!options_.fresh_priorities_per_element,
-                  "hashed randPr cannot redraw priorities per element: its "
-                  "priorities are the hash of the set id");
-}
-
-namespace {
-
-// Builds the HashFn each with_* factory uses; also serves as the rehash
-// recipe, so reseed(rng) reproduces construction from the same rng.
-template <class Hash, class... Args>
-HashedRandPr::HashFn make_unit_hash(Rng& rng, Args... args) {
-  auto h = std::make_shared<Hash>(args..., rng);
-  return [h](std::uint64_t key) { return h->unit(key); };
-}
-
-}  // namespace
-
-std::unique_ptr<HashedRandPr> HashedRandPr::with_polynomial(
-    unsigned independence, Rng& rng, RandPrOptions options) {
-  auto alg = std::make_unique<HashedRandPr>(
-      make_unit_hash<PolynomialHash>(rng, independence),
-      "hashPr/poly" + std::to_string(independence) + options_suffix(options),
-      options);
-  alg->set_rehash([independence](Rng r) {
-    return make_unit_hash<PolynomialHash>(r, independence);
-  });
-  return alg;
-}
-
-std::unique_ptr<HashedRandPr> HashedRandPr::with_tabulation(
-    Rng& rng, RandPrOptions options) {
-  auto alg = std::make_unique<HashedRandPr>(
-      make_unit_hash<TabulationHash>(rng),
-      "hashPr/tab" + options_suffix(options), options);
-  alg->set_rehash([](Rng r) { return make_unit_hash<TabulationHash>(r); });
-  return alg;
-}
-
-std::unique_ptr<HashedRandPr> HashedRandPr::with_multiply_shift(
-    Rng& rng, RandPrOptions options) {
-  auto alg = std::make_unique<HashedRandPr>(
-      make_unit_hash<MultiplyShiftHash>(rng),
-      "hashPr/ms" + options_suffix(options), options);
-  alg->set_rehash(
-      [](Rng r) { return make_unit_hash<MultiplyShiftHash>(r); });
-  return alg;
-}
-
-void HashedRandPr::reseed(Rng rng) {
-  OSP_REQUIRE_MSG(rehash_ != nullptr,
-                  "HashedRandPr without a rehash recipe cannot reseed");
-  hash_ = rehash_(rng);
-}
-
-std::string HashedRandPr::name() const { return label_; }
-
-void HashedRandPr::start(const std::vector<SetMeta>& sets) {
-  ActiveTracking::start(sets);
-  keys_.resize(sets.size());
-  ties_.resize(sets.size());
-  qranks_.resize(sets.size());
-  for (SetId s = 0; s < sets.size(); ++s) {
-    double u = hash_(s);
-    // Clamp hash output into the open interval required by the key
-    // transform; collisions at the boundary are broken by the tie field.
-    u = std::min(std::max(u, 1e-15), 1.0 - 1e-15);
-    double w = options_.ignore_weights ? 1.0 : std::max(sets[s].weight, 1e-12);
-    PriorityKey k = rw_key_from_uniform(u, w, /*tie=*/s);
-    keys_[s] = k.key;
-    ties_[s] = k.tie;
-    qranks_[s] = quantized_key_rank(k.key);
-  }
-}
-
-std::size_t HashedRandPr::decide(ElementId, Capacity capacity,
-                                 const SetId* candidates,
-                                 std::size_t num_candidates, SetId* out) {
-  if (!options_.filter_dead)
-    return top_by_priority_soa(candidates, num_candidates, keys_.data(),
-                               ties_.data(), capacity, out, topk_scratch_);
-
-  std::size_t pool_n = filter_active(*this, candidates, num_candidates,
-                                     options_.allowed_misses, pool_scratch_);
-  std::size_t chosen =
-      top_by_priority_soa(pool_scratch_.data(), pool_n, keys_.data(),
-                          ties_.data(), capacity, out, topk_scratch_);
-  record(candidates, num_candidates, out, chosen);
-  return chosen;
-}
-
-void HashedRandPr::decide_batch(const ArrivalBlock& block,
-                                BlockScratch& scratch, BlockChoices& out) {
-  if (options_.filter_dead) {  // stateful: per-element loop preserves order
     OnlineAlgorithm::decide_batch(block, scratch, out);
     return;
   }

@@ -1,19 +1,19 @@
 // Algorithm randPr — the paper's randomized online set packing algorithm
-// (Section 3.1) — plus its distributed (hashed) variant and ablation knobs.
+// (Section 3.1) — with its two key sources and ablation knobs.
 //
 //   For each set S, pick a random priority r(S) ~ R_{w(S)}.
 //   On arrival of element u with capacity b(u):
 //     assign u to the b(u) sets with the highest priority in C(u).
 //
-// The hashed variant replaces the true random draw by h(set id) for a
+// The priority comes from a private random draw, or from h(set id) for a
 // shared hash function h, which is what a distributed deployment (several
 // routers seeing parts of the same frame) would use; Section 3.1 notes that
-// kmax·σmax-wise independence suffices.
+// kmax·σmax-wise independence suffices.  One class, RandPr, holds both: the
+// key source is chosen at construction and read only by start().
 //
-// Both variants implement the flat decide() path: selection is a linear
-// argmax scan for b(u) = 1 and an O(σ) std::nth_element otherwise, with all
-// working storage held in reusable member buffers — zero allocations per
-// decision in steady state.
+// Selection is a linear argmax scan for b(u) = 1 and an O(σ)
+// std::nth_element otherwise, with all working storage held in reusable
+// member buffers — zero allocations per decision in steady state.
 #pragma once
 
 #include <functional>
@@ -47,12 +47,19 @@ struct RandPrOptions {
 
   /// If true, redraw priorities at every element instead of fixing them
   /// per set — breaks the algorithm's consistency and serves as a negative
-  /// control in bench_ablation.  RandPr only: HashedRandPr throws
-  /// RequireError, since its priorities are a hash of the set id.
+  /// control in bench_ablation.  Sampled keys only: a hashed randPr
+  /// throws RequireError, since its priorities are a hash of the set id.
   bool fresh_priorities_per_element = false;
 };
 
-/// The paper's randPr with true (pseudo-)randomness.
+/// The paper's randPr, with either of Section 3.1's two key sources.
+///
+/// Sampled: each start() draws every set's R_w key from the policy's own
+/// Rng.  Hashed: a set's key is rw_key_from_uniform(h(S), w, S) for a hash
+/// h of the set id, with h(S) clamped to [1e-15, 1 - 1e-15] and ties
+/// broken by the set id, so independent servers sharing h make consistent
+/// decisions without communication.  Everything but that key computation
+/// is shared.
 ///
 /// Perf note: the paper-exact configuration never reads the activity
 /// tracker (randPr conditions on nothing but its fixed priorities), so
@@ -60,10 +67,34 @@ struct RandPrOptions {
 /// the default options the tracker stays at its start() state.
 class RandPr : public ActiveTracking {
  public:
-  /// `rng` seeds the per-run priority draws.
+  /// Maps a set id to a uniform double in (0, 1); any of the families in
+  /// hash/universal_hash.hpp adapts to it.
+  using HashFn = std::function<double(std::uint64_t)>;
+  /// Draws a fresh hash from an Rng: what reseed() runs for a hashed
+  /// randPr.
+  using Rehash = std::function<HashFn(Rng&)>;
+
+  /// Sampled keys: `rng` seeds the per-run priority draws.
   explicit RandPr(Rng rng, RandPrOptions options = {});
 
-  std::string name() const override;
+  /// Hashed keys from `hash`; `label` is the display name for benchmark
+  /// tables.  Without a `rehash` recipe the policy is not reseedable.
+  RandPr(HashFn hash, std::string label, RandPrOptions options = {},
+         Rehash rehash = nullptr);
+
+  /// Hashed randPr over a hash family drawn from `rng`.  `options`
+  /// composes like the sampled policy's (the label gains the matching
+  /// /filt-style suffix) and the family's rehash recipe is installed, so
+  /// every factory-built instance is reseedable.
+  static std::unique_ptr<RandPr> with_polynomial(unsigned independence,
+                                                 Rng& rng,
+                                                 RandPrOptions options = {});
+  static std::unique_ptr<RandPr> with_tabulation(Rng& rng,
+                                                 RandPrOptions options = {});
+  static std::unique_ptr<RandPr> with_multiply_shift(
+      Rng& rng, RandPrOptions options = {});
+
+  std::string name() const override { return label_; }
   void start(const std::vector<SetMeta>& sets) override;
   std::size_t decide(ElementId u, Capacity capacity, const SetId* candidates,
                      std::size_t num_candidates, SetId* out) override;
@@ -76,10 +107,14 @@ class RandPr : public ActiveTracking {
   void decide_batch(const ArrivalBlock& block, BlockScratch& scratch,
                     BlockChoices& out) override;
 
-  /// All randomness flows through rng_, and start() draws every priority
-  /// fresh from it, so swapping the generator is a complete re-arm.
-  void reseed(Rng rng) override { rng_ = rng; }
-  bool reseedable() const override { return true; }
+  /// Sampled keys come from rng_, which start() draws fresh, so swapping
+  /// the generator is a complete re-arm; hashed keys come from the hash,
+  /// which reseed() redraws through the rehash recipe.  A hashed randPr
+  /// without a recipe throws RequireError here.
+  void reseed(Rng rng) override;
+  bool reseedable() const override {
+    return hash_ == nullptr || rehash_ != nullptr;
+  }
 
   /// Priority key currently assigned to set s (for tests).
   PriorityKey priority(SetId s) const {
@@ -88,6 +123,9 @@ class RandPr : public ActiveTracking {
 
  private:
   Rng rng_;
+  HashFn hash_;  // empty: sampled keys
+  Rehash rehash_;
+  std::string label_;
   RandPrOptions options_;
   // Priorities in structure-of-arrays form: the selection loop compares
   // keys_ (8-byte loads); ties_ is consulted only on exact key equality.
@@ -99,65 +137,6 @@ class RandPr : public ActiveTracking {
   std::vector<std::uint32_t> qranks_;
   std::vector<SetId> pool_scratch_;  // filter_dead survivors
   std::vector<SetId> topk_scratch_;  // nth_element workspace
-};
-
-/// Distributed randPr: priorities come from a shared hash of the set id,
-/// so independent servers make consistent decisions without communication.
-///
-/// HashFn maps a set id to a uniform double in (0, 1); the class adapts
-/// any of the families in hash/universal_hash.hpp.
-///
-/// Perf note: like RandPr, the activity tracker is updated only when
-/// filter_dead is set; with default options the inherited accessors stay
-/// at their start() state.
-class HashedRandPr : public ActiveTracking {
- public:
-  using HashFn = std::function<double(std::uint64_t)>;
-
-  /// `label` names the hash family for benchmark tables.
-  HashedRandPr(HashFn hash, std::string label, RandPrOptions options = {});
-
-  /// Convenience factories.  `options` composes like RandPr's (the label
-  /// gains the matching /filt-style suffix) and the rehash recipe is
-  /// installed either way, so every factory-built instance is reseedable.
-  static std::unique_ptr<HashedRandPr> with_polynomial(
-      unsigned independence, Rng& rng, RandPrOptions options = {});
-  static std::unique_ptr<HashedRandPr> with_tabulation(
-      Rng& rng, RandPrOptions options = {});
-  static std::unique_ptr<HashedRandPr> with_multiply_shift(
-      Rng& rng, RandPrOptions options = {});
-
-  std::string name() const override;
-  void start(const std::vector<SetMeta>& sets) override;
-  std::size_t decide(ElementId u, Capacity capacity, const SetId* candidates,
-                     std::size_t num_candidates, SetId* out) override;
-
-  /// Same block kernel as RandPr (the SoA priorities are laid out
-  /// identically); falls back to the per-element loop when filter_dead
-  /// makes decisions stateful.
-  void decide_batch(const ArrivalBlock& block, BlockScratch& scratch,
-                    BlockChoices& out) override;
-
-  /// The hashed variant's randomness is the hash function itself, drawn
-  /// at construction; reseeding therefore needs a recipe for rebuilding
-  /// the hash from an Rng.  The with_* factories install one, making
-  /// those instances reseedable; a bare HashedRandPr(hash, label) has no
-  /// recipe and reports reseedable() == false.
-  using Rehash = std::function<HashFn(Rng)>;
-  void set_rehash(Rehash rehash) { rehash_ = std::move(rehash); }
-  void reseed(Rng rng) override;
-  bool reseedable() const override { return rehash_ != nullptr; }
-
- private:
-  HashFn hash_;
-  Rehash rehash_;
-  std::string label_;
-  RandPrOptions options_;
-  std::vector<double> keys_;
-  std::vector<std::uint64_t> ties_;
-  std::vector<std::uint32_t> qranks_;  // see RandPr::qranks_
-  std::vector<SetId> pool_scratch_;
-  std::vector<SetId> topk_scratch_;
 };
 
 /// Top-k selection of the RandPr decide() hot path, over structure-of-

@@ -21,7 +21,7 @@ std::uint64_t trial_seed(std::uint64_t master_seed, std::size_t instance_idx,
 }
 
 TrialResult run_play_trial_cached(const Instance& inst, const AlgSpec& alg,
-                                  std::size_t alg_idx, std::uint64_t seed,
+                                  std::size_t alg_idx, Rng rng,
                                   TrialContext& ctx) {
   OSP_REQUIRE(alg.make != nullptr);
   if (ctx.alg_cache.size() <= alg_idx) ctx.alg_cache.resize(alg_idx + 1);
@@ -29,11 +29,11 @@ TrialResult run_play_trial_cached(const Instance& inst, const AlgSpec& alg,
   if (policy != nullptr && policy->reseedable()) {
     // Decision-identical to fresh construction (reseed() contract), but
     // the policy's internal arrays survive — the engine's start() resizes
-    // them in place.  The Rng is 32 bytes built without allocating, so a
+    // them in place.  The Rng is 32 bytes copied without allocating, so a
     // deterministic policy pays next to nothing for it.
-    policy->reseed(Rng(seed));
+    policy->reseed(rng);
   } else {
-    policy = alg.make(Rng(seed));
+    policy = alg.make(rng);
     OSP_REQUIRE(policy != nullptr);
   }
   Outcome out = play_flat_blocks(inst, *policy, ctx.scratch);
@@ -67,10 +67,9 @@ std::vector<CellStats> run_grid(const BatchRunner& runner,
         const std::size_t cell = begin + idx / trials;
         const std::size_t a = cell % num_algs;
         const std::size_t i = cell / num_algs;
-        return run_play_trial_cached(*spec.instances[i], spec.algorithms[a],
-                                     a,
-                                     trial_seed(spec.master_seed, i, a, t),
-                                     ctx);
+        return run_play_trial_cached(
+            *spec.instances[i], spec.algorithms[a], a,
+            Rng(trial_seed(spec.master_seed, i, a, t)), ctx);
       });
 
   // Serial aggregation in index order: deterministic for any thread count.

@@ -29,10 +29,11 @@ class BatchRunner;
 struct TrialContext {
   PlayScratch scratch;
   std::size_t thread_index = 0;
-  /// One cached algorithm per grid column (run_grid's reseed path): a
-  /// reseedable policy is constructed once per worker and re-armed with
-  /// reseed() + start() for every later trial, so its internal arrays are
-  /// not rebuilt.  Non-reseedable policies are rebuilt each trial.
+  /// One cached algorithm per grid column (run_play_trial_cached's
+  /// reseed path): a reseedable policy is constructed once per worker and
+  /// re-armed with reseed() + start() for every later trial, so its
+  /// internal arrays are not rebuilt.  Non-reseedable policies are
+  /// rebuilt each trial.
   std::vector<std::unique_ptr<OnlineAlgorithm>> alg_cache;
 };
 
@@ -58,16 +59,17 @@ struct TrialResult {
   std::size_t completed = 0;
 };
 
-/// Runs one seeded trial of `alg` on `inst` through the block-stepped
-/// engine (play_flat_blocks), reusing ctx.alg_cache[alg_idx] across calls
-/// when the policy is reseedable (decision-identical to fresh
-/// construction by the reseed() contract); what run_grid uses.  In steady
-/// state such a trial allocates only the returned Outcome's vectors
-/// (`completed`, grown by push_back, and `completed_mask`) plus whatever
-/// reseed() rebuilds: nothing for randPr and the baselines, the hash
-/// function for hashPr.
+/// Runs one trial of `alg` on `inst`, with the policy armed from `rng`,
+/// through the block-stepped engine (play_flat_blocks), reusing
+/// ctx.alg_cache[alg_idx] across calls when the policy is reseedable
+/// (decision-identical to fresh construction by the reseed() contract).
+/// Every play trial runs here: run_grid's and Session::measure's.  In
+/// steady state such a trial allocates only the returned Outcome's
+/// vectors (`completed`, grown by push_back, and `completed_mask`) plus
+/// whatever reseed() rebuilds: nothing for randPr and the baselines, the
+/// hash function for hashPr.
 TrialResult run_play_trial_cached(const Instance& inst, const AlgSpec& alg,
-                                  std::size_t alg_idx, std::uint64_t seed,
+                                  std::size_t alg_idx, Rng rng,
                                   TrialContext& ctx);
 
 /// Aggregates of one (instance, algorithm) grid cell over its trials.

@@ -2,11 +2,11 @@
 //
 // Packets traverse a path of switches, one hop per slot, no buffering;
 // each switch runs its OWN policy instance and sees only its local
-// contention — the distributed setting of Section 1.  With HashedRandPr
-// sharing one hash function, all switches assign identical priorities to
-// a packet without any coordination (the paper's Section 3.1 observation);
-// with independent randomness per switch, consistency breaks.  The gap is
-// measured in bench_ablation.
+// contention — the distributed setting of Section 1.  With a hashed
+// RandPr sharing one hash function, all switches assign identical
+// priorities to a packet without any coordination (the paper's Section
+// 3.1 observation); with independent randomness per switch, consistency
+// breaks.  The gap is measured in bench_ablation.
 #pragma once
 
 #include <functional>

@@ -16,6 +16,7 @@
 #include <fstream>
 #include <limits>
 #include <sstream>
+#include <utility>
 
 #include "algos/offline.hpp"
 #include "api/policy_registry.hpp"
@@ -608,6 +609,49 @@ TEST(Session, MeasureIsBitIdenticalToTheHistoricalSerialLoop) {
   EXPECT_EQ(got.count(), want.count());
   EXPECT_EQ(got.mean(), want.mean());
   EXPECT_EQ(got.stddev(), want.stddev());
+
+  // The same parity for every catalog policy (measure re-arms a
+  // reseedable one per worker) and a bare hashed RandPr (not reseedable:
+  // measure rebuilds it every trial), on weighted instances with
+  // capacities too, at 1 and 3 workers.
+  std::vector<std::pair<std::string, api::PolicyFactory>> makers;
+  for (const api::PolicyInfo& p : api::policies().entries())
+    makers.emplace_back(p.name, p.make);
+  makers.emplace_back("bare hashed RandPr", [](Rng r) {
+    const std::uint64_t mult = r() | 1;
+    return std::make_unique<RandPr>(
+        [mult](std::uint64_t key) {
+          return static_cast<double>((key + 1) * mult % 10007 + 1) / 10009.0;
+        },
+        "bare");
+  });
+  std::vector<Instance> instances;
+  instances.push_back(inst);
+  instances.push_back(
+      random_capacity_instance(14, 24, 3, 3, WeightModel::uniform(1, 5), gen));
+  for (const std::size_t workers : {1, 3}) {
+    const engine::BatchRunner runner(
+        engine::BatchOptions{.num_threads = workers});
+    api::Session on_runner(runner);
+    for (std::size_t i = 0; i < instances.size(); ++i) {
+      for (const auto& [name, make] : makers) {
+        const std::string where = name + ", instance " + std::to_string(i) +
+                                  ", workers " + std::to_string(workers);
+        Rng a(42), b(42);
+        const RunningStat measured =
+            on_runner.measure(instances[i], make, a, 32);
+        RunningStat serial;
+        for (int t = 0; t < 32; ++t) {
+          auto alg = make(b.split(static_cast<std::uint64_t>(t)));
+          serial.add(play_flat(instances[i], *alg, scratch).benefit);
+        }
+        EXPECT_EQ(measured.count(), serial.count()) << where;
+        EXPECT_EQ(measured.mean(), serial.mean()) << where;
+        EXPECT_EQ(measured.stddev(), serial.stddev()) << where;
+        EXPECT_EQ(a(), b()) << where << ": master streams diverged";
+      }
+    }
+  }
 }
 
 TEST(Session, RunGridEmitsOneRowPerCellToEverySink) {

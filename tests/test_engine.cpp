@@ -205,7 +205,7 @@ std::vector<Maker> all_policy_makers() {
                       // path (and the block kernel's rank-collision cold
                       // branch) — the worst case for quantized ranks.
                       // Not a useful policy, hence not registered.
-                      return std::make_unique<HashedRandPr>(
+                      return std::make_unique<RandPr>(
                           [](std::uint64_t) { return 0.5; }, "hashPr/const");
                     }});
   makers.push_back({"hashPr/filt-custom", [](Rng r) {
@@ -214,7 +214,7 @@ std::vector<Maker> all_policy_makers() {
                       // recipe, driving the per-element fallback of
                       // decide_batch on a non-reseedable instance.
                       const std::uint64_t mult = r() | 1;
-                      return std::make_unique<HashedRandPr>(
+                      return std::make_unique<RandPr>(
                           [mult](std::uint64_t key) {
                             return static_cast<double>((key + 1) * mult %
                                                        10007) /
@@ -413,7 +413,7 @@ TEST(GoldenEquivalence, DecideBatchMatchesPerElementDecideForAllPolicies) {
       {"hashPr/nearly-equal", [](Rng) {
          // Hash outputs 2^-50 apart: far below the u32 rank resolution
          // (~2^-32 relative), so ranks collide while the doubles differ.
-         return std::make_unique<HashedRandPr>(
+         return std::make_unique<RandPr>(
              [](std::uint64_t key) {
                return 0.5 + static_cast<double>(key % 64) * 0x1p-50;
              },

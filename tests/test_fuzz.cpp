@@ -62,9 +62,9 @@ std::vector<std::unique_ptr<OnlineAlgorithm>> all_algorithms(
       master.split(3), RandPrOptions{.ignore_weights = true}));
   out.push_back(std::make_unique<UniformRandomChoice>(master.split(4)));
   Rng h1 = master.split(5);
-  out.push_back(HashedRandPr::with_polynomial(4, h1));
+  out.push_back(RandPr::with_polynomial(4, h1));
   Rng h2 = master.split(6);
-  out.push_back(HashedRandPr::with_tabulation(h2));
+  out.push_back(RandPr::with_tabulation(h2));
   return out;
 }
 

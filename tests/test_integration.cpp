@@ -144,7 +144,7 @@ TEST(Integration, HashedRandPrGuaranteeHolds) {
   RunningStat benefit;
   for (int t = 0; t < 400; ++t) {
     Rng r = master.split(t);
-    auto alg = HashedRandPr::with_polynomial(8, r);
+    auto alg = RandPr::with_polynomial(8, r);
     benefit.add(play(inst, *alg).benefit);
   }
   EXPECT_GE(benefit.mean() + benefit.ci95_halfwidth(),

@@ -260,7 +260,7 @@ TEST(Pipeline, SharedHashBeatsIndependentRandomness) {
     auto h = std::make_shared<PolynomialHash>(8, hash_rng);
     PipelineStats shared = simulate_pipeline(
         w, params.num_switches, [&](std::size_t) {
-          return std::make_unique<HashedRandPr>(
+          return std::make_unique<RandPr>(
               [h](std::uint64_t key) { return h->unit(key); }, "shared");
         });
 

@@ -6,6 +6,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
+#include <memory>
+#include <string>
 
 #include "algos/offline.hpp"
 #include "core/bounds.hpp"
@@ -132,7 +135,7 @@ TEST(Lemma1, EverySetOfStarsCliquesAndChainsSurvivesAtItsClosedForm) {
       RandPr alg(master.split(t));
       for (SetId s : play(st.inst, alg).completed) ++wins_rand[s];
       Rng hr = master.split(1'000'000 + t);
-      auto hashed = HashedRandPr::with_polynomial(8, hr);
+      auto hashed = RandPr::with_polynomial(8, hr);
       for (SetId s : play(st.inst, *hashed).completed) ++wins_hash[s];
     }
     for (SetId s = 0; s < m; ++s) {
@@ -177,16 +180,16 @@ TEST(Reseed, HashedRandPrFactoriesInstallARehashRecipe) {
   Instance inst = random_instance(25, 50, 3, WeightModel::uniform(1, 5), gen);
 
   Rng fresh_rng(4242);
-  auto fresh = HashedRandPr::with_polynomial(8, fresh_rng);
+  auto fresh = RandPr::with_polynomial(8, fresh_rng);
   Rng other(1);
-  auto reused = HashedRandPr::with_polynomial(8, other);
+  auto reused = RandPr::with_polynomial(8, other);
   EXPECT_TRUE(reused->reseedable());
   play(warmup, *reused);
   reused->reseed(Rng(4242));
   EXPECT_EQ(play(inst, *fresh).completed, play(inst, *reused).completed);
 
-  // A bare HashedRandPr has no recipe to rebuild its hash from an Rng.
-  HashedRandPr bare([](std::uint64_t) { return 0.5; }, "bare");
+  // A bare hashed RandPr has no recipe to rebuild its hash from an Rng.
+  RandPr bare([](std::uint64_t) { return 0.5; }, "bare");
   EXPECT_FALSE(bare.reseedable());
   EXPECT_THROW(bare.reseed(Rng(1)), RequireError);
 }
@@ -203,10 +206,10 @@ TEST(RandPrOptions, KnobsThatWouldDoNothingAreRejected) {
   // A miss budget only matters to the dead-set filter.
   EXPECT_THROW(RandPr(Rng(1), {.allowed_misses = 1}), RequireError);
   Rng rng(2);
-  EXPECT_THROW(HashedRandPr::with_tabulation(rng, {.allowed_misses = 1}),
+  EXPECT_THROW(RandPr::with_tabulation(rng, {.allowed_misses = 1}),
                RequireError);
   // Hashed priorities are a function of the set id: nothing to redraw.
-  EXPECT_THROW(HashedRandPr::with_polynomial(
+  EXPECT_THROW(RandPr::with_polynomial(
                    8, rng, {.fresh_priorities_per_element = true}),
                RequireError);
   EXPECT_NO_THROW(RandPr(Rng(1), {.fresh_priorities_per_element = true}));
@@ -285,7 +288,7 @@ TEST(HashedRandPr, MatchesLemma1Approximately) {
   const int trials = 20000;
   for (int t = 0; t < trials; ++t) {
     Rng r = master.split(t);
-    auto alg = HashedRandPr::with_polynomial(8, r);
+    auto alg = RandPr::with_polynomial(8, r);
     if (play(inst, *alg).completed_mask[0]) ++wins;
   }
   EXPECT_NEAR(static_cast<double>(wins) / trials, 1.0 / 3.0, 0.015);
@@ -297,7 +300,7 @@ TEST(HashedRandPr, ConsistentAcrossRuns) {
   Rng r(11);
   auto h = std::make_shared<PolynomialHash>(4, r);
   auto make = [&] {
-    return HashedRandPr(
+    return RandPr(
         [h](std::uint64_t k) { return h->unit(k); }, "shared");
   };
   Rng gen(12);
@@ -310,13 +313,101 @@ TEST(HashedRandPr, FamiliesAllRun) {
   Rng gen(13);
   Instance inst = random_instance(25, 30, 3, WeightModel::uniform(1, 5), gen);
   Rng r(14);
-  auto poly = HashedRandPr::with_polynomial(6, r);
-  auto tab = HashedRandPr::with_tabulation(r);
-  auto ms = HashedRandPr::with_multiply_shift(r);
+  auto poly = RandPr::with_polynomial(6, r);
+  auto tab = RandPr::with_tabulation(r);
+  auto ms = RandPr::with_multiply_shift(r);
   EXPECT_NO_THROW(play(inst, *poly));
   EXPECT_NO_THROW(play(inst, *tab));
   EXPECT_NO_THROW(play(inst, *ms));
   EXPECT_EQ(poly->name(), "hashPr/poly6");
+}
+
+TEST(RandPr, HashedKeySourceMatchesAnIndependentOracle) {
+  // Every hashed randPr must key set s as rw_key_from_uniform(clamp(h(s)),
+  // w, s) for its hash h — no Rng draw, the clamp into (0, 1), and the set
+  // id as the tie — and must choose the top min(b(u), |C(u)|) candidates
+  // under that key order.  The oracle rebuilds each factory's hash from an
+  // equal-state copy of the Rng it consumed.
+  using HashFn = RandPr::HashFn;
+  struct Family {
+    std::string name;
+    std::function<std::unique_ptr<RandPr>(Rng&, RandPrOptions)> make;
+    std::function<HashFn(Rng&)> oracle;
+  };
+  // Repeated values, both boundaries and values the clamp moves.
+  const HashFn degenerate = [](std::uint64_t s) {
+    static constexpr double kValues[] = {0.0, 1.0, 0.5, 0.5, 1.0 - 1e-16,
+                                         1.0 - 1e-15, 0.25};
+    return kValues[s % 7];
+  };
+  const auto unit = [](auto hash) -> HashFn {
+    return [hash](std::uint64_t k) { return hash.unit(k); };
+  };
+  const std::vector<Family> families = {
+      {"poly8",
+       [](Rng& r, RandPrOptions o) { return RandPr::with_polynomial(8, r, o); },
+       [unit](Rng& r) { return unit(PolynomialHash(8, r)); }},
+      {"tab",
+       [](Rng& r, RandPrOptions o) { return RandPr::with_tabulation(r, o); },
+       [unit](Rng& r) { return unit(TabulationHash(r)); }},
+      {"ms",
+       [](Rng& r, RandPrOptions o) {
+         return RandPr::with_multiply_shift(r, o);
+       },
+       [unit](Rng& r) { return unit(MultiplyShiftHash(r)); }},
+      {"degenerate",
+       [degenerate](Rng&, RandPrOptions o) {
+         return std::make_unique<RandPr>(degenerate, "degenerate", o);
+       },
+       [degenerate](Rng&) { return degenerate; }},
+  };
+
+  Rng gen(2024);
+  std::vector<SetId> out;
+  for (int round = 0; round < 6; ++round) {
+    const Instance inst = random_capacity_instance(
+        30 + 10 * round, 40, 3, 3, WeightModel::uniform(1, 8), gen);
+    std::vector<SetMeta> metas(inst.num_sets());
+    for (SetId s = 0; s < inst.num_sets(); ++s)
+      metas[s] = SetMeta{inst.weight(s), inst.set_size(s)};
+    for (const Family& family : families) {
+      for (const bool ignore_weights : {false, true}) {
+        Rng policy_rng = gen.split(round);
+        Rng oracle_rng = policy_rng;
+        auto alg = family.make(policy_rng,
+                               RandPrOptions{.ignore_weights = ignore_weights});
+        const HashFn h = family.oracle(oracle_rng);
+        const std::string where = family.name +
+                                  (ignore_weights ? "/unif" : "") +
+                                  " round " + std::to_string(round);
+
+        std::vector<PriorityKey> want(inst.num_sets());
+        for (SetId s = 0; s < inst.num_sets(); ++s) {
+          const double w = ignore_weights ? 1.0 : inst.weight(s);
+          want[s] = rw_key_from_uniform(
+              std::clamp(h(s), 1e-15, 1.0 - 1e-15), w, s);
+        }
+        alg->start(metas);
+        for (SetId s = 0; s < inst.num_sets(); ++s)
+          ASSERT_EQ(alg->priority(s), want[s]) << where << " set " << s;
+
+        for (ElementId u = 0; u < inst.num_elements(); ++u) {
+          const Span<SetId> parents = inst.parents(u);
+          std::vector<SetId> ranked(parents.begin(), parents.end());
+          std::sort(ranked.begin(), ranked.end(),
+                    [&](SetId a, SetId b) { return want[a] > want[b]; });
+          ranked.resize(std::min<std::size_t>(inst.capacity(u),
+                                              ranked.size()));
+          std::sort(ranked.begin(), ranked.end());
+          out.assign(parents.size(), 0);
+          out.resize(alg->decide(u, inst.capacity(u), parents.data(),
+                                 parents.size(), out.data()));
+          std::sort(out.begin(), out.end());
+          ASSERT_EQ(out, ranked) << where << " element " << u;
+        }
+      }
+    }
+  }
 }
 
 TEST(RandPrOptions, FilterDeadNeverHurtsOnAverage) {
@@ -342,9 +433,9 @@ TEST(HashedRandPr, FilterDeadOptionWorks) {
   Instance inst = random_instance(24, 20, 3, WeightModel::unit(), gen);
   Rng hr(42);
   auto h = std::make_shared<PolynomialHash>(6, hr);
-  HashedRandPr plain([h](std::uint64_t k) { return h->unit(k); }, "plain");
-  HashedRandPr filt([h](std::uint64_t k) { return h->unit(k); }, "filt",
-                    RandPrOptions{.filter_dead = true});
+  RandPr plain([h](std::uint64_t k) { return h->unit(k); }, "plain");
+  RandPr filt([h](std::uint64_t k) { return h->unit(k); }, "filt",
+              RandPrOptions{.filter_dead = true});
   Weight p = play(inst, plain).benefit;
   Weight f = play(inst, filt).benefit;
   // Same hash => same priorities; filtering can only help.
