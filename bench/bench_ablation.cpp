@@ -41,20 +41,16 @@ void priority_ablation() {
     const int trials = cell.default_trials;
 
     Rng runs = master.split(2);
-    RunningStat base = bench::measure_randpr(inst, runs, trials);
+    RunningStat base = bench::session().measure(inst, "randpr", runs, trials);
     struct Variant {
-      std::string name;
-      RandPrOptions options;
+      std::string name, spec;
     };
-    for (const Variant& v :
-         {Variant{"randPr (paper)", {}},
-          Variant{"uniform priorities", {.ignore_weights = true}},
-          Variant{"fresh per element",
-                  {.fresh_priorities_per_element = true}},
-          Variant{"filter dead sets", {.filter_dead = true}}}) {
+    for (const Variant& v : {Variant{"randPr (paper)", "randpr"},
+                             Variant{"uniform priorities", "randpr:unif"},
+                             Variant{"fresh per element", "randpr:fresh"},
+                             Variant{"filter dead sets", "randpr:filt"}}) {
       Rng vruns = master.split(3);
-      RunningStat stat =
-          bench::measure_randpr(inst, vruns, trials, v.options);
+      RunningStat stat = bench::session().measure(inst, v.spec, vruns, trials);
       table.row({cell.display_label(), v.name, bench::fmt_mean_ci(stat),
                  fmt(stat.mean() / base.mean(), 3) + "x"});
     }
@@ -80,7 +76,7 @@ void hash_ablation() {
   const int trials = 800;
 
   Rng runs = master.split(2);
-  RunningStat truth = bench::measure_randpr(inst, runs, trials);
+  RunningStat truth = bench::session().measure(inst, "randpr", runs, trials);
   table.row({"true random", bench::fmt_mean_ci(truth), "1x"});
 
   struct Maker {

@@ -24,12 +24,10 @@
 #include <iostream>
 #include <limits>
 
-#include "algos/baselines.hpp"
 #include "algos/offline.hpp"
 #include "api/adversarial.hpp"
 #include "bench_common.hpp"
 #include "core/bounds.hpp"
-#include "core/game.hpp"
 #include "design/lower_bounds.hpp"
 
 namespace osp {
@@ -66,6 +64,37 @@ struct FamilySummary {
   }
 };
 
+/// Every family's columns: the registry's six deterministic baselines, in
+/// the historical sweep order, then randPr.
+std::vector<engine::AlgSpec> family_columns() {
+  std::vector<engine::AlgSpec> columns;
+  for (const char* spec : {"greedy:first", "greedy:maxw", "greedy:progress",
+                           "greedy:srpt", "greedy:density", "round-robin",
+                           "randpr"})
+    columns.push_back(bench::display_column(spec));
+  return columns;
+}
+
+/// One policy row of a family sweep: `head` holds the sweep, scenario and
+/// shape cells; the policy's benefit over its trials and the cell's
+/// denominator follow.
+api::Row policy_row(api::Row head, const std::string& policy,
+                    bool deterministic, const RunningStat& alg,
+                    double witness, const api::OptDenominator& den,
+                    double bound) {
+  return head.add("policy", policy)
+      .add("deterministic", deterministic)
+      .add("trials", alg.count())
+      .add("alg_mean", alg.mean())
+      .add("alg_ci95", alg.ci95_halfwidth())
+      .add("witness", witness)
+      .add("opt", den.opt)
+      .add("opt_exact", den.opt_exact)
+      .add("lp_upper", den.lp_upper)
+      .add("ratio", api::competitive_ratio(den.opt, alg.mean()))
+      .add("bound", bound);
+}
+
 void theorem3_sweep(api::JsonSink& json, api::Session& summaries) {
   std::cout << "-- Theorem 3: adaptive adversary, every deterministic "
                "baseline trapped --\n";
@@ -76,51 +105,41 @@ void theorem3_sweep(api::JsonSink& json, api::Session& summaries) {
   // randPr's streams: master(11), split keyed on the cell's (sigma, k) —
   // the seed repo's E4 control, kept so the rows stay comparable.
   Rng master(11);
+  const std::vector<engine::AlgSpec> columns = family_columns();
+  const std::size_t num_det = columns.size() - 1;
   FamilySummary summary;
-  summary.policies = make_deterministic_baselines().size() + 1;
+  summary.policies = columns.size();
   for (const api::ScenarioSpec& cell :
        api::expand(api::scenarios().at("adversarial/theorem3"))) {
     const std::size_t sigma = cell.sigma;
     const std::size_t k = cell.k;
     const double bound = theorem3_lower_bound(sigma, k);
-    // One row per policy, against that policy's own transcript.
-    auto emit = [&](const std::string& policy, bool deterministic, int trials,
-                    double mean, double ci95, double witness,
-                    const api::OptDenominator& den) {
-      session.emit(api::Row{}
-                       .add("sweep", "theorem3")
-                       .add("scenario", cell.display_label())
-                       .add("sigma", sigma)
-                       .add("k", k)
-                       .add("policy", policy)
-                       .add("deterministic", deterministic)
-                       .add("trials", trials)
-                       .add("alg_mean", mean)
-                       .add("alg_ci95", ci95)
-                       .add("witness", witness)
-                       .add("opt", den.opt)
-                       .add("opt_exact", den.opt_exact)
-                       .add("lp_upper", den.lp_upper)
-                       .add("ratio", api::competitive_ratio(den.opt, mean))
-                       .add("bound", bound));
-    };
+    const api::Row head = api::Row{}
+                              .add("sweep", "theorem3")
+                              .add("scenario", cell.display_label())
+                              .add("sigma", sigma)
+                              .add("k", k);
 
+    // One row per policy, against that policy's own transcript.
     double det_max = 0;
     double det_ratio_min = std::numeric_limits<double>::infinity();
-    auto algs = make_deterministic_baselines();
-    for (auto& alg : algs) {
+    for (std::size_t i = 0; i < num_det; ++i) {
+      const auto alg = columns[i].make(Rng(0));
       AdaptiveAdversaryResult r = run_theorem3_adversary(*alg, sigma, k);
       OSP_REQUIRE_MSG(is_feasible(r.transcript, r.witness),
                       "theorem3 witness infeasible vs " << alg->name());
       const api::OptDenominator den =
           api::opt_denominator(r.transcript, r.opt_lower_bound);
       const double benefit = r.alg_outcome.benefit;
-      const double ratio = api::competitive_ratio(den.opt, benefit);
       det_max = std::max(det_max, benefit);
-      det_ratio_min = std::min(det_ratio_min, ratio);
+      det_ratio_min =
+          std::min(det_ratio_min, api::competitive_ratio(den.opt, benefit));
       summary.gate_met = summary.gate_met && benefit <= 1.0 + 1e-9 &&
                          den.opt + 1e-9 >= r.opt_lower_bound;
-      emit(alg->name(), true, 1, benefit, 0.0, r.opt_lower_bound, den);
+      RunningStat one;  // a deterministic policy's one transcript
+      one.add(benefit);
+      session.emit(policy_row(head, columns[i].name, true, one,
+                              r.opt_lower_bound, den, bound));
     }
 
     // randPr replays the greedy-first transcript obliviously (the E4
@@ -130,13 +149,12 @@ void theorem3_sweep(api::JsonSink& json, api::Session& summaries) {
     const api::OptDenominator den =
         api::opt_denominator(adv.instance, adv.witness_value);
     Rng runs = master.split(sigma * 10 + k);
-    RunningStat rp =
-        session.measure(adv.instance, api::policies().at("randpr").make,
-                        runs, cell.default_trials);
+    RunningStat rp = session.measure(adv.instance, columns.back().make, runs,
+                                     cell.default_trials);
     summary.gate_met = summary.gate_met && rp.mean() > det_max;
     summary.fold_cell(det_max, det_ratio_min, rp.mean());
-    emit("randPr", false, cell.default_trials, rp.mean(),
-         rp.ci95_halfwidth(), adv.witness_value, den);
+    session.emit(policy_row(head, columns.back().name, false, rp,
+                            adv.witness_value, den, bound));
   }
   table.print(std::cout);
   summary.emit(summaries, "theorem3");
@@ -160,25 +178,22 @@ void distribution_sweep(api::JsonSink& json, api::Session& summaries,
   session.attach(json);
   session.attach(table);
   Rng master(master_seed);
+  const std::vector<engine::AlgSpec> columns = family_columns();
+  const std::size_t num_det = columns.size() - 1;
   FamilySummary summary;
-  summary.policies = make_deterministic_baselines().size() + 1;
+  summary.policies = columns.size();
   for (const api::ScenarioSpec& cell :
        api::expand(api::scenarios().at(scenario_name))) {
     const int draws = cell.default_trials;
     const std::size_t shape =
         cell.family == api::ScenarioFamily::kWeakLb ? cell.t : cell.ell;
-    // One row per policy: the deterministic baselines, then randPr.
-    std::vector<std::string> names;
-    for (const auto& alg : make_deterministic_baselines())
-      names.push_back(alg->name());
-    const std::size_t num_det = names.size();
-    names.push_back("randPr");
-    std::vector<RunningStat> stats(names.size());
+    std::vector<RunningStat> stats(columns.size());
     RunningStat opt_stat, lp_stat;
     bool all_exact = true;
     bool all_lp = true;
     double witness_value = 0;
     double bound = 0;
+    engine::TrialContext ctx;
     for (int d = 0; d < draws; ++d) {
       const std::uint64_t key =
           instance_key_base * shape + static_cast<std::uint64_t>(d);
@@ -193,39 +208,34 @@ void distribution_sweep(api::JsonSink& json, api::Session& summaries,
       if (den.lp_upper > 0) lp_stat.add(den.lp_upper);
       else all_lp = false;
 
-      auto algs = make_deterministic_baselines();
-      for (std::size_t i = 0; i < num_det; ++i)
-        stats[i].add(play(adv.instance, *algs[i]).benefit);
-      RandPr rp(master.split(randpr_key_base + key));
-      stats[num_det].add(play(adv.instance, rp).benefit);
+      // randPr's stream is split after its draw's instance stream, as
+      // the seed loop split it.
+      for (std::size_t i = 0; i < columns.size(); ++i) {
+        const Rng stream =
+            i < num_det ? Rng(0) : master.split(randpr_key_base + key);
+        const engine::TrialResult r = engine::run_play_trial_cached(
+            adv.instance, columns[i], i, stream, ctx);
+        stats[i].add(r.benefit);
+      }
     }
-    const double opt = opt_stat.mean();
-    const double lp_upper = all_lp ? lp_stat.mean() : 0.0;
+    const api::OptDenominator den{opt_stat.mean(), all_exact,
+                                  all_lp ? lp_stat.mean() : 0.0};
+    const api::Row head = api::Row{}
+                              .add("sweep", sweep_key)
+                              .add("scenario", cell.display_label())
+                              .add(sweep_key == "weaklb" ? "t" : "ell", shape);
 
     double det_max = 0;
     double det_ratio_min = std::numeric_limits<double>::infinity();
-    for (std::size_t i = 0; i < names.size(); ++i) {
+    for (std::size_t i = 0; i < columns.size(); ++i) {
       const double mean = stats[i].mean();
-      const double ratio = api::competitive_ratio(opt, mean);
       if (i < num_det) {
         det_max = std::max(det_max, mean);
-        det_ratio_min = std::min(det_ratio_min, ratio);
+        det_ratio_min =
+            std::min(det_ratio_min, api::competitive_ratio(den.opt, mean));
       }
-      session.emit(api::Row{}
-                       .add("sweep", sweep_key)
-                       .add("scenario", cell.display_label())
-                       .add(sweep_key == "weaklb" ? "t" : "ell", shape)
-                       .add("policy", names[i])
-                       .add("deterministic", i < num_det)
-                       .add("trials", draws)
-                       .add("alg_mean", mean)
-                       .add("alg_ci95", stats[i].ci95_halfwidth())
-                       .add("witness", witness_value)
-                       .add("opt", opt)
-                       .add("opt_exact", all_exact)
-                       .add("lp_upper", lp_upper)
-                       .add("ratio", ratio)
-                       .add("bound", bound));
+      session.emit(policy_row(head, columns[i].name, i < num_det, stats[i],
+                              witness_value, den, bound));
     }
     summary.gate_met = summary.gate_met && det_ratio_min >= 1.0;
     summary.fold_cell(det_max, det_ratio_min, stats[num_det].mean());

@@ -21,7 +21,7 @@
 #include "api/result_sink.hpp"
 #include "api/scenario.hpp"
 #include "api/session.hpp"
-#include "core/rand_pr.hpp"
+#include "engine/trial.hpp"
 #include "stats/summary.hpp"
 #include "stats/table.hpp"
 #include "util/rng.hpp"
@@ -54,17 +54,12 @@ inline api::Session& session() {
   return s;
 }
 
-/// Mean benefit (with CI) of randPr over `trials` independent runs.
-/// Trial t plays RandPr(master.split(t)) — the same stream the serial
-/// seed loop used — through Session::measure, batched across worker
-/// threads.
-inline RunningStat measure_randpr(const Instance& inst, Rng& master,
-                                  int trials,
-                                  RandPrOptions options = {}) {
-  return session().measure(
-      inst,
-      [options](Rng r) { return std::make_unique<RandPr>(r, options); },
-      master, trials);
+/// A registry policy as an engine column named by its display label
+/// (policy->name()), which the bench rows key on: the policy itself is
+/// the one source of truth.
+inline engine::AlgSpec display_column(const std::string& spec) {
+  const api::PolicyFactory& make = api::policies().at(spec).make;
+  return engine::AlgSpec{make(Rng(0))->name(), make};
 }
 
 /// "12.3 ±0.4" formatting for a measured mean.

@@ -37,12 +37,12 @@
 // Sections (a) and (c) share one helper, route_draws, which runs their
 // workload draws as independent trials on the shared batch runner:
 // per-draw Rngs are split from the master serially in the seed repo's
-// exact order, each trial generates its workload once and runs every
-// policy against it through simulate_router (like the seed's serial inner
+// exact order, each trial generates its workload and its osp instance
+// (to_instance, the game simulate_router plays) once and plays every
+// policy on it through the engine's trial (like the seed's serial inner
 // loop), and aggregation walks the results in draw order — so the printed
 // numbers match the original serial loops bit for bit at any thread
-// count.  Each worker thread constructs the policies once per cell and
-// re-arms them per draw through the reseed() API.
+// count.
 //
 // `bench_router --smoke` runs every section (including the (e)
 // cross-check) at toy sizes; scripts/check.sh drives that under
@@ -55,7 +55,6 @@
 #include "engine/batch_runner.hpp"
 #include "gen/traffic.hpp"
 #include "gen/video.hpp"
-#include "net/router_sim.hpp"
 #include "net/serve.hpp"
 #include "util/stopwatch.hpp"
 
@@ -63,54 +62,47 @@ namespace osp {
 namespace {
 
 /// A policy of the unbuffered sections (a) and (c): its registry spec and,
-/// when it is randomized, the base of its per-draw reseed split keys.
+/// when it is randomized, the base of its per-draw split keys.
 struct RoutedPolicy {
   std::string spec;
-  std::uint64_t split_base = 0;  // 0: deterministic, start() resets it
+  std::uint64_t split_base = 0;  // 0: deterministic
 };
 
-/// The policies' display labels (policy->name()), which the tables and
-/// JSON rows key on: the policy itself is the one source of truth.
-std::vector<std::string> display_names(
-    const std::vector<RoutedPolicy>& policies) {
-  std::vector<std::string> names;
-  names.reserve(policies.size());
-  for (const RoutedPolicy& p : policies)
-    names.push_back(api::policies().make(p.spec, Rng(0))->name());
-  return names;
-}
+/// One unbuffered draw: its schedule's totals and each policy's trial.
+struct RoutedDraw {
+  double frames_total = 0;
+  Weight value_total = 0;
+  std::vector<engine::TrialResult> trials;  // [policy]
+};
 
 /// Each draw's schedule through the unbuffered router under every policy,
-/// the draws spread over the shared batch runner.  streams[p] reseeds
-/// policy p before each draw (empty for a deterministic policy), split
+/// the draws spread over the shared batch runner.  streams[p] seeds
+/// policy p for each draw (empty for a deterministic policy), split
 /// serially by the caller; schedule_of(d) builds draw d's schedule on a
-/// worker thread.  Each worker builds the policies once per call and
-/// reseeds them per draw, so the stats of draw d under policy p, at
-/// [d][p], do not depend on the thread count.
+/// worker thread.  Each draw plays every policy on the schedule's
+/// to_instance(1), the router's osp game, through the engine's trial, so
+/// draw d, at [d], does not depend on the thread count.
 template <class ScheduleOf>
-std::vector<std::vector<RouterStats>> route_draws(
-    const std::vector<RoutedPolicy>& policies,
+std::vector<RoutedDraw> route_draws(
+    const std::vector<engine::AlgSpec>& columns,
     const std::vector<std::vector<Rng>>& streams, std::size_t draws,
     ScheduleOf&& schedule_of) {
-  OSP_REQUIRE(streams.size() == policies.size());
+  OSP_REQUIRE(streams.size() == columns.size());
   for (const std::vector<Rng>& s : streams)
     OSP_REQUIRE(s.empty() || s.size() == draws);
-  std::vector<std::vector<std::unique_ptr<OnlineAlgorithm>>> workers(
-      engine::shared_runner().num_threads());
-  return engine::shared_runner().map<std::vector<RouterStats>>(
+  return engine::shared_runner().map<RoutedDraw>(
       draws, [&](std::size_t d, engine::TrialContext& ctx) {
         const FrameSchedule schedule = schedule_of(d);
-        auto& built = workers[ctx.thread_index];
-        if (built.empty())
-          for (const RoutedPolicy& p : policies)
-            built.push_back(api::policies().make(p.spec, Rng(0)));
-        std::vector<RouterStats> row;
-        row.reserve(policies.size());
-        for (std::size_t p = 0; p < policies.size(); ++p) {
-          if (!streams[p].empty()) built[p]->reseed(streams[p][d]);
-          row.push_back(simulate_router(schedule, *built[p], 1));
+        const Instance inst = schedule.to_instance(1);
+        RoutedDraw draw;
+        draw.frames_total = static_cast<double>(schedule.frames.size());
+        for (const Weight w : schedule.frames.weights()) draw.value_total += w;
+        for (std::size_t p = 0; p < columns.size(); ++p) {
+          const Rng rng = streams[p].empty() ? Rng(0) : streams[p][d];
+          draw.trials.push_back(
+              engine::run_play_trial_cached(inst, columns[p], p, rng, ctx));
         }
-        return row;
+        return draw;
       });
 }
 
@@ -128,7 +120,9 @@ void unbuffered_video(api::JsonSink& json, bool smoke) {
       {"randpr", 50000}, {"randpr:filt", 60000}, {"uniform-random", 70000},
       {"greedy:first"},  {"greedy:maxw"},        {"greedy:progress"},
       {"greedy:srpt"},   {"greedy:density"},     {"round-robin"}};
-  const std::vector<std::string> policy_names = display_names(policies);
+  std::vector<engine::AlgSpec> columns;
+  for (const RoutedPolicy& p : policies)
+    columns.push_back(bench::display_column(p.spec));
   const std::size_t num_policies = policies.size();
 
   // The streams axis is the "router/unbuffered" catalog sweep; the split
@@ -147,8 +141,8 @@ void unbuffered_video(api::JsonSink& json, bool smoke) {
     }
     // One trial per draw: the workload is generated once and all policies
     // run against it, exactly like the seed's serial inner loop.
-    const std::vector<std::vector<RouterStats>> stats = route_draws(
-        policies, policy_rngs, static_cast<std::size_t>(draws),
+    const std::vector<RoutedDraw> stats = route_draws(
+        columns, policy_rngs, static_cast<std::size_t>(draws),
         [&](std::size_t d) {
           Rng wl_rng = wl_rngs[d];
           return api::build_video(cell, wl_rng).schedule;
@@ -156,16 +150,16 @@ void unbuffered_video(api::JsonSink& json, bool smoke) {
 
     for (std::size_t p = 0; p < num_policies; ++p) {
       double frames = 0, value = 0, total_frames = 0, total_value = 0;
-      for (const std::vector<RouterStats>& row : stats) {
-        frames += static_cast<double>(row[p].frames_delivered);
-        value += row[p].value_delivered;
-        total_frames += static_cast<double>(row[p].frames_total);
-        total_value += row[p].value_total;
+      for (const RoutedDraw& draw : stats) {
+        frames += static_cast<double>(draw.trials[p].completed);
+        value += draw.trials[p].benefit;
+        total_frames += draw.frames_total;
+        total_value += draw.value_total;
       }
       session.emit(api::Row{}
                        .add("sweep", "unbuffered_video")
                        .add("streams", streams)
-                       .add("policy", policy_names[p])
+                       .add("policy", columns[p].name)
                        .add("frames_ok", frames / draws)
                        .add("frames_total", total_frames / draws)
                        .add("value_ok", value / draws)
@@ -220,7 +214,9 @@ void burstiness_sweep(api::JsonSink& json, bool smoke) {
   const int draws = smoke ? 4 : 25;
   const std::vector<RoutedPolicy> policies = {
       {"randpr", 110000}, {"greedy:progress"}, {"greedy:first"}};
-  const std::vector<std::string> policy_names = display_names(policies);
+  std::vector<engine::AlgSpec> columns;
+  for (const RoutedPolicy& p : policies)
+    columns.push_back(bench::display_column(p.spec));
   const std::size_t num_policies = policies.size();
 
   struct Profile {
@@ -242,8 +238,8 @@ void burstiness_sweep(api::JsonSink& json, bool smoke) {
     }
 
     std::vector<double> smax(static_cast<std::size_t>(draws));
-    const std::vector<std::vector<RouterStats>> stats = route_draws(
-        policies, policy_rngs, static_cast<std::size_t>(draws),
+    const std::vector<RoutedDraw> stats = route_draws(
+        columns, policy_rngs, static_cast<std::size_t>(draws),
         [&](std::size_t d) {
           Rng wl_rng = wl_rngs[d];
           OnOffBursts bursts(prof.p_on_off, prof.p_off_on, prof.rate_on,
@@ -257,15 +253,15 @@ void burstiness_sweep(api::JsonSink& json, bool smoke) {
     for (double s : smax) smax_acc += s;
     for (std::size_t p = 0; p < num_policies; ++p) {
       double value = 0, total = 0;
-      for (const std::vector<RouterStats>& row : stats) {
-        value += row[p].value_delivered;
-        total += row[p].value_total;
+      for (const RoutedDraw& draw : stats) {
+        value += draw.trials[p].benefit;
+        total += draw.value_total;
       }
       session.emit(api::Row{}
                        .add("sweep", "burstiness")
                        .add("profile", prof.name)
                        .add("smax", smax_acc / draws)
-                       .add("policy", policy_names[p])
+                       .add("policy", columns[p].name)
                        .add("value_ok", value / draws)
                        .add("value_total", total / draws)
                        .add("goodput", value / total));

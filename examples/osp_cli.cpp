@@ -49,7 +49,6 @@
 #include "api/session.hpp"
 #include "api/shard.hpp"
 #include "core/bounds.hpp"
-#include "core/game.hpp"
 #include "core/io.hpp"
 #include "engine/batch_runner.hpp"
 #include "engine/trial.hpp"
@@ -265,18 +264,18 @@ int cmd_run(const Args& args) {
                   "run needs a file (or pipe an instance in / pass '-')");
   Instance inst = load_from(args.positional());
 
-  RunningStat benefit;
-  std::size_t completed = 0;
-  for (std::size_t t = 0; t < trials; ++t) {
-    auto alg = policy.make(master.split(t));
-    Outcome out = play(inst, *alg);
-    benefit.add(out.benefit);
-    completed = out.completed.size();
-  }
+  // Trial t plays make(master.split(t)) through the engine's trial: one
+  // trial directly, for its completed-set count, more through
+  // Session::measure on the shared runner.
   if (trials == 1) {
-    std::cout << policy.name << ": completed " << completed
-              << " sets, benefit " << benefit.mean() << "\n";
+    engine::TrialContext ctx;
+    const engine::TrialResult r = engine::run_play_trial_cached(
+        inst, api::grid_column(policy), 0, master.split(0), ctx);
+    std::cout << policy.name << ": completed " << r.completed
+              << " sets, benefit " << r.benefit << "\n";
   } else {
+    const RunningStat benefit = api::Session().measure(
+        inst, policy.make, master, static_cast<int>(trials));
     std::cout << policy.name << " over " << trials
               << " trials: E[benefit] = " << benefit.mean() << " +/- "
               << benefit.ci95_halfwidth() << "\n";

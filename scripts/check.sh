@@ -16,7 +16,8 @@
 #      registries (list, gen | run and gen | stats pipes over the random,
 #      regular, fixed-load and capacity families, the README quickstart
 #      `gen regular --sigma 8 | run --alg hashpr:tab`, `run --alg
-#      hashpr:filt --trials 5` and `run --alg round-robin`, a capacity of
+#      hashpr:filt --trials 5`, `run --alg round-robin`, `run --trials
+#      50` at OSP_THREADS=1 and 3 (cmp: one line, the same), a capacity of
 #      2^32 - 1 played under randpr and greedy:first, bench grids, a
 #      config-file sweep, the ranker and sustained modes, --dry-run, the
 #      catalog drift gate), its one-line error paths (malformed flags,
@@ -28,7 +29,8 @@
 #      one-line error on a negative argument), `solve` on the lemma9
 #      ell = 3 instance within 60 s with branch and bound's exact 27, and
 #      the console-only benches (bench_theorem1, bench_fractional,
-#      bench_ablation), so none of them can silently rot, and checks that
+#      bench_ablation, whose console output at OSP_THREADS=1 and 3 is
+#      cmp'd), so none of them can silently rot, and checks that
 #      a bench which cannot write its artifact exits 1 with one line;
 #   6. shard smoke: bench --shard / merge bit-identity round trip, and
 #      the gap, overlap, fingerprint-mismatch and corrupted-row errors;
@@ -136,6 +138,15 @@ echo "== examples smoke: osp_cli (registry-driven) + the examples + console-only
 ./build/osp_cli gen random --seed 3 |
   ./build/osp_cli run - --alg hashpr:filt --trials 5
 ./build/osp_cli gen random --seed 3 | ./build/osp_cli run - --alg round-robin
+# `run --trials N` plays its trials on the shared runner: the worker count
+# must not change a digit of its line.
+./build/osp_cli gen random --seed 3 > build/check_run.txt
+for threads in 1 3; do
+  OSP_THREADS="$threads" ./build/osp_cli run build/check_run.txt \
+    --alg randpr --trials 50 > "build/check_run_$threads.txt"
+done
+cmp build/check_run_1.txt build/check_run_3.txt
+rm -f build/check_run.txt build/check_run_1.txt build/check_run_3.txt
 ./build/osp_cli gen regular --m 12 --sigma 3 | ./build/osp_cli stats - \
   > /dev/null
 # The fixed-load sampler and the capacity family through the instance
@@ -232,9 +243,17 @@ fi
 rm -f build/check_l9.txt build/check_solve.txt
 # The benches without an artifact: each must run to completion (a ratio
 # cell whose optimum branch and bound cannot prove exits non-zero).
-for bench in theorem1 fractional ablation; do
+for bench in theorem1 fractional; do
   OSP_THREADS=1 "./build/bench_$bench" > /dev/null
 done
+# bench_ablation measures through Session::measure on the shared runner:
+# its console output must be the same at 1 and 3 workers.
+for threads in 1 3; do
+  OSP_THREADS="$threads" ./build/bench_ablation \
+    > "build/check_ablation_$threads.txt"
+done
+cmp build/check_ablation_1.txt build/check_ablation_3.txt
+rm -f build/check_ablation_1.txt build/check_ablation_3.txt
 # A bench that fails prints one line and exits 1, never an abort: with a
 # directory in its artifact's place, bench_capacity's JSON sink throws
 # before any measurement runs.

@@ -4,44 +4,30 @@
 
 namespace osp {
 
-namespace {
-
-// Fills `out` (capacity `capacity`) from `first` then `second`; returns the
-// number written: ranked actives first, dead filler after ("filling
-// leftover capacity with dead sets is harmless; doing so keeps the policy
-// total, like a real link").
-std::size_t fill_choice(const std::vector<SetId>& first,
-                        const std::vector<SetId>& second, Capacity capacity,
-                        SetId* out) {
-  std::size_t n = 0;
-  for (SetId s : first) {
-    if (n == capacity) return n;
-    out[n++] = s;
-  }
-  for (SetId s : second) {
-    if (n == capacity) return n;
-    out[n++] = s;
-  }
-  return n;
-}
-
-}  // namespace
-
 std::size_t ScoredBaseline::decide(ElementId, Capacity capacity,
                                    const SetId* candidates,
                                    std::size_t num_candidates, SetId* out) {
-  active_.clear();
+  scored_.clear();
   dead_.clear();
-  for (std::size_t i = 0; i < num_candidates; ++i)
-    (is_active(candidates[i]) ? active_ : dead_).push_back(candidates[i]);
+  for (std::size_t i = 0; i < num_candidates; ++i) {
+    const SetId s = candidates[i];
+    if (is_active(s)) scored_.emplace_back(score(s), s);
+    else dead_.push_back(s);
+  }
   // (score desc, id asc) is a strict total order, so plain sort yields the
   // same unique ordering the seed's stable_sort produced.
-  std::sort(active_.begin(), active_.end(), [&](SetId a, SetId b) {
-    double sa = score(a), sb = score(b);
-    if (sa != sb) return sa > sb;
-    return a < b;
+  std::sort(scored_.begin(), scored_.end(), [](const auto& a, const auto& b) {
+    if (a.first != b.first) return a.first > b.first;
+    return a.second < b.second;
   });
-  std::size_t n = fill_choice(active_, dead_, capacity, out);
+  // Ranked actives first, dead filler after: filling leftover capacity
+  // with dead sets is harmless, and it keeps the policy total, like a real
+  // link.
+  std::size_t n = 0;
+  for (std::size_t i = 0; i < scored_.size() && n < capacity; ++i)
+    out[n++] = scored_[i].second;
+  for (std::size_t i = 0; i < dead_.size() && n < capacity; ++i)
+    out[n++] = dead_[i];
   record(candidates, num_candidates, out, n);
   return n;
 }

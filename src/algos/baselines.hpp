@@ -16,6 +16,7 @@
 
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/algorithm.hpp"
@@ -41,8 +42,10 @@ class ScoredBaseline : public ActiveTracking {
   virtual double score(SetId s) const = 0;
 
  private:
-  std::vector<SetId> active_;  // scratch, reused across decisions
-  std::vector<SetId> dead_;    // scratch, reused across decisions
+  // Scratch, reused across decisions: each active candidate's (score, id),
+  // scored once per decision, and the dead candidates.
+  std::vector<std::pair<double, SetId>> scored_;
+  std::vector<SetId> dead_;
 };
 
 /// Picks the earliest-id active candidates ("first listed").

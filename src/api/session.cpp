@@ -1,5 +1,7 @@
 #include "api/session.hpp"
 
+#include <algorithm>
+
 #include "algos/offline.hpp"
 #include "engine/trial.hpp"
 #include "net/router_sim.hpp"
@@ -14,6 +16,9 @@ namespace {
 // Split key of a draw's ranker stream (see the header); workload draws
 // stay below it because trials are capped at 1e9.
 constexpr std::uint64_t kRankerStream = 1000000000;
+
+// Trials measure() plays per batch-runner call.
+constexpr int kMeasureChunk = 1 << 16;
 
 // Branch-and-bound nodes a ratio cell may spend proving its optimum
 // (exact_optimum's default, named so the error can state it).
@@ -81,22 +86,25 @@ void Session::close_sinks() {
 RunningStat Session::measure(const Instance& inst, const PolicyFactory& make,
                              Rng& master, int trials) const {
   OSP_REQUIRE_MSG(make != nullptr, "measure() needs a policy factory");
-  // Per-trial Rngs are split serially up front — the seed repo's exact
-  // stream order — and only the plays fan out across workers.
-  std::vector<Rng> rngs;
-  rngs.reserve(static_cast<std::size_t>(trials));
-  for (int t = 0; t < trials; ++t)
-    rngs.push_back(master.split(static_cast<std::uint64_t>(t)));
-
+  // As run_rankers: zero trials have no mean to publish.
+  OSP_REQUIRE_MSG(trials >= 1 && trials <= 1000000000,
+                  "measure trials must be in [1, 1e9], got " << trials);
+  // Per-trial Rngs are split serially — the seed repo's exact stream
+  // order — and only the plays fan out across workers, kMeasureChunk
+  // trials at a time, so memory does not grow with the trial count.
   const engine::AlgSpec alg{"", make};
-  auto results = runner_->map<engine::TrialResult>(
-      static_cast<std::size_t>(trials),
-      [&](std::size_t t, engine::TrialContext& ctx) {
-        return engine::run_play_trial_cached(inst, alg, 0, rngs[t], ctx);
-      });
-
+  std::vector<Rng> rngs;
   RunningStat stat;
-  for (const engine::TrialResult& r : results) stat.add(r.benefit);
+  for (int begin = 0; begin < trials; begin += kMeasureChunk) {
+    rngs.clear();
+    for (int t = begin; t < std::min(trials, begin + kMeasureChunk); ++t)
+      rngs.push_back(master.split(static_cast<std::uint64_t>(t)));
+    auto results = runner_->map<engine::TrialResult>(
+        rngs.size(), [&](std::size_t i, engine::TrialContext& ctx) {
+          return engine::run_play_trial_cached(inst, alg, 0, rngs[i], ctx);
+        });
+    for (const engine::TrialResult& r : results) stat.add(r.benefit);
+  }
   return stat;
 }
 
@@ -109,6 +117,8 @@ RunningStat Session::measure(const Instance& inst,
 RatioCell Session::measure_ratio(const Instance& inst,
                                  const PolicyFactory& make, Rng& master,
                                  int trials) const {
+  RatioCell cell;
+  cell.alg = measure(inst, make, master, trials);
   const OfflineResult opt = exact_optimum(inst, kRatioNodeLimit);
   OSP_REQUIRE_MSG(opt.exact,
                   "branch and bound hit its node limit of "
@@ -116,9 +126,7 @@ RatioCell Session::measure_ratio(const Instance& inst,
                       << inst.num_sets() << "-set instance (best found "
                       << opt.value << "); no competitive ratio without a "
                                       "proven optimum");
-  RatioCell cell;
   cell.opt = opt.value;
-  cell.alg = measure(inst, make, master, trials);
   cell.ratio = competitive_ratio(cell.opt, cell.alg.mean());
   return cell;
 }

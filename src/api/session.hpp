@@ -67,11 +67,13 @@ class Session {
   void close_sinks();
 
   /// Mean benefit (with CI) of `make(master.split(t))` over `trials`
-  /// independent runs — the historical measure_randpr/measure loop,
-  /// batched across worker threads.  Each trial is
+  /// independent runs — the seed repo's serial measure loop, batched
+  /// across worker threads.  Each trial is
   /// engine::run_play_trial_cached: a reseedable policy is built once per
   /// worker and reseeded with master.split(t), which the reseed()
-  /// contract makes decision-identical to fresh construction.
+  /// contract makes decision-identical to fresh construction.  Memory
+  /// does not grow with `trials`, which is in [1, 1e9]; any other count
+  /// throws RequireError.
   RunningStat measure(const Instance& inst, const PolicyFactory& make,
                       Rng& master, int trials) const;
 
@@ -79,9 +81,9 @@ class Session {
   RunningStat measure(const Instance& inst, const std::string& policy_spec,
                       Rng& master, int trials) const;
 
-  /// One competitive-ratio cell: the optimum that branch and bound proves
-  /// for `inst`, the policy's benefit measured exactly as measure() does,
-  /// and their competitive_ratio().  Throws RequireError, naming the node
+  /// One competitive-ratio cell: the policy's benefit from measure(), the
+  /// optimum that branch and bound proves for `inst`, and their
+  /// competitive_ratio().  Throws RequireError, naming the node
   /// limit, when branch and bound stops at that limit before it has
   /// proven the optimum: an unproven value is never published as opt.
   RatioCell measure_ratio(const Instance& inst, const PolicyFactory& make,

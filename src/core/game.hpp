@@ -7,17 +7,18 @@
 //   * play()/play_flat()  — the flat engine: drives the allocation-free
 //     decide() path with caller-owned reusable buffers (PlayScratch), so a
 //     steady-state trial performs zero heap allocations per element.
-//     What api::Session's measure loops and the competitive-ratio
-//     estimators use; GameEngine below is its one-arrival-at-a-time form,
-//     for the Theorem 3 adaptive adversary and the multi-hop pipeline
-//     (simulate_pipeline, one engine per switch).
+//     What the tests, bench_perf's "flat" mode and two walkthrough
+//     examples play on; GameEngine below is its one-arrival-at-a-time
+//     form, for the Theorem 3 adaptive adversary and the multi-hop
+//     pipeline (simulate_pipeline, one engine per switch).
 //   * play_flat_blocks()  — the block engine: drives decide_batch() over
 //     contiguous CSR arrival blocks (one virtual call per block), then
 //     validates and scores the packed choices per element.  Decision-
-//     identical to play_flat by the decide_batch contract; what the batch
-//     runner, the unbuffered router (simulate_router, on the schedule's
-//     to_instance), partial-credit play (play_partial, which rescores
-//     PlayScratch::got) and bench_perf's "block" mode use.
+//     identical to play_flat by the decide_batch contract; what every
+//     measured trial (engine::run_play_trial_cached, behind Session's
+//     measure() and run_grid()), the unbuffered router (simulate_router,
+//     on the schedule's to_instance), partial-credit play (play_partial,
+//     which rescores PlayScratch::got) and bench_perf's "block" mode use.
 //   * play_reference()    — the seed engine, preserved verbatim as the
 //     golden reference: takes each answer as a vector (choose()) and
 //     validates with the original allocating checks.  The fuzz suite

@@ -654,6 +654,30 @@ TEST(Session, MeasureIsBitIdenticalToTheHistoricalSerialLoop) {
   }
 }
 
+TEST(Session, MeasurePastOneTrialChunkIsStillTheSerialLoop) {
+  // measure() plays 65536 trials per batch-runner call, so its memory
+  // does not grow with the trial count; a count past one chunk must keep
+  // the serial loop's streams and order.
+  Rng gen(9);
+  const Instance inst =
+      random_instance(6, 8, 2, WeightModel::uniform(1, 4), gen);
+  constexpr int kTrials = (1 << 16) + 5;
+  const engine::BatchRunner runner(engine::BatchOptions{.num_threads = 3});
+  Rng a(7), b(7);
+  const RunningStat measured =
+      api::Session(runner).measure(inst, "randpr", a, kTrials);
+  RunningStat serial;
+  PlayScratch scratch;
+  for (int t = 0; t < kTrials; ++t) {
+    RandPr alg(b.split(static_cast<std::uint64_t>(t)));
+    serial.add(play_flat(inst, alg, scratch).benefit);
+  }
+  EXPECT_EQ(measured.count(), serial.count());
+  EXPECT_EQ(measured.mean(), serial.mean());
+  EXPECT_EQ(measured.stddev(), serial.stddev());
+  EXPECT_EQ(a(), b()) << "master streams diverged";
+}
+
 TEST(Session, RunGridEmitsOneRowPerCellToEverySink) {
   Rng gen(77);
   Instance a = random_instance(12, 20, 3, WeightModel::unit(), gen);
@@ -739,6 +763,33 @@ TEST(Session, MeasureRatioRefusesAnUnprovenOptimum) {
   });
   EXPECT_NE(msg.find("node limit of 20000000"), std::string::npos) << msg;
   EXPECT_EQ(msg.find('\n'), std::string::npos) << msg;
+}
+
+TEST(Session, MeasureRefusesATrialCountOutsideOneToABillion) {
+  // Zero trials have no mean (an empty RunningStat's is 0, which
+  // measure_ratio would publish as ratio = opt), and a negative count
+  // must not turn into a huge size_t.  Both measure and measure_ratio
+  // refuse with one line, leaving the master stream alone.
+  Rng gen(5);
+  const Instance inst = random_instance(8, 10, 2, WeightModel::unit(), gen);
+  const api::PolicyFactory& randpr = api::policies().at("randpr").make;
+  const api::Session session;
+  for (const int trials : {0, -1}) {
+    Rng master(42);
+    for (const std::string& msg :
+         {error_of([&] { session.measure(inst, randpr, master, trials); }),
+          error_of([&] { session.measure(inst, "randpr", master, trials); }),
+          error_of([&] {
+            session.measure_ratio(inst, randpr, master, trials);
+          })}) {
+      EXPECT_NE(msg.find("measure trials must be in [1, 1e9], got " +
+                         std::to_string(trials)),
+                std::string::npos)
+          << msg;
+      EXPECT_EQ(msg.find('\n'), std::string::npos) << msg;
+    }
+    EXPECT_EQ(master(), Rng(42)()) << "a refused count split the master";
+  }
 }
 
 TEST(Session, CompetitiveRatioChargesZeroBenefitAsOneUnit) {

@@ -1,15 +1,19 @@
 // Tests for the network simulators: conservation laws, equivalence of the
-// unbuffered router with the osp game (the paper's reduction), the game's
-// rules enforced on both simulators, the frame rankers, schedule
-// validation, and the distributed pipeline.  The buffered router is the
-// serving runtime at one link; its tests live in test_serve.cpp.
+// unbuffered router with the osp game (the paper's reduction, played
+// directly and through the engine's trial), the game's rules enforced on
+// both simulators, the frame rankers, schedule validation, and the
+// distributed pipeline.  The buffered router is the serving runtime at
+// one link; its tests live in test_serve.cpp.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 
 #include "algos/baselines.hpp"
+#include "api/policy_registry.hpp"
+#include "api/session.hpp"
 #include "core/game.hpp"
 #include "core/rand_pr.hpp"
+#include "engine/batch_runner.hpp"
 #include "gen/traffic.hpp"
 #include "gen/video.hpp"
 #include "net/pipeline.hpp"
@@ -96,6 +100,57 @@ TEST(Router, EquivalenceHoldsWithHigherServiceRate) {
     RouterStats rs = simulate_router(sched, router_alg, 2);
     Outcome go = play(sched.to_instance(2), game_alg);
     EXPECT_DOUBLE_EQ(rs.value_delivered, go.benefit);
+  }
+}
+
+TEST(Router, EngineTrialOnTheInstanceMatchesSimulateRouter) {
+  // bench_router's unbuffered sections play each policy through the
+  // engine's trial on the schedule's to_instance(1) and read the frames
+  // and value delivered from its TrialResult.  For every catalog policy,
+  // on video and bursty schedules, that must be what simulate_router
+  // reports on the same stream, at any runner worker count (several
+  // trials per policy, so a worker's cached policy is reseeded too).
+  std::vector<FrameSchedule> schedules;
+  Rng gen(2024);
+  VideoParams video;
+  video.num_streams = 6;
+  video.frames_per_stream = 20;
+  schedules.push_back(make_video_workload(video, gen).schedule);
+  OnOffBursts bursts(0.15, 0.1, 6.0, 0.1);
+  schedules.push_back(bursty_schedule(bursts, 80, 3, gen, 1.0));
+  schedules.push_back(sample_schedule(31));
+
+  const std::vector<api::PolicyInfo>& policies = api::policies().entries();
+  std::vector<engine::AlgSpec> columns;
+  for (const api::PolicyInfo& p : policies)
+    columns.push_back(api::grid_column(p));
+  constexpr std::size_t kTrials = 3;
+  const std::size_t count = columns.size() * kTrials;
+  const auto stream = [](std::size_t idx) { return Rng(700 + idx); };
+  for (const std::size_t workers : {1, 3}) {
+    const engine::BatchRunner runner(
+        engine::BatchOptions{.num_threads = workers});
+    for (std::size_t s = 0; s < schedules.size(); ++s) {
+      const Instance inst = schedules[s].to_instance(1);
+      const std::vector<engine::TrialResult> got =
+          runner.map<engine::TrialResult>(
+              count, [&](std::size_t idx, engine::TrialContext& ctx) {
+                const std::size_t p = idx % columns.size();
+                return engine::run_play_trial_cached(inst, columns[p], p,
+                                                     stream(idx), ctx);
+              });
+      for (std::size_t idx = 0; idx < count; ++idx) {
+        const std::size_t p = idx % columns.size();
+        const auto alg = policies[p].make(stream(idx));
+        const RouterStats want = simulate_router(schedules[s], *alg, 1);
+        const std::string where = policies[p].name + ", schedule " +
+                                  std::to_string(s) + ", workers " +
+                                  std::to_string(workers);
+        EXPECT_EQ(got[idx].completed, want.frames_delivered) << where;
+        EXPECT_EQ(got[idx].benefit, want.value_delivered) << where;
+        EXPECT_EQ(got[idx].decisions, want.packets_served) << where;
+      }
+    }
   }
 }
 
